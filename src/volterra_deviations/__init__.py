@@ -40,7 +40,6 @@ from .rate_functions import (
     gaussian_terminal_control,
     heston_rate,
     ldp_rate_pair,
-    ldp_rate_path_x,
     ldp_rate_terminal,
     mdp_rate_pair,
     mdp_rate_terminal_x,

@@ -24,7 +24,11 @@ class WrongVariant(DomainError):
 
 
 class KernelDomainError(DomainError):
-    """Non-convolution kernel evaluated outside 0 < s < t."""
+    """Kernel or grid argument outside its domain.
+
+    Raised for a non-convolution kernel evaluated outside 0 < s < t and for a
+    time that should be a grid node but is not.
+    """
 
 
 class NoConvergence(DomainError):

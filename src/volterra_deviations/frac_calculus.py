@@ -1,9 +1,10 @@
 """Discrete Riemann-Liouville fractional integral and derivative.
 
 ``rl_integral`` is product integration of the piecewise-linear interpolant
-against the singular kernel (t-s)^(alpha-1)/Gamma(alpha), with weights from
-exact per-cell antiderivatives; alpha = 1 degenerates to the cumulative
-trapezoid rule.
+against the singular kernel (t-s)^(alpha-1)/Gamma(alpha).  Its weights are
+``kernels.conv_weights`` of the raw power kernel t^(alpha-1), built from
+exact per-cell moments, so this module keeps no quadrature of its own;
+alpha = 1 is the grid's cumulative trapezoid rule.
 
 ``rl_derivative`` implements D^alpha f = d/dt I^(1-alpha) f through a split
 decomposition: the value f(0) contributes the exact f0 t^(-alpha)/Gamma(1-alpha)
@@ -22,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .kernels import GridFunction, KernelSpec, TimeGrid, terminal_weights, l2_norm_sq
+from .kernels import (
+    GridFunction,
+    KernelSpec,
+    TimeGrid,
+    conv_weights,
+    l2_norm_sq,
+    raw_power,
+    terminal_weights,
+)
 
 __all__ = ["FracOrder", "rl_integral", "rl_derivative", "energy", "Control", "control_energy"]
 
@@ -44,54 +53,18 @@ def _as_alpha(alpha) -> float:
     return alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
 
 
-def _rl_weights(n: int, alpha: float):
-    """Convolution weights of the piecewise-linear product integration."""
-    ap1 = alpha + 1.0
-    m = np.arange(0, n + 2, dtype=float)
-    pw = m**ap1
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    w[1:] = pw[2 : n + 2] - 2.0 * pw[1 : n + 1] + pw[0:n]
-    nn = np.arange(1, n + 1, dtype=float)
-    c = np.zeros(n + 1)
-    c[1:] = (nn - 1.0) ** ap1 - nn**alpha * (nn - alpha - 1.0) - w[1 : n + 1]
-    return w, c
-
-
-def _rl_apply(vals: np.ndarray, alpha: float, dt: float) -> np.ndarray:
-    from scipy.signal import fftconvolve
-
-    n = len(vals) - 1
-    if alpha == 1.0:
-        inc = 0.5 * dt * (vals[1:] + vals[:-1])
-        return np.concatenate([[0.0], np.cumsum(inc)])
-    w, c = _rl_weights(n, alpha)
-    conv = fftconvolve(w, vals)[: n + 1]
-    out = dt**alpha / gamma_fn(alpha + 2.0) * (conv + c * vals[0])
-    out[0] = 0.0
-    return out
-
-
 def rl_integral(f: GridFunction, alpha) -> GridFunction:
     """(I^alpha f)(t_i) = 1/Gamma(alpha) int_0^(t_i) (t_i - s)^(alpha-1) f(s) ds."""
     a = _as_alpha(alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    v = f.values
-    if v.ndim == 1:
-        out = _rl_apply(v, a, f.grid.dt)
-    else:
-        out = np.stack(
-            [_rl_apply(v[:, j], a, f.grid.dt) for j in range(v.shape[1])], axis=1
-        )
+    if a == 1.0:
+        return GridFunction(f.grid, f.grid.cumulative_trapezoid(f.values))
+    k = raw_power(a - 1.0)
+    # normalize with the order the kernel carries: a - 1 + 1 != a for small a,
+    # and the mismatch would cost relative accuracy eps / a
+    out = conv_weights(k, f.grid).apply(f.values) / gamma_fn(k.exponent + 1.0)
     return GridFunction(f.grid, out)
-
-
-def _forward_diff(vals: np.ndarray, dt: float) -> np.ndarray:
-    df = np.empty_like(vals)
-    df[:-1] = (vals[1:] - vals[:-1]) / dt
-    df[-1] = (vals[-1] - vals[-2]) / dt
-    return df
 
 
 def _head_coefficient(g: np.ndarray, t: np.ndarray, alpha: float) -> float:
@@ -121,29 +94,21 @@ def rl_derivative(f: GridFunction, alpha, f0: float) -> GridFunction:
             axis=1,
         )
         return GridFunction(f.grid, out)
-    dt = f.grid.dt
-    t = f.grid.nodes
+    grid = f.grid
+    t = grid.nodes
     g = v - f0
     if a == 1.0:
-        out = _forward_diff(g, dt)
+        out = grid.forward_difference(g)
     else:
         c_head = _head_coefficient(g, t, a)
-        g_rem = g - c_head * t**a
-        out = _rl_apply(_forward_diff(g_rem, dt), 1.0 - a, dt) + c_head * gamma_fn(
-            a + 1.0
-        )
+        g_rem = GridFunction(grid, grid.forward_difference(g - c_head * t**a))
+        out = rl_integral(g_rem, 1.0 - a).values + c_head * gamma_fn(a + 1.0)
     if f0 != 0.0 and a < 1.0:
         tail = np.empty_like(out)
         tail[0] = np.inf
         tail[1:] = f0 * t[1:] ** (-a) / gamma_fn(1.0 - a)
         out = out + tail
     return GridFunction(f.grid, out)
-
-
-def _trapezoid_weights(grid: TimeGrid) -> np.ndarray:
-    w = np.full(len(grid), grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return w
 
 
 def energy(v: GridFunction) -> float:
@@ -155,7 +120,7 @@ def energy(v: GridFunction) -> float:
     """
     vals = v.values
     sq = vals**2 if vals.ndim == 1 else np.sum(vals**2, axis=1)
-    w = _trapezoid_weights(v.grid)
+    w = v.grid.trapezoid_weights()
     if not np.isfinite(sq[0]):
         sq = sq.copy()
         sq[0] = 0.0

@@ -1,7 +1,9 @@
 """Convolution and non-convolution kernels with their quadrature machinery.
 
 The central objects are :class:`TimeGrid` / :class:`GridFunction` (the
-discrete carriers used everywhere else) and :class:`KernelSpec`.  Scalar
+discrete carriers used everywhere else) and :class:`KernelSpec`.  The grid
+owns the trapezoid weights, cumulative trapezoid and forward differences the
+other modules share, and the node lookup that rejects off-grid times.  Scalar
 convolution kernels expose, besides pointwise evaluation:
 
 * exact cumulative moments ``moment0/moment1`` (integrals of ``K`` and
@@ -77,6 +79,35 @@ class TimeGrid:
 
     def __len__(self) -> int:
         return self.n_steps + 1
+
+    def node_index(self, t: float) -> int:
+        """Index i with t_i = t; raises KernelDomainError off the grid."""
+        i = int(round(t / self.dt))
+        if not (
+            0 <= i <= self.n_steps
+            and math.isclose(i * self.dt, t, rel_tol=1e-9, abs_tol=1e-12)
+        ):
+            raise KernelDomainError(f"t = {t!r} is not a node of {self}")
+        return i
+
+    def trapezoid_weights(self) -> np.ndarray:
+        """Nodal weights of the composite trapezoid rule on [0, T]."""
+        w = np.full(len(self), self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return w
+
+    def cumulative_trapezoid(self, vals: np.ndarray) -> np.ndarray:
+        """Trapezoid integrals of nodal values from 0 to every node (axis 0)."""
+        vals = np.asarray(vals, dtype=float)
+        inc = 0.5 * self.dt * (vals[1:] + vals[:-1])
+        return np.concatenate([np.zeros_like(vals[:1]), np.cumsum(inc, axis=0)])
+
+    def forward_difference(self, vals: np.ndarray) -> np.ndarray:
+        """Forward difference quotients; the last node repeats the last cell."""
+        df = np.empty_like(vals)
+        df[:-1] = (vals[1:] - vals[:-1]) / self.dt
+        df[-1] = (vals[-1] - vals[-2]) / self.dt
+        return df
 
 
 @dataclass(frozen=True)
@@ -498,14 +529,9 @@ def conv_weights(k: KernelSpec, grid: TimeGrid) -> ConvWeights:
 
 def terminal_weights(k: KernelSpec, grid: TimeGrid, t_end: float | None = None) -> np.ndarray:
     """Weights g with int_0^T K(T - s) f(s) ds = sum g_i f_i for PL f."""
+    i_end = grid.n_steps if t_end is None else grid.node_index(t_end)
     cw = conv_weights(k, grid)
-    n = grid.n_steps
-    if t_end is None:
-        t_end = grid.horizon
-    i_end = int(round(t_end / grid.dt))
-    if not math.isclose(i_end * grid.dt, t_end, rel_tol=1e-9, abs_tol=1e-12):
-        raise KernelDomainError("t_end must be a grid node")
-    g = np.zeros(n + 1)
+    g = np.zeros(len(grid))
     g[: i_end + 1] = cw.w[: i_end + 1][::-1]
     g[0] -= cw.shift[i_end + 1]
     return g

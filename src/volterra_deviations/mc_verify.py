@@ -62,10 +62,7 @@ class EventSpec:
 
     def indicator(self, ensemble) -> np.ndarray:
         grid = ensemble.grid
-        if self.t_eval is None:
-            idx = grid.n_steps
-        else:
-            idx = int(round(self.t_eval / grid.dt))
+        idx = grid.n_steps if self.t_eval is None else grid.node_index(self.t_eval)
         vals = ensemble.component(self.component)[:, idx]
         return vals >= self.level if self.direction == "ge" else vals <= self.level
 
@@ -194,12 +191,14 @@ def build_is_control(
 
     Volatility events on Gaussian models get the exact Cameron-Martin kernel
     section (so the shifted mean hits the boundary and the Girsanov pairing
-    is exact); price events go through the terminal variational solver, with
-    a boundary-matching constant control as fallback.
+    is exact); price events go through the terminal variational solver on
+    [0, t_eval] with the grid's step, zero after t_eval, with a
+    boundary-matching constant control as fallback.
     """
     from .rate_functions import _coeffs
 
     t_end = event.t_eval if event.t_eval is not None else grid.horizon
+    i_end = grid.node_index(t_end)
     n_ch = 2 if not isinstance(model, MultiRoughBergomi) else model.n_factors + 1
     zeros = np.zeros((len(grid), n_ch))
     vol_offset = event.level - (model.y0 if regime_kind == "small_time_ldp" else 0.0)
@@ -216,18 +215,19 @@ def build_is_control(
                 model,
                 event.level,
                 component="x",
-                n_steps=grid.n_steps,
+                n_steps=i_end,
                 horizon=t_end,
-            )
-            vals = res.optimal_control.values.values
-            padded = zeros.copy()
-            padded[:, 0] = vals[:, 0]
-            padded[:, n_ch - 1] = vals[:, 1]
-            return Control(
-                GridFunction(grid, padded), sections=res.optimal_control.sections
             )
         except SolverFailure:
             pass
+        else:
+            vals = res.optimal_control.values.values
+            padded = zeros.copy()
+            padded[: i_end + 1, 0] = vals[:, 0]
+            padded[: i_end + 1, n_ch - 1] = vals[:, 1]
+            return Control(
+                GridFunction(grid, padded), sections=res.optimal_control.sections
+            )
     # fallback: constant control hitting the boundary in mean
     sigma_sq, zeta, _ = _coeffs(model)
     vals = zeros.copy()

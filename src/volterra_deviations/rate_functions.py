@@ -6,9 +6,12 @@ invert the limit equations for the controls (u, v) driving a given path pair
 and return their energy; the recovered controls are attached so round trips
 through the limit solvers can be checked.
 
-``ldp_rate_terminal`` minimizes the control energy subject to a terminal
-constraint by quadratic penalty with mu-continuation and deterministic
-multi-starts.  Two structural devices keep the discrete optimum honest:
+``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control
+energy subject to a terminal constraint.  Each problem is an objective class
+that supplies only its energy, its terminal target and their gradients; one
+driver, ``_run_penalty``, adds the quadratic penalty and runs the
+mu-continuation and the deterministic multi-starts.  Two structural devices
+keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
   singularly convolved channel (for constant zeta models).  A uniform
@@ -40,6 +43,7 @@ from .frac_calculus import Control, KernelSection, rl_derivative, rl_integral
 from .kernels import (
     GridFunction,
     TimeGrid,
+    constant,
     conv_weights,
     l2_norm_sq,
     power_law,
@@ -61,7 +65,6 @@ __all__ = [
     "mdp_rate_terminal_x",
     "mdp_rate_terminal_y",
     "ldp_rate_terminal",
-    "ldp_rate_path_x",
     "tail_rate_terminal",
     "tail_rate_steinstein",
     "tail_rate_heston",
@@ -102,24 +105,9 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _dot_grid(f: GridFunction):
-    v = f.values
-    dt = f.grid.dt
-    df = np.empty_like(v)
-    df[:-1] = (v[1:] - v[:-1]) / dt
-    df[-1] = (v[-1] - v[-2]) / dt
-    return df
-
-
-def _trap_w(grid: TimeGrid) -> np.ndarray:
-    w = np.full(len(grid), grid.dt)
-    w[0] = w[-1] = 0.5 * grid.dt
-    return w
-
-
 def _energy_masked(grid: TimeGrid, *channels) -> float:
     """(1/2) sum of channel L2 norms; non-finite entries get zero weight."""
-    w = _trap_w(grid)
+    w = grid.trapezoid_weights()
     total = 0.0
     for ch in channels:
         sq = np.where(np.isfinite(ch), ch, 0.0) ** 2
@@ -188,7 +176,7 @@ def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
             "rho != 0 with zeta vanishing on the grid: closed form unavailable"
         )
     rho_bar = math.sqrt(1.0 - rho**2)
-    dphi = _dot_grid(phi)
+    dphi = grid.forward_difference(phi.values)
     D = rl_derivative(GridFunction(grid, vphi.values - y0), H + 0.5, 0.0).values
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(zero_zeta, 0.0, D / np.where(zero_zeta, 1.0, zeta_vals))
@@ -208,21 +196,44 @@ def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
 # ---------------------------------------------------------------------------
 
 
-def _heston_rate_once(model, phi, vphi_vals, delta) -> tuple[float, np.ndarray, np.ndarray]:
+def _heston_pair_rate(model, phi, vphi, delta, kappa, drift):
+    """Rough Heston pair rate on vd = vphi + delta t^(H+1/2), with Richardson.
+
+    The forcing z = D^(H+1/2)(vd - vd(0)) + kappa vd gives the volatility
+    control v = z / (xi sqrt(vd)) and the price control
+    u = (phi' / sqrt(vd) + drift sqrt(vd) - rho v) / rho_bar on {vd > 0}.
+    Small time has kappa = drift = 0; the tail rescaling has the model's kappa
+    and drift 1/2.  Returns the result and z.
+    """
     grid = phi.grid
     t = grid.nodes
     H, rho, xi = model.hurst, model.rho, model.xi
     rho_bar = math.sqrt(1.0 - rho**2)
-    vd = vphi_vals + delta * t ** (H + 0.5)
-    pos = vd > _ZERO_THR
-    D = rl_derivative(GridFunction(grid, vd - vd[0]), H + 0.5, 0.0).values
-    dphi = _dot_grid(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.where(pos, vd, 1.0))
-        v = np.where(pos, D / (xi * sq), 0.0)
-        u = np.where(pos, (dphi / sq - rho * v) / rho_bar, 0.0)
-    value = _energy_masked(grid, u, v)
-    return value, v, u
+    dphi = grid.forward_difference(phi.values)
+
+    def once(dlt):
+        vd = vphi.values + dlt * t ** (H + 0.5)
+        pos = vd > _ZERO_THR
+        D = rl_derivative(GridFunction(grid, vd - vd[0]), H + 0.5, 0.0).values
+        z = D + kappa * vd
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sq = np.sqrt(np.where(pos, vd, 1.0))
+            v = np.where(pos, z / (xi * sq), 0.0)
+            u = np.where(pos, (dphi / sq + drift * sq - rho * v) / rho_bar, 0.0)
+        return _energy_masked(grid, u, v), v, u, z
+
+    value, v, u, z = once(delta)
+    rich = 2.0 * once(0.5 * delta)[0] - value if delta > 0.0 else None
+    res = _pack_result(
+        grid,
+        value,
+        v,
+        u,
+        np.stack([phi.values, vphi.values], axis=1),
+        regularization_delta=delta,
+        richardson_value=rich,
+    )
+    return res, z
 
 
 def heston_rate(
@@ -241,21 +252,7 @@ def heston_rate(
         raise NegativePath("volatility path must be nonnegative")
     if not _check_pair_start(phi, vphi, model.y0) or not _is_grid_ac(phi):
         return RateResult(value=np.inf, regularization_delta=delta)
-    value, v, u = _heston_rate_once(model, phi, vphi.values, delta)
-    rich = None
-    if delta > 0.0:
-        value_half, _, _ = _heston_rate_once(model, phi, vphi.values, 0.5 * delta)
-        rich = 2.0 * value_half - value
-    res = _pack_result(
-        phi.grid,
-        value,
-        v,
-        u,
-        np.stack([phi.values, vphi.values], axis=1),
-        regularization_delta=delta,
-        richardson_value=rich,
-    )
-    return res
+    return _heston_pair_rate(model, phi, vphi, delta, 0.0, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +276,7 @@ def mdp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
     if not _check_pair_start(phi, vphi, y0) or not _is_grid_ac(phi):
         return RateResult(value=np.inf)
     rho_bar = math.sqrt(1.0 - rho**2)
-    dphi = _dot_grid(phi)
+    dphi = grid.forward_difference(phi.values)
     D = rl_derivative(GridFunction(grid, vphi.values - y0), H + 0.5, 0.0).values
     v = D / zeta0
     u = (dphi / math.sqrt(sig0) - rho * v) / rho_bar
@@ -327,7 +324,7 @@ def tail_rate_steinstein(
     else:
         Ihalf = rl_integral(vphi, 0.5 - H).values
     v = (D + kappa * Ihalf) / xi
-    dphi = _dot_grid(phi)
+    dphi = grid.forward_difference(phi.values)
     nz = np.abs(vphi.values) > _ZERO_THR
     with np.errstate(divide="ignore", invalid="ignore"):
         u = np.where(
@@ -365,39 +362,9 @@ def tail_rate_heston(
     """Tail-rescaled rough Heston pair rate on the delta-perturbed path."""
     if np.any(vphi.values < -1e-12):
         raise NegativePath("volatility path must be nonnegative")
-    grid = phi.grid
     if abs(phi.values[0]) > 1e-9 or abs(vphi.values[0]) > 1e-9 or not _is_grid_ac(phi):
         return RateResult(value=np.inf, regularization_delta=delta)
-
-    def once(dlt):
-        t = grid.nodes
-        H, rho, kappa, xi = model.hurst, model.rho, model.kappa, model.xi
-        rho_bar = math.sqrt(1.0 - rho**2)
-        vd = vphi.values + dlt * t ** (H + 0.5)
-        pos = vd > _ZERO_THR
-        D = rl_derivative(GridFunction(grid, vd), H + 0.5, 0.0).values
-        z = D + kappa * vd
-        dphi = _dot_grid(phi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(np.where(pos, vd, 1.0))
-            v = np.where(pos, z / (xi * sq), 0.0)
-            u = np.where(pos, (dphi / sq + 0.5 * sq - rho * v) / rho_bar, 0.0)
-        return _energy_masked(grid, u, v), v, u, z
-
-    value, v, u, z = once(delta)
-    rich = None
-    if delta > 0.0:
-        vh, *_ = once(0.5 * delta)
-        rich = 2.0 * vh - value
-    res = _pack_result(
-        grid,
-        value,
-        v,
-        u,
-        np.stack([phi.values, vphi.values], axis=1),
-        regularization_delta=delta,
-        richardson_value=rich,
-    )
+    res, z = _heston_pair_rate(model, phi, vphi, delta, model.kappa, 0.5)
     # smooth volatility forcing xi sqrt(vphi) v; lets round trips regenerate
     # vphi through the equivalent linear equation without the 1/sqrt node-0
     # indicator artifact
@@ -462,7 +429,7 @@ def multifactor_mdp_rate(
     rho = np.asarray(model.rho, dtype=float)
     rho_bar = model.rho_bar
     weight = float(np.sum(np.exp(0.5 * y0)))
-    dphi = _dot_grid(phi)
+    dphi = grid.forward_difference(phi.values)
     u = dphi / weight
     for j in range(mstar):
         vj = np.where(np.isfinite(vs[j]), vs[j], 0.0)
@@ -481,11 +448,6 @@ def multifactor_mdp_rate(
 # ---------------------------------------------------------------------------
 # regeneration through the limit solvers (round-trip checks)
 # ---------------------------------------------------------------------------
-
-
-def _cumtrap(grid: TimeGrid, vals: np.ndarray) -> np.ndarray:
-    inc = 0.5 * grid.dt * (vals[1:] + vals[:-1])
-    return np.concatenate([[0.0], np.cumsum(inc)])
 
 
 def _split_vu(ctrl: Control):
@@ -546,7 +508,7 @@ def regenerate_smalltime_pair(
     sig = np.maximum(sigma_sq(vphi.values), 0.0)
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
     drive = np.sqrt(sig) * (rho_bar * u + rho * v)
-    phi = GridFunction(grid, _cumtrap(grid, drive))
+    phi = GridFunction(grid, grid.cumulative_trapezoid(drive))
     return phi, vphi
 
 
@@ -626,7 +588,7 @@ def regenerate_tail_pair(
         drive = -0.5 * vpos + np.sqrt(vpos) * (rho_bar * u + rho * v)
     else:
         raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
-    phi = GridFunction(grid, _cumtrap(grid, drive))
+    phi = GridFunction(grid, grid.cumulative_trapezoid(drive))
     return phi, vphi
 
 
@@ -649,7 +611,7 @@ def regenerate_mdp_pair(model: Model, ctrl: Control | RateResult):
     psi = solve_mdp_limit(kernel, zeros, zeta_path, Control(GridFunction(grid, v)))
     vphi = GridFunction(grid, model.y0 + psi.values)
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    phi = GridFunction(grid, _cumtrap(grid, sig0 * (rho_bar * u + rho * v)))
+    phi = GridFunction(grid, grid.cumulative_trapezoid(sig0 * (rho_bar * u + rho * v)))
     return phi, vphi
 
 
@@ -679,7 +641,7 @@ def regenerate_multifactor_mdp_pair(
     drive = model.rho_bar * u
     for j in range(len(vs)):
         drive = drive + rho[j] * vs[j]
-    phi = GridFunction(grid, _cumtrap(grid, weight * drive))
+    phi = GridFunction(grid, grid.cumulative_trapezoid(weight * drive))
     return phi, vphi
 
 
@@ -747,7 +709,7 @@ def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProble
         rcol=rcol,
         gsec=gsec,
         r_tt=r_tt,
-        w=_trap_w(grid),
+        w=grid.trapezoid_weights(),
         rho=model.rho,
         rho_bar=math.sqrt(1.0 - model.rho**2),
         zeta0=zeta0,
@@ -755,36 +717,45 @@ def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProble
     )
 
 
-class _ZetaConstObjective:
-    """Energy + penalty for models with constant zeta (linear vphi response)."""
+
+
+class _Objective:
+    """Energy and terminal target of one discretized terminal problem.
+
+    ``evaluate(p)`` returns (energy, target, grad energy, grad target) and
+    ``result(p)`` returns (energy, target, control, path); ``_run_penalty``
+    builds the penalized objective from them.
+    """
 
     def __init__(self, tp: _TerminalProblem):
         self.tp = tp
         self.n = len(tp.grid)
+        self.n_params = 2 * self.n
+
+
+class _ZetaConstObjective(_Objective):
+    """Models with constant zeta (linear vphi response)."""
+
+    def __init__(self, tp: _TerminalProblem):
+        super().__init__(tp)
+        if tp.use_section:
+            self.n_params += 1
         m = tp.model
         self.sig_fn = m.sigma_sq
         if tp.frozen:
             s0 = float(m.sigma_sq(np.asarray(m.y0)))
             self.sig_fn = lambda y, s0=s0: np.full_like(np.asarray(y, dtype=float), s0)
 
-    def split(self, p):
+    def pieces(self, p):
+        tp = self.tp
         n = self.n
         u = p[:n]
         v = p[n : 2 * n]
-        c = p[2 * n] if self.tp.use_section else 0.0
-        return u, v, c
-
-    def vphi(self, v, c):
-        tp = self.tp
-        resp = tp.zeta0 * (tp.conv @ v)
+        c = p[2 * n] if tp.use_section else 0.0
+        vphi = tp.zeta0 * (tp.conv @ v)
         if tp.use_section:
-            resp = resp + tp.zeta0 * c * tp.rcol
-        return tp.y0 + resp
-
-    def pieces(self, p):
-        tp = self.tp
-        u, v, c = self.split(p)
-        vphi = self.vphi(v, c)
+            vphi = vphi + tp.zeta0 * c * tp.rcol
+        vphi = tp.y0 + vphi
         sig = np.maximum(self.sig_fn(vphi), 0.0)
         S = np.sqrt(sig)
         en = 0.5 * (
@@ -801,18 +772,11 @@ class _ZetaConstObjective:
             tgt = float(np.sum(tp.w * v))
         return u, v, c, vphi, S, en, tgt
 
-    def value(self, p, mu):
-        *_, en, tgt = self.pieces(p)
-        r = tgt - self.tp.target
-        return en + mu * r * r
-
-    def grad(self, p, mu):
+    def evaluate(self, p):
         tp = self.tp
         u, v, c, vphi, S, en, tgt = self.pieces(p)
-        r = tgt - tp.target
         gu = tp.w * u
         gv = tp.w * v + (c * tp.gsec if tp.use_section else 0.0)
-        gc = float(np.dot(tp.gsec, v)) + c * tp.r_tt if tp.use_section else 0.0
         if tp.component == "x":
             with np.errstate(divide="ignore", invalid="ignore"):
                 Sp = np.where(S > 1e-150, self._sig_prime(vphi) / (2.0 * S), 0.0)
@@ -821,25 +785,20 @@ class _ZetaConstObjective:
             if tp.use_section:
                 a = a + tp.rho * c * tp.gsec * Sp
             dv = tp.w * S * tp.rho + tp.zeta0 * (tp.conv.T @ a)
-            dc = (
-                tp.rho * float(np.dot(tp.gsec, S)) + tp.zeta0 * float(np.dot(tp.rcol, a))
-                if tp.use_section
-                else 0.0
-            )
         elif tp.component == "y":
             du = np.zeros_like(u)
             dv = tp.zeta0 * tp.conv[-1, :]
-            dc = tp.zeta0 * tp.r_tt if tp.use_section else 0.0
         else:
             du = np.zeros_like(u)
-            dv = tp.w.copy()
-            dc = 0.0
-        gu = gu + 2.0 * mu * r * du
-        gv = gv + 2.0 * mu * r * dv
-        out = [gu, gv]
-        if tp.use_section:
-            out.append(np.array([gc + 2.0 * mu * r * dc]))
-        return np.concatenate(out)
+            dv = tp.w
+        if not tp.use_section:
+            return en, tgt, np.concatenate([gu, gv]), np.concatenate([du, dv])
+        gc = float(np.dot(tp.gsec, v)) + c * tp.r_tt
+        if tp.component == "x":
+            dc = tp.rho * float(np.dot(tp.gsec, S)) + tp.zeta0 * float(np.dot(tp.rcol, a))
+        else:
+            dc = tp.zeta0 * tp.r_tt
+        return en, tgt, np.concatenate([gu, gv, [gc]]), np.concatenate([du, dv, [dc]])
 
     def _sig_prime(self, y):
         m = self.tp.model
@@ -851,9 +810,6 @@ class _ZetaConstObjective:
             return np.exp(np.asarray(y, dtype=float))
         raise NotApplicable("no catalogued derivative")
 
-    def n_params(self):
-        return 2 * self.n + (1 if self.tp.use_section else 0)
-
     def result(self, p):
         tp = self.tp
         u, v, c, vphi, S, en, tgt = self.pieces(p)
@@ -861,29 +817,21 @@ class _ZetaConstObjective:
             (KernelSection(tp.kernel, tp.grid.horizon, c, 0),) if tp.use_section else ()
         )
         ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)), sections=secs)
-        phi = np.concatenate(
-            [[0.0], np.cumsum(0.5 * tp.grid.dt * ((S * (tp.rho_bar * u + tp.rho * v))[1:] + (S * (tp.rho_bar * u + tp.rho * v))[:-1]))]
-        )
-        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-        return en, abs(tgt - tp.target), ctrl, path
+        phi = tp.grid.cumulative_trapezoid(S * (tp.rho_bar * u + tp.rho * v))
+        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
-class _HestonObjective:
-    """z-parameterized objective for the rough Heston terminal problem."""
+class _HestonObjective(_Objective):
+    """z-parameterized rough Heston terminal problem."""
 
     def __init__(self, tp: _TerminalProblem):
-        self.tp = tp
-        self.n = len(tp.grid)
+        super().__init__(tp)
         self.xi = tp.model.xi
         self.floor = 1e-12
 
-    def split(self, p):
-        n = self.n
-        return p[:n], p[n : 2 * n]
-
     def pieces(self, p):
         tp = self.tp
-        u, z = self.split(p)
+        u, z = p[: self.n], p[self.n :]
         vphi = tp.y0 + tp.conv @ z
         vpos = np.maximum(vphi, self.floor)
         S = np.sqrt(vpos)
@@ -895,15 +843,9 @@ class _HestonObjective:
             tgt = vphi[-1]
         return u, z, vphi, vpos, S, en_u + en_v, tgt
 
-    def value(self, p, mu):
-        *_, en, tgt = self.pieces(p)
-        r = tgt - self.tp.target
-        return en + mu * r * r
-
-    def grad(self, p, mu):
+    def evaluate(self, p):
         tp = self.tp
         u, z, vphi, vpos, S, en, tgt = self.pieces(p)
-        r = tgt - tp.target
         live = vphi > self.floor
         gu = tp.w * u
         gz = tp.w * z / (self.xi**2 * vpos)
@@ -916,85 +858,62 @@ class _HestonObjective:
             dz = dz + tp.conv.T @ a
         else:
             du = np.zeros_like(u)
-            dz = tp.conv[-1, :].copy()
-        return np.concatenate([gu + 2 * mu * r * du, gz + 2 * mu * r * dz])
-
-    def n_params(self):
-        return 2 * self.n
+            dz = tp.conv[-1, :]
+        return en, tgt, np.concatenate([gu, gz]), np.concatenate([du, dz])
 
     def result(self, p):
         tp = self.tp
         u, z, vphi, vpos, S, en, tgt = self.pieces(p)
         v = z / (self.xi * S)
         ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        drive = S * tp.rho_bar * u + tp.rho * z / self.xi
-        phi = np.concatenate(
-            [[0.0], np.cumsum(0.5 * tp.grid.dt * (drive[1:] + drive[:-1]))]
-        )
-        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-        return en, abs(tgt - tp.target), ctrl, path
+        phi = tp.grid.cumulative_trapezoid(S * tp.rho_bar * u + tp.rho * z / self.xi)
+        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
-class _TailSteinSteinObjective:
+class _TailSteinSteinObjective(_Objective):
     """Tail Stein-Stein terminal problem: linear volatility response.
 
     vphi = (I + kappa C1)^-1 (xi C_RL v) with C1 the cumulative-integral
-    matrix; the price drive is -vphi^2/2 + vphi (rho_bar u + rho v).
+    (constant-kernel) matrix; the price drive is
+    -vphi^2/2 + vphi (rho_bar u + rho v).
     """
 
     def __init__(self, tp: _TerminalProblem):
-        self.tp = tp
-        self.n = len(tp.grid)
+        super().__init__(tp)
         m = tp.model
-        M = np.eye(self.n) + m.kappa * _cum_trap_matrix(tp.grid)
-        self.A = np.linalg.solve(M, m.xi * tp.conv)
-
-    def split(self, p):
-        return p[: self.n], p[self.n :]
+        C1 = conv_weights(constant(1.0), tp.grid).dense_matrix()
+        self.A = np.linalg.solve(np.eye(self.n) + m.kappa * C1, m.xi * tp.conv)
 
     def pieces(self, p):
         tp = self.tp
-        u, v = self.split(p)
+        u, v = p[: self.n], p[self.n :]
         vphi = self.A @ v
         en = 0.5 * float(np.sum(tp.w * (u**2 + v**2)))
         drive = -0.5 * vphi**2 + vphi * (tp.rho_bar * u + tp.rho * v)
         tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
-        return u, v, vphi, en, tgt
+        return u, v, vphi, drive, en, tgt
 
-    def value(self, p, mu):
-        *_, en, tgt = self.pieces(p)
-        r = tgt - self.tp.target
-        return en + mu * r * r
-
-    def grad(self, p, mu):
+    def evaluate(self, p):
         tp = self.tp
-        u, v, vphi, en, tgt = self.pieces(p)
-        r = tgt - tp.target
-        gu = tp.w * u
-        gv = tp.w * v
+        u, v, vphi, drive, en, tgt = self.pieces(p)
         if tp.component == "x":
             du = tp.w * tp.rho_bar * vphi
             a = tp.w * (-vphi + tp.rho_bar * u + tp.rho * v)
             dv = tp.w * tp.rho * vphi + self.A.T @ a
         else:
             du = np.zeros_like(u)
-            dv = self.A[-1, :].copy()
-        return np.concatenate([gu + 2 * mu * r * du, gv + 2 * mu * r * dv])
-
-    def n_params(self):
-        return 2 * self.n
+            dv = self.A[-1, :]
+        return en, tgt, np.concatenate([tp.w * u, tp.w * v]), np.concatenate([du, dv])
 
     def result(self, p):
         tp = self.tp
-        u, v, vphi, en, tgt = self.pieces(p)
+        u, v, vphi, drive, en, tgt = self.pieces(p)
         ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        drive = -0.5 * vphi**2 + vphi * (tp.rho_bar * u + tp.rho * v)
-        phi = _cumtrap(tp.grid, drive)
-        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-        return en, abs(tgt - tp.target), ctrl, path
+        phi = tp.grid.cumulative_trapezoid(drive)
+        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
-class _TailHestonObjective:
+class _TailHestonObjective(_Objective):
     """Tail rough Heston terminal problem in the smooth forcing variable.
 
     z = xi sqrt(vphi) v - the volatility solves the linear equation
@@ -1003,41 +922,28 @@ class _TailHestonObjective:
     """
 
     def __init__(self, tp: _TerminalProblem):
-        self.tp = tp
-        self.n = len(tp.grid)
+        super().__init__(tp)
         self.xi = tp.model.xi
         self.floor = 1e-12
         M = np.eye(self.n) + tp.model.kappa * tp.conv
         self.A = np.linalg.solve(M, tp.conv)
 
-    def split(self, p):
-        return p[: self.n], p[self.n :]
-
     def pieces(self, p):
         tp = self.tp
-        u, z = self.split(p)
+        u, z = p[: self.n], p[self.n :]
         vphi = self.A @ z
         vpos = np.maximum(vphi, self.floor)
         S = np.sqrt(vpos)
         en = 0.5 * float(np.sum(tp.w * u**2)) + 0.5 * float(
             np.sum(tp.w * z**2 / (self.xi**2 * vpos))
         )
-        if tp.component == "x":
-            drive = -0.5 * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
-            tgt = float(np.sum(tp.w * drive))
-        else:
-            tgt = vphi[-1]
-        return u, z, vphi, vpos, S, en, tgt
+        drive = -0.5 * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
+        tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
+        return u, z, vphi, vpos, S, drive, en, tgt
 
-    def value(self, p, mu):
-        *_, en, tgt = self.pieces(p)
-        r = tgt - self.tp.target
-        return en + mu * r * r
-
-    def grad(self, p, mu):
+    def evaluate(self, p):
         tp = self.tp
-        u, z, vphi, vpos, S, en, tgt = self.pieces(p)
-        r = tgt - tp.target
+        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
         live = vphi > self.floor
         gu = tp.w * u
         gz = tp.w * z / (self.xi**2 * vpos) + self.A.T @ (
@@ -1049,37 +955,21 @@ class _TailHestonObjective:
             dz = tp.w * tp.rho / self.xi + self.A.T @ back
         else:
             du = np.zeros_like(u)
-            dz = self.A[-1, :].copy()
-        return np.concatenate([gu + 2 * mu * r * du, gz + 2 * mu * r * dz])
-
-    def n_params(self):
-        return 2 * self.n
+            dz = self.A[-1, :]
+        return en, tgt, np.concatenate([gu, gz]), np.concatenate([du, dz])
 
     def result(self, p):
         tp = self.tp
-        u, z, vphi, vpos, S, en, tgt = self.pieces(p)
+        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
         v = z / (self.xi * S)
         ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        drive = -0.5 * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
-        phi = _cumtrap(tp.grid, drive)
-        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-        return en, abs(tgt - tp.target), ctrl, path
-
-
-def _cum_trap_matrix(grid: TimeGrid) -> np.ndarray:
-    """Matrix C1 with (C1 f)_i = trapezoid integral of f up to t_i."""
-    n = len(grid)
-    h = grid.dt
-    C = np.zeros((n, n))
-    for i in range(1, n):
-        C[i, : i + 1] = h
-        C[i, 0] = 0.5 * h
-        C[i, i] = 0.5 * h
-    return C
+        phi = tp.grid.cumulative_trapezoid(drive)
+        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
 _MU_SCHEDULE = (1e2, 1e4, 1e6, 1e8)
 _START_LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
+_MAX_VIOLATION = 1e-4
 
 
 def ldp_rate_terminal(
@@ -1089,7 +979,6 @@ def ldp_rate_terminal(
     n_steps: int = 512,
     horizon: float = 1.0,
     frozen: bool = False,
-    max_violation: float = 1e-4,
 ) -> RateResult:
     """Minimal control energy with the terminal value pinned at ``x``.
 
@@ -1099,9 +988,10 @@ def ldp_rate_terminal(
     freezes the coefficient fields at y0, turning the problem into the MDP
     quadratic form.
 
-    Quadratic-penalty continuation over mu in (1e2, 1e4, 1e6), L-BFGS with
-    analytic gradients, deterministic multi-starts at constant controls
-    scaled by the target offset.
+    Quadratic-penalty continuation over mu in (1e2, 1e4, 1e6, 1e8), L-BFGS
+    with analytic gradients, deterministic multi-starts at constant controls
+    scaled by the target offset; SolverFailure when the best start misses the
+    target by more than 1e-4.
     """
     if component not in ("x", "y", "y_psi"):
         raise ValueError("component must be 'x', 'y' or 'y_psi'")
@@ -1113,64 +1003,9 @@ def ldp_rate_terminal(
     else:
         obj = _ZetaConstObjective(tp)
     if offset == 0.0 and component in ("x", "y_psi"):
-        p0 = np.zeros(obj.n_params())
-        en, viol, ctrl, path = obj.result(p0)
+        en, _, ctrl, path = obj.result(np.zeros(obj.n_params))
         return RateResult(value=en, optimal_control=ctrl, optimal_path=path)
-    return _run_penalty(obj, offset, max_violation)
-
-
-def ldp_rate_path_x(
-    model: Model,
-    phi_target: GridFunction,
-    n_steps: int | None = None,
-    penalty: float = 1e4,
-) -> RateResult:
-    """Approximate pathwise price rate: energy plus a path-matching penalty.
-
-    Minimizes (1/2) int (u^2 + v^2) + penalty * int (phi - phi_target)^2 over
-    the controls; this exposes the pathwise infimum over volatility paths but
-    carries no optimality guarantee (the exact problem has no known
-    algorithm), so results are flagged approximate.
-    """
-    grid = phi_target.grid
-    tp = _terminal_problem(model, 0.0, "x", grid, frozen=False)
-    if isinstance(model, RoughHeston):
-        base = _HestonObjective(tp)
-    else:
-        base = _ZetaConstObjective(tp)
-    target = phi_target.values
-    w = _trap_w(grid)
-
-    def phi_of(p):
-        if isinstance(base, _HestonObjective):
-            u, z, vphi, vpos, S, en, _ = base.pieces(p)
-            drive = S * tp.rho_bar * u + tp.rho * z / base.xi
-        else:
-            u, v, c, vphi, S, en, _ = base.pieces(p)
-            drive = S * (tp.rho_bar * u + tp.rho * v)
-        return en, _cumtrap(grid, drive)
-
-    def value(p, mu):
-        en, phi = phi_of(p)
-        return en + mu * float(np.sum(w * (phi - target) ** 2))
-
-    from scipy.optimize import minimize as _min
-
-    p = np.zeros(base.n_params())
-    for mu in (penalty / 100.0, penalty, penalty * 100.0):
-        res = _min(value, p, args=(mu,), method="L-BFGS-B",
-                   options={"maxiter": 400, "ftol": 1e-14})
-        p = res.x
-    en, phi = phi_of(p)
-    mismatch = float(np.max(np.abs(phi - target)))
-    _, viol, ctrl, path = base.result(p)
-    return RateResult(
-        value=en,
-        optimal_control=ctrl,
-        optimal_path=path,
-        constraint_violation=mismatch,
-        diagnostics={"approximate": True, "path_mismatch_sup": mismatch},
-    )
+    return _run_penalty(obj, offset)
 
 
 def tail_rate_terminal(
@@ -1178,7 +1013,6 @@ def tail_rate_terminal(
     x: float,
     t_end: float = 1.0,
     n_steps: int = 256,
-    max_violation: float = 1e-4,
 ) -> RateResult:
     """Minimal energy with the tail-rescaled log price pinned at ``x`` at t_end.
 
@@ -1193,34 +1027,42 @@ def tail_rate_terminal(
         obj = _TailHestonObjective(tp)
     else:
         raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
-    return _run_penalty(obj, x, max_violation)
+    return _run_penalty(obj, x)
 
 
-def _run_penalty(obj, offset: float, max_violation: float) -> RateResult:
+def _penalized(p, obj: _Objective, mu: float):
+    """Penalized objective en + mu r^2 and its gradient, r the target miss."""
+    en, tgt, g_en, g_tgt = obj.evaluate(p)
+    r = tgt - obj.tp.target
+    return en + mu * r * r, g_en + 2.0 * mu * r * g_tgt
+
+
+def _run_penalty(obj: _Objective, offset: float) -> RateResult:
     best = None
     total_iters = 0
     scale = offset if offset != 0.0 else 1.0
     for level in _START_LEVELS:
-        p = np.full(obj.n_params(), level * scale)
-        if obj.n_params() % 2 == 1:  # section coefficient starts at zero
+        p = np.full(obj.n_params, level * scale)
+        if obj.n_params % 2 == 1:  # section coefficient starts at zero
             p[-1] = 0.0
         for mu in _MU_SCHEDULE:
             res = _minimize(
-                obj.value,
+                _penalized,
                 p,
-                args=(mu,),
-                jac=obj.grad,
+                args=(obj, mu),
+                jac=True,
                 method="L-BFGS-B",
                 options={"maxiter": 3000, "ftol": 1e-16, "gtol": 1e-12},
             )
             p = res.x
             total_iters += int(res.nit)
-        en, viol, ctrl, path = obj.result(p)
-        score = (viol > max_violation, en)
+        en, tgt, ctrl, path = obj.result(p)
+        viol = abs(tgt - obj.tp.target)
+        score = (viol > _MAX_VIOLATION, en)
         if best is None or score < best[0]:
             best = (score, en, viol, ctrl, path)
     _, en, viol, ctrl, path = best
-    if viol > max_violation:
+    if viol > _MAX_VIOLATION:
         raise SolverFailure(
             f"terminal constraint violated by {viol:.3e} after continuation",
             best_value=en,

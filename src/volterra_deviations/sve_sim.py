@@ -67,10 +67,10 @@ class ScalingRegime:
     def __post_init__(self):
         if self.kind not in ("small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"):
             raise ValueError(f"unknown regime {self.kind!r}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         if self.kind.endswith("mdp"):
-            if self.beta is None or self.beta <= 0.0:
+            if self.beta is None or not self.beta > 0.0:
                 raise ValueError("MDP regimes need beta > 0")
 
     @property
@@ -127,11 +127,13 @@ class _ModelBase:
         return self.hurst
 
 
-def _check_common(hurst: float, rho: float):
+def _check_common(hurst: float, rho: float, *params: float):
     if not 0.0 < hurst <= 0.5:
         raise InvalidModel("hurst must lie in (0, 1/2]")
     if not -1.0 < rho < 1.0:
         raise InvalidModel("|rho| must be < 1")
+    if not all(math.isfinite(x) for x in params):
+        raise InvalidModel("model parameters must be finite")
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,7 @@ class RoughSteinStein(_ModelBase):
     hurst: float
 
     def __post_init__(self):
-        _check_common(self.hurst, self.rho)
+        _check_common(self.hurst, self.rho, self.kappa, self.theta, self.xi, self.y0)
         if self.xi < 0.0 or self.kappa < 0.0:
             raise InvalidModel("xi and kappa must be nonnegative")
         if self.y0 <= 0.0:
@@ -171,7 +173,7 @@ class RoughBergomi(_ModelBase):
     hurst: float
 
     def __post_init__(self):
-        _check_common(self.hurst, self.rho)
+        _check_common(self.hurst, self.rho, self.a, self.y0)
 
     def sigma_sq(self, y):
         return np.exp(np.asarray(y, dtype=float))
@@ -200,7 +202,7 @@ class RoughHeston(_ModelBase):
     hurst: float
 
     def __post_init__(self):
-        _check_common(self.hurst, self.rho)
+        _check_common(self.hurst, self.rho, self.kappa, self.theta, self.xi, self.y0)
         if self.kappa <= 0.0 or self.theta < 0.0:
             raise InvalidModel("rough Heston needs kappa > 0 and theta >= 0")
         if self.xi <= 0.0:
@@ -232,6 +234,9 @@ class MultiRoughBergomi(_ModelBase):
     hurst: tuple
 
     def __post_init__(self):
+        for name in ("loadings", "a", "y0", "rho", "hurst"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise InvalidModel(f"{name} must be finite")
         L = np.asarray(self.loadings, dtype=float)
         m = L.shape[0]
         if L.shape != (m, m):
@@ -466,8 +471,7 @@ def _log_weight_factor(
     """-s int v dW - s^2/2 ||v||^2 on the unshifted draws."""
     lw = -s_mult * (dW0 @ plan.pair_pl)
     for sec in plan.pair_secs:
-        idx = int(round(sec.t_end / factor.grid.dt))
-        lw = lw - s_mult * sec.coeff * Z0[:, idx]
+        lw = lw - s_mult * sec.coeff * Z0[:, factor.grid.node_index(sec.t_end)]
     return lw - 0.5 * plan.quad
 
 
@@ -520,6 +524,8 @@ def simulate_controlled(
     """
     if control is None:
         raise ValueError("use simulate() for uncontrolled runs")
+    if control.grid != grid:
+        raise InvalidModel(f"control lives on {control.grid}, simulation on {grid}")
     return _simulate_impl(model, regime, grid, n_paths, seed, control, threads)
 
 

@@ -54,6 +54,16 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
 
+    def test_node_index_rejects_off_grid_times(self):
+        g = TimeGrid(1.0, 64)
+        assert g.node_index(0.5) == 32
+        assert g.node_index(1.0) == 64
+        for t in (0.503, -0.125, 1.5):
+            with pytest.raises(KernelDomainError):
+                g.node_index(t)
+        with pytest.raises(KernelDomainError):
+            terminal_weights(power_law(0.1), g, 0.503)
+
     def test_grid_function_length_check(self):
         g = TimeGrid(1.0, 4)
         with pytest.raises(ValueError):
@@ -234,16 +244,24 @@ class TestConvWeights:
         want = np.concatenate([[0.0], np.cumsum(inc)])
         assert np.allclose(got, want, atol=1e-14)
 
-    def test_powerlaw_matches_rl_integral(self):
-        # independent weight constructions must agree
+    @given(
+        st.floats(min_value=2.0**-52, max_value=1.0),
+        st.floats(-3, 3),
+        st.floats(-3, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rl_integral_exact_on_linear_integrands(self, alpha, a, b):
+        # the raw-power weights integrate piecewise-linear data exactly:
+        # I^alpha (a + b t) = a t^alpha / Gamma(alpha+1) + b t^(alpha+1) / Gamma(alpha+2)
         from volterra_deviations.frac_calculus import rl_integral
 
         grid = TimeGrid(1.0, 256)
-        H = 0.2
-        f = GridFunction(grid, np.cos(3.0 * grid.nodes))
-        got = conv_weights(power_law(H), grid).apply(f.values)
-        want = rl_integral(f, H + 0.5).values
-        assert np.allclose(got, want, atol=1e-12)
+        t = grid.nodes
+        got = rl_integral(GridFunction(grid, a + b * t), alpha).values
+        want = a * t**alpha / gamma_fn(alpha + 1.0) + b * t ** (alpha + 1.0) / gamma_fn(
+            alpha + 2.0
+        )
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-13 * (abs(a) + abs(b)))
 
     def test_exact_on_linear_integrands(self):
         grid = TimeGrid(1.0, 64)

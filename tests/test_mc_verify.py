@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from volterra_deviations.errors import InsufficientHits
+from volterra_deviations.errors import InsufficientHits, KernelDomainError
+from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import TimeGrid, l2_norm_sq, power_law
 from volterra_deviations.mc_verify import (
     DeviationExperiment,
@@ -13,7 +14,14 @@ from volterra_deviations.mc_verify import (
     estimate_event_prob,
     ldp_slope,
 )
-from volterra_deviations.sve_sim import RoughBergomi, RoughHeston
+from volterra_deviations.rate_functions import ldp_rate_terminal
+from volterra_deviations.sve_sim import (
+    RoughBergomi,
+    RoughHeston,
+    simulate,
+    simulate_controlled,
+    small_time_ldp,
+)
 
 H = 0.1
 Y0 = math.log(0.04)
@@ -60,6 +68,15 @@ class TestEstimateEventProb:
         p2, se2, _ = estimate_event_prob(isexp, eps)
         assert abs(p1 - p2) <= 4.0 * math.hypot(se1, se2)
         assert (se1 / se2) ** 2 >= 10.0
+
+    def test_off_grid_times_raise(self):
+        ev = EventSpec(component=1, level=Y0 + 1.0, t_eval=0.503)
+        with pytest.raises(KernelDomainError):
+            ev.indicator(simulate(GAUSSIAN, small_time_ldp(0.5), GRID, 10, 0))
+        off = KernelSection(power_law(H), 0.503, 1.0, 0)
+        ctrl = Control(Control.zero(GRID, 2).values, sections=(off,))
+        with pytest.raises(KernelDomainError):
+            simulate_controlled(GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 10, 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,6 +170,19 @@ class TestBuildIsControl:
         assert sec.coeff == pytest.approx(1.0 / R)
         # shifted mean hits the boundary: zeta0 * coeff * R = offset
         assert sec.coeff * R == pytest.approx(1.0)
+
+    def test_price_control_ends_at_t_eval(self):
+        model = RoughBergomi(a=0.3, rho=-0.5, y0=Y0, hurst=H)
+        ev = EventSpec(component=0, level=0.1, t_eval=0.5)
+        ctrl = build_is_control(model, ev, GRID, "small_time_ldp")
+        assert ctrl.grid == GRID
+        sub = ldp_rate_terminal(model, 0.1, component="x", n_steps=32, horizon=0.5)
+        vals = ctrl.values.values
+        assert np.array_equal(vals[:33], sub.optimal_control.values.values)
+        assert np.all(vals[33:] == 0.0)
+        assert [s.t_end for s in ctrl.sections] == [0.5]
+        ens = simulate_controlled(model, small_time_ldp(0.5), ctrl, GRID, 1000, 0)
+        assert np.all(np.isfinite(ens.log_weights))
 
     def test_heston_terminal_control_unbiased(self):
         # solver-based X-event control validated through the unbiasedness

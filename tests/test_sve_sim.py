@@ -77,6 +77,32 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ScalingRegime("small_time_mdp", 0.1, None)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RoughHeston(kappa=math.nan, theta=0.04, xi=0.3, rho=0.0, y0=0.04, hurst=H),
+            lambda: RoughHeston(kappa=1.0, theta=math.nan, xi=0.3, rho=0.0, y0=0.04, hurst=H),
+            lambda: RoughHeston(kappa=1.0, theta=0.04, xi=math.nan, rho=0.0, y0=0.04, hurst=H),
+            lambda: RoughHeston(kappa=1.0, theta=0.04, xi=math.inf, rho=0.0, y0=0.04, hurst=H),
+            lambda: RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=0.0, y0=math.nan, hurst=H),
+            lambda: RoughBergomi(a=math.nan, rho=0.0, y0=Y0, hurst=H),
+            lambda: RoughSteinStein(kappa=1.0, theta=0.1, xi=math.nan, rho=0.0, y0=0.2, hurst=H),
+            lambda: MultiRoughBergomi(
+                loadings=((1.0, 0.0), (math.nan, 1.0)),
+                a=(0.1, 0.1),
+                y0=(-3.0, -3.0),
+                rho=(0.1, 0.1),
+                hurst=(0.1, 0.2),
+            ),
+            lambda: ScalingRegime("small_time_ldp", math.nan),
+            lambda: ScalingRegime("small_time_ldp", math.inf),
+            lambda: ScalingRegime("small_time_mdp", 0.1, math.nan),
+        ],
+    )
+    def test_rejects_non_finite_parameters(self, make):
+        with pytest.raises((InvalidModel, ValueError)):
+            make()
+
     def test_bergomi_tail_rejected(self):
         with pytest.raises(InvalidModel):
             simulate(BERGOMI, tail_ldp(0.1), GRID, 10, 0)
@@ -133,6 +159,11 @@ class TestGaussianExactness:
 
 
 class TestControlled:
+    def test_control_must_live_on_the_simulation_grid(self):
+        ctrl = Control.zero(TimeGrid(2.0, 64), 2)
+        with pytest.raises(InvalidModel):
+            simulate_controlled(BERGOMI, small_time_ldp(0.5), ctrl, GRID, 10, seed=3)
+
     def test_null_control_is_identity(self):
         ctrl = Control(GridFunction(GRID, np.zeros((len(GRID), 2))))
         ec = simulate_controlled(BERGOMI, small_time_ldp(0.5), ctrl, GRID, 500, seed=3)
