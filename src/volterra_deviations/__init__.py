@@ -57,7 +57,6 @@ from .sve_sim import (
     RoughHeston,
     RoughSteinStein,
     ScalingRegime,
-    heston_step_policy,
     simulate,
     simulate_controlled,
     small_time_ldp,

@@ -515,6 +515,7 @@ def _cmd_smile(args) -> int:
             blk.get("paths", 100_000),
             blk.get("seed", 0),
             n_steps=blk.get("n_steps", 192),
+            threads=args.threads,
         )
     rows = [
         [

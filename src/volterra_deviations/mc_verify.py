@@ -192,8 +192,8 @@ def build_is_control(
     Volatility events on Gaussian models get the exact Cameron-Martin kernel
     section (so the shifted mean hits the boundary and the Girsanov pairing
     is exact); price events go through the terminal variational solver on
-    [0, t_eval] with the grid's step, zero after t_eval, with a
-    boundary-matching constant control as fallback.
+    [0, t_eval] with the grid's step, with a boundary-matching constant
+    control as fallback.  Every control is zero after t_eval.
     """
     from .rate_functions import _coeffs
 
@@ -234,9 +234,9 @@ def build_is_control(
     if event.component == 0:
         rho_bar = math.sqrt(1.0 - model.rho**2)
         amp = rho_bar * math.sqrt(max(float(sigma_sq(np.asarray(model.y0))), 1e-12))
-        vals[:, n_ch - 1] = event.level / (amp * t_end)
+        vals[: i_end + 1, n_ch - 1] = event.level / (amp * t_end)
     else:
         zeta0 = float(zeta(np.asarray(model.y0)))
         m0 = float(power_law(model.min_hurst).moment0(t_end))
-        vals[:, 0] = vol_offset / (zeta0 * m0) if zeta0 * m0 != 0 else 0.0
+        vals[: i_end + 1, 0] = vol_offset / (zeta0 * m0) if zeta0 * m0 != 0 else 0.0
     return Control(GridFunction(grid, vals))

@@ -6,21 +6,28 @@ Gaussian vector (dW_1..dW_n, Z_(t_1)..Z_(t_n)) is drawn through a Cholesky
 factor of its exact covariance, whose blocks come from closed-form kernel
 moments.  Non-Gaussian components (Heston volatility, every log-price
 component) use left-point Euler with exact kernel-moment weights, so the
-singular kernel is never sampled at lag zero.
+singular kernel is never sampled at lag zero.  Every model runs through one
+chunk loop; a path's normals are laid out channel by channel, 2n per Gaussian
+factor or n per Euler factor (rough Heston), then n for the orthogonal noise.
 
 Controlled simulation feeds the same pipeline with shifted Gaussian inputs
 and attaches the Girsanov log-density evaluated on the unshifted draws; the
 shift and the density use one and the same discrete pairing, which makes the
 importance-sampling identity exact at any grid size, not just in the limit.
+A kernel section must sit on a Gaussian factor's channel and carry that
+factor's kernel, or the run raises InvalidModel.
 
 Randomness comes from counter-based per-path Philox streams keyed by
-(seed, path index), with normals via inverse CDF: ensembles are bit-identical
-for a given seed regardless of chunking or worker threads.
+(seed, path index), seeds being integers in [0, 2^63), with normals via
+inverse CDF.  Per-path BLAS products run in fixed blocks aligned to the path
+index, so ensembles are bit-identical for a given seed regardless of
+chunking or worker threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -40,11 +47,11 @@ __all__ = [
     "PathEnsemble",
     "simulate",
     "simulate_controlled",
-    "heston_step_policy",
     "default_threads",
 ]
 
 _CHUNK = 1 << 14
+_BLAS_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +322,30 @@ def _normal_block(seed: int, path_indices: np.ndarray, count: int) -> np.ndarray
     """Inverse-CDF normals, one independent Philox stream per path."""
     out = np.empty((len(path_indices), count))
     for row, pid in enumerate(path_indices):
-        bg = np.random.Philox(key=[int(seed) & 0xFFFFFFFFFFFFFFFF, int(pid)])
+        bg = np.random.Philox(key=[int(seed), int(pid)])
         u = np.random.Generator(bg).random(count)
         out[row] = ndtri(u)
     return out
 
 
-def default_threads() -> int:
-    import os
+def _aligned_matmul(a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
+    """a @ b for paths first, first+1, ..., one BLAS call per aligned block.
 
+    BLAS picks kernels and thread splits by shape, so one product over a
+    chunk would round a path according to the number of paths sharing it.
+    Zero-padded blocks of _BLAS_ROWS rows, aligned to the path index, give
+    every path the same value in every chunking.
+    """
+    out = np.empty((len(a),) + b.shape[1:])
+    for lo in range(-(first % _BLAS_ROWS), len(a), _BLAS_ROWS):
+        i, j = max(lo, 0), min(lo + _BLAS_ROWS, len(a))
+        block = np.zeros((_BLAS_ROWS, a.shape[1]))
+        block[i - lo : j - lo] = a[i:j]
+        out[i:j] = (block @ b)[i - lo : j - lo]
+    return out
+
+
+def default_threads() -> int:
     env = os.environ.get("VD_THREADS")
     if env:
         try:
@@ -351,7 +373,6 @@ class GaussianFactor:
         t = grid.nodes[1:]
         C = np.zeros((2 * n, 2 * n))
         C[:n, :n] = h * np.eye(n)
-        m0 = kernel.moment0(np.concatenate([[0.0], t]))
         # cross block Cov(Z_i, dW_j) = C0(t_i - t_(j-1)) - C0(t_i - t_j)
         ti = t[:, None]
         tj = t[None, :]
@@ -364,7 +385,6 @@ class GaussianFactor:
         C[n:, :n] = cross
         C[:n, n:] = cross.T
         C[n:, n:] = kernel.autocovariance(ti, tj)
-        self.cov = C
         self.cross = cross
         try:
             self.chol = np.linalg.cholesky(C)
@@ -389,9 +409,9 @@ class GaussianFactor:
         t = self.grid.nodes[1:]
         return np.asarray(self.kernel.autocovariance(t, t_end), dtype=float)
 
-    def sample(self, normals: np.ndarray):
-        """normals (paths, 2n) -> (dW (paths, n), Z (paths, n+1))."""
-        G = normals @ self.chol.T
+    def sample(self, normals: np.ndarray, first: int):
+        """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1))."""
+        G = _aligned_matmul(normals, self.chol.T, first)
         n = self.grid.n_steps
         dW = G[:, :n]
         Z = np.concatenate([np.zeros((G.shape[0], 1)), G[:, n:]], axis=1)
@@ -399,20 +419,21 @@ class GaussianFactor:
 
 
 def _factor(kernel: KernelSpec, grid: TimeGrid) -> GaussianFactor:
-    key = (
-        kernel.variant,
-        kernel.c,
-        kernel.hurst,
-        kernel.exponent,
-        kernel.decay,
-        grid.horizon,
-        grid.n_steps,
-    )
-    f = _factor_cache.get(key)
+    f = _factor_cache.get((kernel, grid))
     if f is None:
-        f = GaussianFactor(kernel, grid)
-        _factor_cache[key] = f
+        f = _factor_cache[(kernel, grid)] = GaussianFactor(kernel, grid)
     return f
+
+
+def _hursts(model: Model) -> tuple:
+    return tuple(model.hurst) if isinstance(model, MultiRoughBergomi) else (model.hurst,)
+
+
+def _factors(model: Model, grid: TimeGrid) -> list:
+    """Volatility factors in channel order; None marks Euler increments."""
+    if isinstance(model, RoughHeston):
+        return [None]
+    return [_factor(power_law(float(H)), grid) for H in _hursts(model)]
 
 
 # ---------------------------------------------------------------------------
@@ -422,77 +443,82 @@ def _factor(kernel: KernelSpec, grid: TimeGrid) -> GaussianFactor:
 
 @dataclass
 class _ShiftPlan:
-    """Exact Gaussian tilt data for one driving factor.
+    """Exact Gaussian tilt data for one driving channel.
 
     dw_shift   per-cell shift of the Brownian increments
-    z_shift    node shift of the Volterra integral Z
+    z_shift    node shift of the Volterra integral Z (None: no Gaussian factor)
     pair_pl    left-node control values paired with dW in the density
-    pair_secs  kernel sections paired with the Z draw at their end time
-    quad       u' C u term of the density
+    sections   kernel sections paired with the Z draw at their end time
+    quad       s^2 u' C u term of the density, for the shift strength s_mult
     """
 
     dw_shift: np.ndarray
-    z_shift: np.ndarray
+    z_shift: np.ndarray | None
     pair_pl: np.ndarray
-    pair_secs: list
+    sections: list
     quad: float
+    s_mult: float
 
 
-def _plan_factor_shift(
-    factor: GaussianFactor, v_nodes: np.ndarray, sections, s_mult: float
+def _plan_shift(
+    factor: GaussianFactor | None, grid: TimeGrid, v_nodes: np.ndarray, sections, s_mult: float
 ) -> _ShiftPlan:
-    grid = factor.grid
-    n = grid.n_steps
     h = grid.dt
     v_left = v_nodes[:-1]
     dw = s_mult * v_left * h
-    z = s_mult * (factor.cross @ v_left)
     quad = float(np.sum(v_left**2) * h)
-    pair_secs = []
+    if factor is None:
+        return _ShiftPlan(dw, None, v_left, [], quad * s_mult**2, s_mult)
+    z = s_mult * (factor.cross @ v_left)
     for sec in sections:
         mom = factor.terminal_moments(sec.t_end)
         dw = dw + s_mult * sec.coeff * mom
         z = z + s_mult * sec.coeff * factor.z_column(sec.t_end)
         quad += 2.0 * sec.coeff * float(np.dot(v_left, mom))
         quad += sec.coeff**2 * float(factor.kernel.autocovariance(sec.t_end, sec.t_end))
-        pair_secs.append(sec)
     for i, s1 in enumerate(sections):
         for s2 in sections[i + 1 :]:
             quad += 2.0 * s1.coeff * s2.coeff * float(
                 factor.kernel.autocovariance(s1.t_end, s2.t_end)
             )
     z_full = np.concatenate([[0.0], z])
-    return _ShiftPlan(dw, z_full, v_left, pair_secs, quad * s_mult**2)
+    return _ShiftPlan(dw, z_full, v_left, list(sections), quad * s_mult**2, s_mult)
 
 
-def _log_weight_factor(
-    plan: _ShiftPlan, factor: GaussianFactor, dW0: np.ndarray, Z0: np.ndarray, s_mult: float
-) -> np.ndarray:
-    """-s int v dW - s^2/2 ||v||^2 on the unshifted draws."""
-    lw = -s_mult * (dW0 @ plan.pair_pl)
-    for sec in plan.pair_secs:
-        lw = lw - s_mult * sec.coeff * Z0[:, factor.grid.node_index(sec.t_end)]
+def _plan_control(control: Control, factors: list, grid: TimeGrid, s_mult: float) -> list:
+    """One shift plan per volatility channel, then the orthogonal channel's."""
+    vals = control.values.values
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    n_vol, n_ch = len(factors), vals.shape[1]
+    if n_ch not in (n_vol, n_vol + 1):
+        raise InvalidModel(
+            f"control carries {n_ch} channels, model drives {n_vol} (+1 orthogonal)"
+        )
+    u = vals[:, n_vol] if n_ch > n_vol else np.zeros(len(grid))
+    secs = [[] for _ in factors]
+    for sec in control.sections:
+        j = sec.channel
+        f = factors[j] if 0 <= j < n_vol else None
+        if f is None or sec.kernel != f.kernel:
+            raise InvalidModel(f"channel {j} has no Gaussian factor with the section's kernel")
+        secs[j].append(sec)
+    plans = [_plan_shift(f, grid, vals[:, j], secs[j], s_mult) for j, f in enumerate(factors)]
+    return plans + [_plan_shift(None, grid, u, [], s_mult)]
+
+
+def _log_weight(plan: _ShiftPlan, grid: TimeGrid, dW0: np.ndarray, Z0, first: int) -> np.ndarray:
+    """-s int v dW - s^2/2 ||v||^2 on the unshifted draws of one channel."""
+    s = plan.s_mult
+    lw = -s * _aligned_matmul(dW0, plan.pair_pl, first)
+    for sec in plan.sections:
+        lw = lw - s * sec.coeff * Z0[:, grid.node_index(sec.t_end)]
     return lw - 0.5 * plan.quad
-
-
-def _euler_shift(v_nodes: np.ndarray, h: float, s_mult: float):
-    v_left = v_nodes[:-1]
-    return s_mult * v_left * h, v_left, s_mult**2 * float(np.sum(v_left**2) * h)
 
 
 # ---------------------------------------------------------------------------
 # public simulation API
 # ---------------------------------------------------------------------------
-
-
-def heston_step_policy(y_prev: float, increment: float) -> float:
-    """Full-truncation update of the Heston variance state.
-
-    The increment is built with sqrt(max(y, 0)) and max(y, 0) wherever the
-    variance enters a coefficient, so the square root never sees a negative
-    value; the state itself may go transiently negative.
-    """
-    return y_prev + increment
 
 
 def simulate(
@@ -543,19 +569,21 @@ def _theta_eps(model: Model, regime: ScalingRegime) -> float:
 
 def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
     model.validate_regime(regime)
-    if isinstance(model, RoughBergomi) and regime.is_tail:
-        raise InvalidModel("tail rescaling is not defined for rough Bergomi")
+    if isinstance(model, (RoughBergomi, MultiRoughBergomi)) and regime.is_tail:
+        raise InvalidModel("tail rescaling is not defined for rough Bergomi models")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
+        raise InvalidModel(f"seed must be an integer in [0, 2^63), got {seed!r}")
+    factors = _factors(model, grid)
+    plans = None
+    if control is not None:
+        plans = _plan_control(control, factors, grid, _shift_multiplier(model, regime))
     n_threads = threads if threads is not None else default_threads()
-    chunks = [
-        np.arange(lo, min(lo + _CHUNK, n_paths))
-        for lo in range(0, n_paths, _CHUNK)
-    ]
-    d = 2 if not isinstance(model, MultiRoughBergomi) else 1 + model.n_factors
-    paths = np.empty((n_paths, len(grid), d))
+    chunks = [np.arange(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    paths = np.empty((n_paths, len(grid), 1 + len(factors)))
     logw = np.zeros(n_paths) if control is not None else None
 
     def run_chunk(idx: np.ndarray):
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, control)
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans)
         paths[idx[0] : idx[-1] + 1] = p
         if logw is not None:
             logw[idx[0] : idx[-1] + 1] = lw
@@ -571,86 +599,63 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
     )
 
 
-def _control_channels(control: Control | None, grid: TimeGrid, n_vol: int):
-    """Split a control into volatility channels and the orthogonal channel."""
-    if control is None:
-        return None, None
-    vals = control.values.values
-    if vals.ndim == 1:
-        vals = vals[:, None]
-    n_ch = vals.shape[1]
-    if n_ch == n_vol:  # no orthogonal channel supplied
-        u = np.zeros(len(grid))
-    elif n_ch == n_vol + 1:
-        u = vals[:, n_vol]
-    else:
-        raise InvalidModel(
-            f"control carries {n_ch} channels, model drives {n_vol} (+1 orthogonal)"
-        )
-    return [vals[:, j] for j in range(n_vol)], u
-
-
-def _simulate_chunk(model, regime, grid, idx, seed, control):
+def _simulate_chunk(model, regime, grid, idx, seed, factors, plans):
+    """Paths (chunk, n+1, 1+m) and log weights (None when uncontrolled)."""
     n = grid.n_steps
-    h = grid.dt
-    eps = regime.eps
-    theta = _theta_eps(model, regime)
-    s_mult = _shift_multiplier(model, regime) if control is not None else 0.0
+    sqrt_h = math.sqrt(grid.dt)
+    widths = [n if f is None else 2 * n for f in factors]
+    draws = _normal_block(seed, idx, sum(widths) + n)
+    lw = None if plans is None else np.zeros(len(idx))
+    dWs, Zs = [], []
+    col = 0
+    for j, (f, width) in enumerate(zip(factors, widths)):
+        block = draws[:, col : col + width]
+        col += width
+        dW, Z = (block * sqrt_h, None) if f is None else f.sample(block, idx[0])
+        if plans is not None:
+            plan = plans[j]
+            lw = lw + _log_weight(plan, grid, dW, Z, idx[0])
+            dW = dW + plan.dw_shift
+            if Z is not None:
+                Z = Z + plan.z_shift
+        dWs.append(dW)
+        Zs.append(Z)
+    dWp = draws[:, col:] * sqrt_h
+    if plans is not None:
+        plan = plans[-1]
+        lw = lw - plan.s_mult * _aligned_matmul(dWp, plan.pair_pl, idx[0]) - 0.5 * plan.quad
+        dWp = dWp + plan.dw_shift
+    Y = _volatility(model, regime, grid, dWs, Zs)
+    X = _log_price(model, regime, grid, Y, dWs, dWp)
+    out = np.concatenate([X[:, :, None], Y], axis=2)
+    return _to_mdp_frame(out, model, regime), lw
 
-    if isinstance(model, MultiRoughBergomi):
-        return _chunk_multifactor(model, regime, grid, idx, seed, control, s_mult)
 
-    H = model.hurst
-    kernel = power_law(H)
-    lw = np.zeros(len(idx))
+def _volatility(model, regime, grid, dWs, Zs):
+    """Volatility components (paths, n+1, m) from the shifted draws.
 
+    Rough Bergomi is the one-factor case of the multifactor log volatility
+    Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j.
+    """
     if isinstance(model, RoughHeston):
-        draws = _normal_block(seed, idx, 2 * n)
-        dW = draws[:, :n] * math.sqrt(h)
-        dWp = draws[:, n:] * math.sqrt(h)
-        v_chans, u_nodes = _control_channels(control, grid, 1)
-        if control is not None:
-            if control.sections:
-                raise InvalidModel("kernel-section controls need a Gaussian-exact component")
-            dshift, vpair, quad = _euler_shift(v_chans[0], h, s_mult)
-            lw = -s_mult * (dW @ vpair) - 0.5 * quad
-            dW = dW + dshift
-            ushift, upair, uquad = _euler_shift(u_nodes, h, s_mult)
-            lw = lw - s_mult * (dWp @ upair) - 0.5 * uquad
-            dWp = dWp + ushift
-        Y = _heston_volatility(model, regime, grid, dW)
-        X = _log_price(model, regime, grid, Y, dW, dWp)
-        out = np.stack([X, Y], axis=2)
-        out = _to_mdp_frame(out, model, regime, grid)
-        return out, lw
-
-    # Gaussian-volatility models: exact joint factor + orthogonal increments
-    factor = _factor(kernel, grid)
-    draws = _normal_block(seed, idx, 3 * n)
-    dW, Z = factor.sample(draws[:, : 2 * n])
-    dWp = draws[:, 2 * n :] * math.sqrt(h)
-    v_chans, u_nodes = _control_channels(control, grid, 1)
-    if control is not None:
-        plan = _plan_factor_shift(factor, v_chans[0], list(control.sections), s_mult)
-        lw = _log_weight_factor(plan, factor, dW, Z, s_mult)
-        dW = dW + plan.dw_shift
-        Z = Z + plan.z_shift
-        ushift, upair, uquad = _euler_shift(u_nodes, h, s_mult)
-        lw = lw - s_mult * (dWp @ upair) - 0.5 * uquad
-        dWp = dWp + ushift
-
-    if isinstance(model, RoughBergomi):
-        t = grid.nodes
-        Y = model.y0 - model.a * (eps * t[None, :]) ** (2 * H) + theta * Z
-    else:  # Stein-Stein
-        Y = _stein_stein_volatility(model, regime, grid, Z, theta)
-    X = _log_price(model, regime, grid, Y, dW, dWp)
-    out = np.stack([X, Y], axis=2)
-    out = _to_mdp_frame(out, model, regime, grid)
-    return out, lw
+        return _heston_volatility(model, regime, grid, dWs[0])[:, :, None]
+    if isinstance(model, RoughSteinStein):
+        return _stein_stein_volatility(model, regime, grid, Zs[0])[:, :, None]
+    if isinstance(model, MultiRoughBergomi):
+        L, y0, a = np.asarray(model.loadings, dtype=float), model.y0, model.a
+    else:
+        L, y0, a = np.ones((1, 1)), (model.y0,), (model.a,)
+    hursts, eps, H1 = _hursts(model), regime.eps, model.min_hurst
+    Y = np.empty(Zs[0].shape + (len(hursts),))
+    for i in range(len(hursts)):
+        acc = np.zeros(Zs[0].shape)
+        for j, H in enumerate(hursts):
+            acc += eps ** (float(H) - H1) * L[i, j] * Zs[j]
+        Y[:, :, i] = y0[i] - a[i] * (eps * grid.nodes[None, :]) ** (2 * H1) + eps**H1 * acc
+    return Y
 
 
-def _stein_stein_volatility(model, regime, grid, Z, theta):
+def _stein_stein_volatility(model, regime, grid, Z):
     """Left-point Euler for the flat-kernel mean reversion plus exact noise."""
     n = grid.n_steps
     h = grid.dt
@@ -665,7 +670,7 @@ def _stein_stein_volatility(model, regime, grid, Z, theta):
         y_start = model.y0
         drift_target = model.theta
         drift_rate = regime.eps * model.kappa
-        noise = theta * model.xi
+        noise = _theta_eps(model, regime) * model.xi
     Y[:, 0] = y_start
     acc = np.zeros(npaths)
     for i in range(1, n + 1):
@@ -675,7 +680,11 @@ def _stein_stein_volatility(model, regime, grid, Z, theta):
 
 
 def _heston_volatility(model, regime, grid, dW):
-    """Volterra-Euler with exact kernel moments and full truncation."""
+    """Volterra-Euler with exact kernel moments and full truncation.
+
+    The variance enters every coefficient as max(Y, 0), so the square root
+    never sees a negative value; the state itself may go transiently negative.
+    """
     n = grid.n_steps
     h = grid.dt
     kernel = power_law(model.hurst)
@@ -705,113 +714,36 @@ def _heston_volatility(model, regime, grid, dW):
         drift_vals[:, j] = drift_amp * (theta_lvl - ypos)
         noise_vals[:, j] = noise_amp * np.sqrt(ypos) * dW[:, j]
         increment = drift_vals[:, :i] @ mom[:i][::-1] + noise_vals[:, :i] @ wdW[:i][::-1]
-        Y[:, i] = heston_step_policy(y_start, increment)
+        Y[:, i] = y_start + increment
     return Y
 
 
-def _log_price(model, regime, grid, Y, dW, dWp):
+def _log_price(model, regime, grid, Y, dWs, dWp):
     """Left-point Euler for the log price; exact discrete martingale for e^X."""
-    n = grid.n_steps
     h = grid.dt
-    rho = model.rho
-    rho_bar = math.sqrt(1.0 - rho**2)
-    if regime.is_tail:
-        drift_amp = 1.0
-        noise_amp = regime.eps
-    else:
-        eps = regime.eps
-        H = model.hurst
-        drift_amp = eps ** (H + 0.5)
-        noise_amp = eps**H
-    if isinstance(model, RoughHeston):
-        sig_sq = np.maximum(Y, 0.0)
-    else:
-        sig_sq = model.sigma_sq(Y)
-    sig = np.sqrt(sig_sq)
-    dB = rho * dW + rho_bar * dWp
-    incr = -0.5 * drift_amp * sig_sq[:, :-1] * h + noise_amp * sig[:, :-1] * dB
-    X = np.concatenate(
-        [np.zeros((Y.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1
-    )
-    return X
-
-
-def _chunk_multifactor(model, regime, grid, idx, seed, control, s_mult):
-    if regime.is_tail:
-        raise InvalidModel("tail rescaling is not defined for multifactor rough Bergomi")
-    n = grid.n_steps
-    h = grid.dt
-    m = model.n_factors
-    eps = regime.eps
-    H1 = model.min_hurst
-    draws = _normal_block(seed, idx, (2 * m + 1) * n)
-    lw = np.zeros(len(idx))
-    v_chans, u_nodes = _control_channels(control, grid, m)
-    Zs = []
-    dWs = []
-    for j in range(m):
-        factor = _factor(power_law(float(model.hurst[j])), grid)
-        block = draws[:, 2 * j * n : 2 * (j + 1) * n]
-        dW, Z = factor.sample(block)
-        if control is not None:
-            secs = [s for s in control.sections if s.channel == j]
-            plan = _plan_factor_shift(factor, v_chans[j], secs, s_mult)
-            lw = lw + _log_weight_factor(plan, factor, dW, Z, s_mult)
-            dW = dW + plan.dw_shift
-            Z = Z + plan.z_shift
-        dWs.append(dW)
-        Zs.append(Z)
-    dWp = draws[:, 2 * m * n :] * math.sqrt(h)
-    if control is not None:
-        ushift, upair, uquad = _euler_shift(u_nodes, h, s_mult)
-        lw = lw - s_mult * (dWp @ upair) - 0.5 * uquad
-        dWp = dWp + ushift
-    t = grid.nodes
-    L = np.asarray(model.loadings, dtype=float)
-    Y = np.empty((len(idx), n + 1, m))
-    for i in range(m):
-        acc = np.zeros((len(idx), n + 1))
-        for j in range(m):
-            scale = eps ** (float(model.hurst[j]) - H1)
-            acc += scale * L[i, j] * Zs[j]
-        Y[:, :, i] = (
-            model.y0[i] - model.a[i] * (eps * t[None, :]) ** (2 * H1) + eps**H1 * acc
-        )
-    # exp-sum price component
-    drift_amp = eps ** (H1 + 0.5)
-    noise_amp = eps**H1
-    rho = np.asarray(model.rho, dtype=float)
-    rho_bar = model.rho_bar
-    sig_sq = np.sum(np.exp(Y), axis=2)
-    sig = np.sum(np.exp(0.5 * Y), axis=2)
-    dB = rho_bar * dWp
-    for j in range(m):
-        dB = dB + rho[j] * dWs[j]
-    incr = -0.5 * drift_amp * sig_sq[:, :-1] * h + noise_amp * sig[:, :-1] * dB
-    X = np.concatenate([np.zeros((len(idx), 1)), np.cumsum(incr, axis=1)], axis=1)
-    out = np.concatenate([X[:, :, None], Y], axis=2)
-    out = _to_mdp_frame(out, model, regime, grid)
-    return out, lw
-
-
-def _limit_mean_frame(model, regime, grid) -> np.ndarray:
-    """Deterministic limit path (X-bar, Y-bar) of the rescaled system."""
-    n_nodes = len(grid)
     if isinstance(model, MultiRoughBergomi):
-        out = np.zeros((n_nodes, 1 + model.n_factors))
-        out[:, 1:] = np.asarray(model.y0, dtype=float)[None, :]
-        return out
-    out = np.zeros((n_nodes, 2))
-    if regime.is_tail:
-        out[:, 1] = 0.0
+        rhos, rho_bar = np.asarray(model.rho, dtype=float), model.rho_bar
+        sig_sq = np.sum(np.exp(Y), axis=2)
+        sig = np.sum(np.exp(0.5 * Y), axis=2)
     else:
-        out[:, 1] = model.y0
-    return out
+        rhos, rho_bar = (model.rho,), math.sqrt(1.0 - model.rho**2)
+        y = Y[:, :, 0]
+        sig_sq = np.maximum(y, 0.0) if isinstance(model, RoughHeston) else model.sigma_sq(y)
+        sig = np.sqrt(sig_sq)
+    H = model.min_hurst
+    drift_amp = 1.0 if regime.is_tail else regime.eps ** (H + 0.5)
+    noise_amp = regime.eps if regime.is_tail else regime.eps**H
+    dB = rho_bar * dWp
+    for rho, dW in zip(rhos, dWs):
+        dB = dB + rho * dW
+    incr = -0.5 * drift_amp * sig_sq[:, :-1] * h + noise_amp * sig[:, :-1] * dB
+    return np.concatenate([np.zeros((Y.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
 
 
-def _to_mdp_frame(paths, model, regime, grid):
+def _to_mdp_frame(paths, model, regime):
+    """MDP regimes: (path - limit path) / (theta_eps h_eps); the limit is (0, y0)."""
     if not regime.is_mdp:
         return paths
-    mean = _limit_mean_frame(model, regime, grid)
-    scale = _theta_eps(model, regime) * regime.h_eps()
-    return (paths - mean[None, :, :]) / scale
+    y_bar = np.atleast_1d(0.0 if regime.is_tail else np.asarray(model.y0, dtype=float))
+    mean = np.concatenate([[0.0], y_bar])
+    return (paths - mean) / (_theta_eps(model, regime) * regime.h_eps())

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -83,6 +84,20 @@ class TestSimulateCommand:
             },
         )
         assert run(["simulate", "--config", cfg, "--paths", "10", "--seed", "1"]) == 2
+
+    def test_seed_outside_stream_range_exit_1(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "sim.json",
+            {
+                "model": BERGOMI_REC,
+                "regime": {"kind": "small_time_ldp", "eps": 0.25},
+                "grid": {"horizon": 1.0, "n_steps": 16},
+            },
+        )
+        for seed in ("-1", str(2**63)):
+            assert run(["simulate", "--config", cfg, "--paths", "10", "--seed", seed]) == 1
+            assert "seed" in capsys.readouterr().err
 
     def test_idempotent_deterministic_output(self, tmp_path):
         cfg = write(
@@ -173,6 +188,29 @@ class TestSmileCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1] == "t,k,sigma_hat,stderr"
         assert float(out[2].split(",")[2]) == pytest.approx(0.2)
+
+
+    def test_mc_smile_passes_threads_to_simulate(self, tmp_path, monkeypatch):
+        # the package re-exports the function implied_vol under the module's name
+        implied_vol = importlib.import_module("volterra_deviations.implied_vol")
+        seen = []
+        simulate = implied_vol.simulate
+
+        def recording(*args, threads=None, **kw):
+            seen.append(threads)
+            return simulate(*args, threads=threads, **kw)
+
+        monkeypatch.setattr(implied_vol, "simulate", recording)
+        cfg = write(
+            tmp_path,
+            "m.json",
+            {
+                "model": BERGOMI_REC,
+                "smile": {"maturity": 0.1, "strikes": [0.0], "paths": 2000, "n_steps": 16},
+            },
+        )
+        assert run(["smile", "--model", cfg, "--regime", "mc", "--threads", "3"]) == 0
+        assert seen == [3]
 
 
 class TestLimitCommand:

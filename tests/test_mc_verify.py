@@ -184,6 +184,14 @@ class TestBuildIsControl:
         ens = simulate_controlled(model, small_time_ldp(0.5), ctrl, GRID, 1000, 0)
         assert np.all(np.isfinite(ens.log_weights))
 
+    def test_fallback_control_ends_at_t_eval(self):
+        mod = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H)
+        ev = EventSpec(component=1, level=0.08, t_eval=0.5)
+        ctrl = build_is_control(mod, ev, GRID, "small_time_ldp")
+        vals = ctrl.values.values
+        assert np.all(vals[:33, 0] != 0.0)
+        assert np.all(vals[33:] == 0.0)
+
     def test_heston_terminal_control_unbiased(self):
         # solver-based X-event control validated through the unbiasedness
         # invariant only

@@ -1,7 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from volterra_deviations import sve_sim
 from volterra_deviations.errors import InvalidModel
 from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
@@ -11,7 +15,6 @@ from volterra_deviations.sve_sim import (
     RoughHeston,
     RoughSteinStein,
     ScalingRegime,
-    heston_step_policy,
     simulate,
     simulate_controlled,
     small_time_ldp,
@@ -235,11 +238,12 @@ class TestControlled:
 
 
 class TestHeston:
-    def test_step_policy_identities(self):
-        assert heston_step_policy(0.04, 0.0) == 0.04
-        assert heston_step_policy(0.0, -0.02) == -0.02
-        # diffusion contribution vanishes at zero variance
-        assert math.sqrt(max(0.0, 0.0)) == 0.0
+    def test_full_truncation_keeps_negative_variance_paths_finite(self):
+        # xi = 2 at theta = y0 = 0.01: every path's variance dips below zero
+        mod = RoughHeston(kappa=1.0, theta=0.01, xi=2.0, rho=-0.7, y0=0.01, hurst=H)
+        ens = simulate(mod, small_time_ldp(1.0), GRID, 2000, seed=3)
+        assert np.all(ens.component(1).min(axis=1) < 0.0)
+        assert np.isfinite(ens.paths).all()
 
     def test_classical_cir_long_run_mean(self):
         # H = 1/2 degenerates to CIR with stationary mean theta
@@ -330,3 +334,97 @@ class TestRegularityProxies:
             sup4.append(np.max(np.mean((y - Y0) ** 4, axis=0)))
         assert max(stats) <= 2.0 * min(stats)
         assert max(sup4) <= 2.0 * max(min(sup4), 1e-12)
+
+
+class TestSections:
+    def _ctrl(self, sec):
+        return Control(GridFunction(GRID, np.zeros((len(GRID), 2))), sections=(sec,))
+
+    def test_section_on_a_channel_without_gaussian_factor_raises(self):
+        ctrl = self._ctrl(KernelSection(power_law(H), 1.0, 0.5, 1))
+        with pytest.raises(InvalidModel):
+            simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
+        heston = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
+        ctrl = self._ctrl(KernelSection(power_law(H), 1.0, 0.5, 0))
+        with pytest.raises(InvalidModel):
+            simulate_controlled(heston, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
+
+    def test_section_with_a_foreign_kernel_raises(self):
+        ctrl = self._ctrl(KernelSection(power_law(0.3), 1.0, 0.5, 0))
+        with pytest.raises(InvalidModel):
+            simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
+
+
+class TestSeedDomain:
+    @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 1.0, "3", None])
+    def test_rejects_seeds_outside_the_stream_key_range(self, seed):
+        with pytest.raises(InvalidModel):
+            simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=seed)
+
+    def test_accepts_the_range_ends(self):
+        lo = simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=0)
+        hi = simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=2**63 - 1)
+        assert not np.array_equal(lo.paths, hi.paths)
+        same = simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=np.int64(2**63 - 1))
+        assert np.array_equal(hi.paths, same.paths)
+
+
+SMALL_GRID = TimeGrid(1.0, 8)
+INVARIANCE_MODELS = {
+    "steinstein": RoughSteinStein(kappa=1.0, theta=0.1, xi=0.4, rho=-0.3, y0=0.2, hurst=0.2),
+    "bergomi": BERGOMI,
+    "heston": RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H),
+    "multifactor": MultiRoughBergomi(
+        loadings=((1.0, 0.0), (0.4, 0.9)),
+        a=(0.2, 0.2),
+        y0=(Y0, Y0 - 0.1),
+        rho=(-0.3, 0.1),
+        hurst=(H, 0.2),
+    ),
+}
+
+
+def _invariance_control(name):
+    model = INVARIANCE_MODELS[name]
+    hursts = model.hurst if name == "multifactor" else (model.hurst,)
+    vals = np.random.default_rng(1).normal(size=(len(SMALL_GRID), len(hursts) + 1))
+    secs = () if name == "heston" else tuple(
+        KernelSection(power_law(h), 0.5, 0.4, j) for j, h in enumerate(hursts)
+    )
+    return Control(GridFunction(SMALL_GRID, vals), sections=secs)
+
+
+def _run(name, controlled, threads):
+    model = INVARIANCE_MODELS[name]
+    regime = small_time_ldp(0.3)
+    if controlled:
+        ctrl = _invariance_control(name)
+        return simulate_controlled(model, regime, ctrl, SMALL_GRID, 50, seed=21, threads=threads)
+    return simulate(model, regime, SMALL_GRID, 50, seed=21, threads=threads)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_chunk(name, controlled):
+    return _run(name, controlled, threads=1)
+
+
+class TestChunkInvariance:
+    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+    @settings(max_examples=8, deadline=None)
+    @given(chunk=st.integers(1, 50), threads=st.integers(1, 3))
+    def test_paths_and_weights_do_not_depend_on_blocks_or_threads(
+        self, name, controlled, chunk, threads
+    ):
+        ref = _one_chunk(name, controlled)
+        saved = sve_sim._CHUNK
+        sve_sim._CHUNK = chunk
+        try:
+            ens = _run(name, controlled, threads)
+        finally:
+            sve_sim._CHUNK = saved
+        assert np.array_equal(ens.paths, ref.paths)
+        if controlled:
+            assert np.array_equal(ens.log_weights, ref.log_weights)
+        else:
+            assert ens.log_weights is None
