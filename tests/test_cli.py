@@ -99,6 +99,24 @@ class TestSimulateCommand:
             assert run(["simulate", "--config", cfg, "--paths", "10", "--seed", seed]) == 1
             assert "seed" in capsys.readouterr().err
 
+    def test_bad_thread_count_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg = write(
+            tmp_path,
+            "sim.json",
+            {
+                "model": BERGOMI_REC,
+                "regime": {"kind": "small_time_ldp", "eps": 0.25},
+                "grid": {"horizon": 1.0, "n_steps": 8},
+            },
+        )
+        for threads in ("0", "-3"):
+            argv = ["simulate", "--config", cfg, "--paths", "10", "--seed", "1"]
+            assert run(argv + ["--threads", threads]) == 2
+            assert "threads" in capsys.readouterr().err
+        monkeypatch.setenv("VD_THREADS", "abc")
+        assert run(["simulate", "--config", cfg, "--paths", "10", "--seed", "1"]) == 2
+        assert "VD_THREADS" in capsys.readouterr().err
+
     def test_idempotent_deterministic_output(self, tmp_path):
         cfg = write(
             tmp_path,

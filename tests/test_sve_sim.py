@@ -1,12 +1,14 @@
 import functools
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from volterra_deviations import sve_sim
-from volterra_deviations.errors import InvalidModel
+from scipy.special import ndtri
+from volterra_deviations.errors import ConfigError, InvalidModel
 from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
 from volterra_deviations.sve_sim import (
@@ -428,3 +430,124 @@ class TestChunkInvariance:
             assert np.array_equal(ens.log_weights, ref.log_weights)
         else:
             assert ens.log_weights is None
+
+
+def _fresh_stream_normals(seed, pids, count):
+    """The per-path stream contract, one freshly built generator per path."""
+    rows = [
+        ndtri(np.random.Generator(np.random.Philox(key=[seed, int(p)])).random(count))
+        for p in pids
+    ]
+    return np.array(rows).reshape(len(pids), count)
+
+
+class TestNormalStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        pids=st.lists(
+            st.one_of(st.integers(0, 2**32), st.integers(2**32, 2**63 - 1)),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        count=st.integers(1, 41),
+    )
+    @example(seed=2**63 - 1, pids=[2**32 + 7, 3, 2**62, 4], count=7)
+    def test_each_row_is_its_own_fresh_philox_stream(self, seed, pids, count):
+        # unsorted, gapped path ids and counts off the 4-word Philox block:
+        # state left over by one row would show in the next
+        got = sve_sim._normal_block(seed, np.array(pids, dtype=np.int64), count)
+        assert np.array_equal(got, _fresh_stream_normals(seed, pids, count))
+
+
+def _heston_oracle(model, regime, grid, dW):
+    """Path-major double sum of the _heston_volatility docstring formula."""
+    n, h, H = grid.n_steps, grid.dt, model.hurst
+    c0 = power_law(H).moment0(np.arange(n + 1) * h)
+    mom = np.diff(c0)
+    e = regime.eps
+    if regime.is_tail:
+        y_start, th, d_amp, n_amp = e**2 * model.y0, e**2 * model.theta, model.kappa, e * model.xi
+    else:
+        y_start, th = model.y0, model.theta
+        d_amp, n_amp = e ** (H + 0.5) * model.kappa, e**H * model.xi
+    Y = np.empty((dW.shape[0], n + 1))
+    for p in range(dW.shape[0]):
+        Y[p, 0] = y_start
+        for i in range(1, n + 1):
+            terms = []
+            for j in range(i):
+                yp = max(Y[p, j], 0.0)
+                g = d_amp * (th - yp) + n_amp * math.sqrt(yp) * dW[p, j] / h
+                terms.append(mom[i - j - 1] * g)
+            Y[p, i] = y_start + math.fsum(terms)
+    return Y
+
+
+@functools.lru_cache(maxsize=None)
+def _heston_block_reference():
+    model = INVARIANCE_MODELS["heston"]
+    return simulate(model, small_time_ldp(0.3), SMALL_GRID, 2100, seed=21, threads=1)
+
+
+class TestHestonHistory:
+    @pytest.mark.parametrize(
+        "xi, regime",
+        [(0.3, small_time_ldp(0.04)), (2.0, small_time_ldp(1.0)), (0.3, tail_ldp(0.3))],
+    )
+    def test_matches_the_path_major_double_sum(self, xi, regime):
+        # xi = 2 at eps = 1 drives variances negative; first = 1019 puts
+        # the 12 paths across the history block edge at path 1024
+        model = RoughHeston(kappa=1.0, theta=0.04, xi=xi, rho=-0.7, y0=0.04, hurst=H)
+        grid = TimeGrid(1.0, 24)
+        dW = np.random.default_rng(4).normal(size=(12, 24)) * math.sqrt(grid.dt)
+        got = sve_sim._heston_volatility(model, regime, grid, dW, 1019)
+        ref = _heston_oracle(model, regime, grid, dW)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    # 1021 leaves chunks of odd width, which BLAS rounds differently from a
+    # multiple of 4: a history block that followed the chunk would show here
+    @pytest.mark.parametrize("chunk", [700, 1021, 1024, 1500])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_paths_across_history_blocks_do_not_depend_on_chunks(self, chunk, threads):
+        model = INVARIANCE_MODELS["heston"]
+        ref = _heston_block_reference()
+        saved = sve_sim._CHUNK
+        sve_sim._CHUNK = chunk
+        try:
+            ens = simulate(model, small_time_ldp(0.3), SMALL_GRID, 2100, seed=21, threads=threads)
+        finally:
+            sve_sim._CHUNK = saved
+        assert np.array_equal(ens.paths, ref.paths)
+
+
+class TestThreadCount:
+    @pytest.mark.parametrize("env", ["abc", "2.5", "0", "-3"])
+    def test_bad_env_value_raises(self, monkeypatch, env):
+        monkeypatch.setenv("VD_THREADS", env)
+        with pytest.raises(ConfigError, match="VD_THREADS"):
+            sve_sim.default_threads()
+        with pytest.raises(ConfigError, match="VD_THREADS"):
+            simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0)
+
+    def test_env_value_and_cpu_count_default(self, monkeypatch):
+        monkeypatch.setenv("VD_THREADS", "3")
+        assert sve_sim.default_threads() == 3
+        monkeypatch.delenv("VD_THREADS")
+        assert sve_sim.default_threads() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("threads", [0, -1, 2.5, True, "2"])
+    def test_bad_threads_argument_raises(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0, threads=threads)
+
+
+class TestFactorCache:
+    def test_keeps_at_most_eight_factors(self):
+        grids = [TimeGrid(1.0, n) for n in range(2, 12)]
+        for g in grids:
+            sve_sim._factor(power_law(H), g)
+        assert sve_sim._factor.cache_info().currsize <= 8
+        last = sve_sim._factor(power_law(H), grids[-1])
+        assert sve_sim._factor(power_law(H), grids[-1]) is last
