@@ -465,8 +465,8 @@ def _cmd_rate(args) -> int:
         payload = {
             "_meta": _meta(cfg, None, args.deterministic),
             "value": res.value,
-            "converged": True,
-            "constraint_violation": 0.0,
+            "regularization_delta": res.regularization_delta,
+            "richardson_value": res.richardson_value,
         }
     else:  # minimize
         key, _, val = args.terminal.partition("=")
@@ -484,8 +484,10 @@ def _cmd_rate(args) -> int:
         payload = {
             "_meta": _meta(cfg, None, args.deterministic),
             "value": res.value,
-            "converged": res.constraint_violation <= 1e-4,
+            "converged": bool(res.constraint_violation <= 1e-4),
             "constraint_violation": res.constraint_violation,
+            "iterations": res.iterations,
+            "starts": res.diagnostics.get("starts", []),
         }
     _write_json(args.out, payload)
     return 0

@@ -8,10 +8,17 @@ through the limit solvers can be checked.
 
 ``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control
 energy subject to a terminal constraint.  Each problem is an objective class
-that supplies only its energy, its terminal target and their gradients; one
+that supplies only its energy, its terminal target, their gradients and the
+diagonal of the energy Hessian at its start point (``curvature``); one
 driver, ``_run_penalty``, adds the quadratic penalty and runs the
-mu-continuation and the deterministic multi-starts.  Two structural devices
-keep the discrete optimum honest:
+mu-continuation and the deterministic multi-starts.  L-BFGS runs in the
+scaled variables q = p sqrt(curvature), in which every coordinate of the
+energy has unit curvature at the start: the raw curvatures differ by orders
+of magnitude (w ~ h for a u or v node, w / (xi^2 y0) for a rough Heston z
+node, ||K||^2 for the kernel-section coefficient), which is what slowed the
+unscaled iteration down.  The intermediate mu stages only warm-start the next
+one and stop at ftol 1e-14; the last stage keeps ftol 1e-16, gtol 1e-12.
+Two structural devices keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
   singularly convolved channel (for constant zeta models).  A uniform
@@ -80,6 +87,7 @@ __all__ = [
 _ZERO_THR = 1e-12
 _AC_BLOWUP = 1e6
 _DEFAULT_DELTA = 1e-4
+_VOL_FLOOR = 1e-12  # floor on the Heston variance path inside the z-energy
 
 
 @dataclass
@@ -717,20 +725,21 @@ def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProble
     )
 
 
-
-
 class _Objective:
     """Energy and terminal target of one discretized terminal problem.
 
-    ``evaluate(p)`` returns (energy, target, grad energy, grad target) and
-    ``result(p)`` returns (energy, target, control, path); ``_run_penalty``
-    builds the penalized objective from them.
+    ``evaluate(p)`` returns (energy, target, grad energy, grad target),
+    ``result(p)`` returns (energy, target, control, path) and ``curvature``
+    is the positive diagonal of the energy Hessian at ``start``;
+    ``_run_penalty`` builds the penalized objective from them and runs it in
+    the variables p sqrt(curvature).
     """
 
     def __init__(self, tp: _TerminalProblem):
         self.tp = tp
         self.n = len(tp.grid)
         self.n_params = 2 * self.n
+        self.start = np.zeros(self.n_params)
 
 
 class _ZetaConstObjective(_Objective):
@@ -740,6 +749,8 @@ class _ZetaConstObjective(_Objective):
         super().__init__(tp)
         if tp.use_section:
             self.n_params += 1
+            self.start = np.zeros(self.n_params)
+        self.curvature = np.concatenate([tp.w, tp.w, [tp.r_tt] if tp.use_section else []])
         m = tp.model
         self.sig_fn = m.sigma_sq
         if tp.frozen:
@@ -827,13 +838,13 @@ class _HestonObjective(_Objective):
     def __init__(self, tp: _TerminalProblem):
         super().__init__(tp)
         self.xi = tp.model.xi
-        self.floor = 1e-12
+        self.curvature = np.concatenate([tp.w, tp.w / (self.xi**2 * tp.y0)])
 
     def pieces(self, p):
         tp = self.tp
         u, z = p[: self.n], p[self.n :]
         vphi = tp.y0 + tp.conv @ z
-        vpos = np.maximum(vphi, self.floor)
+        vpos = np.maximum(vphi, _VOL_FLOOR)
         S = np.sqrt(vpos)
         en_u = 0.5 * float(np.sum(tp.w * u**2))
         en_v = 0.5 * float(np.sum(tp.w * z**2 / (self.xi**2 * vpos)))
@@ -846,7 +857,7 @@ class _HestonObjective(_Objective):
     def evaluate(self, p):
         tp = self.tp
         u, z, vphi, vpos, S, en, tgt = self.pieces(p)
-        live = vphi > self.floor
+        live = vphi > _VOL_FLOOR
         gu = tp.w * u
         gz = tp.w * z / (self.xi**2 * vpos)
         back = -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
@@ -883,6 +894,7 @@ class _TailSteinSteinObjective(_Objective):
         m = tp.model
         C1 = conv_weights(constant(1.0), tp.grid).dense_matrix()
         self.A = np.linalg.solve(np.eye(self.n) + m.kappa * C1, m.xi * tp.conv)
+        self.curvature = np.concatenate([tp.w, tp.w])
 
     def pieces(self, p):
         tp = self.tp
@@ -924,15 +936,28 @@ class _TailHestonObjective(_Objective):
     def __init__(self, tp: _TerminalProblem):
         super().__init__(tp)
         self.xi = tp.model.xi
-        self.floor = 1e-12
         M = np.eye(self.n) + tp.model.kappa * tp.conv
         self.A = np.linalg.solve(M, tp.conv)
+        # vphi = 0 at the zero control, where the z-energy is singular; start
+        # from the forcing |x| instead, zero at t = 0 where z = xi sqrt(vphi) v
+        # vanishes
+        self.start[self.n + 1 :] = abs(tp.target) or 1.0
+        self.curvature = np.concatenate([tp.w, self._z_curvature(self.start[self.n :])])
+
+    def _z_curvature(self, z):
+        """Diagonal of the Hessian of sum w z^2 / (2 xi^2 vpos), vphi = A z."""
+        vphi = self.A @ z
+        vpos = np.maximum(vphi, _VOL_FLOOR)
+        live = vphi > _VOL_FLOOR
+        c = self.tp.w / (self.xi**2 * vpos)
+        cross = 2.0 * c * z * live / vpos * np.diag(self.A)
+        return c - cross + (self.A**2).T @ (c * z**2 * live / vpos**2)
 
     def pieces(self, p):
         tp = self.tp
         u, z = p[: self.n], p[self.n :]
         vphi = self.A @ z
-        vpos = np.maximum(vphi, self.floor)
+        vpos = np.maximum(vphi, _VOL_FLOOR)
         S = np.sqrt(vpos)
         en = 0.5 * float(np.sum(tp.w * u**2)) + 0.5 * float(
             np.sum(tp.w * z**2 / (self.xi**2 * vpos))
@@ -944,7 +969,7 @@ class _TailHestonObjective(_Objective):
     def evaluate(self, p):
         tp = self.tp
         u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
-        live = vphi > self.floor
+        live = vphi > _VOL_FLOOR
         gu = tp.w * u
         gz = tp.w * z / (self.xi**2 * vpos) + self.A.T @ (
             -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
@@ -968,6 +993,9 @@ class _TailHestonObjective(_Objective):
 
 
 _MU_SCHEDULE = (1e2, 1e4, 1e6, 1e8)
+# L-BFGS (ftol, gtol) per mu stage: the intermediate stages only warm-start
+# the next one, the last stage sets the reported optimum
+_STAGE_TOLERANCES = ((1e-14, 1e-12),) * 3 + ((1e-16, 1e-12),)
 _START_LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
 _MAX_VIOLATION = 1e-4
 
@@ -989,9 +1017,13 @@ def ldp_rate_terminal(
     quadratic form.
 
     Quadratic-penalty continuation over mu in (1e2, 1e4, 1e6, 1e8), L-BFGS
-    with analytic gradients, deterministic multi-starts at constant controls
-    scaled by the target offset; SolverFailure when the best start misses the
-    target by more than 1e-4.
+    with analytic gradients in variables scaled by the square root of the
+    energy Hessian diagonal at the zero control, the intermediate stages at
+    ftol 1e-14 and the last at ftol 1e-16, gtol 1e-12; deterministic
+    multi-starts at constant controls scaled by the target offset, each
+    recorded in ``diagnostics["starts"]`` (level, energy, violation,
+    iterations); SolverFailure when the best start misses the target by more
+    than 1e-4.
     """
     if component not in ("x", "y", "y_psi"):
         raise ValueError("component must be 'x', 'y' or 'y_psi'")
@@ -1037,31 +1069,44 @@ def _penalized(p, obj: _Objective, mu: float):
     return en + mu * r * r, g_en + 2.0 * mu * r * g_tgt
 
 
+def _scaled_penalized(q, obj: _Objective, mu: float, root: np.ndarray):
+    """``_penalized`` in the variables q = p sqrt(curvature)."""
+    f, g = _penalized(q / root, obj, mu)
+    return f, g / root
+
+
 def _run_penalty(obj: _Objective, offset: float) -> RateResult:
     best = None
-    total_iters = 0
+    starts = []
+    root = np.sqrt(obj.curvature)
     scale = offset if offset != 0.0 else 1.0
     for level in _START_LEVELS:
         p = np.full(obj.n_params, level * scale)
         if obj.n_params % 2 == 1:  # section coefficient starts at zero
             p[-1] = 0.0
-        for mu in _MU_SCHEDULE:
+        q = p * root
+        iters = 0
+        for mu, (ftol, gtol) in zip(_MU_SCHEDULE, _STAGE_TOLERANCES):
             res = _minimize(
-                _penalized,
-                p,
-                args=(obj, mu),
+                _scaled_penalized,
+                q,
+                args=(obj, mu, root),
                 jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": 3000, "ftol": 1e-16, "gtol": 1e-12},
+                options={"maxiter": 3000, "ftol": ftol, "gtol": gtol},
             )
-            p = res.x
-            total_iters += int(res.nit)
-        en, tgt, ctrl, path = obj.result(p)
+            q = res.x
+            iters += int(res.nit)
+        en, tgt, ctrl, path = obj.result(q / root)
         viol = abs(tgt - obj.tp.target)
+        starts.append(
+            {"level": level, "energy": float(en), "violation": float(viol), "iterations": iters}
+        )
         score = (viol > _MAX_VIOLATION, en)
         if best is None or score < best[0]:
             best = (score, en, viol, ctrl, path)
     _, en, viol, ctrl, path = best
+    total_iters = sum(s["iterations"] for s in starts)
     if viol > _MAX_VIOLATION:
         raise SolverFailure(
             f"terminal constraint violated by {viol:.3e} after continuation",
@@ -1073,4 +1118,5 @@ def _run_penalty(obj: _Objective, offset: float) -> RateResult:
         optimal_path=path,
         iterations=total_iters,
         constraint_violation=viol,
+        diagnostics={"starts": starts},
     )

@@ -184,6 +184,65 @@ class TestRateCommand:
         assert rep["value"] == pytest.approx(want, rel=1e-6)
 
 
+    def test_eval_reports_regularization_not_a_solver_certificate(self, tmp_path, capsys):
+        from volterra_deviations.kernels import GridFunction, TimeGrid
+        from volterra_deviations.rate_functions import heston_rate
+        from volterra_deviations.sve_sim import RoughHeston
+
+        n = 64
+        t = np.linspace(0.0, 1.0, n + 1)
+        vphi = 0.04 + 0.02 * t**0.6
+        lines = ["t,phi,vphi"] + [
+            f"{float(t[i])!r},0.0,{float(vphi[i])!r}" for i in range(n + 1)
+        ]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines))
+        params = {"kappa": 1.0, "theta": 0.04, "xi": 0.3, "rho": 0.0, "y0": 0.04, "hurst": 0.1}
+        models = {
+            "heston": dict(params, variant="rough_heston"),
+            "bergomi": dict(BERGOMI_REC, rho=0.0),
+        }
+        reports = {}
+        for name, rec in models.items():
+            cfg = write(
+                tmp_path, f"{name}.json", {"model": rec, "family": "small_time", "delta": 1e-3}
+            )
+            argv = ["rate", "eval", "--model", cfg, "--path", str(path), "--deterministic"]
+            assert run(argv) == 0
+            reports[name] = json.loads(capsys.readouterr().out)
+        for rep in reports.values():
+            assert "converged" not in rep
+            assert "constraint_violation" not in rep
+        grid = TimeGrid(1.0, n)
+        want = heston_rate(
+            RoughHeston(**params),
+            GridFunction(grid, np.zeros(n + 1)),
+            GridFunction(grid, vphi),
+            delta=1e-3,
+        )
+        assert reports["heston"]["regularization_delta"] == 1e-3
+        assert reports["heston"]["richardson_value"] == pytest.approx(
+            want.richardson_value, rel=1e-12
+        )
+        assert reports["bergomi"]["regularization_delta"] is None
+        assert reports["bergomi"]["richardson_value"] is None
+
+    def test_minimize_reports_iterations_and_starts(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "m.json",
+            {"model": BERGOMI_REC, "grid": {"horizon": 1.0, "n_steps": 32}},
+        )
+        argv = ["rate", "minimize", "--model", cfg, "--terminal", "x=0.1", "--deterministic"]
+        assert run(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["converged"] is True
+        assert [s["level"] for s in rep["starts"]] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert rep["iterations"] == sum(s["iterations"] for s in rep["starts"]) > 0
+        assert rep["value"] == min(s["energy"] for s in rep["starts"])
+        assert all(s["violation"] <= 1e-4 for s in rep["starts"])
+
+
 class TestSmileCommand:
     def test_mdp_smile_csv(self, tmp_path, capsys):
         cfg = write(

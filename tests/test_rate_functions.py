@@ -450,6 +450,94 @@ class TestObjectiveGradients:
         assert rel < 1e-6
 
 
+def _curvature_test_objective(name):
+    from volterra_deviations.rate_functions import (
+        _HestonObjective,
+        _TailHestonObjective,
+        _TailSteinSteinObjective,
+        _terminal_problem,
+        _ZetaConstObjective,
+    )
+
+    grid = TimeGrid(1.0, 24)
+    berg = RoughBergomi(a=0.3, rho=-0.6, y0=-3.0, hurst=H)
+    ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
+    hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H)
+    cases = {
+        "zeta_const_x_section": (_ZetaConstObjective, berg, 0.3, "x", False),
+        "zeta_const_y_section": (_ZetaConstObjective, berg, -2.0, "y", False),
+        "frozen_y_psi": (_ZetaConstObjective, hes, 1.0, "y_psi", True),
+        "heston_x": (_HestonObjective, hes, 0.2, "x", False),
+        "heston_y": (_HestonObjective, hes, 0.06, "y", False),
+        "tail_ss_x": (_TailSteinSteinObjective, ss, 1.0, "x", False),
+        "tail_heston_x": (_TailHestonObjective, hes, 1.0, "x", False),
+    }
+    cls, model, target, component, frozen = cases[name]
+    return cls(_terminal_problem(model, target, component, grid, frozen))
+
+
+class TestObjectiveCurvature:
+    """The driver's scaling is the energy Hessian diagonal at the start point."""
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "zeta_const_x_section",
+            "zeta_const_y_section",
+            "frozen_y_psi",
+            "heston_x",
+            "heston_y",
+            "tail_ss_x",
+            "tail_heston_x",
+        ],
+    )
+    def test_curvature_matches_fd_hessian_diagonal(self, name):
+        obj = _curvature_test_objective(name)
+        p0 = obj.start
+        assert obj.curvature.shape == p0.shape
+        assert np.all(obj.curvature > 0.0)
+
+        def energy(i, step):
+            p = p0.copy()
+            p[i] += step
+            return obj.evaluate(p)[0]
+
+        h = 1e-3
+        fd = np.array(
+            [
+                (
+                    -energy(i, 2 * h)
+                    + 16.0 * energy(i, h)
+                    - 30.0 * energy(i, 0.0)
+                    + 16.0 * energy(i, -h)
+                    - energy(i, -2 * h)
+                )
+                / (12.0 * h * h)
+                for i in range(len(p0))
+            ]
+        )
+        np.testing.assert_allclose(obj.curvature, fd, rtol=1e-6)
+
+
+class TestMultistartCertificate:
+    @pytest.mark.parametrize(
+        "model, x",
+        [
+            (RoughBergomi(a=0.5, rho=-0.5, y0=-3.2, hurst=H), 0.1),
+            (RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H), -0.1),
+        ],
+    )
+    def test_five_starts_agree_on_a_smile_ray_point(self, model, x):
+        res = ldp_rate_terminal(model, x, component="x", n_steps=64)
+        starts = res.diagnostics["starts"]
+        assert [s["level"] for s in starts] == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert sum(s["iterations"] for s in starts) == res.iterations
+        assert all(s["violation"] <= 1e-4 for s in starts)
+        energies = np.array([s["energy"] for s in starts])
+        assert res.value == energies.min()
+        assert (energies.max() - energies.min()) / res.value <= 1e-9
+
+
 class TestGaussianTerminalControl:
     def test_normal_equations_values(self):
         k = power_law(H)
