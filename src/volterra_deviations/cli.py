@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -472,7 +473,12 @@ def _cmd_rate(args) -> int:
         key, _, val = args.terminal.partition("=")
         if key not in ("x", "y") or not val:
             raise ConfigError("--terminal must look like x=<value> or y=<value>")
-        target = float(val)
+        try:
+            target = float(val)
+        except ValueError:
+            target = math.nan
+        if not math.isfinite(target):
+            raise ConfigError(f"--terminal value must be a finite number, got {val!r}")
         grid_rec = cfg.get("grid", {"horizon": 1.0, "n_steps": 512})
         res = ldp_rate_terminal(
             model,
@@ -484,10 +490,10 @@ def _cmd_rate(args) -> int:
         payload = {
             "_meta": _meta(cfg, None, args.deterministic),
             "value": res.value,
-            "converged": bool(res.constraint_violation <= 1e-4),
+            "converged": res.diagnostics["converged"],
             "constraint_violation": res.constraint_violation,
             "iterations": res.iterations,
-            "starts": res.diagnostics.get("starts", []),
+            "starts": res.diagnostics["starts"],
         }
     _write_json(args.out, payload)
     return 0

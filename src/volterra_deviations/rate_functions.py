@@ -10,14 +10,17 @@ through the limit solvers can be checked.
 energy subject to a terminal constraint.  Each problem is an objective class
 that supplies only its energy, its terminal target, their gradients and the
 diagonal of the energy Hessian at its start point (``curvature``); one
-driver, ``_run_penalty``, adds the quadratic penalty and runs the
-mu-continuation and the deterministic multi-starts.  L-BFGS runs in the
-scaled variables q = p sqrt(curvature), in which every coordinate of the
-energy has unit curvature at the start: the raw curvatures differ by orders
-of magnitude (w ~ h for a u or v node, w / (xi^2 y0) for a rough Heston z
-node, ||K||^2 for the kernel-section coefficient), which is what slowed the
-unscaled iteration down.  The intermediate mu stages only warm-start the next
-one and stop at ftol 1e-14; the last stage keeps ftol 1e-16, gtol 1e-12.
+driver, ``_run_reduced``, meets the constraint exactly and runs the
+deterministic multi-starts.  A price target is affine in the orthogonal
+control u, which enters the energy only as (1/2) sum w u^2, so u is
+eliminated in closed form and the rate is the unconstrained minimum over the
+volatility control of E(v) + (x - g(v))^2 / (2 D(v)) (the Forde-Zhang form);
+a volatility target is affine in the volatility block with a constant
+gradient and is met by projecting onto that hyperplane.  L-BFGS runs on the
+volatility block in the scaled variables q = p sqrt(curvature), in which
+every coordinate of the energy has unit curvature at the start: the raw
+curvatures differ by orders of magnitude (w ~ h for a v node, w / (xi^2 y0)
+for a rough Heston z node, ||K||^2 for the kernel-section coefficient).
 Two structural devices keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
@@ -41,6 +44,7 @@ from scipy.optimize import minimize as _minimize
 
 from .errors import (
     DegenerateCoefficients,
+    DomainError,
     NegativePath,
     NotApplicable,
     SingularL,
@@ -692,6 +696,8 @@ class _TerminalProblem:
 
 
 def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProblem:
+    if not math.isfinite(target):
+        raise DomainError(f"terminal target must be finite, got {target!r}")
     H = model.hurst
     kernel = power_law(H)
     cw = conv_weights(kernel, grid)
@@ -730,9 +736,9 @@ class _Objective:
 
     ``evaluate(p)`` returns (energy, target, grad energy, grad target),
     ``result(p)`` returns (energy, target, control, path) and ``curvature``
-    is the positive diagonal of the energy Hessian at ``start``;
-    ``_run_penalty`` builds the penalized objective from them and runs it in
-    the variables p sqrt(curvature).
+    is the positive diagonal of the energy Hessian at ``start``.  The
+    parameters are p = [u, volatility block]; ``_reduced`` eliminates u and
+    the constraint from them.
     """
 
     def __init__(self, tp: _TerminalProblem):
@@ -833,52 +839,86 @@ class _ZetaConstObjective(_Objective):
 
 
 class _HestonObjective(_Objective):
-    """z-parameterized rough Heston terminal problem."""
+    """z-parameterized rough Heston terminal problem.
+
+    The integrand z = xi sqrt(vphi) v makes the volatility response linear,
+    vphi = y0 + A z with A the fractional-integral matrix; the drive is
+    -drift vphi + sqrt(vphi) rho_bar u + rho z / xi.  Small time has drift 0;
+    ``_TailHestonObjective`` is the tail rescaling.
+    """
+
+    tail = False
 
     def __init__(self, tp: _TerminalProblem):
         super().__init__(tp)
         self.xi = tp.model.xi
-        self.curvature = np.concatenate([tp.w, tp.w / (self.xi**2 * tp.y0)])
+        if self.tail:
+            self.y0, self.drift = 0.0, 0.5
+            M = np.eye(self.n) + tp.model.kappa * tp.conv
+            self.A = np.linalg.solve(M, tp.conv)
+            # vphi = 0 at the zero control, where the z-energy is singular;
+            # start from the forcing |x| instead, zero at t = 0 where
+            # z = xi sqrt(vphi) v vanishes
+            self.start[self.n + 1 :] = abs(tp.target) or 1.0
+        else:
+            self.y0, self.drift, self.A = tp.y0, 0.0, tp.conv
+        self.curvature = np.concatenate([tp.w, self._z_curvature(self.start[self.n :])])
+
+    def _z_curvature(self, z):
+        """Diagonal of the Hessian of sum w z^2 / (2 xi^2 vpos), vphi = y0 + A z."""
+        vphi = self.y0 + self.A @ z
+        vpos = np.maximum(vphi, _VOL_FLOOR)
+        live = vphi > _VOL_FLOOR
+        c = self.tp.w / (self.xi**2 * vpos)
+        cross = 2.0 * c * z * live / vpos * np.diag(self.A)
+        return c - cross + (self.A**2).T @ (c * z**2 * live / vpos**2)
 
     def pieces(self, p):
         tp = self.tp
         u, z = p[: self.n], p[self.n :]
-        vphi = tp.y0 + tp.conv @ z
+        vphi = self.y0 + self.A @ z
         vpos = np.maximum(vphi, _VOL_FLOOR)
         S = np.sqrt(vpos)
-        en_u = 0.5 * float(np.sum(tp.w * u**2))
-        en_v = 0.5 * float(np.sum(tp.w * z**2 / (self.xi**2 * vpos)))
-        if tp.component == "x":
-            tgt = float(np.sum(tp.w * (S * tp.rho_bar * u + tp.rho * z / self.xi)))
-        else:
-            tgt = vphi[-1]
-        return u, z, vphi, vpos, S, en_u + en_v, tgt
+        en = 0.5 * float(np.sum(tp.w * u**2)) + 0.5 * float(
+            np.sum(tp.w * z**2 / (self.xi**2 * vpos))
+        )
+        drive = -self.drift * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
+        tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
+        return u, z, vphi, vpos, S, drive, en, tgt
 
     def evaluate(self, p):
         tp = self.tp
-        u, z, vphi, vpos, S, en, tgt = self.pieces(p)
+        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
         live = vphi > _VOL_FLOOR
         gu = tp.w * u
-        gz = tp.w * z / (self.xi**2 * vpos)
-        back = -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
-        gz = gz + tp.conv.T @ back
+        gz = tp.w * z / (self.xi**2 * vpos) + self.A.T @ (
+            -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
+        )
         if tp.component == "x":
             du = tp.w * S * tp.rho_bar
-            dz = tp.w * tp.rho / self.xi
-            a = tp.w * tp.rho_bar * u * np.where(live, 0.5 / S, 0.0)
-            dz = dz + tp.conv.T @ a
+            back = tp.w * (-self.drift * live + np.where(live, 0.5 / S, 0.0) * tp.rho_bar * u)
+            dz = tp.w * tp.rho / self.xi + self.A.T @ back
         else:
             du = np.zeros_like(u)
-            dz = tp.conv[-1, :]
+            dz = self.A[-1, :]
         return en, tgt, np.concatenate([gu, gz]), np.concatenate([du, dz])
 
     def result(self, p):
         tp = self.tp
-        u, z, vphi, vpos, S, en, tgt = self.pieces(p)
+        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
         v = z / (self.xi * S)
         ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        phi = tp.grid.cumulative_trapezoid(S * tp.rho_bar * u + tp.rho * z / self.xi)
+        phi = tp.grid.cumulative_trapezoid(drive)
         return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
+
+
+class _TailHestonObjective(_HestonObjective):
+    """Tail rough Heston terminal problem in the smooth forcing variable.
+
+    vphi = (I + kappa C_RL)^-1 (C_RL z) from 0 and the drive carries -vphi/2.
+    """
+
+    tail = True
 
 
 class _TailSteinSteinObjective(_Objective):
@@ -902,19 +942,14 @@ class _TailSteinSteinObjective(_Objective):
         vphi = self.A @ v
         en = 0.5 * float(np.sum(tp.w * (u**2 + v**2)))
         drive = -0.5 * vphi**2 + vphi * (tp.rho_bar * u + tp.rho * v)
-        tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
-        return u, v, vphi, drive, en, tgt
+        return u, v, vphi, drive, en, float(np.sum(tp.w * drive))
 
     def evaluate(self, p):
         tp = self.tp
         u, v, vphi, drive, en, tgt = self.pieces(p)
-        if tp.component == "x":
-            du = tp.w * tp.rho_bar * vphi
-            a = tp.w * (-vphi + tp.rho_bar * u + tp.rho * v)
-            dv = tp.w * tp.rho * vphi + self.A.T @ a
-        else:
-            du = np.zeros_like(u)
-            dv = self.A[-1, :]
+        du = tp.w * tp.rho_bar * vphi
+        a = tp.w * (-vphi + tp.rho_bar * u + tp.rho * v)
+        dv = tp.w * tp.rho * vphi + self.A.T @ a
         return en, tgt, np.concatenate([tp.w * u, tp.w * v]), np.concatenate([du, dv])
 
     def result(self, p):
@@ -925,79 +960,11 @@ class _TailSteinSteinObjective(_Objective):
         return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
-class _TailHestonObjective(_Objective):
-    """Tail rough Heston terminal problem in the smooth forcing variable.
-
-    z = xi sqrt(vphi) v - the volatility solves the linear equation
-    vphi = (I + kappa C_RL)^-1 (C_RL z); the drive is
-    -vphi/2 + sqrt(vphi) rho_bar u + rho z / xi.
-    """
-
-    def __init__(self, tp: _TerminalProblem):
-        super().__init__(tp)
-        self.xi = tp.model.xi
-        M = np.eye(self.n) + tp.model.kappa * tp.conv
-        self.A = np.linalg.solve(M, tp.conv)
-        # vphi = 0 at the zero control, where the z-energy is singular; start
-        # from the forcing |x| instead, zero at t = 0 where z = xi sqrt(vphi) v
-        # vanishes
-        self.start[self.n + 1 :] = abs(tp.target) or 1.0
-        self.curvature = np.concatenate([tp.w, self._z_curvature(self.start[self.n :])])
-
-    def _z_curvature(self, z):
-        """Diagonal of the Hessian of sum w z^2 / (2 xi^2 vpos), vphi = A z."""
-        vphi = self.A @ z
-        vpos = np.maximum(vphi, _VOL_FLOOR)
-        live = vphi > _VOL_FLOOR
-        c = self.tp.w / (self.xi**2 * vpos)
-        cross = 2.0 * c * z * live / vpos * np.diag(self.A)
-        return c - cross + (self.A**2).T @ (c * z**2 * live / vpos**2)
-
-    def pieces(self, p):
-        tp = self.tp
-        u, z = p[: self.n], p[self.n :]
-        vphi = self.A @ z
-        vpos = np.maximum(vphi, _VOL_FLOOR)
-        S = np.sqrt(vpos)
-        en = 0.5 * float(np.sum(tp.w * u**2)) + 0.5 * float(
-            np.sum(tp.w * z**2 / (self.xi**2 * vpos))
-        )
-        drive = -0.5 * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
-        tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
-        return u, z, vphi, vpos, S, drive, en, tgt
-
-    def evaluate(self, p):
-        tp = self.tp
-        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
-        live = vphi > _VOL_FLOOR
-        gu = tp.w * u
-        gz = tp.w * z / (self.xi**2 * vpos) + self.A.T @ (
-            -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
-        )
-        if tp.component == "x":
-            du = tp.w * S * tp.rho_bar
-            back = tp.w * (-0.5 * live + np.where(live, 0.5 / S, 0.0) * tp.rho_bar * u)
-            dz = tp.w * tp.rho / self.xi + self.A.T @ back
-        else:
-            du = np.zeros_like(u)
-            dz = self.A[-1, :]
-        return en, tgt, np.concatenate([gu, gz]), np.concatenate([du, dz])
-
-    def result(self, p):
-        tp = self.tp
-        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
-        v = z / (self.xi * S)
-        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        phi = tp.grid.cumulative_trapezoid(drive)
-        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-
-
-_MU_SCHEDULE = (1e2, 1e4, 1e6, 1e8)
-# L-BFGS (ftol, gtol) per mu stage: the intermediate stages only warm-start
-# the next one, the last stage sets the reported optimum
-_STAGE_TOLERANCES = ((1e-14, 1e-12),) * 3 + ((1e-16, 1e-12),)
 _START_LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
-_MAX_VIOLATION = 1e-4
+# a start whose D (see ``_reduced``) is below this is degenerate: the target
+# hardly responds there (the Heston variance floor leaves D ~ 1e-12)
+_MIN_D = 1e-10
+_MAX_VIOLATION = 1e-4  # sanity bound: the reduced problem meets the target exactly
 
 
 def ldp_rate_terminal(
@@ -1016,14 +983,13 @@ def ldp_rate_terminal(
     freezes the coefficient fields at y0, turning the problem into the MDP
     quadratic form.
 
-    Quadratic-penalty continuation over mu in (1e2, 1e4, 1e6, 1e8), L-BFGS
-    with analytic gradients in variables scaled by the square root of the
-    energy Hessian diagonal at the zero control, the intermediate stages at
-    ftol 1e-14 and the last at ftol 1e-16, gtol 1e-12; deterministic
-    multi-starts at constant controls scaled by the target offset, each
-    recorded in ``diagnostics["starts"]`` (level, energy, violation,
-    iterations); SolverFailure when the best start misses the target by more
-    than 1e-4.
+    The target is met exactly (``_reduced``); L-BFGS (ftol 1e-13, gtol 1e-8)
+    runs on the scaled volatility block from deterministic multi-starts at
+    constant controls scaled by the target offset, each recorded in
+    ``diagnostics["starts"]`` (level, energy, violation, iterations,
+    lam = dI/dx, converged, grad_norm, skipped).  DomainError for a
+    non-finite ``x``; SolverFailure when every start is degenerate or
+    non-finite, or none converged.
     """
     if component not in ("x", "y", "y_psi"):
         raise ValueError("component must be 'x', 'y' or 'y_psi'")
@@ -1034,10 +1000,7 @@ def ldp_rate_terminal(
         obj = _HestonObjective(tp)
     else:
         obj = _ZetaConstObjective(tp)
-    if offset == 0.0 and component in ("x", "y_psi"):
-        en, _, ctrl, path = obj.result(np.zeros(obj.n_params))
-        return RateResult(value=en, optimal_control=ctrl, optimal_path=path)
-    return _run_penalty(obj, offset)
+    return _run_reduced(obj, offset)
 
 
 def tail_rate_terminal(
@@ -1048,8 +1011,9 @@ def tail_rate_terminal(
 ) -> RateResult:
     """Minimal energy with the tail-rescaled log price pinned at ``x`` at t_end.
 
-    Same penalty/continuation scheme as ``ldp_rate_terminal`` on the
-    tail-rescaled systems (Stein-Stein and rough Heston).
+    Same scheme as ``ldp_rate_terminal`` on the tail-rescaled systems
+    (Stein-Stein and rough Heston); the zero forcing leaves them no
+    volatility, so that start is skipped as degenerate.
     """
     grid = TimeGrid(t_end, n_steps)
     tp = _terminal_problem(model, x, "x", grid, frozen=False)
@@ -1059,64 +1023,103 @@ def tail_rate_terminal(
         obj = _TailHestonObjective(tp)
     else:
         raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
-    return _run_penalty(obj, x)
+    return _run_reduced(obj, x)
 
 
-def _penalized(p, obj: _Objective, mu: float):
-    """Penalized objective en + mu r^2 and its gradient, r the target miss."""
-    en, tgt, g_en, g_tgt = obj.evaluate(p)
-    r = tgt - obj.tp.target
-    return en + mu * r * r, g_en + 2.0 * mu * r * g_tgt
+def _target_plane(obj: _Objective, root: np.ndarray):
+    """(beta, r) for a volatility target, None for a price target.
+
+    A volatility target ignores u and is affine in the volatility block:
+    target(q) = target(0) + beta.q in the scaled variables q, and the
+    constraint is beta.q = r.
+    """
+    if obj.tp.component == "x":
+        return None
+    _, t0, _, g_tgt = obj.evaluate(np.zeros(obj.n_params))
+    return g_tgt[obj.n :] / root, obj.tp.target - t0
 
 
-def _scaled_penalized(q, obj: _Objective, mu: float, root: np.ndarray):
-    """``_penalized`` in the variables q = p sqrt(curvature)."""
-    f, g = _penalized(q / root, obj, mu)
-    return f, g / root
+def _reduced(q, obj: _Objective, root: np.ndarray, plane):
+    """Energy on the target set as a function of the scaled volatility block q.
+
+    Returns (energy, gradient in q, parameters p, lam, D); p meets the
+    target exactly and lam = dI/dx is the constraint's shadow price.  Price
+    target: tgt = a.u + g with a = d tgt/du free of u, and u costs
+    (1/2) sum w u^2, so u = lam a / w with D = sum a^2 / w, lam = (x - g) / D
+    and the energy is E(v) + (x - g)^2 / (2 D); by the envelope theorem its
+    gradient is grad_v energy - lam grad_v tgt at (u, v).  Volatility target:
+    u = 0 and q is projected onto beta.q = r, with D = beta.beta.
+    """
+    n = obj.n
+    p = np.zeros(obj.n_params)
+    if plane is None:
+        w = obj.tp.w
+        p[n:] = q / root
+        _, g, _, g_tgt = obj.evaluate(p)
+        a = g_tgt[:n]
+        D = float(np.sum(a * a / w))
+        lam = (obj.tp.target - g) / D if D > 0.0 else 0.0
+        p[:n] = lam * a / w
+        en, _, g_en, g_tgt = obj.evaluate(p)
+        return en, (g_en[n:] - lam * g_tgt[n:]) / root, p, lam, D
+    beta, r = plane
+    D = float(beta @ beta)
+    p[n:] = (q - beta * ((beta @ q - r) / D)) / root
+    en, _, g_en, _ = obj.evaluate(p)
+    g_q = g_en[n:] / root
+    lam = float(beta @ g_q) / D
+    return en, g_q - lam * beta, p, lam, D
 
 
-def _run_penalty(obj: _Objective, offset: float) -> RateResult:
-    best = None
-    starts = []
-    root = np.sqrt(obj.curvature)
-    scale = offset if offset != 0.0 else 1.0
+def _run_reduced(obj: _Objective, offset: float) -> RateResult:
+    root = np.sqrt(obj.curvature[obj.n :])
+    plane = _target_plane(obj, root)
+    starts, best = [], None
     for level in _START_LEVELS:
-        p = np.full(obj.n_params, level * scale)
-        if obj.n_params % 2 == 1:  # section coefficient starts at zero
-            p[-1] = 0.0
-        q = p * root
-        iters = 0
-        for mu, (ftol, gtol) in zip(_MU_SCHEDULE, _STAGE_TOLERANCES):
-            res = _minimize(
-                _scaled_penalized,
-                q,
-                args=(obj, mu, root),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": 3000, "ftol": ftol, "gtol": gtol},
-            )
-            q = res.x
-            iters += int(res.nit)
-        en, tgt, ctrl, path = obj.result(q / root)
-        viol = abs(tgt - obj.tp.target)
-        starts.append(
-            {"level": level, "energy": float(en), "violation": float(viol), "iterations": iters}
+        q = np.full(len(root), level * (offset or 1.0)) * root
+        if len(root) > obj.n:  # section coefficient starts at zero
+            q[-1] = 0.0
+        entry = {"level": level, "energy": None, "violation": None, "iterations": 0,
+                 "lam": None, "converged": False, "grad_norm": None, "skipped": None}
+        starts.append(entry)
+        D = _reduced(q, obj, root, plane)[4]
+        if not D >= _MIN_D:
+            entry["skipped"] = f"D = {D:.3e} below {_MIN_D:.0e}"
+            continue
+        res = _minimize(
+            lambda s: _reduced(s, obj, root, plane)[:2],
+            q,
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": 3000, "ftol": 1e-13, "gtol": 1e-8},
         )
-        score = (viol > _MAX_VIOLATION, en)
-        if best is None or score < best[0]:
-            best = (score, en, viol, ctrl, path)
-    _, en, viol, ctrl, path = best
-    total_iters = sum(s["iterations"] for s in starts)
-    if viol > _MAX_VIOLATION:
+        _, grad, p, lam, _ = _reduced(res.x, obj, root, plane)
+        en, tgt, ctrl, path = obj.result(p)
+        entry.update(
+            energy=float(en),
+            violation=float(abs(tgt - obj.tp.target)),
+            iterations=int(res.nit),
+            lam=float(lam),
+            converged=bool(res.success),
+            grad_norm=float(np.max(np.abs(grad))),
+        )
+        if math.isfinite(en) and (best is None or en < best[0]["energy"]):
+            best = (entry, ctrl, path)
+    if best is None:
+        raise SolverFailure("every start is degenerate or non-finite")
+    entry, ctrl, path = best
+    if not any(s["converged"] for s in starts):
+        raise SolverFailure("no start converged", best_value=entry["energy"])
+    if entry["violation"] > _MAX_VIOLATION:
         raise SolverFailure(
-            f"terminal constraint violated by {viol:.3e} after continuation",
-            best_value=en,
+            f"terminal constraint violated by {entry['violation']:.3e}",
+            best_value=entry["energy"],
         )
     return RateResult(
-        value=en,
+        value=entry["energy"],
         optimal_control=ctrl,
         optimal_path=path,
-        iterations=total_iters,
-        constraint_violation=viol,
-        diagnostics={"starts": starts},
+        iterations=sum(s["iterations"] for s in starts),
+        constraint_violation=entry["violation"],
+        diagnostics={"starts": starts, "converged": entry["converged"]},
     )

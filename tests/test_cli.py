@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,6 +243,32 @@ class TestRateCommand:
         assert rep["value"] == min(s["energy"] for s in rep["starts"])
         assert all(s["violation"] <= 1e-4 for s in rep["starts"])
 
+
+    @pytest.mark.parametrize("terminal", ["x=nan", "x=inf", "y=-inf", "x=abc"])
+    def test_minimize_rejects_non_finite_terminal(self, tmp_path, terminal):
+        cfg = write(
+            tmp_path,
+            "m.json",
+            {"model": BERGOMI_REC, "grid": {"horizon": 1.0, "n_steps": 16}},
+        )
+        argv = ["rate", "minimize", "--model", cfg, "--terminal", terminal, "--deterministic"]
+        assert run(argv) == 2
+
+    def test_minimize_converged_is_the_best_starts_status(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "m.json",
+            {"model": BERGOMI_REC, "grid": {"horizon": 1.0, "n_steps": 32}},
+        )
+        argv = ["rate", "minimize", "--model", cfg, "--terminal", "x=0.1", "--deterministic"]
+        assert run(argv) == 0
+        rep = json.loads(capsys.readouterr().out)
+        best = min(rep["starts"], key=lambda s: s["energy"])
+        assert rep["converged"] is best["converged"] is True
+        assert rep["constraint_violation"] <= 1e-12
+        for s in rep["starts"]:
+            assert s["skipped"] is None
+            assert math.isfinite(s["grad_norm"]) and s["lam"] > 0.0
 
 class TestSmileCommand:
     def test_mdp_smile_csv(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ from scipy.special import gamma as gamma_fn
 
 from volterra_deviations.errors import (
     DegenerateCoefficients,
+    DomainError,
     NegativePath,
     NotApplicable,
     SingularL,
@@ -386,7 +387,7 @@ class TestTerminalSolver:
 
 
 class TestObjectiveGradients:
-    """Analytic gradients of the penalized objectives against central differences."""
+    """Analytic gradients of the reduced objectives against central differences."""
 
     @pytest.mark.parametrize(
         "name",
@@ -401,51 +402,27 @@ class TestObjectiveGradients:
         ],
     )
     def test_gradient_matches_fd(self, name):
-        from volterra_deviations.rate_functions import (
-            _HestonObjective,
-            _penalized,
-            _TailHestonObjective,
-            _TailSteinSteinObjective,
-            _terminal_problem,
-            _ZetaConstObjective,
-        )
+        from volterra_deviations.rate_functions import _reduced, _target_plane
 
-        grid = TimeGrid(1.0, 24)
-        berg = RoughBergomi(a=0.3, rho=-0.6, y0=-3.0, hurst=H)
-        ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
-        hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H)
-        objs = {
-            "zeta_const_x_section": _ZetaConstObjective(
-                _terminal_problem(berg, 0.3, "x", grid, False)
-            ),
-            "zeta_const_y_section": _ZetaConstObjective(
-                _terminal_problem(berg, -2.0, "y", grid, False)
-            ),
-            "frozen_y_psi": _ZetaConstObjective(
-                _terminal_problem(hes, 1.0, "y_psi", grid, True)
-            ),
-            "heston_x": _HestonObjective(_terminal_problem(hes, 0.2, "x", grid, False)),
-            "heston_y": _HestonObjective(_terminal_problem(hes, 0.06, "y", grid, False)),
-            "tail_ss_x": _TailSteinSteinObjective(
-                _terminal_problem(ss, 1.0, "x", grid, False)
-            ),
-            "tail_heston_x": _TailHestonObjective(
-                _terminal_problem(hes, 1.0, "x", grid, False)
-            ),
-        }
-        obj = objs[name]
+        obj = _curvature_test_objective(name)
+        root = np.sqrt(obj.curvature[obj.n :])
+        plane = _target_plane(obj, root)
         rng = np.random.default_rng(0)
-        p = rng.normal(size=obj.n_params) * 0.3
-        mu = 37.0
-        g = _penalized(p, obj, mu)[1]
+        # positive volatility controls keep the Heston variance off its floor;
+        # the tail Heston variance vanishes at t = 0, so its forcing must too
+        q = np.abs(rng.normal(size=obj.n_params)[obj.n :]) * 0.3 * root
+        q[0] = 0.0
+        g = _reduced(q, obj, root, plane)[1]
         fd = np.empty_like(g)
         eps_fd = 1e-6
-        for i in range(len(p)):
-            pp = p.copy()
-            pp[i] += eps_fd
-            pm = p.copy()
-            pm[i] -= eps_fd
-            fd[i] = (_penalized(pp, obj, mu)[0] - _penalized(pm, obj, mu)[0]) / (2 * eps_fd)
+        for i in range(len(q)):
+            qp = q.copy()
+            qp[i] += eps_fd
+            qm = q.copy()
+            qm[i] -= eps_fd
+            fd[i] = (
+                _reduced(qp, obj, root, plane)[0] - _reduced(qm, obj, root, plane)[0]
+            ) / (2 * eps_fd)
         rel = np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel < 1e-6
 
@@ -536,6 +513,92 @@ class TestMultistartCertificate:
         energies = np.array([s["energy"] for s in starts])
         assert res.value == energies.min()
         assert (energies.max() - energies.min()) / res.value <= 1e-9
+
+
+def _exact_constraint_case(name):
+    """A terminal solve at n=64 for each objective and target kind: (solve, target)."""
+    berg = RoughBergomi(a=0.5, rho=-0.5, y0=-3.2, hurst=H)
+    hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
+    hes_y = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H)
+    ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
+    cases = {
+        "zeta_const_x": (lambda x: ldp_rate_terminal(berg, x, "x", n_steps=64), 0.1),
+        "zeta_const_y": (lambda x: ldp_rate_terminal(berg, x, "y", n_steps=64), -2.0),
+        "frozen_y_psi": (
+            lambda x: ldp_rate_terminal(hes_y, x, "y_psi", n_steps=64, frozen=True),
+            2.0,
+        ),
+        "heston_x": (lambda x: ldp_rate_terminal(hes, x, "x", n_steps=64), -0.1),
+        "heston_y": (lambda x: ldp_rate_terminal(hes_y, x, "y", n_steps=64), 0.06),
+        "tail_ss_x": (lambda x: tail_rate_terminal(ss, x, 1.0, n_steps=64), 1.0),
+        "tail_heston_x": (lambda x: tail_rate_terminal(hes, x, 1.0, n_steps=64), 0.5),
+    }
+    return cases[name]
+
+
+_EXACT_CASES = [
+    "zeta_const_x",
+    "zeta_const_y",
+    "frozen_y_psi",
+    "heston_x",
+    "heston_y",
+    "tail_ss_x",
+    "tail_heston_x",
+]
+
+
+class TestExactConstraint:
+    """The reduced problem meets the terminal target exactly, at every start."""
+
+    @pytest.mark.parametrize("name", _EXACT_CASES)
+    def test_constraint_holds_to_rounding(self, name):
+        solve, x = _exact_constraint_case(name)
+        res = solve(x)
+        ran = [s for s in res.diagnostics["starts"] if s["skipped"] is None]
+        assert ran and all(s["converged"] for s in ran)
+        assert res.constraint_violation <= 1e-12
+        assert all(s["violation"] <= 1e-12 for s in ran)
+
+    @pytest.mark.parametrize("name", _EXACT_CASES)
+    def test_lam_is_the_slope_of_the_rate(self, name):
+        # lam = dI/dx by the envelope theorem; central difference with step
+        # 1e-5, which the tightest curvature here (Heston y near y0) needs
+        solve, x = _exact_constraint_case(name)
+        step = 1e-5
+        slope = (solve(x + step).value - solve(x - step).value) / (2.0 * step)
+        for s in solve(x).diagnostics["starts"]:
+            if s["skipped"] is None:
+                assert s["lam"] == pytest.approx(slope, rel=1e-6)
+
+    def test_zero_forcing_starts_are_skipped_as_degenerate(self):
+        solve, x = _exact_constraint_case("tail_heston_x")
+        starts = solve(x).diagnostics["starts"]
+        zero = next(s for s in starts if s["level"] == 0.0)
+        assert zero["skipped"] and zero["energy"] is None and zero["iterations"] == 0
+        assert sum(s["skipped"] is None for s in starts) >= 2
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_frozen_solves_equal_the_mdp_closed_forms(self, n):
+        hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.4, y0=0.04, hurst=H)
+        x_val = ldp_rate_terminal(hes, 0.1, component="x", n_steps=n, frozen=True).value
+        y_val = ldp_rate_terminal(hes, 2.0, component="y_psi", n_steps=n, frozen=True).value
+        assert x_val == pytest.approx(mdp_rate_terminal_x(hes, 0.1), rel=1e-12)
+        assert y_val == pytest.approx(mdp_rate_terminal_y(2.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: ldp_rate_terminal(BERGOMI, math.nan, component="x", n_steps=16),
+            lambda: ldp_rate_terminal(BERGOMI, math.inf, component="x", n_steps=16),
+            lambda: ldp_rate_terminal(BERGOMI, -math.inf, component="y", n_steps=16),
+            lambda: ldp_rate_terminal(BERGOMI, math.nan, component="y", n_steps=16),
+            lambda: tail_rate_terminal(SS, math.nan, 1.0, n_steps=16),
+        ],
+        ids=["x_nan", "x_inf", "y_minus_inf", "y_nan", "tail_nan"],
+    )
+    def test_non_finite_target_rejected(self, solve):
+        with pytest.raises(DomainError):
+            solve()
 
 
 class TestGaussianTerminalControl:
