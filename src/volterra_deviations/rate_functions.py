@@ -8,19 +8,20 @@ through the limit solvers can be checked.
 
 ``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control
 energy subject to a terminal constraint.  Each problem is an objective class
-that supplies only its energy, its terminal target, their gradients and the
-diagonal of the energy Hessian at its start point (``curvature``); one
-driver, ``_run_reduced``, meets the constraint exactly and runs the
-deterministic multi-starts.  A price target is affine in the orthogonal
-control u, which enters the energy only as (1/2) sum w u^2, so u is
-eliminated in closed form and the rate is the unconstrained minimum over the
-volatility control of E(v) + (x - g(v))^2 / (2 D(v)) (the Forde-Zhang form);
-a volatility target is affine in the volatility block with a constant
-gradient and is met by projecting onto that hyperplane.  L-BFGS runs on the
-volatility block in the scaled variables q = p sqrt(curvature), in which
-every coordinate of the energy has unit curvature at the start: the raw
-curvatures differ by orders of magnitude (w ~ h for a v node, w / (xi^2 y0)
-for a rough Heston z node, ||K||^2 for the kernel-section coefficient).
+on the volatility block alone: the orthogonal price control u enters the
+price drive as drive0 + s u and the energy only as (1/2) sum w u^2, so it is
+eliminated in closed form, and an objective supplies its energy E, its
+target g at u = 0, D = sum w s^2, their gradients and the diagonal of the
+Hessian of E at its start point (``curvature``).  One driver,
+``_run_reduced``, meets the constraint exactly and runs the deterministic
+multi-starts: a price target's rate is the unconstrained minimum of
+E + (x - g)^2 / (2 D) (the Forde-Zhang form), and a volatility target is
+affine in the volatility block with a constant gradient and is met by
+projecting onto that hyperplane.  L-BFGS runs in the scaled variables
+q = p sqrt(curvature), in which every coordinate of the energy has unit
+curvature at the start: the raw curvatures differ by orders of magnitude
+(w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node, ||K||^2 for
+the kernel-section coefficient).
 Two structural devices keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
@@ -161,6 +162,23 @@ def _pack_result(grid, value, v, u, path_cols, **kw) -> RateResult:
     ctrl = Control(GridFunction(grid, np.stack([v, u], axis=1)))
     path = GridFunction(grid, path_cols)
     return RateResult(value=value, optimal_control=ctrl, optimal_path=path, **kw)
+
+
+def _section_integral(kernel, grid: TimeGrid, t_end: float, f: np.ndarray) -> np.ndarray:
+    """int_0^t K(t_end - s) f(s) ds at every node t, for piecewise-linear f.
+
+    Exact product integration from the kernel's moments, constant past
+    t_end; its value at t_end is ``terminal_weights(kernel, grid, t_end) @ f``.
+    """
+    i_end = grid.node_index(t_end)
+    m = np.arange(i_end, -1, -1, dtype=float)  # (t_end - t_j) / h
+    C0, C1 = kernel.moment0(m * grid.dt), kernel.moment1(m * grid.dt)
+    M0 = C0[:-1] - C0[1:]  # int of K(t_end - s) over the cell [t_j, t_j+1]
+    B = m[:-1] * M0 - (C1[:-1] - C1[1:]) / grid.dt  # weight of f(t_j+1)
+    out = np.zeros(len(grid))
+    out[1 : i_end + 1] = np.cumsum((M0 - B) * f[:i_end] + B * f[1 : i_end + 1])
+    out[i_end + 1 :] = out[i_end]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +481,8 @@ def multifactor_mdp_rate(
 
 
 def _split_vu(ctrl: Control):
-    vals = ctrl.values.values
+    """Nodal (v, u) columns of a control, non-finite entries zeroed."""
+    vals = _finite(ctrl.values.values)
     if vals.ndim == 1:
         return vals, np.zeros_like(vals)
     return vals[:, 0], vals[:, 1]
@@ -481,7 +500,8 @@ def regenerate_smalltime_pair(
     """Drive the small-time limit system with recovered controls.
 
     Solves vphi = y0 + I^(H+1/2)(zeta(vphi) v) and integrates
-    phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v); returns (phi, vphi).
+    phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v), v with its kernel sections;
+    returns (phi, vphi).
     """
     from .volterra_det import DiffusionTerm, LimitProblem, solve_ldp_limit
 
@@ -489,8 +509,6 @@ def regenerate_smalltime_pair(
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
-    v = _finite(v)
-    u = _finite(u)
     kernel = power_law(model.hurst)
     sigma_sq, zeta, zeta_const = _coeffs(model)
     if isinstance(model, RoughHeston):
@@ -517,11 +535,12 @@ def regenerate_smalltime_pair(
         sqrt_component=sqrt_comp,
     )
     vphi = solve_ldp_limit(p).path
-    sig = np.maximum(sigma_sq(vphi.values), 0.0)
+    S = np.sqrt(np.maximum(sigma_sq(vphi.values), 0.0))
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    drive = np.sqrt(sig) * (rho_bar * u + rho * v)
-    phi = GridFunction(grid, grid.cumulative_trapezoid(drive))
-    return phi, vphi
+    phi = grid.cumulative_trapezoid(S * (rho_bar * u + rho * v))
+    for sec in p.control.sections:
+        phi = phi + rho * sec.coeff * _section_integral(sec.kernel, grid, sec.t_end, S)
+    return GridFunction(grid, phi), vphi
 
 
 def regenerate_tail_pair(
@@ -545,8 +564,6 @@ def regenerate_tail_pair(
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
-    v = _finite(v)
-    u = _finite(u)
     kernel = power_law(model.hurst)
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
     if isinstance(model, RoughSteinStein):
@@ -612,8 +629,6 @@ def regenerate_mdp_pair(model: Model, ctrl: Control | RateResult):
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
-    v = _finite(v)
-    u = _finite(u)
     sigma_sq, zeta, _ = _coeffs(model)
     zeta0 = float(zeta(np.asarray(model.y0)))
     sig0 = math.sqrt(float(sigma_sq(np.asarray(model.y0))))
@@ -734,88 +749,98 @@ def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProble
 class _Objective:
     """Energy and terminal target of one discretized terminal problem.
 
-    ``evaluate(p)`` returns (energy, target, grad energy, grad target),
-    ``result(p)`` returns (energy, target, control, path) and ``curvature``
-    is the positive diagonal of the energy Hessian at ``start``.  The
-    parameters are p = [u, volatility block]; ``_reduced`` eliminates u and
-    the constraint from them.
+    p is the volatility block (plus a kernel-section coefficient c); the
+    price drive is drive0 + s u, u costing (1/2) sum w u^2.  ``evaluate(p)``
+    returns (E, g, D, grad E, grad g, grad D): the energy, the target at
+    u = 0 and D = sum w s^2 (0 for a volatility target, which ignores u).
+    ``pieces(p)`` returns (E, v, vphi, drive0, s, ksec), the section atom
+    adding c K(T - .) ksec to the drive (ksec None without one);
+    ``curvature`` is the positive diagonal of the Hessian of E at ``start``.
     """
 
     def __init__(self, tp: _TerminalProblem):
         self.tp = tp
         self.n = len(tp.grid)
-        self.n_params = 2 * self.n
-        self.start = np.zeros(self.n_params)
+        self.start = np.zeros(self.n)
+
+    def result(self, p, lam):
+        """(energy, target, control, path) at p with the price control u = lam s.
+
+        A volatility target ignores u, so there u = 0.
+        """
+        tp = self.tp
+        en, v, vphi, drive0, s, ksec = self.pieces(p)
+        u = lam * s if tp.component == "x" else np.zeros_like(s)
+        phi = tp.grid.cumulative_trapezoid(drive0 + s * u)
+        secs = ()
+        if ksec is not None:
+            secs = (KernelSection(tp.kernel, tp.grid.horizon, p[-1], 0),)
+            phi = phi + p[-1] * _section_integral(tp.kernel, tp.grid, tp.grid.horizon, ksec)
+        tgt = {"x": phi[-1], "y": vphi[-1]}.get(tp.component, float(np.sum(tp.w * v)))
+        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)), sections=secs)
+        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
+        return en + 0.5 * float(np.sum(tp.w * u**2)), tgt, ctrl, path
 
 
 class _ZetaConstObjective(_Objective):
-    """Models with constant zeta (linear vphi response)."""
+    """Models with constant zeta (linear vphi response).
+
+    With a kernel section its coefficient c is the last parameter and moves
+    vphi along the column rcol.
+    """
 
     def __init__(self, tp: _TerminalProblem):
         super().__init__(tp)
+        self.curvature = tp.w
         if tp.use_section:
-            self.n_params += 1
-            self.start = np.zeros(self.n_params)
-        self.curvature = np.concatenate([tp.w, tp.w, [tp.r_tt] if tp.use_section else []])
+            self.curvature = np.append(tp.w, tp.r_tt)
+            self.start = np.zeros(self.n + 1)
         m = tp.model
         self.sig_fn = m.sigma_sq
         if tp.frozen:
             s0 = float(m.sigma_sq(np.asarray(m.y0)))
             self.sig_fn = lambda y, s0=s0: np.full_like(np.asarray(y, dtype=float), s0)
 
+    def _response(self, p):
+        """(v, vphi, S = sqrt(Sigma(vphi)), E, grad E)."""
+        tp = self.tp
+        v, c = p[: self.n], (p[-1] if tp.use_section else 0.0)
+        vphi = tp.y0 + tp.zeta0 * (tp.conv @ v + c * tp.rcol)
+        S = np.sqrt(np.maximum(self.sig_fn(vphi), 0.0))
+        g_en = tp.w * v
+        if tp.use_section:
+            g_en = np.append(g_en + c * tp.gsec, float(np.dot(tp.gsec, v)) + c * tp.r_tt)
+        # E is quadratic in p, so E = p.grad E / 2
+        return v, vphi, S, 0.5 * float(np.dot(p, g_en)), g_en
+
     def pieces(self, p):
         tp = self.tp
-        n = self.n
-        u = p[:n]
-        v = p[n : 2 * n]
-        c = p[2 * n] if tp.use_section else 0.0
-        vphi = tp.zeta0 * (tp.conv @ v)
-        if tp.use_section:
-            vphi = vphi + tp.zeta0 * c * tp.rcol
-        vphi = tp.y0 + vphi
-        sig = np.maximum(self.sig_fn(vphi), 0.0)
-        S = np.sqrt(sig)
-        en = 0.5 * (
-            float(np.sum(tp.w * (u**2 + v**2)))
-            + (2.0 * c * float(np.dot(tp.gsec, v)) + c**2 * tp.r_tt if tp.use_section else 0.0)
-        )
-        if tp.component == "x":
-            tgt = float(np.sum(tp.w * S * (tp.rho_bar * u + tp.rho * v)))
-            if tp.use_section:
-                tgt += tp.rho * c * float(np.dot(tp.gsec, S))
-        elif tp.component == "y":
-            tgt = vphi[-1]
-        else:  # y_psi: unit-response integral of v
-            tgt = float(np.sum(tp.w * v))
-        return u, v, c, vphi, S, en, tgt
+        v, vphi, S, en, _ = self._response(p)
+        ksec = tp.rho * S if tp.use_section else None
+        return en, v, vphi, tp.rho * S * v, tp.rho_bar * S, ksec
 
     def evaluate(self, p):
         tp = self.tp
-        u, v, c, vphi, S, en, tgt = self.pieces(p)
-        gu = tp.w * u
-        gv = tp.w * v + (c * tp.gsec if tp.use_section else 0.0)
-        if tp.component == "x":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                Sp = np.where(S > 1e-150, self._sig_prime(vphi) / (2.0 * S), 0.0)
-            du = tp.w * S * tp.rho_bar
-            a = tp.w * Sp * (tp.rho_bar * u + tp.rho * v)
-            if tp.use_section:
-                a = a + tp.rho * c * tp.gsec * Sp
-            dv = tp.w * S * tp.rho + tp.zeta0 * (tp.conv.T @ a)
-        elif tp.component == "y":
-            du = np.zeros_like(u)
-            dv = tp.zeta0 * tp.conv[-1, :]
-        else:
-            du = np.zeros_like(u)
-            dv = tp.w
-        if not tp.use_section:
-            return en, tgt, np.concatenate([gu, gv]), np.concatenate([du, dv])
-        gc = float(np.dot(tp.gsec, v)) + c * tp.r_tt
-        if tp.component == "x":
-            dc = tp.rho * float(np.dot(tp.gsec, S)) + tp.zeta0 * float(np.dot(tp.rcol, a))
-        else:
-            dc = tp.zeta0 * tp.r_tt
-        return en, tgt, np.concatenate([gu, gv, [gc]]), np.concatenate([du, dv, [dc]])
+        v, vphi, S, en, g_en = self._response(p)
+        if tp.component == "y":
+            g_tgt = np.append(tp.conv[-1], tp.rcol[-1:] if tp.use_section else [])
+            return en, vphi[-1], 0.0, g_en, tp.zeta0 * g_tgt, np.zeros_like(p)
+        if tp.component == "y_psi":  # unit-response integral of v
+            return en, float(np.sum(tp.w * v)), 0.0, g_en, tp.w, np.zeros_like(p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            Sp = np.where(S > 1e-150, self._sig_prime(vphi) / (2.0 * S), 0.0)
+        # the price target at u = 0 is rho S.(w v + c gsec), whose weight is
+        # the v-block of grad E; adjoints of g and D stacked for one product
+        wv = g_en[: self.n]
+        back = np.stack([tp.rho * Sp * wv, 2.0 * tp.rho_bar**2 * tp.w * S * Sp], 1)
+        g_tgt, g_D = tp.zeta0 * (tp.conv.T @ back).T
+        g_tgt += tp.rho * tp.w * S
+        if tp.use_section:
+            c_tgt, c_D = tp.zeta0 * (tp.rcol @ back)
+            g_tgt = np.append(g_tgt, c_tgt + tp.rho * float(np.dot(tp.gsec, S)))
+            g_D = np.append(g_D, c_D)
+        D = tp.rho_bar**2 * float(np.sum(tp.w * S**2))
+        return en, tp.rho * float(np.dot(S, wv)), D, g_en, g_tgt, g_D
 
     def _sig_prime(self, y):
         m = self.tp.model
@@ -826,16 +851,6 @@ class _ZetaConstObjective(_Objective):
         if isinstance(m, RoughBergomi):
             return np.exp(np.asarray(y, dtype=float))
         raise NotApplicable("no catalogued derivative")
-
-    def result(self, p):
-        tp = self.tp
-        u, v, c, vphi, S, en, tgt = self.pieces(p)
-        secs = (
-            (KernelSection(tp.kernel, tp.grid.horizon, c, 0),) if tp.use_section else ()
-        )
-        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)), sections=secs)
-        phi = tp.grid.cumulative_trapezoid(S * (tp.rho_bar * u + tp.rho * v))
-        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
 
 
 class _HestonObjective(_Objective):
@@ -859,10 +874,10 @@ class _HestonObjective(_Objective):
             # vphi = 0 at the zero control, where the z-energy is singular;
             # start from the forcing |x| instead, zero at t = 0 where
             # z = xi sqrt(vphi) v vanishes
-            self.start[self.n + 1 :] = abs(tp.target) or 1.0
+            self.start[1:] = abs(tp.target) or 1.0
         else:
             self.y0, self.drift, self.A = tp.y0, 0.0, tp.conv
-        self.curvature = np.concatenate([tp.w, self._z_curvature(self.start[self.n :])])
+        self.curvature = self._z_curvature(self.start)
 
     def _z_curvature(self, z):
         """Diagonal of the Hessian of sum w z^2 / (2 xi^2 vpos), vphi = y0 + A z."""
@@ -873,43 +888,29 @@ class _HestonObjective(_Objective):
         cross = 2.0 * c * z * live / vpos * np.diag(self.A)
         return c - cross + (self.A**2).T @ (c * z**2 * live / vpos**2)
 
-    def pieces(self, p):
+    def pieces(self, z):
         tp = self.tp
-        u, z = p[: self.n], p[self.n :]
         vphi = self.y0 + self.A @ z
         vpos = np.maximum(vphi, _VOL_FLOOR)
         S = np.sqrt(vpos)
-        en = 0.5 * float(np.sum(tp.w * u**2)) + 0.5 * float(
-            np.sum(tp.w * z**2 / (self.xi**2 * vpos))
-        )
-        drive = -self.drift * vpos + S * tp.rho_bar * u + tp.rho * z / self.xi
-        tgt = float(np.sum(tp.w * drive)) if tp.component == "x" else vphi[-1]
-        return u, z, vphi, vpos, S, drive, en, tgt
+        en = 0.5 * float(np.sum(tp.w * z**2 / (self.xi**2 * vpos)))
+        drive0 = -self.drift * vpos + tp.rho * z / self.xi
+        return en, z / (self.xi * S), vphi, drive0, tp.rho_bar * S, None
 
-    def evaluate(self, p):
+    def evaluate(self, z):
         tp = self.tp
-        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
+        en, _, vphi, drive0, s, _ = self.pieces(z)
+        vpos = np.maximum(vphi, _VOL_FLOOR)
         live = vphi > _VOL_FLOOR
-        gu = tp.w * u
-        gz = tp.w * z / (self.xi**2 * vpos) + self.A.T @ (
-            -0.5 * tp.w * z**2 / (self.xi**2 * vpos**2) * live
-        )
+        wz = tp.w * z / (self.xi**2 * vpos)
+        back = [-0.5 * wz * z / vpos * live]
         if tp.component == "x":
-            du = tp.w * S * tp.rho_bar
-            back = tp.w * (-self.drift * live + np.where(live, 0.5 / S, 0.0) * tp.rho_bar * u)
-            dz = tp.w * tp.rho / self.xi + self.A.T @ back
-        else:
-            du = np.zeros_like(u)
-            dz = self.A[-1, :]
-        return en, tgt, np.concatenate([gu, gz]), np.concatenate([du, dz])
-
-    def result(self, p):
-        tp = self.tp
-        u, z, vphi, vpos, S, drive, en, tgt = self.pieces(p)
-        v = z / (self.xi * S)
-        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        phi = tp.grid.cumulative_trapezoid(drive)
-        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
+            back += [-self.drift * tp.w * live, tp.rho_bar**2 * tp.w * live]
+        back = self.A.T @ np.stack(back, 1)
+        if tp.component != "x":
+            return en, vphi[-1], 0.0, wz + back[:, 0], self.A[-1], np.zeros_like(z)
+        g, D = float(np.sum(tp.w * drive0)), float(np.sum(tp.w * s**2))
+        return en, g, D, wz + back[:, 0], tp.w * tp.rho / self.xi + back[:, 1], back[:, 2]
 
 
 class _TailHestonObjective(_HestonObjective):
@@ -934,30 +935,20 @@ class _TailSteinSteinObjective(_Objective):
         m = tp.model
         C1 = conv_weights(constant(1.0), tp.grid).dense_matrix()
         self.A = np.linalg.solve(np.eye(self.n) + m.kappa * C1, m.xi * tp.conv)
-        self.curvature = np.concatenate([tp.w, tp.w])
+        self.curvature = tp.w
 
-    def pieces(self, p):
+    def pieces(self, v):
         tp = self.tp
-        u, v = p[: self.n], p[self.n :]
         vphi = self.A @ v
-        en = 0.5 * float(np.sum(tp.w * (u**2 + v**2)))
-        drive = -0.5 * vphi**2 + vphi * (tp.rho_bar * u + tp.rho * v)
-        return u, v, vphi, drive, en, float(np.sum(tp.w * drive))
+        drive0 = vphi * (tp.rho * v - 0.5 * vphi)
+        return 0.5 * float(np.sum(tp.w * v**2)), v, vphi, drive0, tp.rho_bar * vphi, None
 
-    def evaluate(self, p):
+    def evaluate(self, v):
         tp = self.tp
-        u, v, vphi, drive, en, tgt = self.pieces(p)
-        du = tp.w * tp.rho_bar * vphi
-        a = tp.w * (-vphi + tp.rho_bar * u + tp.rho * v)
-        dv = tp.w * tp.rho * vphi + self.A.T @ a
-        return en, tgt, np.concatenate([tp.w * u, tp.w * v]), np.concatenate([du, dv])
-
-    def result(self, p):
-        tp = self.tp
-        u, v, vphi, drive, en, tgt = self.pieces(p)
-        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)))
-        phi = tp.grid.cumulative_trapezoid(drive)
-        return en, tgt, ctrl, GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
+        en, _, vphi, drive0, s, _ = self.pieces(v)
+        back = self.A.T @ np.stack([tp.w * (tp.rho * v - vphi), 2.0 * tp.w * s * tp.rho_bar], 1)
+        g, D = float(np.sum(tp.w * drive0)), float(np.sum(tp.w * s**2))
+        return en, g, D, tp.w * v, tp.w * tp.rho * vphi + back[:, 0], back[:, 1]
 
 
 _START_LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -987,7 +978,7 @@ def ldp_rate_terminal(
     runs on the scaled volatility block from deterministic multi-starts at
     constant controls scaled by the target offset, each recorded in
     ``diagnostics["starts"]`` (level, energy, violation, iterations,
-    lam = dI/dx, converged, grad_norm, skipped).  DomainError for a
+    evaluations, D, lam = dI/dx, converged, grad_norm, skipped).  DomainError for a
     non-finite ``x``; SolverFailure when every start is degenerate or
     non-finite, or none converged.
     """
@@ -1029,50 +1020,44 @@ def tail_rate_terminal(
 def _target_plane(obj: _Objective, root: np.ndarray):
     """(beta, r) for a volatility target, None for a price target.
 
-    A volatility target ignores u and is affine in the volatility block:
-    target(q) = target(0) + beta.q in the scaled variables q, and the
-    constraint is beta.q = r.
+    A volatility target is affine in the volatility block: target(q) =
+    target(0) + beta.q in the scaled variables q, and the constraint is
+    beta.q = r.
     """
     if obj.tp.component == "x":
         return None
-    _, t0, _, g_tgt = obj.evaluate(np.zeros(obj.n_params))
-    return g_tgt[obj.n :] / root, obj.tp.target - t0
+    _, t0, _, _, g_tgt, _ = obj.evaluate(np.zeros(len(root)))
+    return g_tgt / root, obj.tp.target - t0
 
 
 def _reduced(q, obj: _Objective, root: np.ndarray, plane):
     """Energy on the target set as a function of the scaled volatility block q.
 
-    Returns (energy, gradient in q, parameters p, lam, D); p meets the
-    target exactly and lam = dI/dx is the constraint's shadow price.  Price
-    target: tgt = a.u + g with a = d tgt/du free of u, and u costs
-    (1/2) sum w u^2, so u = lam a / w with D = sum a^2 / w, lam = (x - g) / D
-    and the energy is E(v) + (x - g)^2 / (2 D); by the envelope theorem its
-    gradient is grad_v energy - lam grad_v tgt at (u, v).  Volatility target:
-    u = 0 and q is projected onto beta.q = r, with D = beta.beta.
+    Returns (energy, gradient in q, parameters p, lam, D); lam = dI/dx is the
+    constraint's shadow price.  Price target: the drive is drive0 + s u and u
+    costs (1/2) sum w u^2, so the target is met by u = lam s with
+    lam = (x - g) / D, and the energy is E + lam^2 D / 2 =
+    E + (x - g)^2 / (2 D), with gradient grad E - lam grad g - lam^2 grad D / 2;
+    one ``evaluate`` per call.  Volatility target: u = 0 and q is projected
+    onto beta.q = r, with D = beta.beta.
     """
-    n = obj.n
-    p = np.zeros(obj.n_params)
     if plane is None:
-        w = obj.tp.w
-        p[n:] = q / root
-        _, g, _, g_tgt = obj.evaluate(p)
-        a = g_tgt[:n]
-        D = float(np.sum(a * a / w))
+        p = q / root
+        en, g, D, g_en, g_tgt, g_D = obj.evaluate(p)
         lam = (obj.tp.target - g) / D if D > 0.0 else 0.0
-        p[:n] = lam * a / w
-        en, _, g_en, g_tgt = obj.evaluate(p)
-        return en, (g_en[n:] - lam * g_tgt[n:]) / root, p, lam, D
+        grad = g_en - lam * g_tgt - 0.5 * lam**2 * g_D
+        return en + 0.5 * lam**2 * D, grad / root, p, lam, D
     beta, r = plane
     D = float(beta @ beta)
-    p[n:] = (q - beta * ((beta @ q - r) / D)) / root
-    en, _, g_en, _ = obj.evaluate(p)
-    g_q = g_en[n:] / root
+    p = (q - beta * ((beta @ q - r) / D)) / root
+    en, _, _, g_en, _, _ = obj.evaluate(p)
+    g_q = g_en / root
     lam = float(beta @ g_q) / D
     return en, g_q - lam * beta, p, lam, D
 
 
 def _run_reduced(obj: _Objective, offset: float) -> RateResult:
-    root = np.sqrt(obj.curvature[obj.n :])
+    root = np.sqrt(obj.curvature)
     plane = _target_plane(obj, root)
     starts, best = [], None
     for level in _START_LEVELS:
@@ -1080,11 +1065,12 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
         if len(root) > obj.n:  # section coefficient starts at zero
             q[-1] = 0.0
         entry = {"level": level, "energy": None, "violation": None, "iterations": 0,
-                 "lam": None, "converged": False, "grad_norm": None, "skipped": None}
+                 "evaluations": 0, "D": None, "lam": None, "converged": False,
+                 "grad_norm": None, "skipped": None}
         starts.append(entry)
         D = _reduced(q, obj, root, plane)[4]
         if not D >= _MIN_D:
-            entry["skipped"] = f"D = {D:.3e} below {_MIN_D:.0e}"
+            entry.update(D=float(D), skipped=f"D = {D:.3e} below {_MIN_D:.0e}")
             continue
         res = _minimize(
             lambda s: _reduced(s, obj, root, plane)[:2],
@@ -1093,12 +1079,14 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
             method="L-BFGS-B",
             options={"maxiter": 3000, "ftol": 1e-13, "gtol": 1e-8},
         )
-        _, grad, p, lam, _ = _reduced(res.x, obj, root, plane)
-        en, tgt, ctrl, path = obj.result(p)
+        _, grad, p, lam, D = _reduced(res.x, obj, root, plane)
+        en, tgt, ctrl, path = obj.result(p, lam)
         entry.update(
             energy=float(en),
             violation=float(abs(tgt - obj.tp.target)),
             iterations=int(res.nit),
+            evaluations=int(res.nfev),
+            D=float(D),
             lam=float(lam),
             converged=bool(res.success),
             grad_norm=float(np.max(np.abs(grad))),

@@ -242,6 +242,8 @@ class TestRateCommand:
         assert rep["iterations"] == sum(s["iterations"] for s in rep["starts"]) > 0
         assert rep["value"] == min(s["energy"] for s in rep["starts"])
         assert all(s["violation"] <= 1e-4 for s in rep["starts"])
+        assert all(s["evaluations"] >= s["iterations"] for s in rep["starts"])
+        assert all(s["D"] > 0.0 for s in rep["starts"])
 
 
     @pytest.mark.parametrize("terminal", ["x=nan", "x=inf", "y=-inf", "x=abc"])

@@ -12,7 +12,14 @@ from volterra_deviations.errors import (
     SingularL,
 )
 from volterra_deviations.frac_calculus import control_energy
-from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
+from volterra_deviations.kernels import (
+    GridFunction,
+    TimeGrid,
+    constant,
+    l2_norm_sq,
+    power_law,
+    terminal_weights,
+)
 from volterra_deviations.rate_functions import (
     gaussian_terminal_control,
     heston_rate,
@@ -405,12 +412,12 @@ class TestObjectiveGradients:
         from volterra_deviations.rate_functions import _reduced, _target_plane
 
         obj = _curvature_test_objective(name)
-        root = np.sqrt(obj.curvature[obj.n :])
+        root = np.sqrt(obj.curvature)
         plane = _target_plane(obj, root)
         rng = np.random.default_rng(0)
         # positive volatility controls keep the Heston variance off its floor;
         # the tail Heston variance vanishes at t = 0, so its forcing must too
-        q = np.abs(rng.normal(size=obj.n_params)[obj.n :]) * 0.3 * root
+        q = np.abs(rng.normal(size=len(root))) * 0.3 * root
         q[0] = 0.0
         g = _reduced(q, obj, root, plane)[1]
         fd = np.empty_like(g)
@@ -599,6 +606,81 @@ class TestExactConstraint:
     def test_non_finite_target_rejected(self, solve):
         with pytest.raises(DomainError):
             solve()
+
+
+class TestOneEvaluatePerStep:
+    """A price-target step costs one objective evaluation."""
+
+    @pytest.mark.parametrize(
+        "name, cls_name",
+        [
+            ("zeta_const_x", "_ZetaConstObjective"),
+            ("heston_x", "_HestonObjective"),
+            ("tail_heston_x", "_HestonObjective"),
+            ("tail_ss_x", "_TailSteinSteinObjective"),
+        ],
+    )
+    def test_reduced_calls_evaluate_once(self, monkeypatch, name, cls_name):
+        import volterra_deviations.rate_functions as rf
+
+        calls = {"evaluate": 0, "reduced": 0}
+
+        def counted(key, f):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        cls = getattr(rf, cls_name)
+        monkeypatch.setattr(cls, "evaluate", counted("evaluate", cls.evaluate))
+        monkeypatch.setattr(rf, "_reduced", counted("reduced", rf._reduced))
+        solve, x = _exact_constraint_case(name)
+        starts = solve(x).diagnostics["starts"]
+        assert calls["reduced"] > 0
+        assert calls["evaluate"] == calls["reduced"]
+        # every start is screened once; a run start adds its L-BFGS
+        # evaluations and one final call
+        ran = [s for s in starts if s["skipped"] is None]
+        assert calls["reduced"] == len(starts) + len(ran) + sum(s["evaluations"] for s in ran)
+
+
+class TestSectionPriceTerm:
+    """The kernel section's price term rho c int K(T - s) sqrt(Sigma(vphi)) ds."""
+
+    MODEL = RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_price_path_meets_the_target(self, n):
+        res = ldp_rate_terminal(self.MODEL, 0.1, component="x", n_steps=n)
+        assert res.optimal_control.sections
+        assert abs(res.optimal_path.values[-1, 0] - 0.1) <= 1e-12
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_regenerated_price_path_equals_the_solvers(self, n):
+        res = ldp_rate_terminal(self.MODEL, 0.1, component="x", n_steps=n)
+        phi, _ = regenerate_smalltime_pair(self.MODEL, res)
+        np.testing.assert_allclose(
+            phi.values, res.optimal_path.values[:, 0], rtol=0.0, atol=1e-10
+        )
+        assert abs(phi.values[-1] - 0.1) <= 1e-12
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.5])
+    def test_section_integral_oracles(self, t_end):
+        from volterra_deviations.rate_functions import _section_integral
+
+        grid = TimeGrid(1.0, 64)
+        k = power_law(H)
+        f = np.random.default_rng(3).normal(size=len(grid))
+        F = _section_integral(k, grid, t_end, f)
+        assert F[-1] == pytest.approx(terminal_weights(k, grid, t_end) @ f, rel=1e-13)
+        # f = 1: int_0^t K(t_end - s) ds = M0(t_end) - M0(t_end - t), constant past t_end
+        ones = _section_integral(k, grid, t_end, np.ones(len(grid)))
+        want = k.moment0(t_end) - k.moment0(t_end - np.minimum(grid.nodes, t_end))
+        np.testing.assert_allclose(ones, want, rtol=1e-13, atol=1e-15)
+        # a constant kernel integrates piecewise-linear f like the trapezoid rule
+        flat = _section_integral(constant(2.0), grid, 1.0, f)
+        np.testing.assert_allclose(flat, 2.0 * grid.cumulative_trapezoid(f), atol=1e-14)
 
 
 class TestGaussianTerminalControl:
