@@ -507,14 +507,16 @@ def _cmd_smile(args) -> int:
     blk = cfg["smile"]
     t = blk["maturity"]
     strikes = blk["strikes"]
+    # the solver regimes keep their own grid defaults unless n_steps is given
+    steps = {"n_steps": blk["n_steps"]} if "n_steps" in blk else {}
     points = []
     if args.regime == "ldp":
-        points = [smile_ldp(model, k, t) for k in strikes]
+        points = [smile_ldp(model, k, t, **steps) for k in strikes]
     elif args.regime == "mdp":
         beta = blk.get("beta", 0.5 * model.min_hurst)
         points = [smile_mdp(model, k, t, beta) for k in strikes]
     elif args.regime == "tail":
-        points = [smile_tail(model, t, k) for k in strikes]
+        points = [smile_tail(model, t, k, **steps) for k in strikes]
     else:
         points = mc_smile(
             model,
@@ -525,6 +527,7 @@ def _cmd_smile(args) -> int:
             n_steps=blk.get("n_steps", 192),
             threads=args.threads,
         )
+    columns = ["t", "k", "sigma_hat", "stderr"]
     rows = [
         [
             p.maturity,
@@ -534,11 +537,15 @@ def _cmd_smile(args) -> int:
         ]
         for p in points
     ]
+    if args.regime in ("ldp", "tail"):  # where the rate infimum sits on the ray
+        columns.append("k_attained")
+        for row, p in zip(rows, points):
+            row.append(p.attained)
     header = (
         _header_comment(cfg, blk.get("seed", 0), args.deterministic)
         + f" regime={args.regime} source={points[0].source if points else 'n/a'}"
     )
-    _write_csv(args.out, header, ["t", "k", "sigma_hat", "stderr"], rows)
+    _write_csv(args.out, header, columns, rows)
     return 0
 
 

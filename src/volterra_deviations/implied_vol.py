@@ -36,10 +36,6 @@ __all__ = [
     "mc_smile",
 ]
 
-_INF_GRID_POINTS = 17
-_INF_GRID_SPAN = 8.0
-
-
 @dataclass
 class SmilePoint:
     maturity: float
@@ -48,6 +44,7 @@ class SmilePoint:
     source: str
     stderr: float | None = None
     flag: str | None = None
+    attained: float | None = None  # where the rate infimum sits (ldp: x*, tail: y*)
 
 
 def bs_call(t: float, k: float, sigma: float) -> float:
@@ -113,37 +110,24 @@ def implied_vol(price: float, t: float, k: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _inf_rate_over_ray(model: Model, k: float, n_steps: int) -> float:
-    """Running minimum of the terminal LDP rate on a geometric grid [k, 8k].
-
-    Convexity in the control makes the rate nondecreasing beyond the mean for
-    rho = 0; for rho != 0 the grid argmin is reported as is.
-    """
-    sign = 1.0 if k > 0 else -1.0
-    levels = sign * np.geomspace(abs(k), _INF_GRID_SPAN * abs(k), _INF_GRID_POINTS)
-    best = np.inf
-    for x in levels:
-        try:
-            res = ldp_rate_terminal(model, float(x), component="x", n_steps=n_steps)
-        except SolverFailure as exc:
-            raise RateUnavailable(str(exc)) from exc
-        best = min(best, res.value)
-    return best
-
-
 def smile_ldp(model: Model, k: float, t: float, n_steps: int = 256) -> SmilePoint:
     """Small-time LDP implied volatility at rescaled log-moneyness k != 0.
 
     sigma_hat^2 = k^2 / (2 inf_(x >= k) I^X_1(x)) for k > 0 (mirrored for
-    k < 0); the physical strike is k t^(1/2 - H).
+    k < 0); the physical strike is k t^(1/2 - H).  The infimum over the
+    whole ray is one terminal solve (``ray=True``); ``attained`` is the
+    rescaled x* where it sits.
     """
     if k == 0.0:
         raise RateUnavailable("LDP smile formula needs k != 0")
-    rate = _inf_rate_over_ray(model, k, n_steps)
-    if rate <= 0.0:
+    try:
+        res = ldp_rate_terminal(model, k, component="x", n_steps=n_steps, ray=True)
+    except SolverFailure as exc:
+        raise RateUnavailable(str(exc)) from exc
+    if res.value <= 0.0:
         raise RateUnavailable("terminal rate vanished; limit formula degenerate")
-    sig = math.sqrt(k * k / (2.0 * rate))
-    return SmilePoint(maturity=t, log_moneyness=k, sigma_hat=sig, source="asymptotic_ldp")
+    sig = math.sqrt(k * k / (2.0 * res.value))
+    return SmilePoint(t, k, sig, "asymptotic_ldp", attained=res.optimal_path.values[-1, 0])
 
 
 def smile_mdp(model: Model, k: float, t: float, beta: float) -> SmilePoint:
@@ -164,19 +148,19 @@ def smile_mdp(model: Model, k: float, t: float, beta: float) -> SmilePoint:
 
 
 def smile_tail(model: Model, t: float, k: float, n_steps: int = 192) -> SmilePoint:
-    """Large-strike implied volatility: sigma_hat^2 ~ k / (2 t inf_(y>=1) I^X_t(y))."""
-    levels = np.geomspace(1.0, _INF_GRID_SPAN, _INF_GRID_POINTS)
-    best = np.inf
-    for y in levels:
-        try:
-            res = tail_rate_terminal(model, float(y), t_end=t, n_steps=n_steps)
-        except SolverFailure as exc:
-            raise RateUnavailable(str(exc)) from exc
-        best = min(best, res.value)
-    if not math.isfinite(best) or best <= 0.0:
+    """Large-strike implied volatility: sigma_hat^2 ~ k / (2 t inf_(y>=1) I^X_t(y)).
+
+    The infimum over the whole ray y >= 1 is one tail solve (``ray=True``);
+    ``attained`` is the y* where it sits.
+    """
+    try:
+        res = tail_rate_terminal(model, 1.0, t_end=t, n_steps=n_steps, ray=True)
+    except SolverFailure as exc:
+        raise RateUnavailable(str(exc)) from exc
+    if not math.isfinite(res.value) or res.value <= 0.0:
         raise RateUnavailable("tail rate infimum unavailable")
-    sig = math.sqrt(k / (2.0 * t * best))
-    return SmilePoint(maturity=t, log_moneyness=k, sigma_hat=sig, source="asymptotic_tail")
+    sig = math.sqrt(k / (2.0 * t * res.value))
+    return SmilePoint(t, k, sig, "asymptotic_tail", attained=res.optimal_path.values[-1, 0])
 
 
 def mc_smile(

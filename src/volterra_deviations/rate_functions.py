@@ -15,7 +15,8 @@ target g at u = 0, D = sum w s^2, their gradients and the diagonal of the
 Hessian of E at its start point (``curvature``).  One driver,
 ``_run_reduced``, meets the constraint exactly and runs the deterministic
 multi-starts: a price target's rate is the unconstrained minimum of
-E + (x - g)^2 / (2 D) (the Forde-Zhang form), and a volatility target is
+E + (x - g)^2 / (2 D) (the Forde-Zhang form), the infimum over the ray
+x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D), and a volatility target is
 affine in the volatility block with a constant gradient and is met by
 projecting onto that hyperplane.  L-BFGS runs in the scaled variables
 q = p sqrt(curvature), in which every coordinate of the energy has unit
@@ -708,11 +709,14 @@ class _TerminalProblem:
     rho_bar: float
     zeta0: float | None
     y0: float
+    ray: bool  # the target is the ray beyond x, not x itself
 
 
-def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProblem:
+def _terminal_problem(model, target, component, grid, frozen, ray=False) -> _TerminalProblem:
     if not math.isfinite(target):
         raise DomainError(f"terminal target must be finite, got {target!r}")
+    if ray and target == 0.0:
+        raise DomainError("a ray target needs x != 0 to fix its direction")
     H = model.hurst
     kernel = power_law(H)
     cw = conv_weights(kernel, grid)
@@ -743,6 +747,7 @@ def _terminal_problem(model, target, component, grid, frozen) -> _TerminalProble
         rho_bar=math.sqrt(1.0 - model.rho**2),
         zeta0=zeta0,
         y0=model.y0,
+        ray=ray,
     )
 
 
@@ -965,6 +970,7 @@ def ldp_rate_terminal(
     n_steps: int = 512,
     horizon: float = 1.0,
     frozen: bool = False,
+    ray: bool = False,
 ) -> RateResult:
     """Minimal control energy with the terminal value pinned at ``x``.
 
@@ -972,21 +978,27 @@ def ldp_rate_terminal(
     volatility terminal value, 'y_psi' the integrated normalized control
     (the frozen-coefficient reduction used by the MDP marginals).  ``frozen``
     freezes the coefficient fields at y0, turning the problem into the MDP
-    quadratic form.
+    quadratic form.  ``ray`` (component 'x' only) relaxes the pin to the ray
+    beyond ``x`` -- x' >= x for x > 0, x' <= x for x < 0 -- and returns
+    inf_(x' on the ray) I(x') from one solve (the hinge of ``_reduced``);
+    the attained x' is the terminal price value of ``optimal_path``.
 
     The target is met exactly (``_reduced``); L-BFGS (ftol 1e-13, gtol 1e-8)
     runs on the scaled volatility block from deterministic multi-starts at
     constant controls scaled by the target offset, each recorded in
-    ``diagnostics["starts"]`` (level, energy, violation, iterations,
-    evaluations, D, lam = dI/dx, converged, grad_norm, skipped).  DomainError for a
-    non-finite ``x``; SolverFailure when every start is degenerate or
-    non-finite, or none converged.
+    ``diagnostics["starts"]`` (level, energy, attained terminal value,
+    violation, iterations, evaluations, D, lam = dI/dx, converged, grad_norm,
+    skipped); a ray solve's violation is the one-sided distance to the ray.
+    DomainError for a non-finite ``x`` (or x = 0 with ``ray``); SolverFailure
+    when every start is degenerate or non-finite, or none converged.
     """
     if component not in ("x", "y", "y_psi"):
         raise ValueError("component must be 'x', 'y' or 'y_psi'")
+    if ray and component != "x":
+        raise ValueError("a ray target is defined for component 'x' only")
     grid = TimeGrid(horizon, n_steps)
     offset = x - (model.y0 if component == "y" else 0.0)
-    tp = _terminal_problem(model, x, component, grid, frozen)
+    tp = _terminal_problem(model, x, component, grid, frozen, ray)
     if isinstance(model, RoughHeston) and not frozen:
         obj = _HestonObjective(tp)
     else:
@@ -999,15 +1011,16 @@ def tail_rate_terminal(
     x: float,
     t_end: float = 1.0,
     n_steps: int = 256,
+    ray: bool = False,
 ) -> RateResult:
     """Minimal energy with the tail-rescaled log price pinned at ``x`` at t_end.
 
     Same scheme as ``ldp_rate_terminal`` on the tail-rescaled systems
-    (Stein-Stein and rough Heston); the zero forcing leaves them no
-    volatility, so that start is skipped as degenerate.
+    (Stein-Stein and rough Heston), ``ray`` included; the zero forcing
+    leaves them no volatility, so that start is skipped as degenerate.
     """
     grid = TimeGrid(t_end, n_steps)
-    tp = _terminal_problem(model, x, "x", grid, frozen=False)
+    tp = _terminal_problem(model, x, "x", grid, frozen=False, ray=ray)
     if isinstance(model, RoughSteinStein):
         obj = _TailSteinSteinObjective(tp)
     elif isinstance(model, RoughHeston):
@@ -1038,13 +1051,18 @@ def _reduced(q, obj: _Objective, root: np.ndarray, plane):
     costs (1/2) sum w u^2, so the target is met by u = lam s with
     lam = (x - g) / D, and the energy is E + lam^2 D / 2 =
     E + (x - g)^2 / (2 D), with gradient grad E - lam grad g - lam^2 grad D / 2;
-    one ``evaluate`` per call.  Volatility target: u = 0 and q is projected
-    onto beta.q = r, with D = beta.beta.
+    one ``evaluate`` per call.  A ray target (x' >= x for x > 0, mirrored for
+    x < 0) is the hinge lam = max(x - g, 0) / D (min for x < 0): the cheapest
+    x' on the ray for this volatility block, reached at g + lam D.  lam is
+    continuous in q, so the same energy and gradient stay C^1.  Volatility
+    target: u = 0 and q is projected onto beta.q = r, with D = beta.beta.
     """
     if plane is None:
         p = q / root
         en, g, D, g_en, g_tgt, g_D = obj.evaluate(p)
         lam = (obj.tp.target - g) / D if D > 0.0 else 0.0
+        if obj.tp.ray and lam * obj.tp.target < 0.0:
+            lam = 0.0
         grad = g_en - lam * g_tgt - 0.5 * lam**2 * g_D
         return en + 0.5 * lam**2 * D, grad / root, p, lam, D
     beta, r = plane
@@ -1064,9 +1082,9 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
         q = np.full(len(root), level * (offset or 1.0)) * root
         if len(root) > obj.n:  # section coefficient starts at zero
             q[-1] = 0.0
-        entry = {"level": level, "energy": None, "violation": None, "iterations": 0,
-                 "evaluations": 0, "D": None, "lam": None, "converged": False,
-                 "grad_norm": None, "skipped": None}
+        entry = {"level": level, "energy": None, "attained": None, "violation": None,
+                 "iterations": 0, "evaluations": 0, "D": None, "lam": None,
+                 "converged": False, "grad_norm": None, "skipped": None}
         starts.append(entry)
         D = _reduced(q, obj, root, plane)[4]
         if not D >= _MIN_D:
@@ -1081,9 +1099,13 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
         )
         _, grad, p, lam, D = _reduced(res.x, obj, root, plane)
         en, tgt, ctrl, path = obj.result(p, lam)
+        miss = tgt - obj.tp.target
+        if obj.tp.ray:  # only falling short of the ray counts
+            miss = max(-miss if obj.tp.target > 0.0 else miss, 0.0)
         entry.update(
             energy=float(en),
-            violation=float(abs(tgt - obj.tp.target)),
+            attained=float(tgt),
+            violation=float(abs(miss)),
             iterations=int(res.nit),
             evaluations=int(res.nfev),
             D=float(D),

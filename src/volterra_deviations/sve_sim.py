@@ -23,10 +23,16 @@ inverse CDF: a path's row equals ndtri(Generator(Philox(key=[seed, path]))
 .random(count)) bit for bit, realised by one generator per chunk whose state
 is reset to the path's key and counter 0 before each row.  Per-path BLAS
 products run in fixed 64-path blocks aligned to the path index, and the
-rough Heston history sum runs time-major, (steps, paths), in fixed 1024-path
-blocks aligned the same way, so ensembles are bit-identical for a given seed
-regardless of chunking or worker threads.  That history sum agrees with the
-path-major double sum of its formula to 1e-12 of the path's sup norm.
+rough Heston history sum runs time-major, (steps, paths), in blocks aligned
+the same way whose width is fixed per run, so ensembles are bit-identical for
+a given seed regardless of chunking or worker threads.  The width is 1024
+paths, or the path count rounded up to a multiple of 64 when that is less,
+so a small run does not pay for a full block.  A rough Heston path is
+therefore guaranteed bit-identical to the same path of a larger run only when
+both runs have more than 960 paths (one width); otherwise the two agree to the
+history sum's accuracy (with OpenBLAS they came out equal in every case
+tried), which matches the path-major double sum of its formula to 1e-12 of
+the path's sup norm.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -611,11 +617,13 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
         plans = _plan_control(control, factors, grid, _shift_multiplier(model, regime))
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
     chunks = [np.arange(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    # the run's size, never the chunk's, sets the history width
+    history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
     paths = np.empty((n_paths, len(grid), 1 + len(factors)))
     logw = np.zeros(n_paths) if control is not None else None
 
     def run_chunk(idx: np.ndarray):
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans)
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history)
         paths[idx[0] : idx[-1] + 1] = p
         if logw is not None:
             logw[idx[0] : idx[-1] + 1] = lw
@@ -631,8 +639,11 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, factors, plans):
-    """Paths (chunk, n+1, 1+m) and log weights (None when uncontrolled)."""
+def _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history):
+    """Paths (chunk, n+1, 1+m) and log weights (None when uncontrolled).
+
+    ``history`` is the rough Heston history block width (``_heston_volatility``).
+    """
     n = grid.n_steps
     sqrt_h = math.sqrt(grid.dt)
     widths = [n if f is None else 2 * n for f in factors]
@@ -657,20 +668,20 @@ def _simulate_chunk(model, regime, grid, idx, seed, factors, plans):
         plan = plans[-1]
         lw = lw - plan.s_mult * _aligned_matmul(dWp, plan.pair_pl, idx[0]) - 0.5 * plan.quad
         dWp = dWp + plan.dw_shift
-    Y = _volatility(model, regime, grid, dWs, Zs, idx[0])
+    Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
     X = _log_price(model, regime, grid, Y, dWs, dWp)
     out = np.concatenate([X[:, :, None], Y], axis=2)
     return _to_mdp_frame(out, model, regime), lw
 
 
-def _volatility(model, regime, grid, dWs, Zs, first):
+def _volatility(model, regime, grid, dWs, Zs, first, history):
     """Volatility components (paths, n+1, m) from the shifted draws.
 
     Rough Bergomi is the one-factor case of the multifactor log volatility
     Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j.
     """
     if isinstance(model, RoughHeston):
-        return _heston_volatility(model, regime, grid, dWs[0], first)[:, :, None]
+        return _heston_volatility(model, regime, grid, dWs[0], first, history)[:, :, None]
     if isinstance(model, RoughSteinStein):
         return _stein_stein_volatility(model, regime, grid, Zs[0])[:, :, None]
     if isinstance(model, MultiRoughBergomi):
@@ -711,7 +722,7 @@ def _stein_stein_volatility(model, regime, grid, Z):
     return Y
 
 
-def _heston_volatility(model, regime, grid, dW, first):
+def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     """Volterra-Euler with exact kernel moments and full truncation.
 
     Y_i = y_start + sum_(j<i) mom_(i-j) [drift_amp (theta_lvl - Y_j^+)
@@ -723,9 +734,10 @@ def _heston_volatility(model, regime, grid, dW, first):
     value; the state itself may go transiently negative.
 
     The history runs time-major, (steps, paths), in zero-padded blocks of
-    _HISTORY_PATHS paths aligned to the path index.  The width is fixed
+    ``width`` paths aligned to the path index.  The width is fixed for a run
     because BLAS rounds an odd-width block differently, so a block that
-    followed the chunk would make a path depend on the chunk carrying it.
+    followed the chunk would make a path depend on the chunk carrying it;
+    ``_simulate_impl`` sets it from the run's path count.
     """
     n = grid.n_steps
     h = grid.dt
@@ -746,7 +758,7 @@ def _heston_volatility(model, regime, grid, dW, first):
         theta_lvl = model.theta
         drift_amp = eps ** (model.hurst + 0.5) * model.kappa
         noise_amp = eps**model.hurst * model.xi
-    B = _HISTORY_PATHS
+    B = width
     Y = np.empty((dW.shape[0], n + 1))
     for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
         dw = np.zeros((n, B))

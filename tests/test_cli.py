@@ -319,6 +319,42 @@ class TestSmileCommand:
         assert seen == [3]
 
 
+    @pytest.mark.parametrize("regime, fn", [("ldp", "smile_ldp"), ("tail", "smile_tail")])
+    @pytest.mark.parametrize("n_steps", [None, 24])
+    def test_solver_smiles_take_n_steps(self, tmp_path, monkeypatch, regime, fn, n_steps):
+        implied_vol = importlib.import_module("volterra_deviations.implied_vol")
+        seen = []
+
+        def recording(*args, **kw):
+            seen.append(kw)
+            return implied_vol.SmilePoint(0.1, 0.2, 0.3, "stub", attained=0.25)
+
+        monkeypatch.setattr(implied_vol, fn, recording)
+        blk = {"maturity": 0.1, "strikes": [0.2]}
+        if n_steps is not None:
+            blk["n_steps"] = n_steps
+        cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC, "smile": blk})
+        out = str(tmp_path / "s.csv")
+        assert run(["smile", "--model", cfg, "--regime", regime, "--out", out]) == 0
+        # absent, the function keeps its own default grid
+        assert seen == [{} if n_steps is None else {"n_steps": n_steps}]
+        lines = open(out).read().splitlines()
+        assert lines[1] == "t,k,sigma_hat,stderr,k_attained"
+        assert float(lines[2].split(",")[4]) == 0.25
+
+    def test_ldp_smile_csv_reports_the_attained_strike(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "m.json",
+            {"model": BERGOMI_REC, "smile": {"maturity": 0.01, "strikes": [-0.1], "n_steps": 32}},
+        )
+        assert run(["smile", "--model", cfg, "--regime", "ldp", "--deterministic"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        t, k, sig, se, att = map(float, out[2].split(","))
+        assert sig > 0.0 and math.isnan(se)
+        assert att == pytest.approx(k, abs=1e-12)
+
+
 class TestLimitCommand:
     def test_small_time_family_csv(self, tmp_path, capsys):
         cfg = write(

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,6 +17,8 @@ from volterra_deviations.implied_vol import (
 from volterra_deviations.sve_sim import RoughBergomi, RoughHeston, RoughSteinStein
 
 H = 0.1
+# the package re-exports the function implied_vol under the module's name
+implied_vol_module = importlib.import_module("volterra_deviations.implied_vol")
 
 
 class TestBsCall:
@@ -80,6 +83,38 @@ class TestSmileLdp:
         dn = smile_ldp(mod, -0.2, 0.01, n_steps=128)
         assert up.sigma_hat == pytest.approx(dn.sigma_hat, rel=5e-3)
 
+    @pytest.mark.parametrize(
+        "model, k, want",
+        [
+            (RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H), 0.1, 0.1851613220643483),
+            (
+                RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H),
+                -0.1,
+                0.23500722591977433,
+            ),
+        ],
+        ids=["bergomi", "heston"],
+    )
+    def test_benchmark_points_equal_the_grid_minimum(self, model, k, want):
+        # want: sigma_hat from the minimum of 17 pinned solves on [k, 8k];
+        # the infimum sits at the strike
+        pt = smile_ldp(model, k, 0.01, n_steps=128)
+        assert pt.sigma_hat == pytest.approx(want, rel=1e-12)
+        assert pt.attained == pytest.approx(k, abs=1e-12)
+
+    def test_one_terminal_solve_per_point(self, monkeypatch):
+        calls = []
+        solve = implied_vol_module.ldp_rate_terminal
+
+        def counted(*args, **kw):
+            calls.append(kw)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(implied_vol_module, "ldp_rate_terminal", counted)
+        mod = RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H)
+        smile_ldp(mod, -0.1, 0.01, n_steps=32)
+        assert calls == [{"component": "x", "n_steps": 32, "ray": True}]
+
     def test_bs_small_time_prefactor(self):
         # Gaussian tail computation: t^(2H) log P(X_t >= k t^(1/2-H)) -> -k^2/(2 sigma^2)
         sigma, k, t = 0.1, 2.0, 1e-4
@@ -94,6 +129,7 @@ class TestSmileMdp:
         mod = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
         pt = smile_mdp(mod, 0.1, 0.01, beta=H / 2)
         assert pt.sigma_hat == pytest.approx(0.2, abs=1e-14)
+        assert pt.attained is None
 
     def test_strike_independent(self):
         mod = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
@@ -124,6 +160,20 @@ class TestSmileTail:
         assert pt.sigma_hat > 0.0
         assert pt.source == "asymptotic_tail"
 
+    def test_one_tail_solve_per_point(self, monkeypatch):
+        calls = []
+        solve = implied_vol_module.tail_rate_terminal
+
+        def counted(*args, **kw):
+            calls.append((args[1:], kw))
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(implied_vol_module, "tail_rate_terminal", counted)
+        ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
+        pt = smile_tail(ss, 0.5, 5.0, n_steps=32)
+        assert calls == [((1.0,), {"t_end": 0.5, "n_steps": 32, "ray": True})]
+        assert pt.attained >= 1.0 - 1e-12
+
     def test_stein_stein_regression_pin(self):
         # value pinned by the variational solver before the main build
         ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
@@ -147,6 +197,7 @@ class TestMcSmile:
         mod = RoughSteinStein(kappa=1.0, theta=0.2, xi=0.0, rho=0.0, y0=0.2, hurst=H)
         pts = mc_smile(mod, 0.25, [-0.05, 0.0, 0.05], 40_000, seed=11, n_steps=64)
         for pt in pts:
+            assert pt.attained is None
             assert pt.sigma_hat == pytest.approx(0.2, abs=4.0 * max(pt.stderr, 1e-4))
 
     def test_martingale_identity(self):

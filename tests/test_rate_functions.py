@@ -690,3 +690,139 @@ class TestGaussianTerminalControl:
         value, coeff = gaussian_terminal_control(k, 2.0, 1.5, 1.0)
         assert value == pytest.approx(1.5**2 / (2 * 4.0 * R))
         assert coeff == pytest.approx(1.5 / (2.0 * R))
+
+
+def _ray_case(name):
+    """(pinned solve, ray solve) at n=64 for the ray sweeps of ``TestRayHinge``."""
+    kind, rho = name.split(":")
+    models = {
+        "bergomi": lambda r: RoughBergomi(a=0.5, rho=r, y0=math.log(0.04), hurst=H),
+        "heston": lambda r: RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=r, y0=0.04, hurst=H),
+        "tail_ss": lambda r: RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=r, y0=0.3, hurst=H),
+    }
+    model = models[kind.replace("tail_heston", "heston")](float(rho))
+    if kind.startswith("tail"):
+        return (
+            lambda x: tail_rate_terminal(model, x, 1.0, n_steps=64),
+            lambda x: tail_rate_terminal(model, x, 1.0, n_steps=64, ray=True),
+        )
+    return (
+        lambda x: ldp_rate_terminal(model, x, n_steps=64),
+        lambda x: ldp_rate_terminal(model, x, n_steps=64, ray=True),
+    )
+
+
+_RAY_SMALL_TIME = ["bergomi:-0.5", "bergomi:0.3", "heston:-0.7", "heston:0.5"]
+_RAY_TAIL = ["tail_ss:-0.3", "tail_heston:-0.7", "tail_heston:0.3"]
+
+
+class TestRayHinge:
+    """ray=True: inf over x' >= x (x' <= x for x < 0) of the rate, from one solve."""
+
+    @pytest.mark.parametrize("k", [0.1, -0.1, 0.2, -0.2])
+    @pytest.mark.parametrize("name", _RAY_SMALL_TIME)
+    def test_no_worse_than_the_grid_minimum_on_the_ray(self, name, k):
+        pinned, ray = _ray_case(name)
+        grid_min = min(pinned(float(x)).value for x in k * np.geomspace(1.0, 8.0, 17))
+        assert ray(k).value <= grid_min * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("name", _RAY_TAIL)
+    def test_tail_no_worse_than_the_grid_minimum_beyond_one(self, name):
+        pinned, ray = _ray_case(name)
+        grid_min = min(pinned(float(y)).value for y in np.geomspace(1.0, 8.0, 17))
+        assert ray(1.0).value <= grid_min * (1.0 + 1e-10)
+
+    @pytest.mark.parametrize("k", [0.1, -0.2])
+    @pytest.mark.parametrize("name", _RAY_SMALL_TIME + _RAY_TAIL)
+    def test_every_start_lands_on_the_ray(self, name, k):
+        _, ray = _ray_case(name)
+        x = k if name in _RAY_SMALL_TIME else abs(10.0 * k)
+        res = ray(x)
+        sign = math.copysign(1.0, x)
+        ran = [s for s in res.diagnostics["starts"] if s["skipped"] is None]
+        assert any(s["converged"] for s in ran)
+        for s in ran:
+            assert sign * (s["attained"] - x) >= -1e-12
+            assert s["violation"] == max(sign * (x - s["attained"]), 0.0)
+            assert s["lam"] * sign >= 0.0
+        assert res.constraint_violation <= 1e-12
+        best = min(ran, key=lambda s: s["energy"])
+        assert res.optimal_path.values[-1, 0] == best["attained"]
+
+    @pytest.mark.parametrize(
+        "name, x", [("zeta_const_x_section", 0.01), ("heston_x", 0.2), ("tail_ss_x", -0.1)]
+    )
+    def test_reduced_hinge_equals_the_pinned_energy_or_e(self, name, x):
+        # for fixed q the ray energy is the pinned one while g falls short of
+        # x, and E alone (lam = 0) once g is past it; gradients match there too
+        from volterra_deviations.rate_functions import _reduced
+
+        pin = _curvature_test_objective(name)
+        ray = _curvature_test_objective(name)
+        pin.tp.target = x
+        ray.tp.target, ray.tp.ray = x, True
+        root = np.sqrt(pin.curvature)
+        shape = np.linspace(0.5, 1.5, len(root)) * root
+        shape[0] = 0.0
+        branches = set()
+        for scale in np.linspace(-12.0, 12.0, 49):
+            q = scale * shape
+            en_r, g_r, _, lam_r, _ = _reduced(q, ray, root, None)
+            en_p, g_p, p, lam_p, _ = _reduced(q, pin, root, None)
+            E, g = pin.evaluate(p)[:2]
+            if (x - g) * x > 0.0:
+                branches.add("short")
+                assert (en_r, lam_r) == (en_p, lam_p)
+                np.testing.assert_array_equal(g_r, g_p)
+            else:
+                branches.add("past")
+                assert en_r == E and lam_r == 0.0
+        assert branches == {"short", "past"}
+
+    @pytest.mark.parametrize("name", ["zeta_const_x_section", "heston_x", "tail_ss_x"])
+    def test_hinge_gradient_matches_fd(self, name):
+        from volterra_deviations.rate_functions import _reduced
+
+        obj = _curvature_test_objective(name)
+        obj.tp.ray = True
+        root = np.sqrt(obj.curvature)
+        rng = np.random.default_rng(1)
+        q = np.abs(rng.normal(size=len(root))) * 0.3 * root
+        q[0] = 0.0
+        g = _reduced(q, obj, root, None)[1]
+        eps_fd = 1e-6
+
+        def en(step):
+            return _reduced(q + step, obj, root, None)[0]
+
+        fd = np.array([(en(eps_fd * e) - en(-eps_fd * e)) / (2 * eps_fd) for e in np.eye(len(q))])
+        assert np.max(np.abs(g - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
+
+    @pytest.mark.parametrize("component", ["y", "y_psi"])
+    def test_ray_needs_the_price_component(self, component):
+        with pytest.raises(ValueError, match="ray"):
+            ldp_rate_terminal(BERGOMI, 0.1, component=component, n_steps=16, ray=True)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda: ldp_rate_terminal(BERGOMI, math.nan, n_steps=16, ray=True),
+            lambda: ldp_rate_terminal(BERGOMI, -math.inf, n_steps=16, ray=True),
+            lambda: ldp_rate_terminal(BERGOMI, 0.0, n_steps=16, ray=True),
+            lambda: tail_rate_terminal(SS, math.inf, 1.0, n_steps=16, ray=True),
+            lambda: tail_rate_terminal(SS, 0.0, 1.0, n_steps=16, ray=True),
+        ],
+        ids=["x_nan", "x_minus_inf", "x_zero", "tail_inf", "tail_zero"],
+    )
+    def test_non_finite_or_zero_ray_target_rejected(self, solve):
+        with pytest.raises(DomainError):
+            solve()
+
+    def test_frozen_ray_is_the_mdp_closed_form_at_the_strike(self):
+        # the frozen rate x^2 / (2 Sigma0) grows along the ray, so its
+        # infimum is the closed form at x itself
+        hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.4, y0=0.04, hurst=H)
+        for x in (0.1, -0.2):
+            res = ldp_rate_terminal(hes, x, n_steps=64, frozen=True, ray=True)
+            assert res.value == pytest.approx(mdp_rate_terminal_x(hes, x), rel=1e-12)
+            assert res.optimal_path.values[-1, 0] == pytest.approx(x, abs=1e-12)

@@ -506,6 +506,29 @@ class TestHestonHistory:
         ref = _heston_oracle(model, regime, grid, dW)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_small_run_matches_the_path_major_double_sum(self):
+        # a 10-path run fills one 64-path history block, not a 1024-path one
+        model = INVARIANCE_MODELS["heston"]
+        grid, regime = TimeGrid(1.0, 24), small_time_ldp(0.3)
+        ens = simulate(model, regime, grid, 10, seed=5, threads=1)
+        dW = _fresh_stream_normals(5, range(10), 48)[:, :24] * math.sqrt(grid.dt)
+        ref = _heston_oracle(model, regime, grid, dW)
+        assert np.abs(ens.component(1) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n_paths, width", [(10, 64), (130, 192), (961, 1024), (2100, 1024)])
+    def test_history_width_follows_the_run_not_the_chunk(self, monkeypatch, n_paths, width):
+        seen = set()
+        history = sve_sim._heston_volatility
+
+        def recording(model, regime, grid, dW, first, width):
+            seen.add(width)
+            return history(model, regime, grid, dW, first, width)
+
+        monkeypatch.setattr(sve_sim, "_heston_volatility", recording)
+        monkeypatch.setattr(sve_sim, "_CHUNK", 100)
+        simulate(INVARIANCE_MODELS["heston"], small_time_ldp(0.3), SMALL_GRID, n_paths, seed=1)
+        assert seen == {width}
+
     # 1021 leaves chunks of odd width, which BLAS rounds differently from a
     # multiple of 4: a history block that followed the chunk would show here
     @pytest.mark.parametrize("chunk", [700, 1021, 1024, 1500])
