@@ -60,10 +60,12 @@ class EventSpec:
         if self.direction not in ("ge", "le"):
             raise ValueError("direction must be 'ge' or 'le'")
 
+    def node(self, grid: TimeGrid) -> int:
+        """Grid index of the evaluation time."""
+        return grid.n_steps if self.t_eval is None else grid.node_index(self.t_eval)
+
     def indicator(self, ensemble) -> np.ndarray:
-        grid = ensemble.grid
-        idx = grid.n_steps if self.t_eval is None else grid.node_index(self.t_eval)
-        vals = ensemble.component(self.component)[:, idx]
+        vals = ensemble.component_at(self.component, self.node(ensemble.grid))
         return vals >= self.level if self.direction == "ge" else vals <= self.level
 
 
@@ -123,18 +125,18 @@ def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None =
     """(p_hat, stderr) at one level; importance-sampled when a control is set."""
     seed = exp.seed if seed is None else seed
     regime = exp.regime(eps)
+    nodes = [exp.event.node(exp.grid)]
     if exp.is_control is None:
-        ens = simulate(exp.model, regime, exp.grid, exp.n_paths, seed)
-        est = exp.event.indicator(ens).astype(float)
+        ens = simulate(exp.model, regime, exp.grid, exp.n_paths, seed, nodes=nodes)
     else:
         ens = simulate_controlled(
-            exp.model, regime, exp.is_control, exp.grid, exp.n_paths, seed
+            exp.model, regime, exp.is_control, exp.grid, exp.n_paths, seed, nodes=nodes
         )
-        est = exp.event.indicator(ens) * ens.weights()
+    hit = exp.event.indicator(ens)
+    est = hit.astype(float) if exp.is_control is None else hit * ens.weights()
     p = float(est.mean())
     se = float(est.std(ddof=1) / math.sqrt(exp.n_paths))
-    hits = int(np.count_nonzero(exp.event.indicator(ens)))
-    return p, se, hits
+    return p, se, int(np.count_nonzero(hit))
 
 
 def ldp_slope(exp: DeviationExperiment) -> SlopeReport:

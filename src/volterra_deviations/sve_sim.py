@@ -33,6 +33,17 @@ both runs have more than 960 paths (one width); otherwise the two agree to the
 history sum's accuracy (with OpenBLAS they came out equal in every case
 tried), which matches the path-major double sum of its formula to 1e-12 of
 the path's sup norm.
+
+Paths run in chunks of as many rows as keep a chunk's normals block (rows x
+normals per path x 8 B) within the byte budget _CHUNK_BYTES; the other chunk
+temporaries scale with that block, so the working set is about threads x a
+few budgets.  The row count is rounded down to a multiple of the 1024-path
+history width (one width at least), so a rough Heston chunk never computes a
+partly empty history block.  ``nodes=`` keeps only the listed grid columns
+(sorted, unique indices; all by default): each chunk builds its whole paths
+and selects the columns before the MDP rescaling, so a kept value is bit
+for bit the one a full-path run returns, and a terminal-only run holds
+O(paths) memory instead of the (paths, n+1, d) tensor.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -42,13 +53,14 @@ from __future__ import annotations
 import functools
 import math
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, FactorizationFailure, InvalidModel
+from .errors import ConfigError, FactorizationFailure, InvalidModel, KernelDomainError
 from .frac_calculus import Control
 from .kernels import KernelSpec, TimeGrid, power_law
 
@@ -64,7 +76,7 @@ __all__ = [
     "default_threads",
 ]
 
-_CHUNK = 1 << 14
+_CHUNK_BYTES = 16 << 20
 _BLAS_ROWS = 64
 _HISTORY_PATHS = 1024
 
@@ -306,7 +318,15 @@ Model = RoughSteinStein | RoughBergomi | RoughHeston | MultiRoughBergomi
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths (n_paths, n_nodes, d) with optional Girsanov weights."""
+    """Simulated paths (n_paths, len(nodes), d) with optional Girsanov weights.
+
+    ``nodes`` are the grid indices the ensemble holds, sorted and unique;
+    every node of ``grid`` by default.  A run asked for fewer nodes keeps its
+    full grid, path count and weights, and each value it holds equals bit for
+    bit the same entry of the full run.  ``component_at`` reads one held
+    node; ``component`` needs every node.  Both raise KernelDomainError
+    rather than return a column the ensemble does not hold.
+    """
 
     grid: TimeGrid
     paths: np.ndarray
@@ -314,9 +334,26 @@ class PathEnsemble:
     log_weights: np.ndarray | None = None
     model: Model | None = None
     regime: ScalingRegime | None = None
+    nodes: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.nodes is None:
+            self.nodes = np.arange(len(self.grid))
 
     def component(self, j: int) -> np.ndarray:
+        """Component j at every grid node, (n_paths, n+1)."""
+        if len(self.nodes) != len(self.grid):
+            raise KernelDomainError(
+                f"ensemble holds {len(self.nodes)} of {len(self.grid)} nodes; use component_at"
+            )
         return self.paths[:, :, j]
+
+    def component_at(self, j: int, node: int) -> np.ndarray:
+        """Component j at grid node ``node``, (n_paths,)."""
+        pos = int(np.searchsorted(self.nodes, node))
+        if pos == len(self.nodes) or self.nodes[pos] != node:
+            raise KernelDomainError(f"ensemble does not hold grid node {node!r}")
+        return self.paths[:, pos, j]
 
     @property
     def n_paths(self) -> int:
@@ -566,9 +603,14 @@ def simulate(
     n_paths: int,
     seed: int,
     threads: int | None = None,
+    nodes: Sequence[int] | None = None,
 ) -> PathEnsemble:
-    """Plain simulation of the rescaled system under the given regime."""
-    return _simulate_impl(model, regime, grid, n_paths, seed, None, threads)
+    """Plain simulation of the rescaled system under the given regime.
+
+    ``nodes`` (sorted, unique grid indices; every node by default) are the
+    columns the returned ensemble keeps.
+    """
+    return _simulate_impl(model, regime, grid, n_paths, seed, None, threads, nodes)
 
 
 def simulate_controlled(
@@ -579,18 +621,20 @@ def simulate_controlled(
     n_paths: int,
     seed: int,
     threads: int | None = None,
+    nodes: Sequence[int] | None = None,
 ) -> PathEnsemble:
     """Girsanov-shifted simulation with per-path log importance weights.
 
     The control channels follow the driving-noise layout (v on the volatility
     factor(s) first, u on the orthogonal price noise last); the regime
     determines the shift strength (theta_eps^-1 for LDP, h_eps for MDP).
+    ``nodes`` selects the kept columns as in ``simulate``.
     """
     if control is None:
         raise ValueError("use simulate() for uncontrolled runs")
     if control.grid != grid:
         raise InvalidModel(f"control lives on {control.grid}, simulation on {grid}")
-    return _simulate_impl(model, regime, grid, n_paths, seed, control, threads)
+    return _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes)
 
 
 def _shift_multiplier(model: Model, regime: ScalingRegime) -> float:
@@ -605,28 +649,63 @@ def _theta_eps(model: Model, regime: ScalingRegime) -> float:
     return regime.eps**model.min_hurst
 
 
-def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
+def _check_nodes(nodes, grid: TimeGrid) -> np.ndarray:
+    """Grid indices to keep: a non-empty, strictly increasing integer sequence."""
+    if nodes is None:
+        return np.arange(len(grid))
+    arr = np.asarray(nodes)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise InvalidModel(f"nodes must be a non-empty sequence of integers, got {nodes!r}")
+    arr = arr.astype(np.intp)  # unsigned differences would wrap around
+    if arr[0] < 0 or arr[-1] > grid.n_steps or np.any(np.diff(arr) <= 0):
+        raise InvalidModel(
+            f"nodes must be sorted, unique grid indices in [0, {grid.n_steps}], got {nodes!r}"
+        )
+    return arr
+
+
+def _channel_widths(factors: list, n: int) -> list:
+    """Normals per path of each volatility channel: 2n per Gaussian factor, n per Euler one."""
+    return [n if f is None else 2 * n for f in factors]
+
+
+def _chunk_rows(normals_per_path: int) -> int:
+    """Paths per chunk: as many as keep the chunk's normals within _CHUNK_BYTES.
+
+    Rounded down to a multiple of _HISTORY_PATHS, and never below one, so a
+    rough Heston chunk never computes a partly empty history block.
+    """
+    rows = _CHUNK_BYTES // (8 * normals_per_path)
+    return max(_HISTORY_PATHS, rows - rows % _HISTORY_PATHS)
+
+
+def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
     model.validate_regime(regime)
     if isinstance(model, (RoughBergomi, MultiRoughBergomi)) and regime.is_tail:
         raise InvalidModel("tail rescaling is not defined for rough Bergomi models")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
         raise InvalidModel(f"seed must be an integer in [0, 2^63), got {seed!r}")
+    nodes = _check_nodes(nodes, grid)
+    # a slice keeps the full-path run free of a per-chunk gather copy
+    cols = slice(None) if len(nodes) == len(grid) else nodes
     factors = _factors(model, grid)
     plans = None
     if control is not None:
         plans = _plan_control(control, factors, grid, _shift_multiplier(model, regime))
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
-    chunks = [np.arange(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+    rows = _chunk_rows(sum(_channel_widths(factors, grid.n_steps)) + grid.n_steps)
+    chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     # the run's size, never the chunk's, sets the history width
     history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
-    paths = np.empty((n_paths, len(grid), 1 + len(factors)))
+    paths = np.empty((n_paths, len(nodes), 1 + len(factors)))
     logw = np.zeros(n_paths) if control is not None else None
 
-    def run_chunk(idx: np.ndarray):
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history)
-        paths[idx[0] : idx[-1] + 1] = p
+    def run_chunk(chunk: range):
+        idx = np.arange(chunk.start, chunk.stop)
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history, cols)
+        paths[chunk.start : chunk.stop] = p
         if logw is not None:
-            logw[idx[0] : idx[-1] + 1] = lw
+            logw[chunk.start : chunk.stop] = lw
 
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -635,18 +714,21 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads):
         for c in chunks:
             run_chunk(c)
     return PathEnsemble(
-        grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime
+        grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
+        nodes=nodes,
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history):
-    """Paths (chunk, n+1, 1+m) and log weights (None when uncontrolled).
+def _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history, cols):
+    """Paths (chunk, kept nodes, 1+m) and log weights (None when uncontrolled).
 
-    ``history`` is the rough Heston history block width (``_heston_volatility``).
+    ``history`` is the rough Heston history block width (``_heston_volatility``);
+    ``cols`` selects the kept nodes once the whole path is built, so a kept
+    value goes through the same operations as in a full-path run.
     """
     n = grid.n_steps
     sqrt_h = math.sqrt(grid.dt)
-    widths = [n if f is None else 2 * n for f in factors]
+    widths = _channel_widths(factors, n)
     draws = _normal_block(seed, idx, sum(widths) + n)
     lw = None if plans is None else np.zeros(len(idx))
     dWs, Zs = [], []
@@ -670,7 +752,7 @@ def _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history):
         dWp = dWp + plan.dw_shift
     Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
     X = _log_price(model, regime, grid, Y, dWs, dWp)
-    out = np.concatenate([X[:, :, None], Y], axis=2)
+    out = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2)
     return _to_mdp_frame(out, model, regime), lw
 
 

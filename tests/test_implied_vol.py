@@ -211,6 +211,26 @@ class TestMcSmile:
         se = s.std(ddof=1) / math.sqrt(len(s))
         assert abs(s.mean() - 1.0) <= 3.0 * se
 
+    def test_keeps_only_the_terminal_node(self, monkeypatch):
+        from volterra_deviations.kernels import TimeGrid
+        from volterra_deviations.sve_sim import simulate, small_time_ldp
+
+        kept = []
+
+        def recording(*args, **kw):
+            ens = simulate(*args, **kw)
+            kept.append(ens.nodes.tolist())
+            return ens
+
+        monkeypatch.setattr(implied_vol_module, "simulate", recording)
+        mod = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
+        pts = mc_smile(mod, 0.04, [0.05], 2000, seed=3, n_steps=16)
+        assert kept == [[16]]
+        full = simulate(mod, small_time_ldp(0.04), TimeGrid(1.0, 16), 2000, seed=3)
+        s = np.exp(0.04 ** (0.5 - H) * full.component(0)[:, -1])
+        price = float(np.maximum(s - math.exp(0.05), 0.0).mean())
+        assert pts[0].sigma_hat == implied_vol(price, 0.04, 0.05)
+
     def test_positive_rho_bergomi_rejected(self):
         mod = RoughBergomi(a=0.5, rho=0.5, y0=math.log(0.04), hurst=H)
         with pytest.raises(InvalidModel):

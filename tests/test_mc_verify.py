@@ -78,6 +78,37 @@ class TestEstimateEventProb:
         with pytest.raises(KernelDomainError):
             simulate_controlled(GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 10, 0)
 
+    @pytest.mark.parametrize("controlled", [False, True])
+    def test_reads_the_event_node_once(self, monkeypatch, controlled):
+        ev = EventSpec(component=1, level=Y0 + 0.5, t_eval=0.5)
+        ctrl = build_is_control(GAUSSIAN, ev, GRID) if controlled else None
+        exp = experiment(event=ev, n_paths=1000, is_control=ctrl)
+        seen = []
+        indicator = EventSpec.indicator
+
+        def recording(self, ens):
+            seen.append(ens.nodes.tolist())
+            return indicator(self, ens)
+
+        monkeypatch.setattr(EventSpec, "indicator", recording)
+        p, se, hits = estimate_event_prob(exp, 0.5)
+        assert seen == [[GRID.node_index(0.5)]]
+        if controlled:
+            full = simulate_controlled(GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 1000, 4)
+        else:
+            full = simulate(GAUSSIAN, small_time_ldp(0.5), GRID, 1000, 4)
+        hit = indicator(ev, full)
+        est = hit * full.weights()
+        assert p == float(est.mean())
+        assert se == float(est.std(ddof=1) / math.sqrt(1000))
+        assert hits == np.count_nonzero(hit)
+
+    def test_event_node_not_held_raises(self):
+        ens = simulate(GAUSSIAN, small_time_ldp(0.5), GRID, 10, 0, nodes=[GRID.n_steps])
+        with pytest.raises(KernelDomainError):
+            EventSpec(component=1, level=Y0, t_eval=0.5).indicator(ens)
+        assert EventSpec(component=1, level=Y0).indicator(ens).shape == (10,)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             experiment(epsilons=(0.1, 0.2))

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from volterra_deviations import sve_sim
 from scipy.special import ndtri
-from volterra_deviations.errors import ConfigError, InvalidModel
+from volterra_deviations.errors import ConfigError, InvalidModel, KernelDomainError
 from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
 from volterra_deviations.sve_sim import (
@@ -396,13 +397,15 @@ def _invariance_control(name):
     return Control(GridFunction(SMALL_GRID, vals), sections=secs)
 
 
-def _run(name, controlled, threads):
+def _run(name, controlled, threads, nodes=None):
     model = INVARIANCE_MODELS[name]
     regime = small_time_ldp(0.3)
     if controlled:
         ctrl = _invariance_control(name)
-        return simulate_controlled(model, regime, ctrl, SMALL_GRID, 50, seed=21, threads=threads)
-    return simulate(model, regime, SMALL_GRID, 50, seed=21, threads=threads)
+        return simulate_controlled(
+            model, regime, ctrl, SMALL_GRID, 50, seed=21, threads=threads, nodes=nodes
+        )
+    return simulate(model, regime, SMALL_GRID, 50, seed=21, threads=threads, nodes=nodes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,26 +413,81 @@ def _one_chunk(name, controlled):
     return _run(name, controlled, threads=1)
 
 
+def _fixed_rows(chunk):
+    """A stand-in for sve_sim._chunk_rows that ignores the byte budget."""
+    return lambda normals_per_path: chunk
+
+
 class TestChunkInvariance:
     @pytest.mark.parametrize("controlled", [False, True])
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
     @settings(max_examples=8, deadline=None)
-    @given(chunk=st.integers(1, 50), threads=st.integers(1, 3))
+    @given(
+        chunk=st.integers(1, 50),
+        threads=st.integers(1, 3),
+        nodes=st.none() | st.sets(st.integers(0, SMALL_GRID.n_steps), min_size=1).map(sorted),
+    )
     def test_paths_and_weights_do_not_depend_on_blocks_or_threads(
-        self, name, controlled, chunk, threads
+        self, name, controlled, chunk, threads, nodes
     ):
         ref = _one_chunk(name, controlled)
-        saved = sve_sim._CHUNK
-        sve_sim._CHUNK = chunk
-        try:
-            ens = _run(name, controlled, threads)
-        finally:
-            sve_sim._CHUNK = saved
-        assert np.array_equal(ens.paths, ref.paths)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sve_sim, "_chunk_rows", _fixed_rows(chunk))
+            ens = _run(name, controlled, threads, nodes)
+        kept = slice(None) if nodes is None else nodes
+        assert np.array_equal(ens.nodes, np.arange(len(SMALL_GRID))[kept])
+        assert np.array_equal(ens.paths, ref.paths[:, kept])
         if controlled:
             assert np.array_equal(ens.log_weights, ref.log_weights)
         else:
             assert ens.log_weights is None
+
+    # Heston at n=128 (2n normals), Bergomi at n=64 (3n), and two runs whose
+    # budget fits less than one history width
+    @pytest.mark.parametrize(
+        "normals, rows", [(256, 8192), (192, 10240), (3072, 1024), (1 << 20, 1024)]
+    )
+    def test_chunk_rows_fill_the_budget_in_history_widths(self, normals, rows):
+        assert sve_sim._chunk_rows(normals) == rows
+
+
+class TestNodes:
+    @pytest.mark.parametrize(
+        "nodes",
+        [[], [3, 1], [2, 2], [-1], [9], [1.0], [0.5], [True], 4, [[1, 2]], ["1"],
+         np.array([3, 1], dtype=np.uint8)],
+    )
+    def test_bad_nodes_raise(self, nodes):
+        with pytest.raises(InvalidModel, match="nodes"):
+            simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0, nodes=nodes)
+
+    def test_reading_a_node_not_held_raises(self):
+        ens = simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0, nodes=[2, 8])
+        full = simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0)
+        assert ens.n_paths == 10 and ens.grid == SMALL_GRID
+        assert np.array_equal(ens.component_at(1, 8), full.component(1)[:, 8])
+        assert np.array_equal(ens.component_at(0, 2), full.component(0)[:, 2])
+        for node in (0, 3, 7, 9, -1):
+            with pytest.raises(KernelDomainError):
+                ens.component_at(1, node)
+        with pytest.raises(KernelDomainError):
+            ens.component(1)
+        assert np.array_equal(full.component_at(1, 3), full.component(1)[:, 3])
+
+    @pytest.mark.parametrize("name", ["bergomi", "heston"])
+    def test_terminal_only_peak_memory_is_flat_in_paths(self, monkeypatch, name):
+        # a small budget makes every run span several 1024-path chunks
+        monkeypatch.setattr(sve_sim, "_CHUNK_BYTES", 1 << 16)
+        model, grid = INVARIANCE_MODELS[name], TimeGrid(1.0, 16)
+        peaks = []
+        for n_paths in (4096, 16384):
+            tracemalloc.start()
+            simulate(model, small_time_ldp(0.3), grid, n_paths, seed=3, threads=1, nodes=[16])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # the kept column grows by 16 B a path; a full-path run by 272 B a path
+        kept_growth = (16384 - 4096) * 16
+        assert peaks[1] - peaks[0] <= kept_growth + (64 << 10)
 
 
 def _fresh_stream_normals(seed, pids, count):
@@ -525,7 +583,7 @@ class TestHestonHistory:
             return history(model, regime, grid, dW, first, width)
 
         monkeypatch.setattr(sve_sim, "_heston_volatility", recording)
-        monkeypatch.setattr(sve_sim, "_CHUNK", 100)
+        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
         simulate(INVARIANCE_MODELS["heston"], small_time_ldp(0.3), SMALL_GRID, n_paths, seed=1)
         assert seen == {width}
 
@@ -533,15 +591,13 @@ class TestHestonHistory:
     # multiple of 4: a history block that followed the chunk would show here
     @pytest.mark.parametrize("chunk", [700, 1021, 1024, 1500])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_paths_across_history_blocks_do_not_depend_on_chunks(self, chunk, threads):
+    def test_paths_across_history_blocks_do_not_depend_on_chunks(
+        self, monkeypatch, chunk, threads
+    ):
         model = INVARIANCE_MODELS["heston"]
         ref = _heston_block_reference()
-        saved = sve_sim._CHUNK
-        sve_sim._CHUNK = chunk
-        try:
-            ens = simulate(model, small_time_ldp(0.3), SMALL_GRID, 2100, seed=21, threads=threads)
-        finally:
-            sve_sim._CHUNK = saved
+        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(chunk))
+        ens = simulate(model, small_time_ldp(0.3), SMALL_GRID, 2100, seed=21, threads=threads)
         assert np.array_equal(ens.paths, ref.paths)
 
 
