@@ -401,12 +401,9 @@ def _cmd_simulate(args) -> int:
     for p in range(ens.paths.shape[0]):
         for i, t in enumerate(grid.nodes):
             rows.append([p, t, *ens.paths[p, i, :]])
-    _write_csv(
-        args.out,
-        _header_comment(cfg, args.seed, args.deterministic),
-        columns,
-        rows,
-    )
+    header = _header_comment(cfg, args.seed, args.deterministic)
+    header += f" regularized={ens.bump!r} paths=0..{ens.n_paths - 1}"
+    _write_csv(args.out, header, columns, rows)
     return 0
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import (
     DegenerateCoefficients,
@@ -56,13 +56,13 @@ def bs_call(t: float, k: float, sigma: float) -> float:
     st = sigma * math.sqrt(t)
     d1 = (-k + 0.5 * st * st) / st
     d2 = d1 - st
-    return float(norm.cdf(d1) - math.exp(k) * norm.cdf(d2))
+    return float(ndtr(d1) - math.exp(k) * ndtr(d2))
 
 
 def _vega(t: float, k: float, sigma: float) -> float:
     st = sigma * math.sqrt(t)
     d1 = (-k + 0.5 * st * st) / st
-    return float(norm.pdf(d1) * math.sqrt(t))
+    return float(np.exp(-d1**2 / 2.0) / np.sqrt(2 * np.pi) * math.sqrt(t))
 
 
 def implied_vol(price: float, t: float, k: float) -> float:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, hyp2f1
 
@@ -479,7 +479,7 @@ class ConvWeights:
     """Quadrature turning nodal values into (K * f)(t_i) for PL integrands.
 
     (K f)_i = (w * f)_i - shift_(i+1) f_0,  a discrete convolution plus a
-    boundary correction; ``apply`` uses FFT convolution.
+    boundary correction; ``apply`` is a scipy.fft real FFT at ``next_fast_len``.
     """
 
     grid: TimeGrid
@@ -490,12 +490,12 @@ class ConvWeights:
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
-            conv = fftconvolve(self.w, v)[: len(v)]
+            size = next_fast_len(len(self.w) + len(v) - 1, True)
+            conv = irfft(rfft(self.w, size) * rfft(v, size), size)[: len(v)]
             out = conv - self.shift[1 : len(v) + 1] * v[0]
             out[0] = 0.0
             return out
-        cols = [self.apply(v[:, j]) for j in range(v.shape[1])]
-        return np.stack(cols, axis=1)
+        return np.stack([self.apply(col) for col in v.T], axis=1)
 
     def dense_matrix(self) -> np.ndarray:
         """Lower-triangular matrix A with (K f) = A f; O(n^2) memory."""

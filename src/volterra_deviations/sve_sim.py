@@ -325,7 +325,8 @@ class PathEnsemble:
     full grid, path count and weights, and each value it holds equals bit for
     bit the same entry of the full run.  ``component_at`` reads one held
     node; ``component`` needs every node.  Both raise KernelDomainError
-    rather than return a column the ensemble does not hold.
+    rather than return a column the ensemble does not hold.  ``bump`` is the
+    largest Cholesky bump (``GaussianFactor.bump``) of the run's factors.
     """
 
     grid: TimeGrid
@@ -335,6 +336,7 @@ class PathEnsemble:
     model: Model | None = None
     regime: ScalingRegime | None = None
     nodes: np.ndarray | None = None
+    bump: float = 0.0
 
     def __post_init__(self):
         if self.nodes is None:
@@ -439,7 +441,11 @@ def _check_threads(n, source: str) -> int:
 # ---------------------------------------------------------------------------
 
 class GaussianFactor:
-    """Joint law of (dW cells, Z nodes) for one Volterra factor."""
+    """Joint law of (dW cells, Z nodes) for one Volterra factor.
+
+    ``bump`` is the diagonal shift the Cholesky factorisation needed, a
+    1e-12 share of the mean variance; 0.0 when the covariance factorised as is.
+    """
 
     def __init__(self, kernel: KernelSpec, grid: TimeGrid):
         self.kernel = kernel
@@ -462,12 +468,13 @@ class GaussianFactor:
         C[:n, n:] = cross.T
         C[n:, n:] = kernel.autocovariance(ti, tj)
         self.cross = cross
+        self.bump = 0.0
         try:
             self.chol = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
-            bump = 1e-12 * np.trace(C) / (2 * n)
+            self.bump = float(1e-12 * np.trace(C) / (2 * n))
             try:
-                self.chol = np.linalg.cholesky(C + bump * np.eye(2 * n))
+                self.chol = np.linalg.cholesky(C + self.bump * np.eye(2 * n))
             except np.linalg.LinAlgError as exc:
                 raise FactorizationFailure(
                     "joint kernel covariance is not numerically PSD"
@@ -685,6 +692,8 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
         raise InvalidModel("tail rescaling is not defined for rough Bergomi models")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
         raise InvalidModel(f"seed must be an integer in [0, 2^63), got {seed!r}")
+    if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
+        raise InvalidModel(f"n_paths must be a positive integer, got {n_paths!r}")
     nodes = _check_nodes(nodes, grid)
     # a slice keeps the full-path run free of a per-chunk gather copy
     cols = slice(None) if len(nodes) == len(grid) else nodes
@@ -715,7 +724,7 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
             run_chunk(c)
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
-        nodes=nodes,
+        nodes=nodes, bump=max((f.bump for f in factors if f is not None), default=0.0),
     )
 
 

@@ -154,6 +154,28 @@ class TestSimulateCommand:
         assert "seed=9" in first
 
 
+    def test_header_reports_the_bump_and_the_stream_range(self, tmp_path):
+        header = {}
+        for hurst in (0.1, 0.5):
+            cfg = write(
+                tmp_path,
+                "sim.json",
+                {
+                    "model": dict(BERGOMI_REC, hurst=hurst),
+                    "regime": {"kind": "small_time_ldp", "eps": 0.25},
+                    "grid": {"horizon": 1.0, "n_steps": 8},
+                },
+            )
+            out = str(tmp_path / "paths.csv")
+            argv = ["simulate", "--config", cfg, "--paths", "20", "--seed", "9"]
+            assert run(argv + ["--out", out, "--deterministic"]) == 0
+            header[hurst] = dict(f.split("=") for f in open(out).readline()[2:].split())
+        assert header[0.1]["regularized"] == "0.0"
+        # H = 1/2 makes the joint covariance singular (Z = W), so it is bumped
+        assert float(header[0.5]["regularized"]) > 0.0
+        assert header[0.1]["paths"] == header[0.5]["paths"] == "0..19"
+
+
 class TestRateCommand:
     def test_minimize_zero_terminal(self, tmp_path, capsys):
         cfg = write(

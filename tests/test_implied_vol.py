@@ -7,6 +7,7 @@ from scipy.stats import norm
 
 from volterra_deviations.errors import DegenerateCoefficients, InvalidModel, PriceOutOfBounds
 from volterra_deviations.implied_vol import (
+    _vega,
     bs_call,
     implied_vol,
     mc_smile,
@@ -45,6 +46,25 @@ class TestBsCall:
         # convexity in the strike (not in log-moneyness)
         second = np.diff(np.diff(prices) / np.diff(strikes)) / np.diff(strikes[:-1])
         assert np.all(second > -1e-9)
+
+
+    def test_normal_cdf_and_pdf_bit_for_bit_against_scipy_stats(self):
+        for t in (0.01, 0.25, 1.0, 3.0):
+            for k in (-0.5, -0.1, 0.0, 0.05, 0.3):
+                for sigma in (0.05, 0.2, 0.8):
+                    st = sigma * math.sqrt(t)
+                    d1 = (-k + 0.5 * st * st) / st
+                    call = float(norm.cdf(d1) - math.exp(k) * norm.cdf(d1 - st))
+                    assert bs_call(t, k, sigma) == call
+                    assert _vega(t, k, sigma) == float(norm.pdf(d1) * math.sqrt(t))
+
+    def test_vega_is_the_sigma_derivative(self):
+        h = 1e-5
+        for t in (0.1, 0.5, 2.0):
+            for k in (-0.3, 0.0, 0.2):
+                for sigma in (0.1, 0.3, 0.6):
+                    fd = (bs_call(t, k, sigma + h) - bs_call(t, k, sigma - h)) / (2 * h)
+                    assert _vega(t, k, sigma) == pytest.approx(fd, rel=1e-6)
 
 
 class TestImpliedVol:
@@ -206,8 +226,8 @@ class TestMcSmile:
         from volterra_deviations.sve_sim import simulate, small_time_ldp
 
         t_mat = 0.25
-        ens = simulate(mod, small_time_ldp(t_mat), TimeGrid(1.0, 64), 50_000, seed=3)
-        s = np.exp(t_mat ** (0.5 - H) * ens.component(0)[:, -1])
+        ens = simulate(mod, small_time_ldp(t_mat), TimeGrid(1.0, 64), 50_000, seed=3, nodes=[64])
+        s = np.exp(t_mat ** (0.5 - H) * ens.component_at(0, 64))
         se = s.std(ddof=1) / math.sqrt(len(s))
         assert abs(s.mean() - 1.0) <= 3.0 * se
 

@@ -1,0 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# together these added about half a second to every cold start while the
+# package called one function from them (fftconvolve, norm.cdf/pdf);
+# scipy.fft and scipy.special give the same values
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.integrate")
+
+
+def test_package_import_loads_no_heavy_scipy_subpackage():
+    code = (
+        "import sys\n"
+        "import volterra_deviations, volterra_deviations.cli\n"
+        f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""

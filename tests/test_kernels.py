@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 from scipy.special import gamma as gamma_fn
 from scipy.special import hyp2f1
 
@@ -276,6 +277,26 @@ class TestConvWeights:
         t = grid.nodes
         want = a * k.moment0(t) + b * (t * k.moment0(t) - k.moment1(t))
         assert np.allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 63, 64, 128, 256, 512, 1024])
+    def test_apply_matches_direct_and_scipy_convolution(self, n):
+        # convolution lengths 2n + 1 on both sides of next_fast_len boundaries:
+        # 127 pads to 128, 129 to 135
+        cw = conv_weights(power_law(0.1), TimeGrid(1.0, n))
+        v = np.random.default_rng(n).normal(size=(n + 1, 3))
+        got = cw.apply(v)
+        for j in range(3):
+            col = v[:, j]
+            shift = cw.shift[1 : n + 2] * col[0]
+            direct = np.convolve(cw.w, col)[: n + 1] - shift
+            direct[0] = 0.0
+            scale = np.max(np.abs(direct))
+            assert np.max(np.abs(got[:, j] - direct)) <= 1e-12 * scale
+            # the real-FFT steps are the ones fftconvolve takes: bit for bit
+            fft = fftconvolve(cw.w, col)[: n + 1] - shift
+            fft[0] = 0.0
+            assert np.array_equal(got[:, j], fft)
+            assert np.array_equal(cw.apply(col), got[:, j])
 
     def test_terminal_weights_match_row(self):
         grid = TimeGrid(1.0, 32)

@@ -364,6 +364,11 @@ class TestSeedDomain:
         with pytest.raises(InvalidModel):
             simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=seed)
 
+    @pytest.mark.parametrize("n_paths", [0, -1, 2.0, "3"])
+    def test_rejects_path_counts_that_are_not_positive(self, n_paths):
+        with pytest.raises(InvalidModel):
+            simulate(BERGOMI, small_time_ldp(0.5), GRID, n_paths, seed=1)
+
     def test_accepts_the_range_ends(self):
         lo = simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=0)
         hi = simulate(BERGOMI, small_time_ldp(0.5), GRID, 10, seed=2**63 - 1)
@@ -630,3 +635,31 @@ class TestFactorCache:
         assert sve_sim._factor.cache_info().currsize <= 8
         last = sve_sim._factor(power_law(H), grids[-1])
         assert sve_sim._factor(power_law(H), grids[-1]) is last
+
+
+class TestCholeskyBump:
+    # at H = 1/2 the kernel is 1 and Z_t = W_t is a sum of the dW cells, so
+    # the joint covariance is singular and its Cholesky factorisation needs
+    # the bump
+    def test_brownian_factor_records_its_bump(self):
+        f = sve_sim.GaussianFactor(power_law(0.5), TimeGrid(1.0, 8))
+        # trace = n h (cells) + sum t_i (Var Z_t = t) = 1 + 4.5, over 2n = 16
+        assert f.bump == pytest.approx(1e-12 * 5.5 / 16, rel=1e-12)
+        assert sve_sim.GaussianFactor(power_law(H), TimeGrid(1.0, 8)).bump == 0.0
+
+    def test_ensemble_carries_the_largest_bump(self):
+        grid = TimeGrid(1.0, 8)
+        want = sve_sim.GaussianFactor(power_law(0.5), grid).bump
+        brownian = RoughBergomi(a=0.5, rho=-0.5, y0=Y0, hurst=0.5)
+        assert simulate(brownian, small_time_ldp(0.5), grid, 10, seed=1).bump == want
+        two = MultiRoughBergomi(
+            loadings=((1.0, 0.0), (0.4, 0.9)),
+            a=(0.2, 0.2),
+            y0=(Y0, Y0 - 0.1),
+            rho=(-0.3, 0.1),
+            hurst=(H, 0.5),
+        )
+        assert simulate(two, small_time_ldp(0.5), grid, 10, seed=1).bump == want
+        assert simulate(BERGOMI, small_time_ldp(0.5), grid, 10, seed=1).bump == 0.0
+        heston = INVARIANCE_MODELS["heston"]
+        assert simulate(heston, small_time_ldp(0.5), grid, 10, seed=1).bump == 0.0
