@@ -15,6 +15,7 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import jsonschema
 import numpy as np
 
 from . import __version__
@@ -29,11 +30,6 @@ from .sve_sim import (
     ScalingRegime,
     simulate,
 )
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
 
 _BIN_MAGIC = b"VDPATHS1"
 
@@ -204,14 +200,13 @@ def _load_config(path: str, schema_key: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(cfg, _SCHEMAS[schema_key])
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(
-                f"config {path} violates the {schema_key} schema at "
-                f"{'/'.join(str(p) for p in exc.absolute_path) or '<root>'}: {exc.message}"
-            ) from exc
+    try:
+        jsonschema.validate(cfg, _SCHEMAS[schema_key])
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(
+            f"config {path} violates the {schema_key} schema at "
+            f"{'/'.join(str(p) for p in exc.absolute_path) or '<root>'}: {exc.message}"
+        ) from exc
     return cfg
 
 

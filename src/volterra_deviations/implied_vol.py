@@ -24,7 +24,7 @@ from .errors import (
 )
 from .kernels import TimeGrid
 from .rate_functions import ldp_rate_terminal, tail_rate_terminal
-from .sve_sim import Model, RoughBergomi, simulate, small_time_ldp
+from .sve_sim import Model, MultiRoughBergomi, RoughBergomi, simulate, small_time_ldp
 
 __all__ = [
     "SmilePoint",
@@ -132,14 +132,11 @@ def smile_ldp(model: Model, k: float, t: float, n_steps: int = 256) -> SmilePoin
 
 def smile_mdp(model: Model, k: float, t: float, beta: float) -> SmilePoint:
     """MDP implied volatility: sigma_hat^2 = Sigma(y0), strike independent."""
-    from .rate_functions import _coeffs
-
     if not 0.0 < beta < model.min_hurst:
         raise DegenerateCoefficients("beta must lie in (0, H)")
     if k == 0.0:
         raise DegenerateCoefficients("MDP smile formula needs k != 0")
-    sigma_sq, _, _ = _coeffs(model)
-    sig0 = float(sigma_sq(np.asarray(model.y0)))
+    sig0 = float(model.sigma_sq(np.asarray(model.y0)))
     if sig0 <= 0.0:
         raise DegenerateCoefficients("Sigma(y0) must be positive")
     return SmilePoint(
@@ -180,8 +177,6 @@ def mc_smile(
     """
     if isinstance(model, RoughBergomi) and model.rho > 0.0:
         raise InvalidModel("exp(X) is a martingale for rough Bergomi only when rho <= 0")
-    from .sve_sim import MultiRoughBergomi
-
     if isinstance(model, MultiRoughBergomi):
         raise InvalidModel("exp(X) is not a martingale under the multifactor price form")
     grid = TimeGrid(1.0, n_steps)

@@ -22,7 +22,7 @@ per-cell moments instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -485,7 +485,6 @@ class ConvWeights:
     grid: TimeGrid
     w: np.ndarray
     shift: np.ndarray
-    moment0: np.ndarray = field(repr=False, default=None)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -524,7 +523,7 @@ def conv_weights(k: KernelSpec, grid: TimeGrid) -> ConvWeights:
     w[0] = P[0]
     m_idx = np.arange(1, n + 1)
     w[1:] = M0[m_idx - 1] - P[m_idx - 1] + P[m_idx]
-    return ConvWeights(grid=grid, w=w, shift=np.concatenate([[0.0], P]), moment0=M0)
+    return ConvWeights(grid=grid, w=w, shift=np.concatenate([[0.0], P]))
 
 
 def terminal_weights(k: KernelSpec, grid: TimeGrid, t_end: float | None = None) -> np.ndarray:

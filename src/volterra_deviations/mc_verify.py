@@ -28,8 +28,6 @@ from .kernels import GridFunction, TimeGrid, power_law
 from .rate_functions import gaussian_terminal_control, ldp_rate_terminal
 from .sve_sim import (
     Model,
-    MultiRoughBergomi,
-    RoughHeston,
     ScalingRegime,
     simulate,
     simulate_controlled,
@@ -195,18 +193,17 @@ def build_is_control(
     section (so the shifted mean hits the boundary and the Girsanov pairing
     is exact); price events go through the terminal variational solver on
     [0, t_eval] with the grid's step, with a boundary-matching constant
-    control as fallback.  Every control is zero after t_eval.
+    control as fallback.  Every control is zero after t_eval.  A model
+    without a scalar coefficient catalogue (the multifactor model) raises
+    NotApplicable.
     """
-    from .rate_functions import _coeffs
-
+    zeta0 = float(model.zeta(np.asarray(model.y0)))
     t_end = event.t_eval if event.t_eval is not None else grid.horizon
     i_end = grid.node_index(t_end)
-    n_ch = 2 if not isinstance(model, MultiRoughBergomi) else model.n_factors + 1
-    zeros = np.zeros((len(grid), n_ch))
+    zeros = np.zeros((len(grid), 2))
     vol_offset = event.level - (model.y0 if regime_kind == "small_time_ldp" else 0.0)
-    if event.component >= 1 and not isinstance(model, (RoughHeston, MultiRoughBergomi)):
+    if event.component >= 1 and model.zeta_constant:
         # Gaussian volatility marginal: exact kernel-section control
-        zeta0 = float(_coeffs(model)[1](np.asarray(model.y0)))
         kernel = power_law(model.hurst)
         _, coeff = gaussian_terminal_control(kernel, zeta0, vol_offset, t_end)
         sec = KernelSection(kernel, t_end, coeff, channel=0)
@@ -225,20 +222,17 @@ def build_is_control(
         else:
             vals = res.optimal_control.values.values
             padded = zeros.copy()
-            padded[: i_end + 1, 0] = vals[:, 0]
-            padded[: i_end + 1, n_ch - 1] = vals[:, 1]
+            padded[: i_end + 1] = vals
             return Control(
                 GridFunction(grid, padded), sections=res.optimal_control.sections
             )
     # fallback: constant control hitting the boundary in mean
-    sigma_sq, zeta, _ = _coeffs(model)
     vals = zeros.copy()
     if event.component == 0:
         rho_bar = math.sqrt(1.0 - model.rho**2)
-        amp = rho_bar * math.sqrt(max(float(sigma_sq(np.asarray(model.y0))), 1e-12))
-        vals[: i_end + 1, n_ch - 1] = event.level / (amp * t_end)
+        amp = rho_bar * math.sqrt(max(float(model.sigma_sq(np.asarray(model.y0))), 1e-12))
+        vals[: i_end + 1, 1] = event.level / (amp * t_end)
     else:
-        zeta0 = float(zeta(np.asarray(model.y0)))
-        m0 = float(power_law(model.min_hurst).moment0(t_end))
+        m0 = float(power_law(model.hurst).moment0(t_end))
         vals[: i_end + 1, 0] = vol_offset / (zeta0 * m0) if zeta0 * m0 != 0 else 0.0
     return Control(GridFunction(grid, vals))

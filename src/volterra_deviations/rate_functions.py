@@ -1,5 +1,10 @@
 """Closed-form rate functions and the terminal variational solver.
 
+Every coefficient comes from the model classes (``sve_sim``): Sigma
+(``sigma_sq``), zeta, Sigma' (``sigma_sq_prime``) and the flag
+``zeta_constant``.  The multifactor model has no scalar catalogue, so every
+call here that needs one raises NotApplicable before building a kernel.
+
 Pair evaluators (``ldp_rate_pair``, ``heston_rate``, ``mdp_rate_pair``,
 ``tail_rate_steinstein``, ``tail_rate_heston``, ``multifactor_mdp_rate``)
 invert the limit equations for the controls (u, v) driving a given path pair
@@ -26,7 +31,8 @@ the kernel-section coefficient).
 Two structural devices keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
-  singularly convolved channel (for constant zeta models).  A uniform
+  singularly convolved channel (for constant zeta models, and for any model
+  with frozen coefficients, zeta frozen at zeta(y0)).  A uniform
   piecewise-linear basis misses O(h^(2H)) of the Cameron-Martin mass near the
   terminal time, which is >10% at H = 0.1 and n = 512; with the atom the
   discrete optimum of the Gaussian marginal problem equals the exact value.
@@ -65,7 +71,6 @@ from .kernels import (
 from .sve_sim import (
     Model,
     MultiRoughBergomi,
-    RoughBergomi,
     RoughHeston,
     RoughSteinStein,
 )
@@ -149,16 +154,6 @@ def _check_pair_start(phi: GridFunction, vphi: GridFunction, y0: float) -> bool:
     return abs(phi.values[0]) <= 1e-9 and abs(vphi.values[0] - y0) <= 1e-9 * scale
 
 
-def _coeffs(model: Model):
-    if isinstance(model, RoughSteinStein):
-        return model.sigma_sq, model.zeta, model.xi
-    if isinstance(model, RoughBergomi):
-        return model.sigma_sq, model.zeta, 1.0
-    if isinstance(model, RoughHeston):
-        return model.sigma_sq, model.zeta, None
-    raise NotApplicable(f"no scalar coefficient catalogue for {type(model).__name__}")
-
-
 def _pack_result(grid, value, v, u, path_cols, **kw) -> RateResult:
     ctrl = Control(GridFunction(grid, np.stack([v, u], axis=1)))
     path = GridFunction(grid, path_cols)
@@ -193,14 +188,14 @@ def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
     Inverts phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v) and
     vphi = y0 + I^(H+1/2)(zeta(vphi) v) for the controls and returns their
     energy; +infinity off the absolutely continuous / fractional range, per
-    the grid blow-up test and the starting-point checks.
+    the grid blow-up test and the starting-point checks.  Nodes where Sigma
+    or zeta vanishes (rough Heston at or below zero) get u = 0 or v = 0.
     """
-    sigma_sq, zeta, _ = _coeffs(model)
+    zeta_vals = model.zeta(vphi.values)
     H, rho, y0 = model.hurst, model.rho, model.y0
     grid = phi.grid
     if not _check_pair_start(phi, vphi, y0) or not _is_grid_ac(phi):
         return RateResult(value=np.inf)
-    zeta_vals = zeta(vphi.values)
     zero_zeta = np.abs(zeta_vals) <= _ZERO_THR
     if rho != 0.0 and np.any(zero_zeta):
         raise NotApplicable(
@@ -211,7 +206,7 @@ def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
     D = rl_derivative(GridFunction(grid, vphi.values - y0), H + 0.5, 0.0).values
     with np.errstate(divide="ignore", invalid="ignore"):
         v = np.where(zero_zeta, 0.0, D / np.where(zero_zeta, 1.0, zeta_vals))
-        sig = sigma_sq(vphi.values)
+        sig = model.sigma_sq(vphi.values)
         zero_sig = np.abs(sig) <= _ZERO_THR
         u = np.where(
             zero_sig,
@@ -297,10 +292,9 @@ def mdp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
     Here phi and vphi are fluctuation paths anchored at the limit point:
     phi(0) = 0 and vphi(0) = y0.
     """
-    sigma_sq, zeta, _ = _coeffs(model)
+    zeta0 = float(model.zeta(np.asarray(model.y0)))
     H, rho, y0 = model.hurst, model.rho, model.y0
-    sig0 = float(sigma_sq(np.asarray(y0)))
-    zeta0 = float(zeta(np.asarray(y0)))
+    sig0 = float(model.sigma_sq(np.asarray(y0)))
     if abs(sig0 * zeta0) <= _ZERO_THR:
         raise DegenerateCoefficients("Sigma(y0) * zeta(y0) must be nonzero")
     grid = phi.grid
@@ -317,8 +311,7 @@ def mdp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
 
 def mdp_rate_terminal_x(model: Model, x: float) -> float:
     """x^2 / (2 Sigma(y0)): the moderately-out-of-the-money marginal rate."""
-    sigma_sq, zeta, _ = _coeffs(model)
-    sig0 = float(sigma_sq(np.asarray(model.y0)))
+    sig0 = float(model.sigma_sq(np.asarray(model.y0)))
     if sig0 <= _ZERO_THR:
         raise DegenerateCoefficients("Sigma(y0) must be positive")
     return x * x / (2.0 * sig0)
@@ -340,21 +333,24 @@ def mdp_rate_terminal_y(y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _tail_vol_control(model: RoughSteinStein, vphi: GridFunction) -> np.ndarray:
+    """v = (D^(H+1/2) vphi + kappa I^(1/2-H) vphi) / xi, the tail Stein-Stein control."""
+    H = model.hurst
+    D = rl_derivative(GridFunction(vphi.grid, vphi.values), H + 0.5, 0.0).values
+    Ihalf = vphi.values.copy() if H == 0.5 else rl_integral(vphi, 0.5 - H).values
+    return (D + model.kappa * Ihalf) / model.xi
+
+
 def tail_rate_steinstein(
     model: RoughSteinStein, phi: GridFunction, vphi: GridFunction
 ) -> RateResult:
     """Tail-rescaled Stein-Stein pair rate (volatility started at zero)."""
     grid = phi.grid
-    H, rho, kappa, xi = model.hurst, model.rho, model.kappa, model.xi
+    rho = model.rho
     if abs(phi.values[0]) > 1e-9 or abs(vphi.values[0]) > 1e-9 or not _is_grid_ac(phi):
         return RateResult(value=np.inf)
     rho_bar = math.sqrt(1.0 - rho**2)
-    D = rl_derivative(GridFunction(grid, vphi.values), H + 0.5, 0.0).values
-    if H == 0.5:
-        Ihalf = vphi.values.copy()
-    else:
-        Ihalf = rl_integral(vphi, 0.5 - H).values
-    v = (D + kappa * Ihalf) / xi
+    v = _tail_vol_control(model, vphi)
     dphi = grid.forward_difference(phi.values)
     nz = np.abs(vphi.values) > _ZERO_THR
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,10 +371,7 @@ def tail_mdp_rate_y(model: RoughSteinStein, vphi: GridFunction) -> RateResult:
     v-energy of ``tail_rate_steinstein`` without the price term.
     """
     grid = vphi.grid
-    H = model.hurst
-    D = rl_derivative(GridFunction(grid, vphi.values), H + 0.5, 0.0).values
-    Ihalf = vphi.values.copy() if H == 0.5 else rl_integral(vphi, 0.5 - H).values
-    v = (D + model.kappa * Ihalf) / model.xi
+    v = _tail_vol_control(model, vphi)
     value = _energy_masked(grid, v)
     ctrl = Control(GridFunction(grid, np.stack([v, np.zeros_like(v)], axis=1)))
     return RateResult(value=value, optimal_control=ctrl, optimal_path=vphi)
@@ -493,6 +486,16 @@ def _finite(vals: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, 0.0)
 
 
+def _zeta_field(model: Model):
+    """The diffusion field (t, y) -> zeta(y), shape (..., 1, 1), of the volatility equation."""
+
+    def field(tt, xx):
+        y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
+        return model.zeta(y).reshape(*np.shape(y), 1, 1)
+
+    return field
+
+
 def regenerate_smalltime_pair(
     model: Model,
     ctrl: Control | RateResult,
@@ -510,33 +513,18 @@ def regenerate_smalltime_pair(
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
-    kernel = power_law(model.hurst)
-    sigma_sq, zeta, zeta_const = _coeffs(model)
-    if isinstance(model, RoughHeston):
-        def sig_field(tt, xx):
-            y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-            out = model.xi * np.sqrt(np.maximum(y, 0.0))
-            return out.reshape(*np.shape(out), 1, 1)
-
-        sqrt_comp = 0
-    else:
-        def sig_field(tt, xx, zc=zeta_const):
-            base = np.shape(np.atleast_1d(np.asarray(xx, dtype=float))[..., 0])
-            return np.full((*base, 1, 1), zc)
-
-        sqrt_comp = None
     p = LimitProblem(
         grid=grid,
         x0=np.array([model.y0]),
-        diffusion_terms=(DiffusionTerm(kernel, sig_field),),
+        diffusion_terms=(DiffusionTerm(power_law(model.hurst), _zeta_field(model)),),
         control=Control(GridFunction(grid, v), sections=tuple(
             s for s in ctrl.sections if s.channel == 0
         )),
         branch_policy=branch_policy,
-        sqrt_component=sqrt_comp,
+        sqrt_component=None if model.zeta_constant else 0,
     )
     vphi = solve_ldp_limit(p).path
-    S = np.sqrt(np.maximum(sigma_sq(vphi.values), 0.0))
+    S = np.sqrt(model.sigma_sq(vphi.values))
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
     phi = grid.cumulative_trapezoid(S * (rho_bar * u + rho * v))
     for sec in p.control.sections:
@@ -551,14 +539,22 @@ def regenerate_tail_pair(
 ):
     """Drive the tail-rescaled limit system with recovered controls.
 
-    Accepts a RateResult; for rough Heston the attached smooth forcing
-    z = xi sqrt(vphi) v is used to solve the equivalent linear equation
-    vphi = I^(H+1/2)(z - kappa vphi), avoiding the indicator artifact of the
-    singular recovered control at t = 0.
+    Stein-Stein mean-reverts through the flat kernel, rough Heston through
+    K on the floored state.  Accepts a RateResult; for rough Heston the
+    attached smooth forcing z = xi sqrt(vphi) v is used to solve the
+    equivalent linear equation vphi = I^(H+1/2)(z - kappa vphi), avoiding the
+    indicator artifact of the singular recovered control at t = 0.
     """
-    from .volterra_det import DiffusionTerm, DriftTerm, LimitProblem, solve_ldp_limit
-    from .kernels import constant as const_kernel
+    from .volterra_det import (
+        DiffusionTerm,
+        DriftTerm,
+        LimitProblem,
+        solve_ldp_limit,
+        solve_mdp_limit,
+    )
 
+    if not isinstance(model, (RoughSteinStein, RoughHeston)):
+        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
     z_vals = None
     if isinstance(ctrl, RateResult):
         z_vals = ctrl.diagnostics.get("z_values")
@@ -567,57 +563,30 @@ def regenerate_tail_pair(
     v, u = _split_vu(ctrl)
     kernel = power_law(model.hurst)
     rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    if isinstance(model, RoughSteinStein):
+    drift_kernel, floor = (constant(1.0), -np.inf) if model.zeta_constant else (kernel, 0.0)
+    if z_vals is not None:
+        gb = GridFunction(grid, np.full(len(grid), -model.kappa))
+        ones = GridFunction(grid, np.ones(len(grid)))
+        vphi = solve_mdp_limit(kernel, gb, ones, Control(GridFunction(grid, _finite(z_vals))))
+    else:
         def drift(tt, xx):
             y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-            return (-model.kappa * y).reshape(*np.shape(y), 1)
-
-        def sig_field(tt, xx):
-            base = np.shape(np.atleast_1d(np.asarray(xx, dtype=float))[..., 0])
-            return np.full((*base, 1, 1), model.xi)
+            return (-model.kappa * np.maximum(y, floor)).reshape(*np.shape(y), 1)
 
         p = LimitProblem(
             grid=grid,
             x0=np.array([0.0]),
-            drift_terms=(DriftTerm(const_kernel(1.0), drift),),
-            diffusion_terms=(DiffusionTerm(kernel, sig_field),),
+            drift_terms=(DriftTerm(drift_kernel, drift),),
+            diffusion_terms=(DiffusionTerm(kernel, _zeta_field(model)),),
             control=Control(GridFunction(grid, v)),
+            branch_policy=branch_policy,
+            sqrt_component=None if model.zeta_constant else 0,
         )
         vphi = solve_ldp_limit(p).path
-        drive = -0.5 * vphi.values**2 + vphi.values * (rho_bar * u + rho * v)
-    elif isinstance(model, RoughHeston):
-        if z_vals is not None:
-            from .volterra_det import solve_mdp_limit
-
-            gb = GridFunction(grid, np.full(len(grid), -model.kappa))
-            ones = GridFunction(grid, np.ones(len(grid)))
-            vphi = solve_mdp_limit(
-                kernel, gb, ones, Control(GridFunction(grid, _finite(z_vals)))
-            )
-        else:
-            def drift(tt, xx):
-                y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-                return (-model.kappa * np.maximum(y, 0.0)).reshape(*np.shape(y), 1)
-
-            def sig_field(tt, xx):
-                y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-                out = model.xi * np.sqrt(np.maximum(y, 0.0))
-                return out.reshape(*np.shape(out), 1, 1)
-
-            p = LimitProblem(
-                grid=grid,
-                x0=np.array([0.0]),
-                drift_terms=(DriftTerm(kernel, drift),),
-                diffusion_terms=(DiffusionTerm(kernel, sig_field),),
-                control=Control(GridFunction(grid, v)),
-                branch_policy=branch_policy,
-                sqrt_component=0,
-            )
-            vphi = solve_ldp_limit(p).path
-        vpos = np.maximum(vphi.values, 0.0)
-        drive = -0.5 * vpos + np.sqrt(vpos) * (rho_bar * u + rho * v)
-    else:
-        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
+    sig_sq = model.sigma_sq(vphi.values)
+    # the tail Stein-Stein price volatility is the signed vphi, not sqrt(vphi^2)
+    sig = vphi.values if model.zeta_constant else np.sqrt(sig_sq)
+    drive = -0.5 * sig_sq + sig * (rho_bar * u + rho * v)
     phi = GridFunction(grid, grid.cumulative_trapezoid(drive))
     return phi, vphi
 
@@ -630,9 +599,8 @@ def regenerate_mdp_pair(model: Model, ctrl: Control | RateResult):
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
-    sigma_sq, zeta, _ = _coeffs(model)
-    zeta0 = float(zeta(np.asarray(model.y0)))
-    sig0 = math.sqrt(float(sigma_sq(np.asarray(model.y0))))
+    zeta0 = float(model.zeta(np.asarray(model.y0)))
+    sig0 = math.sqrt(float(model.sigma_sq(np.asarray(model.y0))))
     kernel = power_law(model.hurst)
     zeros = GridFunction(grid, np.zeros(len(grid)))
     zeta_path = GridFunction(grid, np.full(len(grid), zeta0))
@@ -717,18 +685,13 @@ def _terminal_problem(model, target, component, grid, frozen, ray=False) -> _Ter
         raise DomainError(f"terminal target must be finite, got {target!r}")
     if ray and target == 0.0:
         raise DomainError("a ray target needs x != 0 to fix its direction")
-    H = model.hurst
-    kernel = power_law(H)
+    zeta0 = float(model.zeta(np.asarray(model.y0)))
+    kernel = power_law(model.hurst)
     cw = conv_weights(kernel, grid)
     conv = cw.dense_matrix()
     rcol = np.asarray(kernel.autocovariance(grid.nodes, grid.horizon), dtype=float)
     gsec = terminal_weights(kernel, grid)
     r_tt = l2_norm_sq(kernel, grid.horizon)
-    sigma_sq, zeta, zeta_const = _coeffs(model)
-    if frozen or zeta_const is None:
-        zeta0 = float(zeta(np.asarray(model.y0)))
-    else:
-        zeta0 = zeta_const
     use_section = (model.zeta_constant or frozen) and component != "y_psi"
     return _TerminalProblem(
         grid=grid,
@@ -801,17 +764,18 @@ class _ZetaConstObjective(_Objective):
             self.curvature = np.append(tp.w, tp.r_tt)
             self.start = np.zeros(self.n + 1)
         m = tp.model
-        self.sig_fn = m.sigma_sq
+        self.sig_fn, self.sig_prime = m.sigma_sq, m.sigma_sq_prime
         if tp.frozen:
             s0 = float(m.sigma_sq(np.asarray(m.y0)))
             self.sig_fn = lambda y, s0=s0: np.full_like(np.asarray(y, dtype=float), s0)
+            self.sig_prime = lambda y: np.zeros_like(np.asarray(y, dtype=float))
 
     def _response(self, p):
         """(v, vphi, S = sqrt(Sigma(vphi)), E, grad E)."""
         tp = self.tp
         v, c = p[: self.n], (p[-1] if tp.use_section else 0.0)
         vphi = tp.y0 + tp.zeta0 * (tp.conv @ v + c * tp.rcol)
-        S = np.sqrt(np.maximum(self.sig_fn(vphi), 0.0))
+        S = np.sqrt(self.sig_fn(vphi))
         g_en = tp.w * v
         if tp.use_section:
             g_en = np.append(g_en + c * tp.gsec, float(np.dot(tp.gsec, v)) + c * tp.r_tt)
@@ -833,7 +797,7 @@ class _ZetaConstObjective(_Objective):
         if tp.component == "y_psi":  # unit-response integral of v
             return en, float(np.sum(tp.w * v)), 0.0, g_en, tp.w, np.zeros_like(p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            Sp = np.where(S > 1e-150, self._sig_prime(vphi) / (2.0 * S), 0.0)
+            Sp = np.where(S > 1e-150, self.sig_prime(vphi) / (2.0 * S), 0.0)
         # the price target at u = 0 is rho S.(w v + c gsec), whose weight is
         # the v-block of grad E; adjoints of g and D stacked for one product
         wv = g_en[: self.n]
@@ -846,16 +810,6 @@ class _ZetaConstObjective(_Objective):
             g_D = np.append(g_D, c_D)
         D = tp.rho_bar**2 * float(np.sum(tp.w * S**2))
         return en, tp.rho * float(np.dot(S, wv)), D, g_en, g_tgt, g_D
-
-    def _sig_prime(self, y):
-        m = self.tp.model
-        if self.tp.frozen:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        if isinstance(m, RoughSteinStein):
-            return 2.0 * np.asarray(y, dtype=float)
-        if isinstance(m, RoughBergomi):
-            return np.exp(np.asarray(y, dtype=float))
-        raise NotApplicable("no catalogued derivative")
 
 
 class _HestonObjective(_Objective):
@@ -997,12 +951,12 @@ def ldp_rate_terminal(
     if ray and component != "x":
         raise ValueError("a ray target is defined for component 'x' only")
     grid = TimeGrid(horizon, n_steps)
-    offset = x - (model.y0 if component == "y" else 0.0)
     tp = _terminal_problem(model, x, component, grid, frozen, ray)
-    if isinstance(model, RoughHeston) and not frozen:
-        obj = _HestonObjective(tp)
-    else:
+    offset = x - (tp.y0 if component == "y" else 0.0)
+    if model.zeta_constant or frozen:
         obj = _ZetaConstObjective(tp)
+    else:
+        obj = _HestonObjective(tp)
     return _run_reduced(obj, offset)
 
 

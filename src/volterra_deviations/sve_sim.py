@@ -60,7 +60,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError, FactorizationFailure, InvalidModel, KernelDomainError
+from .errors import (
+    ConfigError,
+    FactorizationFailure,
+    InvalidModel,
+    KernelDomainError,
+    NotApplicable,
+)
 from .frac_calculus import Control
 from .kernels import KernelSpec, TimeGrid, power_law
 
@@ -150,6 +156,20 @@ def tail_mdp(eps: float, beta: float) -> ScalingRegime:
 
 @dataclass(frozen=True)
 class _ModelBase:
+    """Regime checks and the scalar coefficient catalogue.
+
+    A scalar model states its limit-equation coefficients once: ``sigma_sq``
+    (Sigma, the price variance of the volatility state), ``zeta``,
+    ``sigma_sq_prime`` (Sigma', for the terminal solver's gradients) and the
+    class flag ``zeta_constant``.  Here each raises NotApplicable, as it stays
+    for the multifactor model.
+    """
+
+    def sigma_sq(self, y):
+        raise NotApplicable(f"{type(self).__name__} catalogues no such scalar coefficient")
+
+    zeta = sigma_sq_prime = sigma_sq
+
     def validate_regime(self, regime: ScalingRegime):
         if regime.kind == "small_time_mdp" and regime.beta >= self.min_hurst:
             raise InvalidModel("small-time MDP needs beta in (0, H)")
@@ -172,7 +192,7 @@ def _check_common(hurst: float, rho: float, *params: float):
 
 @dataclass(frozen=True)
 class RoughSteinStein(_ModelBase):
-    """Sigma(y) = y^2, zeta = xi, drift kappa (theta - y) with flat kernel."""
+    """Sigma(y) = y^2 (Sigma' = 2y), zeta = xi, drift kappa (theta - y) with flat kernel."""
 
     kappa: float
     theta: float
@@ -191,6 +211,9 @@ class RoughSteinStein(_ModelBase):
     def sigma_sq(self, y):
         return np.asarray(y) ** 2
 
+    def sigma_sq_prime(self, y):
+        return 2.0 * np.asarray(y, dtype=float)
+
     def zeta(self, y):
         return np.full_like(np.asarray(y, dtype=float), self.xi)
 
@@ -199,7 +222,7 @@ class RoughSteinStein(_ModelBase):
 
 @dataclass(frozen=True)
 class RoughBergomi(_ModelBase):
-    """Y = log V; Sigma(y) = exp(y), zeta = 1, deterministic drift -a t^(2H)."""
+    """Y = log V; Sigma(y) = Sigma'(y) = exp(y), zeta = 1, deterministic drift -a t^(2H)."""
 
     a: float
     rho: float
@@ -212,6 +235,8 @@ class RoughBergomi(_ModelBase):
     def sigma_sq(self, y):
         return np.exp(np.asarray(y, dtype=float))
 
+    sigma_sq_prime = sigma_sq
+
     def zeta(self, y):
         return np.ones_like(np.asarray(y, dtype=float))
 
@@ -220,7 +245,12 @@ class RoughBergomi(_ModelBase):
 
 @dataclass(frozen=True)
 class RoughHeston(_ModelBase):
-    """Sigma(y) = y, zeta(y) = xi sqrt(y), drift kappa (theta - y) * K.
+    """Sigma(y) = max(y, 0), zeta(y) = xi sqrt(Sigma(y)), drift kappa (theta - y) * K.
+
+    Sigma floors at 0, as the simulator's full truncation does, so a state
+    that goes transiently negative carries no price variance.  The model
+    catalogues no Sigma': its terminal solver in ``rate_functions`` works in
+    the integrand z = zeta(vphi) v instead.
 
     Pathwise uniqueness of the variance SVE with a square-root coefficient is
     an open problem for H < 1/2 (only the smooth H = 1/2 case is settled);
@@ -245,10 +275,10 @@ class RoughHeston(_ModelBase):
             raise InvalidModel("rough Heston needs y0 > 0")
 
     def sigma_sq(self, y):
-        return np.asarray(y, dtype=float)
+        return np.maximum(np.asarray(y, dtype=float), 0.0)
 
     def zeta(self, y):
-        return self.xi * np.sqrt(np.maximum(np.asarray(y, dtype=float), 0.0))
+        return self.xi * np.sqrt(self.sigma_sq(y))
 
     zeta_constant = False
 
@@ -258,7 +288,9 @@ class MultiRoughBergomi(_ModelBase):
     """m-factor log-volatility Y = y0 + L Z - a t^(2 H_1).
 
     ``loadings`` is lower triangular; ``hurst`` entries are sorted ascending
-    and sum(rho_j^2) < 1.
+    and sum(rho_j^2) < 1.  The price form sum_j exp(Y_j / 2) has no scalar
+    coefficient catalogue: ``sigma_sq``, ``zeta`` and ``sigma_sq_prime`` raise
+    NotApplicable.
     """
 
     loadings: tuple
@@ -868,17 +900,20 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
 
 
 def _log_price(model, regime, grid, Y, dWs, dWp):
-    """Left-point Euler for the log price; exact discrete martingale for e^X."""
+    """Left-point Euler for the log price; exact discrete martingale for e^X.
+
+    A scalar model's variance is its catalogued Sigma(Y); the multifactor
+    price form, which has no catalogue, sums exp(Y_j) and exp(Y_j / 2).
+    """
     h = grid.dt
-    if isinstance(model, MultiRoughBergomi):
-        rhos, rho_bar = np.asarray(model.rho, dtype=float), model.rho_bar
+    rhos = np.atleast_1d(np.asarray(model.rho, dtype=float))
+    rho_bar = math.sqrt(1.0 - float(np.sum(rhos**2)))
+    try:
+        sig_sq = model.sigma_sq(Y[:, :, 0])
+        sig = np.sqrt(sig_sq)
+    except NotApplicable:
         sig_sq = np.sum(np.exp(Y), axis=2)
         sig = np.sum(np.exp(0.5 * Y), axis=2)
-    else:
-        rhos, rho_bar = (model.rho,), math.sqrt(1.0 - model.rho**2)
-        y = Y[:, :, 0]
-        sig_sq = np.maximum(y, 0.0) if isinstance(model, RoughHeston) else model.sigma_sq(y)
-        sig = np.sqrt(sig_sq)
     H = model.min_hurst
     drift_amp = 1.0 if regime.is_tail else regime.eps ** (H + 0.5)
     noise_amp = regime.eps if regime.is_tail else regime.eps**H

@@ -1,13 +1,16 @@
 """Deterministic limit Volterra equations behind the rate functions.
 
 ``solve_ldp_limit`` handles phi = x0 + sum_k K_k * b_k(phi) + sum_k K_k *
-(sigma_k(phi) v) by damped Picard iteration on the product-integration
-discretization.  Square-root diffusion fields make the limit equation
-non-unique once the path touches zero; the branch policy picks the returned
-solution.  For those problems the iteration is seeded with a sequential
-per-node solve that resolves the root choice explicitly: a cold Picard start
-crosses into negative territory on e.g. the Feller skeleton and cannot select
-a branch, while from the sequential seed the fixed point is already resolved.
+(sigma_k(phi) v) by damped Picard iteration (``_picard``, the module's one
+fixed-point loop) on the product-integration discretization.  The linear MDP
+limit (``solve_mdp_limit``) and the zero-noise mean path
+(``solve_mean_limit``) are instances of the same problem.  Square-root
+diffusion fields make the limit equation non-unique once the path touches
+zero; the branch policy picks the returned solution.  For those problems
+the iteration is seeded with a sequential per-node solve that resolves the
+root choice explicitly: a cold Picard start crosses into negative territory
+on e.g. the Feller skeleton and cannot select a branch, while from the
+sequential seed the fixed point is already resolved.
 
 Reported residuals are sup-norm defects of the returned path under the same
 quadrature: a converged report certifies a discrete solution, not a
@@ -21,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NegativeArgument, NoConvergence
+from .errors import InvalidModel, NegativeArgument, NoConvergence
 from .frac_calculus import Control
 from .kernels import ConvWeights, GridFunction, KernelSpec, TimeGrid, conv_weights
 
@@ -56,7 +59,8 @@ class DiffusionTerm:
     Kernel-section control atoms combine with these terms through exact
     kernel-kernel convolution columns, which is exact when sigma does not
     depend on the state; state-dependent sigma terms should only receive
-    plain grid controls.
+    plain grid controls.  A section must carry the kernel of some diffusion
+    term, or the solve raises InvalidModel.
     """
 
     kernel: KernelSpec
@@ -130,6 +134,9 @@ class _Discretization:
         p = self.p
         if p.control is None:
             return None
+        for s in p.control.sections:
+            if not any(s.kernel == term.kernel for term in p.diffusion_terms):
+                raise InvalidModel(f"no diffusion term carries the kernel of section {s!r}")
         cols_by_term = {}
         n_ch = max(1, p.control.n_channels)
         for term in p.diffusion_terms:
@@ -323,41 +330,30 @@ def solve_mdp_limit(
     sigma_path: GridFunction,
     v: Control,
 ) -> GridFunction:
-    """Unique solution of psi = K * [grad_b psi + sigma v] (linear Picard).
+    """Unique solution of psi = K * [grad_b psi + sigma v], the linear MDP limit.
 
     ``grad_b_path`` and ``sigma_path`` carry nabla_b(t, Xbar_t) and
-    sigma(t, Xbar_t) precomputed on the grid; linearity makes the fixed point
-    unique, so plain iteration with damping-on-increase suffices.
+    sigma(t, Xbar_t) precomputed on the grid (sigma one column per control
+    channel, or a single column).  The equation is the LimitProblem with
+    drift grad_b psi, diffusion sigma and x0 = 0, solved by
+    ``solve_ldp_limit`` to TOL_SMOOTH whatever the kernel: linearity makes the
+    fixed point unique.  A kernel section of ``v`` must carry ``kernel``
+    (InvalidModel otherwise); NoConvergence if the Picard defect stays above
+    the tolerance.
     """
     grid = grad_b_path.grid
-    gb = grad_b_path.values
+    gb = grad_b_path.values[:, None]
     sg = sigma_path.values
-    cw = conv_weights(kernel, grid)
-    vv = v.values.values
-    if vv.ndim == 1:
-        vv = vv[:, None]
-    if sg.ndim == 1:
-        forcing = sg * vv[:, 0]
-    else:
-        forcing = np.einsum("im,im->i", sg, vv)
-    base = cw.apply(forcing)
-    for sec in v.sections:
-        col = np.asarray(sec.kernel.autocovariance(grid.nodes, sec.t_end), dtype=float)
-        amp = sg if sg.ndim == 1 else sg[:, sec.channel]
-        base = base + sec.coeff * col * amp
-    psi = np.zeros(len(grid))
-    best = (np.inf, psi)
-    for _ in range(MAX_ITERATIONS):
-        new = base + cw.apply(gb * psi)
-        res = float(np.max(np.abs(new - psi)))
-        if res < best[0]:
-            best = (res, new)
-        if res <= TOL_SMOOTH:
-            return GridFunction(grid, new)
-        psi = new if res <= best[0] else psi + DAMPING * (new - psi)
-    if best[0] <= 1e2 * TOL_SMOOTH:
-        return GridFunction(grid, best[1])
-    raise NoConvergence(MAX_ITERATIONS, best[0])
+    sg = sg[:, None, None] if sg.ndim == 1 else sg[:, None, :]
+    p = LimitProblem(
+        grid=grid,
+        x0=np.zeros(1),
+        drift_terms=(DriftTerm(kernel, lambda t, x: gb * x),),
+        diffusion_terms=(DiffusionTerm(kernel, lambda t, x: sg),),
+        control=v,
+        tol=TOL_SMOOTH,
+    )
+    return solve_ldp_limit(p).path
 
 
 def solve_mean_limit(

@@ -22,3 +22,22 @@ def test_package_import_loads_no_heavy_scipy_subpackage():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a helper another module needs is part of its owner's interface: give
+    # it a public name or move it, rather than reach into the owner
+    import ast
+
+    paths = sorted((SRC / "volterra_deviations").glob("*.py"))
+    assert paths
+    offenders = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+                offenders += [
+                    f"{path.name}: from .{node.module} import {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert offenders == []

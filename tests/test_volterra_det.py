@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from volterra_deviations.errors import NegativeArgument
-from volterra_deviations.frac_calculus import Control
+from volterra_deviations.errors import InvalidModel, NegativeArgument
+from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import (
     GridFunction,
     TimeGrid,
@@ -191,6 +191,56 @@ class TestSolveMdpLimit:
         assert coarse == pytest.approx(fine, rel=2e-3)
         # refinement drift shrinks between dyadic levels
         assert abs(mid - fine) < abs(coarse - fine)
+
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, 3.0])
+    def test_matches_exact_discrete_solution(self, n, kappa):
+        # the quadrature is linear, psi = A (gb psi + sigma v), so the
+        # discrete solution is (I - A diag(gb))^-1 A (sigma v)
+        grid = TimeGrid(1.0, n)
+        t = grid.nodes
+        kernel = power_law(0.1)
+        gb = -kappa * (1.0 + 0.5 * np.cos(3.0 * t))
+        sg = 0.4 + 0.2 * t
+        v = np.sin(5.0 * t) + 0.5
+        A = conv_weights(kernel, grid).dense_matrix()
+        want = np.linalg.solve(np.eye(n + 1) - A * gb[None, :], A @ (sg * v))
+        psi = solve_mdp_limit(
+            kernel, GridFunction(grid, gb), GridFunction(grid, sg), Control(GridFunction(grid, v))
+        )
+        assert np.max(np.abs(psi.values - want)) <= 1e-9
+
+
+class TestSectionKernels:
+    """A kernel section that no diffusion term carries has no response column."""
+
+    GRID = TimeGrid(1.0, 64)
+    SECTION = KernelSection(power_law(0.3), 1.0, 2.0, 0)
+
+    def test_ldp_limit_raises(self):
+        p = LimitProblem(
+            grid=self.GRID,
+            x0=np.array([0.0]),
+            diffusion_terms=(DiffusionTerm(power_law(0.1), lambda t, x: np.ones((1, 1))),),
+            control=Control(GridFunction(self.GRID, np.zeros(65)), sections=(self.SECTION,)),
+        )
+        with pytest.raises(InvalidModel):
+            solve_ldp_limit(p)
+
+    def test_mdp_limit_raises(self):
+        zeros = GridFunction(self.GRID, np.zeros(65))
+        ones = GridFunction(self.GRID, np.ones(65))
+        with pytest.raises(InvalidModel):
+            solve_mdp_limit(power_law(0.1), zeros, ones, Control(zeros, sections=(self.SECTION,)))
+
+    def test_matching_section_is_the_autocovariance(self):
+        zeros = GridFunction(self.GRID, np.zeros(65))
+        ones = GridFunction(self.GRID, np.ones(65))
+        k = power_law(0.3)
+        psi = solve_mdp_limit(k, zeros, ones, Control(zeros, sections=(self.SECTION,)))
+        want = 2.0 * np.asarray(k.autocovariance(self.GRID.nodes, 1.0))
+        assert np.max(np.abs(psi.values - want)) < 1e-14
 
 
 class TestSolveMeanLimit:
