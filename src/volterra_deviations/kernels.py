@@ -133,21 +133,6 @@ class GridFunction:
     def dim(self) -> int:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
 
-    @staticmethod
-    def from_callable(grid: TimeGrid, f) -> "GridFunction":
-        t = grid.nodes
-        vals = np.asarray([f(ti) for ti in t], dtype=float)
-        return GridFunction(grid, vals)
-
-    @staticmethod
-    def constant(grid: TimeGrid, value) -> "GridFunction":
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 0:
-            vals = np.full(len(grid), float(value))
-        else:
-            vals = np.tile(value, (len(grid), 1))
-        return GridFunction(grid, vals)
-
     def component(self, j: int) -> "GridFunction":
         if self.values.ndim == 1:
             if j != 0:

@@ -12,22 +12,30 @@ and return their energy; the recovered controls are attached so round trips
 through the limit solvers can be checked.
 
 ``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control
-energy subject to a terminal constraint.  Each problem is an objective class
-on the volatility block alone: the orthogonal price control u enters the
-price drive as drive0 + s u and the energy only as (1/2) sum w u^2, so it is
-eliminated in closed form, and an objective supplies its energy E, its
-target g at u = 0, D = sum w s^2, their gradients and the diagonal of the
-Hessian of E at its start point (``curvature``).  One driver,
-``_run_reduced``, meets the constraint exactly and runs the deterministic
-multi-starts: a price target's rate is the unconstrained minimum of
-E + (x - g)^2 / (2 D) (the Forde-Zhang form), the infimum over the ray
-x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D), and a volatility target is
-affine in the volatility block with a constant gradient and is met by
-projecting onto that hyperplane.  L-BFGS runs in the scaled variables
-q = p sqrt(curvature), in which every coordinate of the energy has unit
-curvature at the start: the raw curvatures differ by orders of magnitude
-(w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node, ||K||^2 for
-the kernel-section coefficient).
+energy subject to a terminal constraint.  Every such problem, small-time,
+frozen (MDP) or tail, is one objective class, ``_Objective``, on the
+volatility block x alone: the volatility responds linearly to the forcing,
+vphi = y0 + zeta0 A x, the control is v = x / Z(vphi), and the price drive
+is -drift S^2 + rho S v + rho_bar S u.  Per family only A (the
+fractional-integral matrix, times (I + kappa C)^-1 in the tail rescaling),
+zeta0 (zeta(y0), or 1 for rough Heston, which works in the forcing
+z = zeta(vphi) v), Z (1, or xi sqrt(vphi) for rough Heston) and S
+(sqrt(Sigma) from the catalogue, constant when frozen, the signed vphi for
+tail Stein-Stein) differ.  The orthogonal price control u enters the
+energy only as (1/2) sum w u^2, so it is eliminated in closed form; the
+objective supplies its energy E, its target g at u = 0, D = sum w
+(rho_bar S)^2, their gradients (one chain rule through vphi) and the
+diagonal of the Hessian of E at its start point (``curvature``).  One
+driver, ``_run_reduced``, meets the constraint exactly and runs the
+deterministic multi-starts: a price target's rate is the unconstrained
+minimum of E + (x - g)^2 / (2 D) (the Forde-Zhang form), the infimum over
+the ray x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D), and a volatility
+target is affine in the volatility block with a constant gradient and is
+met by projecting onto that hyperplane.  L-BFGS runs in the scaled
+variables q = p sqrt(curvature), in which every coordinate of the energy
+has unit curvature at the start: the raw curvatures differ by orders of
+magnitude (w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node,
+||K||^2 for the kernel-section coefficient).
 Two structural devices keep the discrete optimum honest:
 
 * the control space is enriched with one kernel-section atom K(T - .) per
@@ -113,10 +121,6 @@ class RateResult:
     iterations: int = 0
     constraint_violation: float = 0.0
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +515,7 @@ def regenerate_smalltime_pair(
 
     if isinstance(ctrl, RateResult):
         ctrl = ctrl.optimal_control
+    sqrt_component = None if model.zeta_constant else 0  # NotApplicable without a catalogue
     grid = ctrl.grid
     v, u = _split_vu(ctrl)
     p = LimitProblem(
@@ -521,7 +526,7 @@ def regenerate_smalltime_pair(
             s for s in ctrl.sections if s.channel == 0
         )),
         branch_policy=branch_policy,
-        sqrt_component=None if model.zeta_constant else 0,
+        sqrt_component=sqrt_component,
     )
     vphi = solve_ldp_limit(p).path
     S = np.sqrt(model.sigma_sq(vphi.values))
@@ -659,255 +664,177 @@ def gaussian_terminal_control(kernel, zeta0: float, offset: float, t_end: float)
     return value, coeff
 
 
-@dataclass
-class _TerminalProblem:
-    grid: TimeGrid
-    model: Model
-    component: str
-    target: float
-    frozen: bool
-    use_section: bool
-    kernel: object
-    conv: np.ndarray
-    rcol: np.ndarray
-    gsec: np.ndarray
-    r_tt: float
-    w: np.ndarray
-    rho: float
-    rho_bar: float
-    zeta0: float | None
-    y0: float
-    ray: bool  # the target is the ray beyond x, not x itself
-
-
-def _terminal_problem(model, target, component, grid, frozen, ray=False) -> _TerminalProblem:
-    if not math.isfinite(target):
-        raise DomainError(f"terminal target must be finite, got {target!r}")
-    if ray and target == 0.0:
-        raise DomainError("a ray target needs x != 0 to fix its direction")
-    zeta0 = float(model.zeta(np.asarray(model.y0)))
-    kernel = power_law(model.hurst)
-    cw = conv_weights(kernel, grid)
-    conv = cw.dense_matrix()
-    rcol = np.asarray(kernel.autocovariance(grid.nodes, grid.horizon), dtype=float)
-    gsec = terminal_weights(kernel, grid)
-    r_tt = l2_norm_sq(kernel, grid.horizon)
-    use_section = (model.zeta_constant or frozen) and component != "y_psi"
-    return _TerminalProblem(
-        grid=grid,
-        model=model,
-        component=component,
-        target=target,
-        frozen=frozen,
-        use_section=use_section,
-        kernel=kernel,
-        conv=conv,
-        rcol=rcol,
-        gsec=gsec,
-        r_tt=r_tt,
-        w=grid.trapezoid_weights(),
-        rho=model.rho,
-        rho_bar=math.sqrt(1.0 - model.rho**2),
-        zeta0=zeta0,
-        y0=model.y0,
-        ray=ray,
-    )
-
-
 class _Objective:
     """Energy and terminal target of one discretized terminal problem.
 
-    p is the volatility block (plus a kernel-section coefficient c); the
-    price drive is drive0 + s u, u costing (1/2) sum w u^2.  ``evaluate(p)``
-    returns (E, g, D, grad E, grad g, grad D): the energy, the target at
-    u = 0 and D = sum w s^2 (0 for a volatility target, which ignores u).
-    ``pieces(p)`` returns (E, v, vphi, drive0, s, ksec), the section atom
-    adding c K(T - .) ksec to the drive (ksec None without one);
-    ``curvature`` is the positive diagonal of the Hessian of E at ``start``.
+    Every problem here has a volatility response linear in its parameters.
+    p is the volatility block x, plus a kernel-section coefficient c when
+    the problem has a section atom; the volatility is
+    vphi = y0 + zeta0 (A x + c rcol), the volatility control v = x / Z(vphi),
+    and the price drive -drift S^2 + rho S v + rho_bar S u, u costing
+    (1/2) sum w u^2.  Per family:
+
+    * A is the fractional-integral matrix ``conv``.  The tail rescaling
+      (y0 = 0, drift 1/2) mean-reverts, A = (I + kappa C)^-1 conv with C the
+      flat kernel's matrix for Stein-Stein and ``conv`` for rough Heston;
+    * zeta0 = zeta(y0) and Z = 1 when zeta is constant or frozen.  Rough
+      Heston works in the forcing z = zeta(vphi) v itself: zeta0 = 1 and
+      Z = xi sqrt(max(vphi, floor));
+    * S = sqrt(Sigma(vphi)) from the catalogue, sqrt(Sigma(y0)) when frozen,
+      the signed vphi for tail Stein-Stein and Z / xi for rough Heston;
+    * ``curvature``, the diagonal of the Hessian of E at ``start``, is w
+      (and ||K||^2 for c) when Z = 1, and the z-Hessian diagonal otherwise.
+
+    ``evaluate(p)`` returns (E, g, D, grad E, grad g, grad D): the energy,
+    the target at u = 0 and D = sum w (rho_bar S)^2 (0 for a volatility
+    target, which ignores u).  The gradients are one chain rule through vphi.
     """
 
-    def __init__(self, tp: _TerminalProblem):
-        self.tp = tp
-        self.n = len(tp.grid)
-        self.start = np.zeros(self.n)
-
-    def result(self, p, lam):
-        """(energy, target, control, path) at p with the price control u = lam s.
-
-        A volatility target ignores u, so there u = 0.
-        """
-        tp = self.tp
-        en, v, vphi, drive0, s, ksec = self.pieces(p)
-        u = lam * s if tp.component == "x" else np.zeros_like(s)
-        phi = tp.grid.cumulative_trapezoid(drive0 + s * u)
-        secs = ()
-        if ksec is not None:
-            secs = (KernelSection(tp.kernel, tp.grid.horizon, p[-1], 0),)
-            phi = phi + p[-1] * _section_integral(tp.kernel, tp.grid, tp.grid.horizon, ksec)
-        tgt = {"x": phi[-1], "y": vphi[-1]}.get(tp.component, float(np.sum(tp.w * v)))
-        ctrl = Control(GridFunction(tp.grid, np.stack([v, u], axis=1)), sections=secs)
-        path = GridFunction(tp.grid, np.stack([phi, vphi], axis=1))
-        return en + 0.5 * float(np.sum(tp.w * u**2)), tgt, ctrl, path
-
-
-class _ZetaConstObjective(_Objective):
-    """Models with constant zeta (linear vphi response).
-
-    With a kernel section its coefficient c is the last parameter and moves
-    vphi along the column rcol.
-    """
-
-    def __init__(self, tp: _TerminalProblem):
-        super().__init__(tp)
-        self.curvature = tp.w
-        if tp.use_section:
-            self.curvature = np.append(tp.w, tp.r_tt)
-            self.start = np.zeros(self.n + 1)
-        m = tp.model
-        self.sig_fn, self.sig_prime = m.sigma_sq, m.sigma_sq_prime
-        if tp.frozen:
-            s0 = float(m.sigma_sq(np.asarray(m.y0)))
-            self.sig_fn = lambda y, s0=s0: np.full_like(np.asarray(y, dtype=float), s0)
-            self.sig_prime = lambda y: np.zeros_like(np.asarray(y, dtype=float))
-
-    def _response(self, p):
-        """(v, vphi, S = sqrt(Sigma(vphi)), E, grad E)."""
-        tp = self.tp
-        v, c = p[: self.n], (p[-1] if tp.use_section else 0.0)
-        vphi = tp.y0 + tp.zeta0 * (tp.conv @ v + c * tp.rcol)
-        S = np.sqrt(self.sig_fn(vphi))
-        g_en = tp.w * v
-        if tp.use_section:
-            g_en = np.append(g_en + c * tp.gsec, float(np.dot(tp.gsec, v)) + c * tp.r_tt)
-        # E is quadratic in p, so E = p.grad E / 2
-        return v, vphi, S, 0.5 * float(np.dot(p, g_en)), g_en
-
-    def pieces(self, p):
-        tp = self.tp
-        v, vphi, S, en, _ = self._response(p)
-        ksec = tp.rho * S if tp.use_section else None
-        return en, v, vphi, tp.rho * S * v, tp.rho_bar * S, ksec
-
-    def evaluate(self, p):
-        tp = self.tp
-        v, vphi, S, en, g_en = self._response(p)
-        if tp.component == "y":
-            g_tgt = np.append(tp.conv[-1], tp.rcol[-1:] if tp.use_section else [])
-            return en, vphi[-1], 0.0, g_en, tp.zeta0 * g_tgt, np.zeros_like(p)
-        if tp.component == "y_psi":  # unit-response integral of v
-            return en, float(np.sum(tp.w * v)), 0.0, g_en, tp.w, np.zeros_like(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            Sp = np.where(S > 1e-150, self.sig_prime(vphi) / (2.0 * S), 0.0)
-        # the price target at u = 0 is rho S.(w v + c gsec), whose weight is
-        # the v-block of grad E; adjoints of g and D stacked for one product
-        wv = g_en[: self.n]
-        back = np.stack([tp.rho * Sp * wv, 2.0 * tp.rho_bar**2 * tp.w * S * Sp], 1)
-        g_tgt, g_D = tp.zeta0 * (tp.conv.T @ back).T
-        g_tgt += tp.rho * tp.w * S
-        if tp.use_section:
-            c_tgt, c_D = tp.zeta0 * (tp.rcol @ back)
-            g_tgt = np.append(g_tgt, c_tgt + tp.rho * float(np.dot(tp.gsec, S)))
-            g_D = np.append(g_D, c_D)
-        D = tp.rho_bar**2 * float(np.sum(tp.w * S**2))
-        return en, tp.rho * float(np.dot(S, wv)), D, g_en, g_tgt, g_D
-
-
-class _HestonObjective(_Objective):
-    """z-parameterized rough Heston terminal problem.
-
-    The integrand z = xi sqrt(vphi) v makes the volatility response linear,
-    vphi = y0 + A z with A the fractional-integral matrix; the drive is
-    -drift vphi + sqrt(vphi) rho_bar u + rho z / xi.  Small time has drift 0;
-    ``_TailHestonObjective`` is the tail rescaling.
-    """
-
-    tail = False
-
-    def __init__(self, tp: _TerminalProblem):
-        super().__init__(tp)
-        self.xi = tp.model.xi
-        if self.tail:
+    def __init__(self, model, target, component, grid, frozen=False, ray=False, tail=False):
+        if not math.isfinite(target):
+            raise DomainError(f"terminal target must be finite, got {target!r}")
+        if ray and target == 0.0:
+            raise DomainError("a ray target needs x != 0 to fix its direction")
+        self.z_form = not (model.zeta_constant or frozen)
+        if tail and not isinstance(model, (RoughSteinStein, RoughHeston)):
+            raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
+        if component == "y_psi" and self.z_form:
+            # sum w v is not affine in the forcing z = zeta(vphi) v
+            raise NotApplicable("a 'y_psi' target needs a constant zeta: freeze the coefficients")
+        self.model, self.target, self.component, self.grid = model, target, component, grid
+        self.frozen, self.ray, self.tail = frozen, ray, tail
+        self.n = n = len(grid)
+        self.w = grid.trapezoid_weights()
+        self.rho, self.rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
+        self.kernel = power_law(model.hurst)
+        self.A = conv_weights(self.kernel, grid).dense_matrix()
+        self.zeta0 = 1.0 if self.z_form else float(model.zeta(np.asarray(model.y0)))
+        self.y0, self.drift = model.y0, 0.0
+        if tail:
+            flat = self.A if self.z_form else conv_weights(constant(1.0), grid).dense_matrix()
+            self.A = np.linalg.solve(np.eye(n) + model.kappa * flat, self.A)
             self.y0, self.drift = 0.0, 0.5
-            M = np.eye(self.n) + tp.model.kappa * tp.conv
-            self.A = np.linalg.solve(M, tp.conv)
-            # vphi = 0 at the zero control, where the z-energy is singular;
-            # start from the forcing |x| instead, zero at t = 0 where
-            # z = xi sqrt(vphi) v vanishes
-            self.start[1:] = abs(tp.target) or 1.0
-        else:
-            self.y0, self.drift, self.A = tp.y0, 0.0, tp.conv
-        self.curvature = self._z_curvature(self.start)
+        if frozen:
+            self.s0 = np.full(n, math.sqrt(float(model.sigma_sq(np.asarray(model.y0)))))
+        self.section = not (self.z_form or tail or component == "y_psi")
+        self.start = np.zeros(n + self.section)
+        self.curvature = self.w
+        if self.section:
+            rcol = self.kernel.autocovariance(grid.nodes, grid.horizon)
+            self.rcol = np.asarray(rcol, dtype=float)
+            self.gsec = terminal_weights(self.kernel, grid)
+            self.r_tt = l2_norm_sq(self.kernel, grid.horizon)
+            self.curvature = np.append(self.w, self.r_tt)
+        if self.z_form:
+            if tail:
+                # vphi = 0 at the zero forcing, where the z-energy is singular;
+                # start from the forcing |x| instead, zero at t = 0 where
+                # z = xi sqrt(vphi) v vanishes
+                self.start[1:] = abs(target) or 1.0
+            self.curvature = self._z_curvature(self.start)
 
     def _z_curvature(self, z):
         """Diagonal of the Hessian of sum w z^2 / (2 xi^2 vpos), vphi = y0 + A z."""
         vphi = self.y0 + self.A @ z
         vpos = np.maximum(vphi, _VOL_FLOOR)
         live = vphi > _VOL_FLOOR
-        c = self.tp.w / (self.xi**2 * vpos)
+        c = self.w / (self.model.xi**2 * vpos)
         cross = 2.0 * c * z * live / vpos * np.diag(self.A)
         return c - cross + (self.A**2).T @ (c * z**2 * live / vpos**2)
 
-    def pieces(self, z):
-        tp = self.tp
-        vphi = self.y0 + self.A @ z
+    def _state(self, p):
+        """(vphi, v, E, wv, grad E at fixed vphi, dlnZ/dvphi or None).
+
+        wv = w v + c gsec weighs v in the energy and in the price target; with
+        Z = 1 the energy depends on p alone and dlnZ is None.
+        """
+        x = p[: self.n]
+        vphi = self.A @ x
+        if self.section:
+            c = p[-1]
+            vphi += c * self.rcol
+            wv = self.w * x + c * self.gsec
+            g_en = np.append(wv, float(np.dot(self.gsec, x)) + c * self.r_tt)
+        vphi = self.y0 + self.zeta0 * vphi
+        if not self.z_form:
+            if not self.section:
+                wv = g_en = self.w * x
+            # E is quadratic in p, so E = p.grad E / 2
+            return vphi, x, 0.5 * float(np.dot(p, g_en)), wv, g_en, None
         vpos = np.maximum(vphi, _VOL_FLOOR)
-        S = np.sqrt(vpos)
-        en = 0.5 * float(np.sum(tp.w * z**2 / (self.xi**2 * vpos)))
-        drive0 = -self.drift * vpos + tp.rho * z / self.xi
-        return en, z / (self.xi * S), vphi, drive0, tp.rho_bar * S, None
+        Z = self.model.xi * np.sqrt(vpos)
+        v = x / Z
+        wv = self.w * v
+        g_en = wv / Z
+        dlnZ = (vphi > _VOL_FLOOR) / (2.0 * vpos)
+        return vphi, v, 0.5 * float(np.dot(x, g_en)), wv, g_en, dlnZ
 
-    def evaluate(self, z):
-        tp = self.tp
-        en, _, vphi, drive0, s, _ = self.pieces(z)
-        vpos = np.maximum(vphi, _VOL_FLOOR)
-        live = vphi > _VOL_FLOOR
-        wz = tp.w * z / (self.xi**2 * vpos)
-        back = [-0.5 * wz * z / vpos * live]
-        if tp.component == "x":
-            back += [-self.drift * tp.w * live, tp.rho_bar**2 * tp.w * live]
-        back = self.A.T @ np.stack(back, 1)
-        if tp.component != "x":
-            return en, vphi[-1], 0.0, wz + back[:, 0], self.A[-1], np.zeros_like(z)
-        g, D = float(np.sum(tp.w * drive0)), float(np.sum(tp.w * s**2))
-        return en, g, D, wz + back[:, 0], tp.w * tp.rho / self.xi + back[:, 1], back[:, 2]
+    def _price_vol(self, vphi):
+        """(S, dS/dvphi) along vphi."""
+        if self.z_form:  # S = Z / xi
+            S = np.sqrt(np.maximum(vphi, _VOL_FLOOR))
+            return S, (vphi > _VOL_FLOOR) / (2.0 * S)
+        if self.frozen:
+            return self.s0, 0.0
+        if self.tail:
+            return vphi, 1.0
+        S = np.sqrt(self.model.sigma_sq(vphi))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return S, np.where(S > 1e-150, self.model.sigma_sq_prime(vphi) / (2.0 * S), 0.0)
 
+    def evaluate(self, p):
+        vphi, v, en, wv, g_en, dlnZ = self._state(p)
+        # E moves with vphi only through Z: -w v^2 dlnZ
+        back_en = None if dlnZ is None else -wv * v * dlnZ
+        if self.component == "y_psi":  # unit-response integral of v (Z = 1)
+            return en, float(np.sum(wv)), 0.0, g_en, self.w, np.zeros_like(p)
+        if self.component == "y":
+            g_tgt = np.append(self.A[-1], self.rcol[-1:] if self.section else [])
+            if back_en is not None:
+                g_en = g_en + self.zeta0 * (self.A.T @ back_en)
+            return en, vphi[-1], 0.0, g_en, self.zeta0 * g_tgt, np.zeros_like(p)
+        S, Sp = self._price_vol(vphi)
+        wS = self.w * S
+        wSSp = wS * Sp
+        back = [-2.0 * self.drift * wSSp, 2.0 * self.rho_bar**2 * wSSp]
+        if back_en is None:
+            back[0] += self.rho * Sp * wv
+            g_tgt = self.rho * wS
+        else:  # rho S v = rho z / xi does not move with vphi, E does
+            back.append(back_en)
+            g_tgt = (self.rho / self.model.xi) * self.w
+        back = np.stack(back, 1)
+        grads = self.zeta0 * (self.A.T @ back).T
+        g_tgt, g_D = g_tgt + grads[0], grads[1]
+        if back_en is not None:
+            g_en = g_en + grads[2]
+        if self.section:  # c moves vphi along rcol and adds rho c K(T - .) S to the drive
+            c_tgt, c_D = self.zeta0 * (self.rcol @ back)
+            g_tgt = np.append(g_tgt, c_tgt + self.rho * float(np.dot(self.gsec, S)))
+            g_D = np.append(g_D, c_D)
+        wSS = float(np.dot(wS, S))
+        g = self.rho * float(np.dot(S, wv)) - self.drift * wSS
+        return en, g, self.rho_bar**2 * wSS, g_en, g_tgt, g_D
 
-class _TailHestonObjective(_HestonObjective):
-    """Tail rough Heston terminal problem in the smooth forcing variable.
+    def result(self, p, lam):
+        """(energy, target, control, path) at p with the price control u = lam rho_bar S.
 
-    vphi = (I + kappa C_RL)^-1 (C_RL z) from 0 and the drive carries -vphi/2.
-    """
-
-    tail = True
-
-
-class _TailSteinSteinObjective(_Objective):
-    """Tail Stein-Stein terminal problem: linear volatility response.
-
-    vphi = (I + kappa C1)^-1 (xi C_RL v) with C1 the cumulative-integral
-    (constant-kernel) matrix; the price drive is
-    -vphi^2/2 + vphi (rho_bar u + rho v).
-    """
-
-    def __init__(self, tp: _TerminalProblem):
-        super().__init__(tp)
-        m = tp.model
-        C1 = conv_weights(constant(1.0), tp.grid).dense_matrix()
-        self.A = np.linalg.solve(np.eye(self.n) + m.kappa * C1, m.xi * tp.conv)
-        self.curvature = tp.w
-
-    def pieces(self, v):
-        tp = self.tp
-        vphi = self.A @ v
-        drive0 = vphi * (tp.rho * v - 0.5 * vphi)
-        return 0.5 * float(np.sum(tp.w * v**2)), v, vphi, drive0, tp.rho_bar * vphi, None
-
-    def evaluate(self, v):
-        tp = self.tp
-        en, _, vphi, drive0, s, _ = self.pieces(v)
-        back = self.A.T @ np.stack([tp.w * (tp.rho * v - vphi), 2.0 * tp.w * s * tp.rho_bar], 1)
-        g, D = float(np.sum(tp.w * drive0)), float(np.sum(tp.w * s**2))
-        return en, g, D, tp.w * v, tp.w * tp.rho * vphi + back[:, 0], back[:, 1]
+        A volatility target ignores u, so there u = 0.
+        """
+        vphi, v, en, _, _, _ = self._state(p)
+        S = self._price_vol(vphi)[0]
+        u = lam * self.rho_bar * S if self.component == "x" else np.zeros(self.n)
+        drive = -self.drift * S**2 + S * (self.rho * v + self.rho_bar * u)
+        phi = self.grid.cumulative_trapezoid(drive)
+        secs = ()
+        if self.section:
+            T = self.grid.horizon
+            secs = (KernelSection(self.kernel, T, p[-1], 0),)
+            phi = phi + p[-1] * _section_integral(self.kernel, self.grid, T, self.rho * S)
+        tgt = {"x": phi[-1], "y": vphi[-1]}.get(self.component, float(np.sum(self.w * v)))
+        ctrl = Control(GridFunction(self.grid, np.stack([v, u], axis=1)), sections=secs)
+        path = GridFunction(self.grid, np.stack([phi, vphi], axis=1))
+        return en + 0.5 * float(np.sum(self.w * u**2)), tgt, ctrl, path
 
 
 _START_LEVELS = (-2.0, -1.0, 0.0, 1.0, 2.0)
@@ -930,7 +857,8 @@ def ldp_rate_terminal(
 
     component 'x' constrains the log-price terminal value, 'y' the
     volatility terminal value, 'y_psi' the integrated normalized control
-    (the frozen-coefficient reduction used by the MDP marginals).  ``frozen``
+    (the frozen-coefficient reduction used by the MDP marginals; it needs a
+    constant or frozen zeta, NotApplicable otherwise).  ``frozen``
     freezes the coefficient fields at y0, turning the problem into the MDP
     quadratic form.  ``ray`` (component 'x' only) relaxes the pin to the ray
     beyond ``x`` -- x' >= x for x > 0, x' <= x for x < 0 -- and returns
@@ -950,14 +878,8 @@ def ldp_rate_terminal(
         raise ValueError("component must be 'x', 'y' or 'y_psi'")
     if ray and component != "x":
         raise ValueError("a ray target is defined for component 'x' only")
-    grid = TimeGrid(horizon, n_steps)
-    tp = _terminal_problem(model, x, component, grid, frozen, ray)
-    offset = x - (tp.y0 if component == "y" else 0.0)
-    if model.zeta_constant or frozen:
-        obj = _ZetaConstObjective(tp)
-    else:
-        obj = _HestonObjective(tp)
-    return _run_reduced(obj, offset)
+    obj = _Objective(model, x, component, TimeGrid(horizon, n_steps), frozen=frozen, ray=ray)
+    return _run_reduced(obj, x - (obj.y0 if component == "y" else 0.0))
 
 
 def tail_rate_terminal(
@@ -973,14 +895,7 @@ def tail_rate_terminal(
     (Stein-Stein and rough Heston), ``ray`` included; the zero forcing
     leaves them no volatility, so that start is skipped as degenerate.
     """
-    grid = TimeGrid(t_end, n_steps)
-    tp = _terminal_problem(model, x, "x", grid, frozen=False, ray=ray)
-    if isinstance(model, RoughSteinStein):
-        obj = _TailSteinSteinObjective(tp)
-    elif isinstance(model, RoughHeston):
-        obj = _TailHestonObjective(tp)
-    else:
-        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
+    obj = _Objective(model, x, "x", TimeGrid(t_end, n_steps), ray=ray, tail=True)
     return _run_reduced(obj, x)
 
 
@@ -991,10 +906,10 @@ def _target_plane(obj: _Objective, root: np.ndarray):
     target(0) + beta.q in the scaled variables q, and the constraint is
     beta.q = r.
     """
-    if obj.tp.component == "x":
+    if obj.component == "x":
         return None
     _, t0, _, _, g_tgt, _ = obj.evaluate(np.zeros(len(root)))
-    return g_tgt / root, obj.tp.target - t0
+    return g_tgt / root, obj.target - t0
 
 
 def _reduced(q, obj: _Objective, root: np.ndarray, plane):
@@ -1014,8 +929,8 @@ def _reduced(q, obj: _Objective, root: np.ndarray, plane):
     if plane is None:
         p = q / root
         en, g, D, g_en, g_tgt, g_D = obj.evaluate(p)
-        lam = (obj.tp.target - g) / D if D > 0.0 else 0.0
-        if obj.tp.ray and lam * obj.tp.target < 0.0:
+        lam = (obj.target - g) / D if D > 0.0 else 0.0
+        if obj.ray and lam * obj.target < 0.0:
             lam = 0.0
         grad = g_en - lam * g_tgt - 0.5 * lam**2 * g_D
         return en + 0.5 * lam**2 * D, grad / root, p, lam, D
@@ -1034,7 +949,7 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
     starts, best = [], None
     for level in _START_LEVELS:
         q = np.full(len(root), level * (offset or 1.0)) * root
-        if len(root) > obj.n:  # section coefficient starts at zero
+        if obj.section:  # section coefficient starts at zero
             q[-1] = 0.0
         entry = {"level": level, "energy": None, "attained": None, "violation": None,
                  "iterations": 0, "evaluations": 0, "D": None, "lam": None,
@@ -1053,9 +968,9 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
         )
         _, grad, p, lam, D = _reduced(res.x, obj, root, plane)
         en, tgt, ctrl, path = obj.result(p, lam)
-        miss = tgt - obj.tp.target
-        if obj.tp.ray:  # only falling short of the ray counts
-            miss = max(-miss if obj.tp.target > 0.0 else miss, 0.0)
+        miss = tgt - obj.target
+        if obj.ray:  # only falling short of the ray counts
+            miss = max(-miss if obj.target > 0.0 else miss, 0.0)
         entry.update(
             energy=float(en),
             attained=float(tgt),

@@ -165,10 +165,11 @@ class _ModelBase:
     for the multifactor model.
     """
 
-    def sigma_sq(self, y):
+    def _no_catalogue(self, y=None):
         raise NotApplicable(f"{type(self).__name__} catalogues no such scalar coefficient")
 
-    zeta = sigma_sq_prime = sigma_sq
+    sigma_sq = zeta = sigma_sq_prime = _no_catalogue
+    zeta_constant = property(_no_catalogue)
 
     def validate_regime(self, regime: ScalingRegime):
         if regime.kind == "small_time_mdp" and regime.beta >= self.min_hurst:
@@ -289,8 +290,8 @@ class MultiRoughBergomi(_ModelBase):
 
     ``loadings`` is lower triangular; ``hurst`` entries are sorted ascending
     and sum(rho_j^2) < 1.  The price form sum_j exp(Y_j / 2) has no scalar
-    coefficient catalogue: ``sigma_sq``, ``zeta`` and ``sigma_sq_prime`` raise
-    NotApplicable.
+    coefficient catalogue: ``sigma_sq``, ``zeta``, ``sigma_sq_prime`` and
+    ``zeta_constant`` raise NotApplicable.
     """
 
     loadings: tuple

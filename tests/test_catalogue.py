@@ -21,6 +21,8 @@ from volterra_deviations.rate_functions import (
     ldp_rate_pair,
     ldp_rate_terminal,
     mdp_rate_terminal_x,
+    regenerate_mdp_pair,
+    regenerate_smalltime_pair,
     regenerate_tail_pair,
     tail_rate_terminal,
 )
@@ -82,6 +84,10 @@ class TestCatalogue:
         with pytest.raises(NotApplicable):
             getattr(MULTI, name)(np.asarray(MULTI.y0))
 
+    def test_multifactor_has_no_zeta_constant_flag(self):
+        with pytest.raises(NotApplicable):
+            MULTI.zeta_constant
+
     def test_heston_catalogues_no_sigma_prime(self):
         with pytest.raises(NotApplicable):
             HESTON.sigma_sq_prime(0.04)
@@ -103,6 +109,12 @@ MULTI_CALLS = {
     "regenerate_tail_pair": lambda: regenerate_tail_pair(
         MULTI, Control(GridFunction(GRID, np.zeros((len(GRID), 2))))
     ),
+    "regenerate_smalltime_pair": lambda: regenerate_smalltime_pair(
+        MULTI, Control(GridFunction(GRID, np.zeros((len(GRID), 3))))
+    ),
+    "regenerate_mdp_pair": lambda: regenerate_mdp_pair(
+        MULTI, Control(GridFunction(GRID, np.zeros((len(GRID), 3))))
+    ),
     "build_is_control_price": lambda: build_is_control(MULTI, EventSpec(0, 0.1), GRID),
     "build_is_control_vol": lambda: build_is_control(MULTI, EventSpec(1, -2.5), GRID),
 }
@@ -120,4 +132,20 @@ class TestMultifactorFailsLoudly:
         smile = {"maturity": 0.01, "strikes": [0.1], "n_steps": 16, "beta": 0.05}
         cfg.write_text(json.dumps({"model": MULTI_REC, "smile": smile}))
         assert run(["smile", "--model", str(cfg), "--regime", regime]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("family", ["small_time", "tail", "mdp"])
+    def test_cli_limit_solve_exits_1(self, tmp_path, capsys, family):
+        cfg = tmp_path / "lim.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "model": MULTI_REC,
+                    "grid": {"horizon": 1.0, "n_steps": 16},
+                    "family": family,
+                    "control": {"v": {"constant": 0.5}},
+                }
+            )
+        )
+        assert run(["limit", "solve", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

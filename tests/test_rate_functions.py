@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma as gamma_fn
 
 from volterra_deviations.errors import (
@@ -189,6 +191,64 @@ class TestMdpRates:
         phir, vphir = regenerate_mdp_pair(mod, r)
         assert np.max(np.abs(phir.values[3:] - phi.values[3:])) < 1e-3
         assert np.max(np.abs(vphir.values[3:] - vphi.values[3:])) < 1e-3
+
+
+def _frozen_model(kind, rho, xi, var0):
+    """A model with Sigma(y0) = var0; xi is the vol-of-vol (Bergomi's a)."""
+    if kind == "stein_stein":
+        return RoughSteinStein(kappa=0.5, theta=0.1, xi=xi, rho=rho, y0=math.sqrt(var0), hurst=H)
+    if kind == "bergomi":
+        return RoughBergomi(a=xi, rho=rho, y0=math.log(var0), hurst=H)
+    return RoughHeston(kappa=1.0, theta=0.04, xi=xi, rho=rho, y0=var0, hurst=H)
+
+
+_RHO = st.floats(-0.9, 0.9)
+_XI = st.floats(0.1, 1.0)
+_VAR0 = st.floats(0.01, 0.25)
+
+
+def _signed(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+
+
+_SIGNED_X = _signed(0.01, 0.5)
+
+
+class TestMdpQuadraticScaling:
+    """The frozen-coefficient (MDP) rates are exact quadratic forms."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(rho=_RHO, xi=_XI, var0=_VAR0, x=_SIGNED_X, c=_signed(0.25, 4.0))
+    @pytest.mark.parametrize("kind", ["stein_stein", "bergomi", "heston"])
+    def test_frozen_terminal_rate_scales_by_c_squared(self, kind, rho, xi, var0, x, c):
+        model = _frozen_model(kind, rho, xi, var0)
+        base = ldp_rate_terminal(model, x, n_steps=32, frozen=True).value
+        scaled = ldp_rate_terminal(model, c * x, n_steps=32, frozen=True).value
+        assert scaled == pytest.approx(c * c * base, rel=1e-10)
+        assert base == pytest.approx(mdp_rate_terminal_x(model, x), rel=1e-10)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        rho=_RHO,
+        xi=_XI,
+        var0=_VAR0,
+        x=_SIGNED_X,
+        dy=st.floats(-1.0, 1.0),
+        # |c| well above rounding: y0 + c (vphi - y0) must keep c's digits
+        c=_signed(0.25, 4.0),
+    )
+    @pytest.mark.parametrize("kind", ["stein_stein", "bergomi", "heston"])
+    def test_pair_rate_scales_by_c_squared(self, kind, rho, xi, var0, x, dy, c):
+        model = _frozen_model(kind, rho, xi, var0)
+        grid = TimeGrid(1.0, 64)
+        t = grid.nodes
+        phi = x * (t + 0.5 * np.sin(3.0 * t))
+        vphi = model.y0 + dy * var0 * t ** (H + 0.5) * (1.0 + t)
+        base = mdp_rate_pair(model, gf(phi, grid), gf(vphi, grid)).value
+        scaled = mdp_rate_pair(
+            model, gf(c * phi, grid), gf(model.y0 + c * (vphi - model.y0), grid)
+        ).value
+        assert scaled == pytest.approx(c * c * base, rel=1e-10)
 
 
 class TestTailRates:
@@ -435,29 +495,26 @@ class TestObjectiveGradients:
 
 
 def _curvature_test_objective(name):
-    from volterra_deviations.rate_functions import (
-        _HestonObjective,
-        _TailHestonObjective,
-        _TailSteinSteinObjective,
-        _terminal_problem,
-        _ZetaConstObjective,
-    )
+    from volterra_deviations.rate_functions import _Objective
 
     grid = TimeGrid(1.0, 24)
     berg = RoughBergomi(a=0.3, rho=-0.6, y0=-3.0, hurst=H)
     ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
     hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H)
     cases = {
-        "zeta_const_x_section": (_ZetaConstObjective, berg, 0.3, "x", False),
-        "zeta_const_y_section": (_ZetaConstObjective, berg, -2.0, "y", False),
-        "frozen_y_psi": (_ZetaConstObjective, hes, 1.0, "y_psi", True),
-        "heston_x": (_HestonObjective, hes, 0.2, "x", False),
-        "heston_y": (_HestonObjective, hes, 0.06, "y", False),
-        "tail_ss_x": (_TailSteinSteinObjective, ss, 1.0, "x", False),
-        "tail_heston_x": (_TailHestonObjective, hes, 1.0, "x", False),
+        "zeta_const_x_section": (berg, 0.3, "x", {}),
+        "zeta_const_y_section": (berg, -2.0, "y", {}),
+        "frozen_y_psi": (hes, 1.0, "y_psi", {"frozen": True}),
+        "heston_x": (hes, 0.2, "x", {}),
+        "heston_y": (hes, 0.06, "y", {}),
+        "tail_ss_x": (ss, 1.0, "x", {"tail": True}),
+        "tail_heston_x": (hes, 1.0, "x", {"tail": True}),
     }
-    cls, model, target, component, frozen = cases[name]
-    return cls(_terminal_problem(model, target, component, grid, frozen))
+    model, target, component, kw = cases[name]
+    return _Objective(model, target, component, grid, **kw)
+
+
+_PRICE_CASES = ["zeta_const_x_section", "heston_x", "tail_ss_x", "tail_heston_x"]
 
 
 class TestObjectiveCurvature:
@@ -584,6 +641,11 @@ class TestExactConstraint:
         assert zero["skipped"] and zero["energy"] is None and zero["iterations"] == 0
         assert sum(s["skipped"] is None for s in starts) >= 2
 
+    def test_y_psi_needs_a_constant_zeta(self):
+        # sum w v is not affine in rough Heston's forcing z = zeta(vphi) v
+        with pytest.raises(NotApplicable, match="y_psi"):
+            ldp_rate_terminal(HESTON, 0.5, component="y_psi", n_steps=32)
+
     @pytest.mark.parametrize("n", [64, 512])
     def test_frozen_solves_equal_the_mdp_closed_forms(self, n):
         hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.4, y0=0.04, hurst=H)
@@ -609,18 +671,10 @@ class TestExactConstraint:
 
 
 class TestOneEvaluatePerStep:
-    """A price-target step costs one objective evaluation."""
+    """A solver step costs one objective evaluation, for every problem kind."""
 
-    @pytest.mark.parametrize(
-        "name, cls_name",
-        [
-            ("zeta_const_x", "_ZetaConstObjective"),
-            ("heston_x", "_HestonObjective"),
-            ("tail_heston_x", "_HestonObjective"),
-            ("tail_ss_x", "_TailSteinSteinObjective"),
-        ],
-    )
-    def test_reduced_calls_evaluate_once(self, monkeypatch, name, cls_name):
+    @pytest.mark.parametrize("name", _EXACT_CASES)
+    def test_reduced_calls_evaluate_once(self, monkeypatch, name):
         import volterra_deviations.rate_functions as rf
 
         calls = {"evaluate": 0, "reduced": 0}
@@ -632,13 +686,14 @@ class TestOneEvaluatePerStep:
 
             return wrapper
 
-        cls = getattr(rf, cls_name)
-        monkeypatch.setattr(cls, "evaluate", counted("evaluate", cls.evaluate))
+        monkeypatch.setattr(rf._Objective, "evaluate", counted("evaluate", rf._Objective.evaluate))
         monkeypatch.setattr(rf, "_reduced", counted("reduced", rf._reduced))
         solve, x = _exact_constraint_case(name)
         starts = solve(x).diagnostics["starts"]
         assert calls["reduced"] > 0
-        assert calls["evaluate"] == calls["reduced"]
+        # a volatility target adds the one evaluation that fixes its plane
+        plane = 0 if name.endswith("_x") else 1
+        assert calls["evaluate"] == calls["reduced"] + plane
         # every start is screened once; a run start adds its L-BFGS
         # evaluations and one final call
         ran = [s for s in starts if s["skipped"] is None]
@@ -749,9 +804,7 @@ class TestRayHinge:
         best = min(ran, key=lambda s: s["energy"])
         assert res.optimal_path.values[-1, 0] == best["attained"]
 
-    @pytest.mark.parametrize(
-        "name, x", [("zeta_const_x_section", 0.01), ("heston_x", 0.2), ("tail_ss_x", -0.1)]
-    )
+    @pytest.mark.parametrize("name, x", zip(_PRICE_CASES, [0.01, 0.2, -0.1, 1.0]))
     def test_reduced_hinge_equals_the_pinned_energy_or_e(self, name, x):
         # for fixed q the ray energy is the pinned one while g falls short of
         # x, and E alone (lam = 0) once g is past it; gradients match there too
@@ -759,8 +812,8 @@ class TestRayHinge:
 
         pin = _curvature_test_objective(name)
         ray = _curvature_test_objective(name)
-        pin.tp.target = x
-        ray.tp.target, ray.tp.ray = x, True
+        pin.target = x
+        ray.target, ray.ray = x, True
         root = np.sqrt(pin.curvature)
         shape = np.linspace(0.5, 1.5, len(root)) * root
         shape[0] = 0.0
@@ -779,12 +832,12 @@ class TestRayHinge:
                 assert en_r == E and lam_r == 0.0
         assert branches == {"short", "past"}
 
-    @pytest.mark.parametrize("name", ["zeta_const_x_section", "heston_x", "tail_ss_x"])
+    @pytest.mark.parametrize("name", _PRICE_CASES)
     def test_hinge_gradient_matches_fd(self, name):
         from volterra_deviations.rate_functions import _reduced
 
         obj = _curvature_test_objective(name)
-        obj.tp.ray = True
+        obj.ray = True
         root = np.sqrt(obj.curvature)
         rng = np.random.default_rng(1)
         q = np.abs(rng.normal(size=len(root))) * 0.3 * root
