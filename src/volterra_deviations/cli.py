@@ -356,11 +356,7 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    from .rate_functions import (
-        regenerate_mdp_pair,
-        regenerate_smalltime_pair,
-        regenerate_tail_pair,
-    )
+    from .rate_functions import regenerate_pair
 
     cfg = _load_config(args.config, "limit")
     model = model_from_config(cfg["model"])
@@ -368,15 +364,12 @@ def _cmd_limit(args) -> int:
     ctrl = control_from_config(cfg["control"], grid)
     policy = cfg.get("branch_policy", "continue_positive")
     family = cfg["family"]
-    if family == "small_time":
-        phi, vphi = regenerate_smalltime_pair(model, ctrl, branch_policy=policy)
-    elif family == "tail":
-        phi, vphi = regenerate_tail_pair(model, ctrl, branch_policy=policy)
-    else:
-        phi, vphi = regenerate_mdp_pair(model, ctrl)
-    vphi_col = vphi.values if vphi.values.ndim == 1 else vphi.values[:, 0]
-    rows = zip(grid.nodes, phi.values, vphi_col)
+    phi, vphi, rep = regenerate_pair(
+        model, ctrl, frozen=family == "mdp", tail=family == "tail", branch_policy=policy
+    )
+    rows = zip(grid.nodes, phi.values, vphi.values)
     header = _header_comment(cfg, None, args.deterministic) + f" family={family} branch={policy}"
+    header += f" picard_iterations={rep.picard_iterations} residual={rep.residual!r}"
     _write_csv(args.out, header, ["t", "phi", "vphi"], rows)
     return 0
 

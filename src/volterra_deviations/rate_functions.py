@@ -5,36 +5,41 @@ Every coefficient comes from the model classes (``sve_sim``): Sigma
 ``zeta_constant``.  The multifactor model has no scalar catalogue, so every
 call here that needs one raises NotApplicable before building a kernel.
 
-Pair evaluators (``ldp_rate_pair``, ``heston_rate``, ``mdp_rate_pair``,
-``tail_rate_steinstein``, ``tail_rate_heston``, ``multifactor_mdp_rate``)
-invert the limit equations for the controls (u, v) driving a given path pair
-and return their energy; the recovered controls are attached so round trips
-through the limit solvers can be checked.
+The rate of a path is the least energy (1/2)||(u, v)||^2 of a control that
+the limit (skeleton) system of its family, ``_family``, maps onto it.  The
+module has three views of that one map.  The pair evaluators
+(``ldp_rate_pair``, ``heston_rate``, ``mdp_rate_pair``,
+``tail_rate_steinstein``, ``tail_mdp_rate_y``, ``tail_rate_heston``) invert
+it with one core, ``_pair_rate``; each keeps only its own input check, and
+the recovered controls are attached so round trips can be checked.  The
+regenerators run it forward with one core, ``regenerate_pair``, which also
+returns the Picard certificate.  The terminal solver minimizes over it.
+``multifactor_mdp_rate`` and its regenerator have another price form and
+stay separate.
 
-``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control
-energy subject to a terminal constraint.  Every such problem, small-time,
-frozen (MDP) or tail, is one objective class, ``_Objective``, on the
-volatility block x alone: the volatility responds linearly to the forcing,
+``ldp_rate_terminal`` and ``tail_rate_terminal`` minimize the control energy
+subject to a terminal constraint.  Every such problem, small-time, frozen
+(MDP) or tail, is one objective class, ``_Objective``, on the volatility
+block x alone: the volatility responds linearly to the forcing,
 vphi = y0 + zeta0 A x, the control is v = x / Z(vphi), and the price drive
-is -drift S^2 + rho S v + rho_bar S u.  Per family only A (the
-fractional-integral matrix, times (I + kappa C)^-1 in the tail rescaling),
-zeta0 (zeta(y0), or 1 for rough Heston, which works in the forcing
-z = zeta(vphi) v), Z (1, or xi sqrt(vphi) for rough Heston) and S
-(sqrt(Sigma) from the catalogue, constant when frozen, the signed vphi for
-tail Stein-Stein) differ.  The orthogonal price control u enters the
-energy only as (1/2) sum w u^2, so it is eliminated in closed form; the
-objective supplies its energy E, its target g at u = 0, D = sum w
-(rho_bar S)^2, their gradients (one chain rule through vphi) and the
-diagonal of the Hessian of E at its start point (``curvature``).  One
-driver, ``_run_reduced``, meets the constraint exactly and runs the
-deterministic multi-starts: a price target's rate is the unconstrained
-minimum of E + (x - g)^2 / (2 D) (the Forde-Zhang form), the infimum over
-the ray x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D), and a volatility
-target is affine in the volatility block with a constant gradient and is
-met by projecting onto that hyperplane.  L-BFGS runs in the scaled
-variables q = p sqrt(curvature), in which every coordinate of the energy
-has unit curvature at the start: the raw curvatures differ by orders of
-magnitude (w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node,
+is -drift S^2 + rho S v + rho_bar S u, with y0, drift and S from
+``_family``.  Per family only A (the fractional-integral matrix, times
+(I + kappa C)^-1 in the tail rescaling), zeta0 (zeta(y0), or 1 for rough
+Heston, which works in the forcing z = zeta(vphi) v), Z (1, or
+xi sqrt(vphi) for rough Heston) and S differ.  The orthogonal price
+control u enters the energy only as (1/2) sum w u^2, so it is eliminated
+in closed form; the objective supplies its energy E, its target g at
+u = 0, D = sum w (rho_bar S)^2, their gradients (one chain rule through
+vphi) and the diagonal of the Hessian of E at its start point
+(``curvature``).  One driver, ``_run_reduced``, meets the constraint
+exactly and runs the deterministic multi-starts: a price target's rate is
+the unconstrained minimum of E + (x - g)^2 / (2 D) (the Forde-Zhang form),
+the infimum over the ray x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D),
+and a volatility target is affine in the volatility block with a constant
+gradient and is met by projecting onto that hyperplane.  L-BFGS runs in the
+scaled variables q = p sqrt(curvature), in which every coordinate of the
+energy has unit curvature at the start: the raw curvatures differ by orders
+of magnitude (w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node,
 ||K||^2 for the kernel-section coefficient).
 Two structural devices keep the discrete optimum honest:
 
@@ -97,6 +102,7 @@ __all__ = [
     "tail_mdp_rate_y",
     "multifactor_mdp_rate",
     "gaussian_terminal_control",
+    "regenerate_pair",
     "regenerate_smalltime_pair",
     "regenerate_tail_pair",
     "regenerate_mdp_pair",
@@ -138,6 +144,10 @@ def _energy_masked(grid: TimeGrid, *channels) -> float:
     return 0.5 * total
 
 
+def _finite(vals: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(vals), vals, 0.0)
+
+
 def _is_grid_ac(phi: GridFunction) -> bool:
     """Difference-quotient energy blow-up test for absolute continuity."""
     v = phi.values
@@ -151,17 +161,6 @@ def _is_grid_ac(phi: GridFunction) -> bool:
     if e_half <= 0.0:
         return e_full <= _ZERO_THR
     return e_full <= _AC_BLOWUP * e_half
-
-
-def _check_pair_start(phi: GridFunction, vphi: GridFunction, y0: float) -> bool:
-    scale = max(1.0, abs(y0))
-    return abs(phi.values[0]) <= 1e-9 and abs(vphi.values[0] - y0) <= 1e-9 * scale
-
-
-def _pack_result(grid, value, v, u, path_cols, **kw) -> RateResult:
-    ctrl = Control(GridFunction(grid, np.stack([v, u], axis=1)))
-    path = GridFunction(grid, path_cols)
-    return RateResult(value=value, optimal_control=ctrl, optimal_path=path, **kw)
 
 
 def _section_integral(kernel, grid: TimeGrid, t_end: float, f: np.ndarray) -> np.ndarray:
@@ -182,8 +181,93 @@ def _section_integral(kernel, grid: TimeGrid, t_end: float, f: np.ndarray) -> np
 
 
 # ---------------------------------------------------------------------------
-# small-time LDP pair (integral-form corollary)
+# one limit system per family
 # ---------------------------------------------------------------------------
+
+
+def _family(model: Model, frozen: bool = False, tail: bool = False):
+    """(y0, drift, zeta, S) of a family's limit system.
+
+    vphi = y0 + K * (zeta(vphi) v) (less the tail mean reversion) and
+    phi' = -drift S(vphi)^2 + S(vphi) (rho_bar u + rho v).  Small time is
+    (y0, 0, zeta, sqrt(Sigma)); ``frozen`` holds zeta and S at y0; ``tail``
+    is (0, 1/2, zeta, sqrt(Sigma)), with the signed vphi as S for
+    Stein-Stein.  NotApplicable without a scalar catalogue (the multifactor
+    model) and, in the tail, for models other than Stein-Stein and rough
+    Heston.
+    """
+    flat = model.zeta_constant  # NotApplicable without a catalogue
+    if tail and not isinstance(model, (RoughSteinStein, RoughHeston)):
+        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
+    y0 = np.asarray(model.y0)
+    zeta0, s0 = float(model.zeta(y0)), math.sqrt(float(model.sigma_sq(y0)))
+
+    def zeta(y):
+        return np.full(np.shape(y), zeta0) if frozen else model.zeta(y)
+
+    def S(y):
+        if frozen:
+            return np.full(np.shape(y), s0)
+        return y if tail and flat else np.sqrt(model.sigma_sq(y))
+
+    return (0.0, 0.5, zeta, S) if tail else (model.y0, 0.0, zeta, S)
+
+
+def _reversion(model: Model, kernel):
+    """(K_r, order): the tail mean reversion is -kappa int K_r(t - s) vphi(s) ds.
+
+    Stein-Stein reverts through the flat kernel, rough Heston through its
+    volatility kernel ``kernel`` itself; D^(H+1/2) (K_r * f) = I^order f.
+    """
+    if model.zeta_constant:
+        return constant(1.0), 0.5 - model.hurst
+    return kernel, 0.0
+
+
+# ---------------------------------------------------------------------------
+# pair rates: the limit system inverted
+# ---------------------------------------------------------------------------
+
+
+def _pair_rate(model, phi, vphi, frozen=False, tail=False, delta=None):
+    """Invert the family's limit system for the controls of (phi, vphi).
+
+    The forcing z = zeta(vphi) v is D^(H+1/2)(vphi - y0), plus in the tail
+    kappa I^order vphi (``_reversion``); v = z / zeta(vphi), and u solves the
+    price equation.  Nodes where zeta or Sigma = S^2 vanishes get v = 0 or
+    u = 0.  +infinity off the start point (phi(0) = 0, vphi(0) = y0) or the
+    absolutely continuous range, per the grid blow-up test.  ``delta`` > 0
+    evaluates on vphi + delta t^(H+1/2) and reports a Richardson
+    extrapolation over (delta, delta/2).  Returns the result and z.
+    """
+    y0, drift, zeta, S = _family(model, frozen, tail)
+    grid = phi.grid
+    start = abs(phi.values[0]) <= 1e-9 and abs(vphi.values[0] - y0) <= 1e-9 * max(1.0, abs(y0))
+    if not start or not _is_grid_ac(phi):
+        return RateResult(value=np.inf, regularization_delta=delta), None
+    H, rho, rho_bar = model.hurst, model.rho, math.sqrt(1.0 - model.rho**2)
+    order = _reversion(model, None)[1] if tail else None
+    dphi = grid.forward_difference(phi.values)
+
+    def once(dlt):
+        vd = vphi.values + dlt * grid.nodes ** (H + 0.5)
+        z = rl_derivative(GridFunction(grid, vd - y0), H + 0.5, 0.0).values
+        if tail:
+            rev = vd if order == 0.0 else rl_integral(GridFunction(grid, vd), order).values
+            z = z + model.kappa * rev
+        zt, s = zeta(vd), S(vd)
+        dead_v, dead_u = np.abs(zt) <= _ZERO_THR, s * s <= _ZERO_THR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.where(dead_v, 0.0, z / np.where(dead_v, 1.0, zt))
+            s = np.where(dead_u, 1.0, s)
+            u = np.where(dead_u, 0.0, (dphi / s + drift * s - rho * v) / rho_bar)
+        return _energy_masked(grid, u, v), v, u, z
+
+    value, v, u, z = once(delta or 0.0)
+    rich = 2.0 * once(0.5 * delta)[0] - value if (delta or 0.0) > 0.0 else None
+    ctrl = Control(GridFunction(grid, np.stack([v, u], axis=1)))
+    path = GridFunction(grid, np.stack([phi.values, vphi.values], axis=1))
+    return RateResult(value, ctrl, path, delta, rich), z
 
 
 def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateResult:
@@ -191,79 +275,13 @@ def ldp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
 
     Inverts phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v) and
     vphi = y0 + I^(H+1/2)(zeta(vphi) v) for the controls and returns their
-    energy; +infinity off the absolutely continuous / fractional range, per
-    the grid blow-up test and the starting-point checks.  Nodes where Sigma
-    or zeta vanishes (rough Heston at or below zero) get u = 0 or v = 0.
+    energy (``_pair_rate``).  Nodes where Sigma or zeta vanishes (rough
+    Heston at or below zero) get u = 0 or v = 0; with rho != 0 a vanishing
+    zeta leaves no closed form (NotApplicable).
     """
-    zeta_vals = model.zeta(vphi.values)
-    H, rho, y0 = model.hurst, model.rho, model.y0
-    grid = phi.grid
-    if not _check_pair_start(phi, vphi, y0) or not _is_grid_ac(phi):
-        return RateResult(value=np.inf)
-    zero_zeta = np.abs(zeta_vals) <= _ZERO_THR
-    if rho != 0.0 and np.any(zero_zeta):
-        raise NotApplicable(
-            "rho != 0 with zeta vanishing on the grid: closed form unavailable"
-        )
-    rho_bar = math.sqrt(1.0 - rho**2)
-    dphi = grid.forward_difference(phi.values)
-    D = rl_derivative(GridFunction(grid, vphi.values - y0), H + 0.5, 0.0).values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.where(zero_zeta, 0.0, D / np.where(zero_zeta, 1.0, zeta_vals))
-        sig = model.sigma_sq(vphi.values)
-        zero_sig = np.abs(sig) <= _ZERO_THR
-        u = np.where(
-            zero_sig,
-            0.0,
-            (dphi / np.sqrt(np.where(zero_sig, 1.0, sig)) - rho * v) / rho_bar,
-        )
-    value = _energy_masked(grid, u, v)
-    return _pack_result(grid, value, v, u, np.stack([phi.values, vphi.values], axis=1))
-
-
-# ---------------------------------------------------------------------------
-# rough Heston small-time rate with delta regularization
-# ---------------------------------------------------------------------------
-
-
-def _heston_pair_rate(model, phi, vphi, delta, kappa, drift):
-    """Rough Heston pair rate on vd = vphi + delta t^(H+1/2), with Richardson.
-
-    The forcing z = D^(H+1/2)(vd - vd(0)) + kappa vd gives the volatility
-    control v = z / (xi sqrt(vd)) and the price control
-    u = (phi' / sqrt(vd) + drift sqrt(vd) - rho v) / rho_bar on {vd > 0}.
-    Small time has kappa = drift = 0; the tail rescaling has the model's kappa
-    and drift 1/2.  Returns the result and z.
-    """
-    grid = phi.grid
-    t = grid.nodes
-    H, rho, xi = model.hurst, model.rho, model.xi
-    rho_bar = math.sqrt(1.0 - rho**2)
-    dphi = grid.forward_difference(phi.values)
-
-    def once(dlt):
-        vd = vphi.values + dlt * t ** (H + 0.5)
-        pos = vd > _ZERO_THR
-        D = rl_derivative(GridFunction(grid, vd - vd[0]), H + 0.5, 0.0).values
-        z = D + kappa * vd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(np.where(pos, vd, 1.0))
-            v = np.where(pos, z / (xi * sq), 0.0)
-            u = np.where(pos, (dphi / sq + drift * sq - rho * v) / rho_bar, 0.0)
-        return _energy_masked(grid, u, v), v, u, z
-
-    value, v, u, z = once(delta)
-    rich = 2.0 * once(0.5 * delta)[0] - value if delta > 0.0 else None
-    res = _pack_result(
-        grid,
-        value,
-        v,
-        u,
-        np.stack([phi.values, vphi.values], axis=1),
-        regularization_delta=delta,
-        richardson_value=rich,
-    )
-    return res, z
+    if model.rho != 0.0 and np.any(np.abs(model.zeta(vphi.values)) <= _ZERO_THR):
+        raise NotApplicable("rho != 0 with zeta vanishing on the grid: closed form unavailable")
+    return _pair_rate(model, phi, vphi)[0]
 
 
 def heston_rate(
@@ -276,18 +294,11 @@ def heston_rate(
 
     delta > 0 evaluates on vphi + delta t^(H+1/2) and reports a Richardson
     extrapolation over (delta, delta/2); delta = 0 uses the positive-set
-    indicator convention directly.
+    indicator convention directly.  NegativePath if vphi dips below zero.
     """
     if np.any(vphi.values < -1e-12):
         raise NegativePath("volatility path must be nonnegative")
-    if not _check_pair_start(phi, vphi, model.y0) or not _is_grid_ac(phi):
-        return RateResult(value=np.inf, regularization_delta=delta)
-    return _heston_pair_rate(model, phi, vphi, delta, 0.0, 0.0)[0]
-
-
-# ---------------------------------------------------------------------------
-# moderate deviations (frozen coefficients)
-# ---------------------------------------------------------------------------
+    return _pair_rate(model, phi, vphi, delta=delta)[0]
 
 
 def mdp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateResult:
@@ -296,21 +307,10 @@ def mdp_rate_pair(model: Model, phi: GridFunction, vphi: GridFunction) -> RateRe
     Here phi and vphi are fluctuation paths anchored at the limit point:
     phi(0) = 0 and vphi(0) = y0.
     """
-    zeta0 = float(model.zeta(np.asarray(model.y0)))
-    H, rho, y0 = model.hurst, model.rho, model.y0
-    sig0 = float(model.sigma_sq(np.asarray(y0)))
-    if abs(sig0 * zeta0) <= _ZERO_THR:
+    y0 = np.asarray(model.y0)
+    if abs(float(model.zeta(y0) * model.sigma_sq(y0))) <= _ZERO_THR:
         raise DegenerateCoefficients("Sigma(y0) * zeta(y0) must be nonzero")
-    grid = phi.grid
-    if not _check_pair_start(phi, vphi, y0) or not _is_grid_ac(phi):
-        return RateResult(value=np.inf)
-    rho_bar = math.sqrt(1.0 - rho**2)
-    dphi = grid.forward_difference(phi.values)
-    D = rl_derivative(GridFunction(grid, vphi.values - y0), H + 0.5, 0.0).values
-    v = D / zeta0
-    u = (dphi / math.sqrt(sig0) - rho * v) / rho_bar
-    value = _energy_masked(grid, u, v)
-    return _pack_result(grid, value, v, u, np.stack([phi.values, vphi.values], axis=1))
+    return _pair_rate(model, phi, vphi, frozen=True)[0]
 
 
 def mdp_rate_terminal_x(model: Model, x: float) -> float:
@@ -332,53 +332,31 @@ def mdp_rate_terminal_y(y: float) -> float:
     return 0.5 * y * y
 
 
-# ---------------------------------------------------------------------------
-# tail rates
-# ---------------------------------------------------------------------------
-
-
-def _tail_vol_control(model: RoughSteinStein, vphi: GridFunction) -> np.ndarray:
-    """v = (D^(H+1/2) vphi + kappa I^(1/2-H) vphi) / xi, the tail Stein-Stein control."""
-    H = model.hurst
-    D = rl_derivative(GridFunction(vphi.grid, vphi.values), H + 0.5, 0.0).values
-    Ihalf = vphi.values.copy() if H == 0.5 else rl_integral(vphi, 0.5 - H).values
-    return (D + model.kappa * Ihalf) / model.xi
-
-
 def tail_rate_steinstein(
     model: RoughSteinStein, phi: GridFunction, vphi: GridFunction
 ) -> RateResult:
-    """Tail-rescaled Stein-Stein pair rate (volatility started at zero)."""
-    grid = phi.grid
-    rho = model.rho
-    if abs(phi.values[0]) > 1e-9 or abs(vphi.values[0]) > 1e-9 or not _is_grid_ac(phi):
-        return RateResult(value=np.inf)
-    rho_bar = math.sqrt(1.0 - rho**2)
-    v = _tail_vol_control(model, vphi)
-    dphi = grid.forward_difference(phi.values)
-    nz = np.abs(vphi.values) > _ZERO_THR
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.where(
-            nz,
-            (dphi / np.where(nz, vphi.values, 1.0) + 0.5 * vphi.values - rho * v)
-            / rho_bar,
-            0.0,
-        )
-    value = _energy_masked(grid, u, v)
-    return _pack_result(grid, value, v, u, np.stack([phi.values, vphi.values], axis=1))
+    """Tail-rescaled pair rate (volatility started at zero).
+
+    Stein-Stein's control is v = (D^(H+1/2) vphi + kappa I^(1/2-H) vphi) / xi;
+    on rough Heston this is ``tail_rate_heston`` at delta = 0.
+    """
+    return _pair_rate(model, phi, vphi, tail=True)[0]
 
 
 def tail_mdp_rate_y(model: RoughSteinStein, vphi: GridFunction) -> RateResult:
     """Tail-MDP volatility rate: (1/2 xi^2) int (D^(H+1/2) vphi + kappa I^(1/2-H) vphi)^2.
 
     The control formula coincides with the tail-LDP one, so this is the
-    v-energy of ``tail_rate_steinstein`` without the price term.
+    v-energy of ``tail_rate_steinstein`` (on either tail model) without the
+    price term; +infinity unless vphi starts at zero.
     """
     grid = vphi.grid
-    v = _tail_vol_control(model, vphi)
-    value = _energy_masked(grid, v)
+    res = _pair_rate(model, GridFunction(grid, np.zeros(len(grid))), vphi, tail=True)[0]
+    if res.optimal_control is None:
+        return res
+    v = res.optimal_control.values.values[:, 0]
     ctrl = Control(GridFunction(grid, np.stack([v, np.zeros_like(v)], axis=1)))
-    return RateResult(value=value, optimal_control=ctrl, optimal_path=vphi)
+    return RateResult(value=_energy_masked(grid, v), optimal_control=ctrl, optimal_path=vphi)
 
 
 def tail_rate_heston(
@@ -390,13 +368,12 @@ def tail_rate_heston(
     """Tail-rescaled rough Heston pair rate on the delta-perturbed path."""
     if np.any(vphi.values < -1e-12):
         raise NegativePath("volatility path must be nonnegative")
-    if abs(phi.values[0]) > 1e-9 or abs(vphi.values[0]) > 1e-9 or not _is_grid_ac(phi):
-        return RateResult(value=np.inf, regularization_delta=delta)
-    res, z = _heston_pair_rate(model, phi, vphi, delta, model.kappa, 0.5)
-    # smooth volatility forcing xi sqrt(vphi) v; lets round trips regenerate
-    # vphi through the equivalent linear equation without the 1/sqrt node-0
-    # indicator artifact
-    res.diagnostics["z_values"] = z
+    res, z = _pair_rate(model, phi, vphi, tail=True, delta=delta)
+    if z is not None:
+        # smooth volatility forcing xi sqrt(vphi) v; lets round trips regenerate
+        # vphi through the equivalent linear equation without the 1/sqrt node-0
+        # indicator artifact
+        res.diagnostics["z_values"] = z
     return res
 
 
@@ -474,30 +451,77 @@ def multifactor_mdp_rate(
 
 
 # ---------------------------------------------------------------------------
-# regeneration through the limit solvers (round-trip checks)
+# regeneration: the limit system run forward (round-trip checks)
 # ---------------------------------------------------------------------------
 
 
-def _split_vu(ctrl: Control):
-    """Nodal (v, u) columns of a control, non-finite entries zeroed."""
-    vals = _finite(ctrl.values.values)
-    if vals.ndim == 1:
-        return vals, np.zeros_like(vals)
-    return vals[:, 0], vals[:, 1]
-
-
-def _finite(vals: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(vals), vals, 0.0)
-
-
-def _zeta_field(model: Model):
-    """The diffusion field (t, y) -> zeta(y), shape (..., 1, 1), of the volatility equation."""
+def _field(f, *trail):
+    """The field (t, y) -> f(y[..., 0]), shaped (..., *trail), of the volatility equation."""
 
     def field(tt, xx):
         y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-        return model.zeta(y).reshape(*np.shape(y), 1, 1)
+        return np.asarray(f(y)).reshape(*np.shape(y), *trail)
 
     return field
+
+
+def regenerate_pair(
+    model: Model,
+    ctrl: Control | RateResult,
+    frozen: bool = False,
+    tail: bool = False,
+    branch_policy: str = "continue_positive",
+):
+    """Drive a family's limit system (``_family``) with a control.
+
+    Small time by default, frozen coefficients (MDP) with ``frozen``, the
+    tail rescaling with ``tail``.  Solves
+    vphi = y0 - kappa K_r * vphi (tail only) + K * (zeta(vphi) v), v with its
+    channel-0 kernel sections, and integrates
+    phi' = -drift S^2 + S (rho_bar u + rho v) plus each section's price term
+    rho c int K(T - s) S ds.  Returns (phi, vphi, report), the report being
+    the volatility solve's ``SolveReport``.  A tail rough Heston RateResult
+    carries the smooth forcing z = xi sqrt(vphi) v (``z_values``); it drives
+    the equivalent linear equation instead, which avoids the indicator
+    artifact of the singular recovered control at t = 0.
+    """
+    from .volterra_det import TOL_SMOOTH, DiffusionTerm, DriftTerm, LimitProblem, solve_ldp_limit
+
+    y0, drift, zeta, S = _family(model, frozen, tail)
+    z = None
+    if isinstance(ctrl, RateResult):
+        z = ctrl.diagnostics.get("z_values")
+        ctrl = ctrl.optimal_control
+    grid = ctrl.grid
+    vals = _finite(ctrl.values.values)
+    v, u = (vals, np.zeros_like(vals)) if vals.ndim == 1 else (vals[:, 0], vals[:, 1])
+    kernel = power_law(model.hurst)
+    forcing, tol, drift_terms = v, None, ()
+    if z is not None:
+        forcing, zeta, tol = _finite(z), np.ones_like, TOL_SMOOTH
+    if tail:
+        reversion = _field(lambda y: -model.kappa * y, 1)
+        drift_terms = (DriftTerm(_reversion(model, kernel)[0], reversion),)
+    p = LimitProblem(
+        grid=grid,
+        x0=np.array([y0]),
+        drift_terms=drift_terms,
+        diffusion_terms=(DiffusionTerm(kernel, _field(zeta, 1, 1)),),
+        control=Control(
+            GridFunction(grid, forcing),
+            sections=tuple(s for s in ctrl.sections if s.channel == 0),
+        ),
+        branch_policy=branch_policy,
+        sqrt_component=None if model.zeta_constant or frozen or z is not None else 0,
+        tol=tol,
+    )
+    report = solve_ldp_limit(p)
+    s = S(report.path.values)
+    rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
+    phi = grid.cumulative_trapezoid(-drift * s**2 + s * (rho_bar * u + rho * v))
+    for sec in p.control.sections:
+        phi = phi + rho * sec.coeff * _section_integral(sec.kernel, grid, sec.t_end, s)
+    return GridFunction(grid, phi), report.path, report
 
 
 def regenerate_smalltime_pair(
@@ -505,36 +529,12 @@ def regenerate_smalltime_pair(
     ctrl: Control | RateResult,
     branch_policy: str = "continue_positive",
 ):
-    """Drive the small-time limit system with recovered controls.
+    """Drive the small-time limit system with recovered controls; returns (phi, vphi).
 
     Solves vphi = y0 + I^(H+1/2)(zeta(vphi) v) and integrates
-    phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v), v with its kernel sections;
-    returns (phi, vphi).
+    phi' = sqrt(Sigma(vphi)) (rho_bar u + rho v), v with its kernel sections.
     """
-    from .volterra_det import DiffusionTerm, LimitProblem, solve_ldp_limit
-
-    if isinstance(ctrl, RateResult):
-        ctrl = ctrl.optimal_control
-    sqrt_component = None if model.zeta_constant else 0  # NotApplicable without a catalogue
-    grid = ctrl.grid
-    v, u = _split_vu(ctrl)
-    p = LimitProblem(
-        grid=grid,
-        x0=np.array([model.y0]),
-        diffusion_terms=(DiffusionTerm(power_law(model.hurst), _zeta_field(model)),),
-        control=Control(GridFunction(grid, v), sections=tuple(
-            s for s in ctrl.sections if s.channel == 0
-        )),
-        branch_policy=branch_policy,
-        sqrt_component=sqrt_component,
-    )
-    vphi = solve_ldp_limit(p).path
-    S = np.sqrt(model.sigma_sq(vphi.values))
-    rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    phi = grid.cumulative_trapezoid(S * (rho_bar * u + rho * v))
-    for sec in p.control.sections:
-        phi = phi + rho * sec.coeff * _section_integral(sec.kernel, grid, sec.t_end, S)
-    return GridFunction(grid, phi), vphi
+    return regenerate_pair(model, ctrl, branch_policy=branch_policy)[:2]
 
 
 def regenerate_tail_pair(
@@ -544,76 +544,17 @@ def regenerate_tail_pair(
 ):
     """Drive the tail-rescaled limit system with recovered controls.
 
-    Stein-Stein mean-reverts through the flat kernel, rough Heston through
-    K on the floored state.  Accepts a RateResult; for rough Heston the
-    attached smooth forcing z = xi sqrt(vphi) v is used to solve the
-    equivalent linear equation vphi = I^(H+1/2)(z - kappa vphi), avoiding the
-    indicator artifact of the singular recovered control at t = 0.
+    Stein-Stein mean-reverts through the flat kernel, rough Heston through K
+    (``_reversion``); a tail rough Heston RateResult drives the equivalent
+    linear equation vphi = I^(H+1/2)(z - kappa vphi) with its attached
+    forcing z.
     """
-    from .volterra_det import (
-        DiffusionTerm,
-        DriftTerm,
-        LimitProblem,
-        solve_ldp_limit,
-        solve_mdp_limit,
-    )
-
-    if not isinstance(model, (RoughSteinStein, RoughHeston)):
-        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
-    z_vals = None
-    if isinstance(ctrl, RateResult):
-        z_vals = ctrl.diagnostics.get("z_values")
-        ctrl = ctrl.optimal_control
-    grid = ctrl.grid
-    v, u = _split_vu(ctrl)
-    kernel = power_law(model.hurst)
-    rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    drift_kernel, floor = (constant(1.0), -np.inf) if model.zeta_constant else (kernel, 0.0)
-    if z_vals is not None:
-        gb = GridFunction(grid, np.full(len(grid), -model.kappa))
-        ones = GridFunction(grid, np.ones(len(grid)))
-        vphi = solve_mdp_limit(kernel, gb, ones, Control(GridFunction(grid, _finite(z_vals))))
-    else:
-        def drift(tt, xx):
-            y = np.atleast_1d(np.asarray(xx, dtype=float))[..., 0]
-            return (-model.kappa * np.maximum(y, floor)).reshape(*np.shape(y), 1)
-
-        p = LimitProblem(
-            grid=grid,
-            x0=np.array([0.0]),
-            drift_terms=(DriftTerm(drift_kernel, drift),),
-            diffusion_terms=(DiffusionTerm(kernel, _zeta_field(model)),),
-            control=Control(GridFunction(grid, v)),
-            branch_policy=branch_policy,
-            sqrt_component=None if model.zeta_constant else 0,
-        )
-        vphi = solve_ldp_limit(p).path
-    sig_sq = model.sigma_sq(vphi.values)
-    # the tail Stein-Stein price volatility is the signed vphi, not sqrt(vphi^2)
-    sig = vphi.values if model.zeta_constant else np.sqrt(sig_sq)
-    drive = -0.5 * sig_sq + sig * (rho_bar * u + rho * v)
-    phi = GridFunction(grid, grid.cumulative_trapezoid(drive))
-    return phi, vphi
+    return regenerate_pair(model, ctrl, tail=True, branch_policy=branch_policy)[:2]
 
 
 def regenerate_mdp_pair(model: Model, ctrl: Control | RateResult):
     """Drive the frozen-coefficient MDP limit system with recovered controls."""
-    from .volterra_det import solve_mdp_limit
-
-    if isinstance(ctrl, RateResult):
-        ctrl = ctrl.optimal_control
-    grid = ctrl.grid
-    v, u = _split_vu(ctrl)
-    zeta0 = float(model.zeta(np.asarray(model.y0)))
-    sig0 = math.sqrt(float(model.sigma_sq(np.asarray(model.y0))))
-    kernel = power_law(model.hurst)
-    zeros = GridFunction(grid, np.zeros(len(grid)))
-    zeta_path = GridFunction(grid, np.full(len(grid), zeta0))
-    psi = solve_mdp_limit(kernel, zeros, zeta_path, Control(GridFunction(grid, v)))
-    vphi = GridFunction(grid, model.y0 + psi.values)
-    rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
-    phi = GridFunction(grid, grid.cumulative_trapezoid(sig0 * (rho_bar * u + rho * v)))
-    return phi, vphi
+    return regenerate_pair(model, ctrl, frozen=True)[:2]
 
 
 def regenerate_multifactor_mdp_pair(
@@ -674,14 +615,13 @@ class _Objective:
     and the price drive -drift S^2 + rho S v + rho_bar S u, u costing
     (1/2) sum w u^2.  Per family:
 
-    * A is the fractional-integral matrix ``conv``.  The tail rescaling
-      (y0 = 0, drift 1/2) mean-reverts, A = (I + kappa C)^-1 conv with C the
-      flat kernel's matrix for Stein-Stein and ``conv`` for rough Heston;
+    * y0 and drift are the family's (``_family``).  A is the
+      fractional-integral matrix ``conv``; the tail mean-reverts,
+      A = (I + kappa C)^-1 conv with C the matrix of ``_reversion``'s K_r;
     * zeta0 = zeta(y0) and Z = 1 when zeta is constant or frozen.  Rough
       Heston works in the forcing z = zeta(vphi) v itself: zeta0 = 1 and
       Z = xi sqrt(max(vphi, floor));
-    * S = sqrt(Sigma(vphi)) from the catalogue, sqrt(Sigma(y0)) when frozen,
-      the signed vphi for tail Stein-Stein and Z / xi for rough Heston;
+    * S is the family's, and Z / xi (floored) for rough Heston;
     * ``curvature``, the diagonal of the Hessian of E at ``start``, is w
       (and ||K||^2 for c) when Z = 1, and the z-Hessian diagonal otherwise.
 
@@ -695,9 +635,8 @@ class _Objective:
             raise DomainError(f"terminal target must be finite, got {target!r}")
         if ray and target == 0.0:
             raise DomainError("a ray target needs x != 0 to fix its direction")
+        self.y0, self.drift, _, self.S = _family(model, frozen, tail)
         self.z_form = not (model.zeta_constant or frozen)
-        if tail and not isinstance(model, (RoughSteinStein, RoughHeston)):
-            raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
         if component == "y_psi" and self.z_form:
             # sum w v is not affine in the forcing z = zeta(vphi) v
             raise NotApplicable("a 'y_psi' target needs a constant zeta: freeze the coefficients")
@@ -709,13 +648,10 @@ class _Objective:
         self.kernel = power_law(model.hurst)
         self.A = conv_weights(self.kernel, grid).dense_matrix()
         self.zeta0 = 1.0 if self.z_form else float(model.zeta(np.asarray(model.y0)))
-        self.y0, self.drift = model.y0, 0.0
         if tail:
-            flat = self.A if self.z_form else conv_weights(constant(1.0), grid).dense_matrix()
-            self.A = np.linalg.solve(np.eye(n) + model.kappa * flat, self.A)
-            self.y0, self.drift = 0.0, 0.5
-        if frozen:
-            self.s0 = np.full(n, math.sqrt(float(model.sigma_sq(np.asarray(model.y0)))))
+            K_r = _reversion(model, self.kernel)[0]
+            C = self.A if K_r is self.kernel else conv_weights(K_r, grid).dense_matrix()
+            self.A = np.linalg.solve(np.eye(n) + model.kappa * C, self.A)
         self.section = not (self.z_form or tail or component == "y_psi")
         self.start = np.zeros(n + self.section)
         self.curvature = self.w
@@ -774,11 +710,11 @@ class _Objective:
         if self.z_form:  # S = Z / xi
             S = np.sqrt(np.maximum(vphi, _VOL_FLOOR))
             return S, (vphi > _VOL_FLOOR) / (2.0 * S)
+        S = self.S(vphi)
         if self.frozen:
-            return self.s0, 0.0
-        if self.tail:
-            return vphi, 1.0
-        S = np.sqrt(self.model.sigma_sq(vphi))
+            return S, 0.0
+        if self.tail:  # the signed vphi
+            return S, 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             return S, np.where(S > 1e-150, self.model.sigma_sq_prime(vphi) / (2.0 * S), 0.0)
 

@@ -24,6 +24,9 @@ from volterra_deviations.rate_functions import (
     regenerate_mdp_pair,
     regenerate_smalltime_pair,
     regenerate_tail_pair,
+    tail_mdp_rate_y,
+    tail_rate_heston,
+    tail_rate_steinstein,
     tail_rate_terminal,
 )
 from volterra_deviations.sve_sim import (
@@ -96,6 +99,7 @@ class TestCatalogue:
 GRID = TimeGrid(1.0, 16)
 GRID_PHI = GridFunction(GRID, 0.1 * GRID.nodes)
 GRID_VPHI = GridFunction(GRID, np.tile(MULTI.y0, (len(GRID), 1)))
+GRID_ZERO = GridFunction(GRID, np.zeros(len(GRID)))
 
 MULTI_CALLS = {
     "ldp_rate_terminal_x": lambda: ldp_rate_terminal(MULTI, 0.1, "x", n_steps=16),
@@ -106,6 +110,9 @@ MULTI_CALLS = {
     "smile_mdp": lambda: smile_mdp(MULTI, 0.1, 0.01, beta=0.05),
     "mdp_rate_terminal_x": lambda: mdp_rate_terminal_x(MULTI, 0.1),
     "ldp_rate_pair": lambda: ldp_rate_pair(MULTI, GRID_PHI, GRID_VPHI),
+    "tail_rate_steinstein": lambda: tail_rate_steinstein(MULTI, GRID_PHI, GRID_VPHI),
+    "tail_rate_heston": lambda: tail_rate_heston(MULTI, GRID_PHI, GRID_ZERO),
+    "tail_mdp_rate_y": lambda: tail_mdp_rate_y(MULTI, GRID_ZERO),
     "regenerate_tail_pair": lambda: regenerate_tail_pair(
         MULTI, Control(GridFunction(GRID, np.zeros((len(GRID), 2))))
     ),
@@ -148,4 +155,42 @@ class TestMultifactorFailsLoudly:
             )
         )
         assert run(["limit", "solve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+# the tail rescaling is catalogued for Stein-Stein and rough Heston only
+BERGOMI_TAIL_CALLS = {
+    "tail_rate_steinstein": lambda: tail_rate_steinstein(BERGOMI, GRID_PHI, GRID_ZERO),
+    "tail_rate_heston": lambda: tail_rate_heston(BERGOMI, GRID_PHI, GRID_ZERO),
+    "tail_mdp_rate_y": lambda: tail_mdp_rate_y(BERGOMI, GRID_ZERO),
+    "tail_rate_terminal": lambda: tail_rate_terminal(BERGOMI, 1.0, n_steps=16),
+    "regenerate_tail_pair": lambda: regenerate_tail_pair(
+        BERGOMI, Control(GridFunction(GRID, np.zeros((len(GRID), 2))))
+    ),
+}
+
+
+class TestTailCatalogue:
+    @pytest.mark.parametrize("name", sorted(BERGOMI_TAIL_CALLS))
+    def test_bergomi_tail_call_raises_not_applicable(self, name):
+        with pytest.raises(NotApplicable):
+            BERGOMI_TAIL_CALLS[name]()
+
+    def test_stein_stein_entry_on_heston_is_the_heston_tail_rate(self):
+        grid = TimeGrid(1.0, 256)
+        t = grid.nodes
+        vphi = GridFunction(grid, 0.2 * t ** (H + 0.5))
+        phi = GridFunction(grid, 0.3 * t)
+        got = tail_rate_steinstein(HESTON, phi, vphi)
+        want = tail_rate_heston(HESTON, phi, vphi, delta=0.0)
+        assert got.value == want.value
+        assert np.array_equal(got.optimal_control.values.values, want.optimal_control.values.values)
+
+    def test_cli_tail_rate_eval_on_bergomi_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "m.json"
+        rec = {"variant": "rough_bergomi", "a": 0.3, "rho": -0.5, "y0": -3.0, "hurst": H}
+        cfg.write_text(json.dumps({"model": rec, "family": "tail"}))
+        path = tmp_path / "p.csv"
+        path.write_text("t,phi,vphi\n" + "".join(f"{t},{0.1 * t},0.0\n" for t in GRID.nodes))
+        assert run(["rate", "eval", "--model", str(cfg), "--path", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")

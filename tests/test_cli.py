@@ -398,6 +398,31 @@ class TestLimitCommand:
         want = -3.2 + 0.5 / gamma_fn(1.6)
         assert float(last[2]) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("family", ["small_time", "tail", "mdp"])
+    def test_header_states_the_picard_certificate(self, tmp_path, capsys, family):
+        from volterra_deviations.volterra_det import TOL_SINGULAR
+
+        ss = {"variant": "rough_stein_stein", "kappa": 0.5, "theta": 0.1, "xi": 0.4,
+              "rho": -0.3, "y0": 0.3, "hurst": 0.1}
+        cfg = write(
+            tmp_path,
+            "lim.json",
+            {
+                "model": ss,
+                "grid": {"horizon": 1.0, "n_steps": 64},
+                "family": family,
+                "control": {"v": {"constant": 0.5}, "u": {"constant": 0.2}},
+            },
+        )
+        outs = []
+        for _ in range(2):
+            assert run(["limit", "solve", "--config", cfg, "--deterministic"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        fields = dict(f.split("=", 1) for f in outs[0].splitlines()[0][2:].split())
+        assert int(fields["picard_iterations"]) >= 1
+        assert 0.0 <= float(fields["residual"]) <= TOL_SINGULAR
+
 
 class TestVerifyCommand:
     def test_end_to_end_gaussian(self, tmp_path, capsys):

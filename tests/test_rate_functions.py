@@ -738,6 +738,81 @@ class TestSectionPriceTerm:
         np.testing.assert_allclose(flat, 2.0 * grid.cumulative_trapezoid(f), atol=1e-14)
 
 
+_CORRELATED = {
+    "bergomi": RoughBergomi(a=0.3, rho=-0.5, y0=-3.0, hurst=H),
+    "heston": RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.5, y0=0.04, hurst=H),
+    "stein_stein": RoughSteinStein(kappa=1.0, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H),
+}
+
+
+class TestFrozenRegeneration:
+    """The frozen forward map reproduces the frozen solver's path, section atom included."""
+
+    @pytest.mark.parametrize("kind", sorted(_CORRELATED))
+    def test_regenerated_pair_equals_the_solvers(self, kind):
+        model = _CORRELATED[kind]
+        res = ldp_rate_terminal(model, model.y0 + 0.05, "y", n_steps=128, frozen=True)
+        assert res.optimal_control.sections  # the target's mass sits in the atom
+        phi, vphi = regenerate_mdp_pair(model, res)
+        path = res.optimal_path.values
+        np.testing.assert_allclose(phi.values, path[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(vphi.values, path[:, 1], rtol=0.0, atol=1e-12)
+        assert vphi.values[-1] == pytest.approx(model.y0 + 0.05, abs=1e-12)
+
+
+def _solve_and_invert(name, n):
+    """(terminal solve at n, pair rate of its optimal path), both at rho = -0.7."""
+    ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.7, y0=0.3, hurst=H)
+    hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
+    solve, pair = {
+        "tail_stein_stein": (
+            lambda: tail_rate_terminal(ss, 1.0, n_steps=n),
+            lambda p, v: tail_rate_steinstein(ss, p, v),
+        ),
+        "tail_heston": (
+            lambda: tail_rate_terminal(hes, 1.0, n_steps=n),
+            lambda p, v: tail_rate_heston(hes, p, v, delta=0.0),
+        ),
+        "small_time_heston": (
+            lambda: ldp_rate_terminal(hes, 0.1, n_steps=n),
+            lambda p, v: heston_rate(hes, p, v, delta=0.0),
+        ),
+        "frozen_heston": (
+            lambda: ldp_rate_terminal(hes, 0.1, n_steps=n, frozen=True),
+            lambda p, v: mdp_rate_pair(hes, p, v),
+        ),
+    }[name]
+    res = solve()
+    grid = res.optimal_path.grid
+    phi, vphi = (GridFunction(grid, col) for col in res.optimal_path.values.T)
+    return res, pair(phi, vphi)
+
+
+class TestPairRateInvertsTheSolver:
+    """The pair rate of a terminal solve's optimal path is the solve's value.
+
+    The solver minimizes over the forward map, the pair rate inverts it with
+    D^(H+1/2) on the piecewise-linear path: two discretizations of one rate,
+    whose gap falls with n.  Small-time Gaussian targets are left out: their
+    section atom is singular at T, which the piecewise-linear inversion misses.
+    """
+
+    @staticmethod
+    def _gap(name, n):
+        res, pair = _solve_and_invert(name, n)
+        return abs(pair.value - res.value) / res.value
+
+    @pytest.mark.parametrize("name", ["tail_stein_stein", "tail_heston", "small_time_heston"])
+    def test_gap_falls_with_n(self, name):
+        coarse, fine = self._gap(name, 64), self._gap(name, 256)
+        assert fine < coarse
+        assert fine <= 2e-2
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_frozen_gap_is_rounding(self, n):
+        assert self._gap("frozen_heston", n) <= 1e-8
+
+
 class TestGaussianTerminalControl:
     def test_normal_equations_values(self):
         k = power_law(H)
