@@ -413,7 +413,10 @@ def _read_path_csv(path: str):
     t = arr[:, 0]
     n = len(t) - 1
     horizon = float(t[-1])
-    grid = TimeGrid(horizon, n)
+    try:
+        grid = TimeGrid(horizon, n)
+    except ValueError as exc:
+        raise ConfigError(f"path file {path} needs times from 0 to a positive end: {exc}") from exc
     if not np.allclose(t, grid.nodes, rtol=0, atol=1e-9 * max(1.0, horizon)):
         raise ConfigError(f"path file {path} must be sampled on a uniform grid from 0")
     return grid, arr[:, 1], arr[:, 2]
@@ -547,21 +550,22 @@ def _cmd_verify(args) -> int:
         direction=ev.get("direction", "ge"),
         t_eval=ev.get("t_eval"),
     )
-    ctrl = None
+    try:
+        exp = DeviationExperiment(
+            model=model,
+            event=event,
+            epsilons=tuple(cfg["epsilons"]),
+            regime_kind=cfg["regime"],
+            beta=cfg.get("beta"),
+            n_paths=cfg["paths"],
+            seed=cfg["seed"],
+            grid=grid,
+            reference_rate=cfg.get("reference_rate"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad experiment at epsilons/regime/beta: {exc}") from exc
     if cfg.get("importance_sampling", False):
-        ctrl = build_is_control(model, event, grid, cfg["regime"])
-    exp = DeviationExperiment(
-        model=model,
-        event=event,
-        epsilons=tuple(cfg["epsilons"]),
-        regime_kind=cfg["regime"],
-        beta=cfg.get("beta"),
-        n_paths=cfg["paths"],
-        seed=cfg["seed"],
-        grid=grid,
-        is_control=ctrl,
-        reference_rate=cfg.get("reference_rate"),
-    )
+        exp.is_control = build_is_control(model, event, grid, cfg["regime"])
     rep = ldp_slope(exp)
     payload = {
         "_meta": _meta(cfg, cfg["seed"], args.deterministic),

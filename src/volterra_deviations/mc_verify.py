@@ -73,7 +73,8 @@ class DeviationExperiment:
 
     ``regime_kind`` is one of the ScalingRegime kinds; ``beta`` feeds the MDP
     regimes.  ``reference_rate`` is the rate-function value the extrapolated
-    slope is compared against.
+    slope is compared against.  Construction builds the regime of every
+    epsilon, so a bad kind or beta raises ValueError before any simulation.
     """
 
     model: Model
@@ -96,6 +97,8 @@ class DeviationExperiment:
         if self.n_paths < 1000:
             raise ValueError("need at least 1000 paths per level")
         self.epsilons = eps
+        for e in eps:
+            self.regime(e)
 
     def regime(self, eps: float) -> ScalingRegime:
         return ScalingRegime(self.regime_kind, eps, self.beta)
@@ -120,7 +123,7 @@ class SlopeReport:
 
 
 def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None = None):
-    """(p_hat, stderr) at one level; importance-sampled when a control is set."""
+    """(p_hat, stderr, hits) at one level; importance-sampled when a control is set."""
     seed = exp.seed if seed is None else seed
     regime = exp.regime(eps)
     nodes = [exp.event.node(exp.grid)]

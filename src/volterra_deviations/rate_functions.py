@@ -193,12 +193,12 @@ def _family(model: Model, frozen: bool = False, tail: bool = False):
     (y0, 0, zeta, sqrt(Sigma)); ``frozen`` holds zeta and S at y0; ``tail``
     is (0, 1/2, zeta, sqrt(Sigma)), with the signed vphi as S for
     Stein-Stein.  NotApplicable without a scalar catalogue (the multifactor
-    model) and, in the tail, for models other than Stein-Stein and rough
-    Heston.
+    model) and, in the tail, for a model without a ``tail_degree`` (the
+    simulator's tail check).
     """
+    if tail and model.tail_degree is None:
+        raise NotApplicable(f"tail rescaling is not catalogued for {type(model).__name__}")
     flat = model.zeta_constant  # NotApplicable without a catalogue
-    if tail and not isinstance(model, (RoughSteinStein, RoughHeston)):
-        raise NotApplicable("tail rescaling is catalogued for Stein-Stein and Heston")
     y0 = np.asarray(model.y0)
     zeta0, s0 = float(model.zeta(y0)), math.sqrt(float(model.sigma_sq(y0)))
 

@@ -7,8 +7,10 @@ factor of its exact covariance, whose blocks come from closed-form kernel
 moments.  Non-Gaussian components (Heston volatility, every log-price
 component) use left-point Euler with exact kernel-moment weights, so the
 singular kernel is never sampled at lag zero.  Every model runs through one
-chunk loop; a path's normals are laid out channel by channel, 2n per Gaussian
-factor or n per Euler factor (rough Heston), then n for the orthogonal noise.
+chunk loop over its channels: 2n normals per Gaussian factor, n per Euler
+factor (rough Heston), and n for the orthogonal price noise, the last channel.
+``_scales`` gives every power of eps the two rescalings apply, and a model's
+``tail_degree`` (None: no tail rescaling) is the one tail catalogue.
 
 Controlled simulation feeds the same pipeline with shifted Gaussian inputs
 and attaches the Girsanov log-density evaluated on the unshifted draws; the
@@ -170,6 +172,7 @@ class _ModelBase:
 
     sigma_sq = zeta = sigma_sq_prime = _no_catalogue
     zeta_constant = property(_no_catalogue)
+    tail_degree = None  # Y scales as eps^tail_degree in the tail; None: no tail rescaling
 
     def validate_regime(self, regime: ScalingRegime):
         if regime.kind == "small_time_mdp" and regime.beta >= self.min_hurst:
@@ -219,6 +222,7 @@ class RoughSteinStein(_ModelBase):
         return np.full_like(np.asarray(y, dtype=float), self.xi)
 
     zeta_constant = True
+    tail_degree = 1
 
 
 @dataclass(frozen=True)
@@ -282,6 +286,7 @@ class RoughHeston(_ModelBase):
         return self.xi * np.sqrt(self.sigma_sq(y))
 
     zeta_constant = False
+    tail_degree = 2
 
 
 @dataclass(frozen=True)
@@ -544,11 +549,11 @@ def _hursts(model: Model) -> tuple:
     return tuple(model.hurst) if isinstance(model, MultiRoughBergomi) else (model.hurst,)
 
 
-def _factors(model: Model, grid: TimeGrid) -> list:
-    """Volatility factors in channel order; None marks Euler increments."""
+def _channels(model: Model, grid: TimeGrid) -> list:
+    """Volatility factors, then the orthogonal price noise; None marks Euler increments."""
     if isinstance(model, RoughHeston):
-        return [None]
-    return [_factor(power_law(float(H)), grid) for H in _hursts(model)]
+        return [None, None]
+    return [*(_factor(power_law(float(H)), grid) for H in _hursts(model)), None]
 
 
 # ---------------------------------------------------------------------------
@@ -600,32 +605,32 @@ def _plan_shift(
     return _ShiftPlan(dw, z_full, v_left, list(sections), quad * s_mult**2, s_mult)
 
 
-def _plan_control(control: Control, factors: list, grid: TimeGrid, s_mult: float) -> list:
-    """One shift plan per volatility channel, then the orthogonal channel's."""
+def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: float) -> list:
+    """One shift plan per channel: the volatility factors', then the orthogonal noise's."""
     vals = control.values.values
     if vals.ndim == 1:
         vals = vals[:, None]
-    n_vol, n_ch = len(factors), vals.shape[1]
+    n_vol, n_ch = len(channels) - 1, vals.shape[1]
     if n_ch not in (n_vol, n_vol + 1):
         raise InvalidModel(
             f"control carries {n_ch} channels, model drives {n_vol} (+1 orthogonal)"
         )
     u = vals[:, n_vol] if n_ch > n_vol else np.zeros(len(grid))
-    secs = [[] for _ in factors]
+    secs = [[] for _ in channels]
     for sec in control.sections:
         j = sec.channel
-        f = factors[j] if 0 <= j < n_vol else None
+        f = channels[j] if 0 <= j < len(channels) else None
         if f is None or sec.kernel != f.kernel:
             raise InvalidModel(f"channel {j} has no Gaussian factor with the section's kernel")
         secs[j].append(sec)
-    plans = [_plan_shift(f, grid, vals[:, j], secs[j], s_mult) for j, f in enumerate(factors)]
-    return plans + [_plan_shift(None, grid, u, [], s_mult)]
+    v = [vals[:, j] for j in range(n_vol)] + [u]
+    return [_plan_shift(f, grid, v[j], secs[j], s_mult) for j, f in enumerate(channels)]
 
 
-def _log_weight(plan: _ShiftPlan, grid: TimeGrid, dW0: np.ndarray, Z0, first: int) -> np.ndarray:
-    """-s int v dW - s^2/2 ||v||^2 on the unshifted draws of one channel."""
+def _log_weight(lw, plan: _ShiftPlan, grid: TimeGrid, dW0: np.ndarray, Z0, first: int):
+    """lw - s int v dW - s^2/2 ||v||^2 on the unshifted draws of one channel."""
     s = plan.s_mult
-    lw = -s * _aligned_matmul(dW0, plan.pair_pl, first)
+    lw = lw - s * _aligned_matmul(dW0, plan.pair_pl, first)
     for sec in plan.sections:
         lw = lw - s * sec.coeff * Z0[:, grid.node_index(sec.t_end)]
     return lw - 0.5 * plan.quad
@@ -677,16 +682,19 @@ def simulate_controlled(
     return _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes)
 
 
-def _shift_multiplier(model: Model, regime: ScalingRegime) -> float:
-    if regime.is_mdp:
-        return regime.h_eps()
-    return 1.0 / _theta_eps(model, regime)
+def _scales(model: Model, regime: ScalingRegime) -> tuple:
+    """(theta, clock, drift, level): every power of eps the simulator applies.
 
-
-def _theta_eps(model: Model, regime: ScalingRegime) -> float:
+    theta scales the noise, clock the flat-kernel drift's time, drift the
+    kernel and price drifts, level the volatility state.  Small time is
+    (eps^H, eps, eps^(H+1/2), 1) with H the smallest Hurst index; the tail is
+    (eps, 1, 1, eps^tail_degree).
+    """
+    eps = regime.eps
     if regime.is_tail:
-        return regime.eps
-    return regime.eps**model.min_hurst
+        return eps, 1.0, 1.0, eps**model.tail_degree
+    H = model.min_hurst
+    return eps**H, eps, eps ** (H + 0.5), 1.0
 
 
 def _check_nodes(nodes, grid: TimeGrid) -> np.ndarray:
@@ -704,9 +712,9 @@ def _check_nodes(nodes, grid: TimeGrid) -> np.ndarray:
     return arr
 
 
-def _channel_widths(factors: list, n: int) -> list:
-    """Normals per path of each volatility channel: 2n per Gaussian factor, n per Euler one."""
-    return [n if f is None else 2 * n for f in factors]
+def _channel_widths(channels: list, n: int) -> list:
+    """Normals per path of each channel: 2n per Gaussian factor, n per Euler one."""
+    return [n if f is None else 2 * n for f in channels]
 
 
 def _chunk_rows(normals_per_path: int) -> int:
@@ -721,8 +729,8 @@ def _chunk_rows(normals_per_path: int) -> int:
 
 def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
     model.validate_regime(regime)
-    if isinstance(model, (RoughBergomi, MultiRoughBergomi)) and regime.is_tail:
-        raise InvalidModel("tail rescaling is not defined for rough Bergomi models")
+    if regime.is_tail and model.tail_degree is None:
+        raise InvalidModel(f"tail rescaling is not defined for {type(model).__name__}")
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**63:
         raise InvalidModel(f"seed must be an integer in [0, 2^63), got {seed!r}")
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
@@ -730,21 +738,22 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
     nodes = _check_nodes(nodes, grid)
     # a slice keeps the full-path run free of a per-chunk gather copy
     cols = slice(None) if len(nodes) == len(grid) else nodes
-    factors = _factors(model, grid)
+    channels = _channels(model, grid)
     plans = None
     if control is not None:
-        plans = _plan_control(control, factors, grid, _shift_multiplier(model, regime))
+        s_mult = regime.h_eps() if regime.is_mdp else 1.0 / _scales(model, regime)[0]
+        plans = _plan_control(control, channels, grid, s_mult)
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
-    rows = _chunk_rows(sum(_channel_widths(factors, grid.n_steps)) + grid.n_steps)
+    rows = _chunk_rows(sum(_channel_widths(channels, grid.n_steps)))
     chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     # the run's size, never the chunk's, sets the history width
     history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
-    paths = np.empty((n_paths, len(nodes), 1 + len(factors)))
+    paths = np.empty((n_paths, len(nodes), len(channels)))
     logw = np.zeros(n_paths) if control is not None else None
 
     def run_chunk(chunk: range):
         idx = np.arange(chunk.start, chunk.stop)
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history, cols)
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols)
         paths[chunk.start : chunk.stop] = p
         if logw is not None:
             logw[chunk.start : chunk.stop] = lw
@@ -757,43 +766,37 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
             run_chunk(c)
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
-        nodes=nodes, bump=max((f.bump for f in factors if f is not None), default=0.0),
+        nodes=nodes, bump=max((f.bump for f in channels if f is not None), default=0.0),
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, factors, plans, history, cols):
+def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols):
     """Paths (chunk, kept nodes, 1+m) and log weights (None when uncontrolled).
 
     ``history`` is the rough Heston history block width (``_heston_volatility``);
     ``cols`` selects the kept nodes once the whole path is built, so a kept
     value goes through the same operations as in a full-path run.
     """
-    n = grid.n_steps
     sqrt_h = math.sqrt(grid.dt)
-    widths = _channel_widths(factors, n)
-    draws = _normal_block(seed, idx, sum(widths) + n)
+    widths = _channel_widths(channels, grid.n_steps)
+    draws = _normal_block(seed, idx, sum(widths))
     lw = None if plans is None else np.zeros(len(idx))
     dWs, Zs = [], []
     col = 0
-    for j, (f, width) in enumerate(zip(factors, widths)):
+    for j, (f, width) in enumerate(zip(channels, widths)):
         block = draws[:, col : col + width]
         col += width
         dW, Z = (block * sqrt_h, None) if f is None else f.sample(block, idx[0])
         if plans is not None:
             plan = plans[j]
-            lw = lw + _log_weight(plan, grid, dW, Z, idx[0])
+            lw = _log_weight(lw, plan, grid, dW, Z, idx[0])
             dW = dW + plan.dw_shift
             if Z is not None:
                 Z = Z + plan.z_shift
         dWs.append(dW)
         Zs.append(Z)
-    dWp = draws[:, col:] * sqrt_h
-    if plans is not None:
-        plan = plans[-1]
-        lw = lw - plan.s_mult * _aligned_matmul(dWp, plan.pair_pl, idx[0]) - 0.5 * plan.quad
-        dWp = dWp + plan.dw_shift
     Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
-    X = _log_price(model, regime, grid, Y, dWs, dWp)
+    X = _log_price(model, regime, grid, Y, dWs)
     out = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2)
     return _to_mdp_frame(out, model, regime), lw
 
@@ -802,7 +805,8 @@ def _volatility(model, regime, grid, dWs, Zs, first, history):
     """Volatility components (paths, n+1, m) from the shifted draws.
 
     Rough Bergomi is the one-factor case of the multifactor log volatility
-    Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j.
+    Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j,
+    with eps^H_1 and eps the theta and clock of ``_scales``.
     """
     if isinstance(model, RoughHeston):
         return _heston_volatility(model, regime, grid, dWs[0], first, history)[:, :, None]
@@ -813,12 +817,13 @@ def _volatility(model, regime, grid, dWs, Zs, first, history):
     else:
         L, y0, a = np.ones((1, 1)), (model.y0,), (model.a,)
     hursts, eps, H1 = _hursts(model), regime.eps, model.min_hurst
+    theta, clock = _scales(model, regime)[:2]
     Y = np.empty(Zs[0].shape + (len(hursts),))
     for i in range(len(hursts)):
         acc = np.zeros(Zs[0].shape)
         for j, H in enumerate(hursts):
             acc += eps ** (float(H) - H1) * L[i, j] * Zs[j]
-        Y[:, :, i] = y0[i] - a[i] * (eps * grid.nodes[None, :]) ** (2 * H1) + eps**H1 * acc
+        Y[:, :, i] = y0[i] - a[i] * (clock * grid.nodes[None, :]) ** (2 * H1) + theta * acc
     return Y
 
 
@@ -828,16 +833,9 @@ def _stein_stein_volatility(model, regime, grid, Z):
     h = grid.dt
     npaths = Z.shape[0]
     Y = np.empty((npaths, n + 1))
-    if regime.is_tail:
-        y_start = regime.eps * model.y0
-        drift_target = regime.eps * model.theta
-        drift_rate = model.kappa
-        noise = regime.eps * model.xi
-    else:
-        y_start = model.y0
-        drift_target = model.theta
-        drift_rate = regime.eps * model.kappa
-        noise = _theta_eps(model, regime) * model.xi
+    theta, clock, _, level = _scales(model, regime)
+    y_start, drift_target = level * model.y0, level * model.theta
+    drift_rate, noise = clock * model.kappa, theta * model.xi
     Y[:, 0] = y_start
     acc = np.zeros(npaths)
     for i in range(1, n + 1):
@@ -853,9 +851,9 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
                                          + noise_amp sqrt(Y_j^+) dW_j / h],
     mom_m the integral of K over [(m-1)h, mh]; (y_start, theta_lvl, drift_amp,
     noise_amp) is (y0, theta, eps^(H+1/2) kappa, eps^H xi) in small time and
-    (eps^2 y0, eps^2 theta, kappa, eps xi) in the tail.  The variance enters
-    every coefficient as max(Y, 0), so the square root never sees a negative
-    value; the state itself may go transiently negative.
+    (eps^2 y0, eps^2 theta, kappa, eps xi) in the tail (``_scales``).  The
+    variance enters every coefficient as max(Y, 0), so the square root never
+    sees a negative value; the state itself may go transiently negative.
 
     The history runs time-major, (steps, paths), in zero-padded blocks of
     ``width`` paths aligned to the path index.  The width is fixed for a run
@@ -871,17 +869,9 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     mom = c0[1:] - c0[:-1]
     mom_rev = mom[::-1].copy()
     w_rev = (mom / h)[::-1].copy()
-    if regime.is_tail:
-        y_start = regime.eps**2 * model.y0
-        theta_lvl = regime.eps**2 * model.theta
-        drift_amp = model.kappa
-        noise_amp = regime.eps * model.xi
-    else:
-        eps = regime.eps
-        y_start = model.y0
-        theta_lvl = model.theta
-        drift_amp = eps ** (model.hurst + 0.5) * model.kappa
-        noise_amp = eps**model.hurst * model.xi
+    theta, _, drift, level = _scales(model, regime)
+    y_start, theta_lvl = level * model.y0, level * model.theta
+    drift_amp, noise_amp = drift * model.kappa, theta * model.xi
     B = width
     Y = np.empty((dW.shape[0], n + 1))
     for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
@@ -900,11 +890,12 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     return Y
 
 
-def _log_price(model, regime, grid, Y, dWs, dWp):
+def _log_price(model, regime, grid, Y, dWs):
     """Left-point Euler for the log price; exact discrete martingale for e^X.
 
-    A scalar model's variance is its catalogued Sigma(Y); the multifactor
-    price form, which has no catalogue, sums exp(Y_j) and exp(Y_j / 2).
+    ``dWs`` holds every channel's increments, the orthogonal noise last.  A
+    scalar model's variance is its catalogued Sigma(Y); the multifactor price
+    form, which has no catalogue, sums exp(Y_j) and exp(Y_j / 2).
     """
     h = grid.dt
     rhos = np.atleast_1d(np.asarray(model.rho, dtype=float))
@@ -915,10 +906,8 @@ def _log_price(model, regime, grid, Y, dWs, dWp):
     except NotApplicable:
         sig_sq = np.sum(np.exp(Y), axis=2)
         sig = np.sum(np.exp(0.5 * Y), axis=2)
-    H = model.min_hurst
-    drift_amp = 1.0 if regime.is_tail else regime.eps ** (H + 0.5)
-    noise_amp = regime.eps if regime.is_tail else regime.eps**H
-    dB = rho_bar * dWp
+    noise_amp, _, drift_amp, _ = _scales(model, regime)
+    dB = rho_bar * dWs[-1]
     for rho, dW in zip(rhos, dWs):
         dB = dB + rho * dW
     incr = -0.5 * drift_amp * sig_sq[:, :-1] * h + noise_amp * sig[:, :-1] * dB
@@ -931,4 +920,4 @@ def _to_mdp_frame(paths, model, regime):
         return paths
     y_bar = np.atleast_1d(0.0 if regime.is_tail else np.asarray(model.y0, dtype=float))
     mean = np.concatenate([[0.0], y_bar])
-    return (paths - mean) / (_theta_eps(model, regime) * regime.h_eps())
+    return (paths - mean) / (_scales(model, regime)[0] * regime.h_eps())

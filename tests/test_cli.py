@@ -206,6 +206,13 @@ class TestRateCommand:
         want = 0.5 * 0.25 * gamma_fn(1.6) ** 2
         assert rep["value"] == pytest.approx(want, rel=1e-6)
 
+    def test_eval_on_a_one_row_path_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("t,phi,vphi\n0.0,0.0,-3.2\n")
+        cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC})
+        assert run(["rate", "eval", "--model", cfg, "--path", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
     def test_eval_reports_regularization_not_a_solver_certificate(self, tmp_path, capsys):
         from volterra_deviations.kernels import GridFunction, TimeGrid
@@ -446,6 +453,32 @@ class TestVerifyCommand:
         assert rep["relative_gap"] < 0.25
         assert len(rep["p_hats"]) == 3
         assert rep["used_importance_sampling"] is True
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"epsilons": [0.01, 0.02]}, {"epsilons": [0.02, -0.01]}, {"regime": "small_time_mdp"}],
+    )
+    def test_bad_sweep_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, change):
+        from volterra_deviations import mc_verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the experiment was checked")
+
+        for name in ("build_is_control", "simulate", "simulate_controlled"):
+            monkeypatch.setattr(mc_verify, name, forbidden)
+        rec = {
+            "model": BERGOMI_REC,
+            "event": {"component": 1, "level": -2.2},
+            "epsilons": [0.02, 0.01],
+            "regime": "small_time_ldp",
+            "paths": 1000,
+            "seed": 0,
+            "grid": {"horizon": 1.0, "n_steps": 8},
+            "importance_sampling": True,
+        }
+        cfg = write(tmp_path, "exp.json", dict(rec, **change))
+        assert run(["verify", "--experiment", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestConfigHash:

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from volterra_deviations import sve_sim
 from scipy.special import ndtri
-from volterra_deviations.errors import ConfigError, InvalidModel, KernelDomainError
+from volterra_deviations.errors import ConfigError, InvalidModel, KernelDomainError, NotApplicable
 from volterra_deviations.frac_calculus import Control, KernelSection
 from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
+from volterra_deviations.rate_functions import _family
 from volterra_deviations.sve_sim import (
     MultiRoughBergomi,
     RoughBergomi,
@@ -454,6 +455,52 @@ class TestChunkInvariance:
     )
     def test_chunk_rows_fill_the_budget_in_history_widths(self, normals, rows):
         assert sve_sim._chunk_rows(normals) == rows
+
+
+def _tail_rejected(call, error) -> bool:
+    try:
+        call()
+    except error as exc:
+        return "tail rescaling" in str(exc)
+    return False
+
+
+# every model under each regime it simulates; eps and beta keep the shift
+# near one standard deviation
+WEIGHT_CASES = [
+    (name, regime)
+    for name, model in sorted(INVARIANCE_MODELS.items())
+    for regime in (small_time_ldp(0.5), small_time_mdp(0.5, 0.05), tail_ldp(0.8))
+    if not regime.is_tail or model.tail_degree is not None
+]
+
+
+class TestEveryModel:
+    @pytest.mark.parametrize(
+        "name, regime", WEIGHT_CASES, ids=[f"{n}-{r.kind}" for n, r in WEIGHT_CASES]
+    )
+    def test_weights_average_to_one(self, name, regime):
+        # a nodal v on every volatility channel and a nonzero orthogonal u
+        model = INVARIANCE_MODELS[name]
+        grid = TimeGrid(1.0, 16)
+        n_vol = len(sve_sim._hursts(model))
+        vals = np.empty((len(grid), n_vol + 1))
+        vals[:, :n_vol] = 0.5 * (1.0 - grid.nodes)[:, None]
+        vals[:, n_vol] = 0.4
+        ctrl = Control(GridFunction(grid, vals))
+        ens = simulate_controlled(model, regime, ctrl, grid, 20_000, seed=31)
+        w = ens.weights()
+        se = w.std(ddof=1) / math.sqrt(len(w))
+        assert abs(w.mean() - 1.0) <= 5.0 * se
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+    def test_simulator_and_limit_family_reject_the_same_tails(self, name):
+        model = INVARIANCE_MODELS[name]
+        by_sim = _tail_rejected(
+            lambda: simulate(model, tail_ldp(0.5), SMALL_GRID, 4, seed=0), InvalidModel
+        )
+        by_family = _tail_rejected(lambda: _family(model, tail=True), NotApplicable)
+        assert by_sim == by_family == (name in ("bergomi", "multifactor"))
 
 
 class TestNodes:
