@@ -396,17 +396,20 @@ def _cmd_simulate(args) -> int:
 
 
 def _read_path_csv(path: str):
+    """Grid and (phi, vphi) columns; only lines before the first numeric row may be headers."""
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split(",")
             try:
-                rows.append([float(x) for x in parts])
+                rows.append([float(x) for x in line.split(",")])
             except ValueError:
-                continue  # header line
+                if rows:
+                    raise ConfigError(
+                        f"path file {path}, line {lineno}: not a row of numbers: {line!r}"
+                    ) from None
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 3:
         raise ConfigError(f"path file {path} needs columns t, phi, vphi")

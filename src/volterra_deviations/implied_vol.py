@@ -180,7 +180,10 @@ def mc_smile(
     if isinstance(model, MultiRoughBergomi):
         raise InvalidModel("exp(X) is not a martingale under the multifactor price form")
     grid = TimeGrid(1.0, n_steps)
-    ens = simulate(model, small_time_ldp(t), grid, n_paths, seed, threads=threads, nodes=[n_steps])
+    ens = simulate(
+        model, small_time_ldp(t), grid, n_paths, seed, threads=threads,
+        nodes=[n_steps], components=[0],
+    )
     x_phys = t ** (0.5 - model.min_hurst) * ens.component_at(0, n_steps)
     s_terminal = np.exp(x_phys)
     out = []

@@ -126,12 +126,13 @@ def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None =
     """(p_hat, stderr, hits) at one level; importance-sampled when a control is set."""
     seed = exp.seed if seed is None else seed
     regime = exp.regime(eps)
-    nodes = [exp.event.node(exp.grid)]
+    # keep only what the indicator reads: its component at its node
+    kept = dict(nodes=[exp.event.node(exp.grid)], components=[exp.event.component])
     if exp.is_control is None:
-        ens = simulate(exp.model, regime, exp.grid, exp.n_paths, seed, nodes=nodes)
+        ens = simulate(exp.model, regime, exp.grid, exp.n_paths, seed, **kept)
     else:
         ens = simulate_controlled(
-            exp.model, regime, exp.is_control, exp.grid, exp.n_paths, seed, nodes=nodes
+            exp.model, regime, exp.is_control, exp.grid, exp.n_paths, seed, **kept
         )
     hit = exp.event.indicator(ens)
     est = hit.astype(float) if exp.is_control is None else hit * ens.weights()

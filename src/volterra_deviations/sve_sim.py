@@ -37,15 +37,22 @@ tried), which matches the path-major double sum of its formula to 1e-12 of
 the path's sup norm.
 
 Paths run in chunks of as many rows as keep a chunk's normals block (rows x
-normals per path x 8 B) within the byte budget _CHUNK_BYTES; the other chunk
-temporaries scale with that block, so the working set is about threads x a
-few budgets.  The row count is rounded down to a multiple of the 1024-path
-history width (one width at least), so a rough Heston chunk never computes a
-partly empty history block.  ``nodes=`` keeps only the listed grid columns
-(sorted, unique indices; all by default): each chunk builds its whole paths
-and selects the columns before the MDP rescaling, so a kept value is bit
-for bit the one a full-path run returns, and a terminal-only run holds
-O(paths) memory instead of the (paths, n+1, d) tensor.
+normals per path x 8 B) within the byte budget _CHUNK_BYTES; the block is
+freed once the channels are sampled, the other chunk temporaries scale with
+it, so the working set is about threads x a few budgets.  The row count is
+rounded down to a multiple of the 1024-path history width (one width at
+least), so a rough Heston chunk never computes a partly empty history block.
+``nodes=`` keeps only the listed grid columns and ``components=`` only the
+listed components (sorted, unique indices; all by default): each chunk
+builds its whole paths and selects before the MDP rescaling, so a kept value
+is bit for bit the one a full run returns, and a terminal-only run holds
+O(paths) memory instead of the (paths, n+1, d) tensor.  A run that does not
+keep the log price (component 0) skips it; if its orthogonal control is zero
+as well (an uncontrolled run, a kernel-section tilt), it drops the last
+channel, so each path draws only the volatility prefix of its stream (2n
+normals per Gaussian factor, n for rough Heston).  That is exact: the prefix
+of a stream does not depend on its length, and a zero orthogonal control adds
+exactly 0 to the log weight.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -356,15 +363,16 @@ Model = RoughSteinStein | RoughBergomi | RoughHeston | MultiRoughBergomi
 
 @dataclass
 class PathEnsemble:
-    """Simulated paths (n_paths, len(nodes), d) with optional Girsanov weights.
+    """Simulated paths (n_paths, len(nodes), len(components)) with optional Girsanov weights.
 
-    ``nodes`` are the grid indices the ensemble holds, sorted and unique;
-    every node of ``grid`` by default.  A run asked for fewer nodes keeps its
-    full grid, path count and weights, and each value it holds equals bit for
-    bit the same entry of the full run.  ``component_at`` reads one held
-    node; ``component`` needs every node.  Both raise KernelDomainError
-    rather than return a column the ensemble does not hold.  ``bump`` is the
-    largest Cholesky bump (``GaussianFactor.bump``) of the run's factors.
+    ``nodes`` are the grid indices and ``components`` the component indices
+    (0 the log price, 1.. the volatilities) the ensemble holds, sorted and
+    unique; all of them by default.  A run asked for fewer keeps its full
+    grid, path count and weights, and each value it holds equals bit for bit
+    the same entry of the full run.  ``component_at`` reads one held node;
+    ``component`` needs every node.  Both raise KernelDomainError rather than
+    return a column the ensemble does not hold.  ``bump`` is the largest
+    Cholesky bump (``GaussianFactor.bump``) of the run's factors.
     """
 
     grid: TimeGrid
@@ -375,10 +383,13 @@ class PathEnsemble:
     regime: ScalingRegime | None = None
     nodes: np.ndarray | None = None
     bump: float = 0.0
+    components: np.ndarray | None = None
 
     def __post_init__(self):
         if self.nodes is None:
             self.nodes = np.arange(len(self.grid))
+        if self.components is None:
+            self.components = np.arange(self.paths.shape[2])
 
     def component(self, j: int) -> np.ndarray:
         """Component j at every grid node, (n_paths, n+1)."""
@@ -386,14 +397,12 @@ class PathEnsemble:
             raise KernelDomainError(
                 f"ensemble holds {len(self.nodes)} of {len(self.grid)} nodes; use component_at"
             )
-        return self.paths[:, :, j]
+        return self.paths[:, :, _held(self.components, j, "component")]
 
     def component_at(self, j: int, node: int) -> np.ndarray:
         """Component j at grid node ``node``, (n_paths,)."""
-        pos = int(np.searchsorted(self.nodes, node))
-        if pos == len(self.nodes) or self.nodes[pos] != node:
-            raise KernelDomainError(f"ensemble does not hold grid node {node!r}")
-        return self.paths[:, pos, j]
+        pos = _held(self.nodes, node, "grid node")
+        return self.paths[:, pos, _held(self.components, j, "component")]
 
     @property
     def n_paths(self) -> int:
@@ -403,6 +412,14 @@ class PathEnsemble:
         if self.log_weights is None:
             return np.ones(self.n_paths)
         return np.exp(self.log_weights)
+
+
+def _held(held: np.ndarray, index, what: str) -> int:
+    """Position of ``index`` in the sorted array ``held``; KernelDomainError if absent."""
+    pos = int(np.searchsorted(held, index))
+    if pos == len(held) or held[pos] != index:
+        raise KernelDomainError(f"ensemble does not hold {what} {index!r}")
+    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +666,16 @@ def simulate(
     seed: int,
     threads: int | None = None,
     nodes: Sequence[int] | None = None,
+    components: Sequence[int] | None = None,
 ) -> PathEnsemble:
     """Plain simulation of the rescaled system under the given regime.
 
     ``nodes`` (sorted, unique grid indices; every node by default) are the
-    columns the returned ensemble keeps.
+    columns the returned ensemble keeps, ``components`` (sorted, unique
+    indices in [0, 1+m), 0 the log price; every component by default) the
+    components.  A run without component 0 skips the log price and its noise.
     """
-    return _simulate_impl(model, regime, grid, n_paths, seed, None, threads, nodes)
+    return _simulate_impl(model, regime, grid, n_paths, seed, None, threads, nodes, components)
 
 
 def simulate_controlled(
@@ -667,19 +687,22 @@ def simulate_controlled(
     seed: int,
     threads: int | None = None,
     nodes: Sequence[int] | None = None,
+    components: Sequence[int] | None = None,
 ) -> PathEnsemble:
     """Girsanov-shifted simulation with per-path log importance weights.
 
     The control channels follow the driving-noise layout (v on the volatility
     factor(s) first, u on the orthogonal price noise last); the regime
     determines the shift strength (theta_eps^-1 for LDP, h_eps for MDP).
-    ``nodes`` selects the kept columns as in ``simulate``.
+    ``nodes`` and ``components`` select what the ensemble keeps as in
+    ``simulate``; a run without component 0 still draws the orthogonal noise
+    when u is not zero, because the weights need it.
     """
     if control is None:
         raise ValueError("use simulate() for uncontrolled runs")
     if control.grid != grid:
         raise InvalidModel(f"control lives on {control.grid}, simulation on {grid}")
-    return _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes)
+    return _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, components)
 
 
 def _scales(model: Model, regime: ScalingRegime) -> tuple:
@@ -697,17 +720,17 @@ def _scales(model: Model, regime: ScalingRegime) -> tuple:
     return eps**H, eps, eps ** (H + 0.5), 1.0
 
 
-def _check_nodes(nodes, grid: TimeGrid) -> np.ndarray:
-    """Grid indices to keep: a non-empty, strictly increasing integer sequence."""
-    if nodes is None:
-        return np.arange(len(grid))
-    arr = np.asarray(nodes)
+def _check_kept(name: str, kept, size: int) -> np.ndarray:
+    """Indices to keep: a non-empty, strictly increasing integer sequence in [0, size)."""
+    if kept is None:
+        return np.arange(size)
+    arr = np.asarray(kept)
     if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
-        raise InvalidModel(f"nodes must be a non-empty sequence of integers, got {nodes!r}")
+        raise InvalidModel(f"{name} must be a non-empty sequence of integers, got {kept!r}")
     arr = arr.astype(np.intp)  # unsigned differences would wrap around
-    if arr[0] < 0 or arr[-1] > grid.n_steps or np.any(np.diff(arr) <= 0):
+    if arr[0] < 0 or arr[-1] >= size or np.any(np.diff(arr) <= 0):
         raise InvalidModel(
-            f"nodes must be sorted, unique grid indices in [0, {grid.n_steps}], got {nodes!r}"
+            f"{name} must be sorted, unique indices in [0, {size - 1}], got {kept!r}"
         )
     return arr
 
@@ -727,7 +750,7 @@ def _chunk_rows(normals_per_path: int) -> int:
     return max(_HISTORY_PATHS, rows - rows % _HISTORY_PATHS)
 
 
-def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
+def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, components):
     model.validate_regime(regime)
     if regime.is_tail and model.tail_degree is None:
         raise InvalidModel(f"tail rescaling is not defined for {type(model).__name__}")
@@ -735,7 +758,9 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
         raise InvalidModel(f"seed must be an integer in [0, 2^63), got {seed!r}")
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InvalidModel(f"n_paths must be a positive integer, got {n_paths!r}")
-    nodes = _check_nodes(nodes, grid)
+    nodes = _check_kept("nodes", nodes, len(grid))
+    n_comps = 1 + len(_hursts(model))  # the log price, then the volatilities
+    comps = _check_kept("components", components, n_comps)
     # a slice keeps the full-path run free of a per-chunk gather copy
     cols = slice(None) if len(nodes) == len(grid) else nodes
     channels = _channels(model, grid)
@@ -743,17 +768,25 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
     if control is not None:
         s_mult = regime.h_eps() if regime.is_mdp else 1.0 / _scales(model, regime)[0]
         plans = _plan_control(control, channels, grid, s_mult)
+    if comps[0] != 0 and (plans is None or not np.any(plans[-1].pair_pl)):
+        # the orthogonal noise ends every path's stream and, with u = 0, adds
+        # exactly 0 to the log weight: a run without the log price skips it
+        channels = channels[:-1]
+        if plans is not None:
+            plans = plans[:-1]
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
     rows = _chunk_rows(sum(_channel_widths(channels, grid.n_steps)))
     chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     # the run's size, never the chunk's, sets the history width
     history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
-    paths = np.empty((n_paths, len(nodes), len(channels)))
+    paths = np.empty((n_paths, len(nodes), len(comps)))
     logw = np.zeros(n_paths) if control is not None else None
 
     def run_chunk(chunk: range):
         idx = np.arange(chunk.start, chunk.stop)
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols)
+        p, lw = _simulate_chunk(
+            model, regime, grid, idx, seed, channels, plans, history, cols, comps
+        )
         paths[chunk.start : chunk.stop] = p
         if logw is not None:
             logw[chunk.start : chunk.stop] = lw
@@ -767,15 +800,17 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes):
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
         nodes=nodes, bump=max((f.bump for f in channels if f is not None), default=0.0),
+        components=comps,
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols):
-    """Paths (chunk, kept nodes, 1+m) and log weights (None when uncontrolled).
+def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols, comps):
+    """Paths (chunk, kept nodes, kept components) and log weights (None when uncontrolled).
 
     ``history`` is the rough Heston history block width (``_heston_volatility``);
-    ``cols`` selects the kept nodes once the whole path is built, so a kept
-    value goes through the same operations as in a full-path run.
+    ``cols`` and ``comps`` select the kept nodes and components once the
+    whole path is built, so a kept value goes through the same operations as
+    in a full run.  The log price is built only when component 0 is kept.
     """
     sqrt_h = math.sqrt(grid.dt)
     widths = _channel_widths(channels, grid.n_steps)
@@ -795,10 +830,16 @@ def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, co
                 Z = Z + plan.z_shift
         dWs.append(dW)
         Zs.append(Z)
+    del draws, block  # the draws live on only in dWs and Zs
     Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
-    X = _log_price(model, regime, grid, Y, dWs)
-    out = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2)
-    return _to_mdp_frame(out, model, regime), lw
+    if comps[0] == 0:
+        X = _log_price(model, regime, grid, Y, dWs)
+        out, picks = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2), comps
+    else:
+        out, picks = Y[:, cols], comps - 1  # Y holds components 1..m
+    if len(picks) < out.shape[2]:
+        out = out[:, :, picks]
+    return _to_mdp_frame(out, model, regime, comps), lw
 
 
 def _volatility(model, regime, grid, dWs, Zs, first, history):
@@ -914,10 +955,13 @@ def _log_price(model, regime, grid, Y, dWs):
     return np.concatenate([np.zeros((Y.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
 
 
-def _to_mdp_frame(paths, model, regime):
-    """MDP regimes: (path - limit path) / (theta_eps h_eps); the limit is (0, y0)."""
+def _to_mdp_frame(paths, model, regime, comps):
+    """MDP regimes: (path - limit path) / (theta_eps h_eps); the limit is (0, y0).
+
+    ``comps`` are the components ``paths`` holds.
+    """
     if not regime.is_mdp:
         return paths
     y_bar = np.atleast_1d(0.0 if regime.is_tail else np.asarray(model.y0, dtype=float))
-    mean = np.concatenate([[0.0], y_bar])
+    mean = np.concatenate([[0.0], y_bar])[comps]
     return (paths - mean) / (_scales(model, regime)[0] * regime.h_eps())

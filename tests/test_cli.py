@@ -214,6 +214,19 @@ class TestRateCommand:
         assert capsys.readouterr().err.startswith("config error: ")
 
 
+    @pytest.mark.parametrize("bad_row", [9, 4])
+    def test_eval_on_a_path_with_a_typo_names_the_line(self, tmp_path, capsys, bad_row):
+        # a 9-row path on [0, 1]; the file's first line is the header
+        rows = [f"{i / 8!r},0.0,-2.7" for i in range(9)]
+        rows[bad_row - 1] = rows[bad_row - 1].replace("0.0", "0.O")
+        path = tmp_path / "p.csv"
+        path.write_text("# a comment\nt,phi,vphi\n" + "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC})
+        assert run(["rate", "eval", "--model", cfg, "--path", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert f"line {bad_row + 2}:" in err and "0.O" in err
+
     def test_eval_reports_regularization_not_a_solver_certificate(self, tmp_path, capsys):
         from volterra_deviations.kernels import GridFunction, TimeGrid
         from volterra_deviations.rate_functions import heston_rate
@@ -479,6 +492,24 @@ class TestVerifyCommand:
         cfg = write(tmp_path, "exp.json", dict(rec, **change))
         assert run(["verify", "--experiment", cfg]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+    def test_a_component_the_model_lacks_fails_before_drawing(self, tmp_path, capsys, monkeypatch):
+        from volterra_deviations import sve_sim
+
+        monkeypatch.setattr(sve_sim, "_normal_block", None)  # any draw would fail
+        rec = {
+            "model": BERGOMI_REC,
+            "event": {"component": 2, "level": -2.2},
+            "epsilons": [0.02, 0.01],
+            "regime": "small_time_ldp",
+            "paths": 1000,
+            "seed": 0,
+            "grid": {"horizon": 1.0, "n_steps": 8},
+        }
+        cfg = write(tmp_path, "exp.json", rec)
+        assert run(["verify", "--experiment", cfg]) == 1
+        assert "components" in capsys.readouterr().err
 
 
 class TestConfigHash:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from volterra_deviations.errors import InsufficientHits, KernelDomainError
+from volterra_deviations.errors import InsufficientHits, InvalidModel, KernelDomainError
 from volterra_deviations.frac_calculus import Control, KernelSection
-from volterra_deviations.kernels import TimeGrid, l2_norm_sq, power_law
+from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
 from volterra_deviations.mc_verify import (
     DeviationExperiment,
     EventSpec,
@@ -27,6 +27,7 @@ H = 0.1
 Y0 = math.log(0.04)
 R = l2_norm_sq(power_law(H), 1.0)
 GAUSSIAN = RoughBergomi(a=0.0, rho=0.0, y0=Y0, hurst=H)
+HESTON = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
 GRID = TimeGrid(1.0, 64)
 
 
@@ -87,12 +88,12 @@ class TestEstimateEventProb:
         indicator = EventSpec.indicator
 
         def recording(self, ens):
-            seen.append(ens.nodes.tolist())
+            seen.append((ens.nodes.tolist(), ens.components.tolist()))
             return indicator(self, ens)
 
         monkeypatch.setattr(EventSpec, "indicator", recording)
         p, se, hits = estimate_event_prob(exp, 0.5)
-        assert seen == [[GRID.node_index(0.5)]]
+        assert seen == [([GRID.node_index(0.5)], [1])]
         if controlled:
             full = simulate_controlled(GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 1000, 4)
         else:
@@ -102,6 +103,48 @@ class TestEstimateEventProb:
         assert p == float(est.mean())
         assert se == float(est.std(ddof=1) / math.sqrt(1000))
         assert hits == np.count_nonzero(hit)
+
+    # a volatility event under the u = 0 section tilt, plain and under a
+    # nodal tilt with u != 0 (the price noise is drawn there), and a price event
+    @pytest.mark.parametrize(
+        "model, component, tilt",
+        [
+            (GAUSSIAN, 1, "section"),
+            (HESTON, 1, None),
+            (HESTON, 1, "nodal"),
+            (GAUSSIAN, 0, "nodal"),
+        ],
+    )
+    def test_matches_a_full_component_run_bit_for_bit(self, model, component, tilt):
+        level = Y0 + 0.5 if model is GAUSSIAN and component else 0.02
+        ev = EventSpec(component=component, level=level)
+        grid = TimeGrid(1.0, 16)
+        ctrl = None
+        if tilt == "section":
+            ctrl = build_is_control(model, ev, grid)
+        elif tilt == "nodal":
+            vals = np.tile([0.3, -0.4], (len(grid), 1))
+            ctrl = Control(GridFunction(grid, vals))
+        exp = experiment(model=model, event=ev, grid=grid, n_paths=3000, is_control=ctrl)
+        if ctrl is None:
+            full = simulate(model, small_time_ldp(0.5), grid, 3000, 4)
+        else:
+            full = simulate_controlled(model, small_time_ldp(0.5), ctrl, grid, 3000, 4)
+        hit = ev.indicator(full)
+        est = hit * full.weights()
+        p, se, hits = estimate_event_prob(exp, 0.5)
+        assert hits > 0 and p == float(est.mean())
+        assert se == float(est.std(ddof=1) / math.sqrt(3000))
+        assert hits == np.count_nonzero(hit)
+
+    def test_a_component_the_model_lacks_raises_before_drawing(self, monkeypatch):
+        from volterra_deviations import sve_sim
+
+        monkeypatch.setattr(sve_sim, "_normal_block", None)  # any draw would fail
+        for component in (2, -1):
+            exp = experiment(event=EventSpec(component=component, level=Y0), n_paths=1000)
+            with pytest.raises(InvalidModel, match="components"):
+                estimate_event_prob(exp, 0.5)
 
     def test_event_node_not_held_raises(self):
         ens = simulate(GAUSSIAN, small_time_ldp(0.5), GRID, 10, 0, nodes=[GRID.n_steps])

@@ -393,30 +393,38 @@ INVARIANCE_MODELS = {
 }
 
 
-def _invariance_control(name):
+def _invariance_control(name, control):
+    """``nodal``: v and u != 0 on every channel, plus sections; ``section``: u = 0.
+
+    The u = 0 control is section-only on the Gaussian models; rough Heston,
+    which takes no section, keeps its nodal v.
+    """
     model = INVARIANCE_MODELS[name]
     hursts = model.hurst if name == "multifactor" else (model.hurst,)
     vals = np.random.default_rng(1).normal(size=(len(SMALL_GRID), len(hursts) + 1))
     secs = () if name == "heston" else tuple(
         KernelSection(power_law(h), 0.5, 0.4, j) for j, h in enumerate(hursts)
     )
+    if control == "section":
+        vals[:, len(hursts)] = 0.0  # u = 0
+        if secs:
+            vals[:, : len(hursts)] = 0.0  # section-only
     return Control(GridFunction(SMALL_GRID, vals), sections=secs)
 
 
-def _run(name, controlled, threads, nodes=None):
+def _run(name, control, threads, nodes=None, components=None):
     model = INVARIANCE_MODELS[name]
     regime = small_time_ldp(0.3)
-    if controlled:
-        ctrl = _invariance_control(name)
-        return simulate_controlled(
-            model, regime, ctrl, SMALL_GRID, 50, seed=21, threads=threads, nodes=nodes
-        )
-    return simulate(model, regime, SMALL_GRID, 50, seed=21, threads=threads, nodes=nodes)
+    kept = dict(threads=threads, nodes=nodes, components=components)
+    if control != "plain":
+        ctrl = _invariance_control(name, control)
+        return simulate_controlled(model, regime, ctrl, SMALL_GRID, 50, seed=21, **kept)
+    return simulate(model, regime, SMALL_GRID, 50, seed=21, **kept)
 
 
 @functools.lru_cache(maxsize=None)
-def _one_chunk(name, controlled):
-    return _run(name, controlled, threads=1)
+def _one_chunk(name, control):
+    return _run(name, control, threads=1)
 
 
 def _fixed_rows(chunk):
@@ -425,28 +433,69 @@ def _fixed_rows(chunk):
 
 
 class TestChunkInvariance:
-    @pytest.mark.parametrize("controlled", [False, True])
+    @pytest.mark.parametrize("control", ["plain", "nodal", "section"])
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
     @settings(max_examples=8, deadline=None)
     @given(
         chunk=st.integers(1, 50),
         threads=st.integers(1, 3),
         nodes=st.none() | st.sets(st.integers(0, SMALL_GRID.n_steps), min_size=1).map(sorted),
+        data=st.data(),
     )
     def test_paths_and_weights_do_not_depend_on_blocks_or_threads(
-        self, name, controlled, chunk, threads, nodes
+        self, name, control, chunk, threads, nodes, data
     ):
-        ref = _one_chunk(name, controlled)
+        n_comps = 1 + len(sve_sim._hursts(INVARIANCE_MODELS[name]))
+        components = data.draw(
+            st.none() | st.sets(st.integers(0, n_comps - 1), min_size=1).map(sorted),
+            label="components",
+        )
+        ref = _one_chunk(name, control)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sve_sim, "_chunk_rows", _fixed_rows(chunk))
-            ens = _run(name, controlled, threads, nodes)
+            ens = _run(name, control, threads, nodes, components)
         kept = slice(None) if nodes is None else nodes
+        comps = slice(None) if components is None else components
         assert np.array_equal(ens.nodes, np.arange(len(SMALL_GRID))[kept])
-        assert np.array_equal(ens.paths, ref.paths[:, kept])
-        if controlled:
+        assert np.array_equal(ens.components, np.arange(n_comps)[comps])
+        assert np.array_equal(ens.paths, ref.paths[:, kept][:, :, comps])
+        if control != "plain":
             assert np.array_equal(ens.log_weights, ref.log_weights)
         else:
             assert ens.log_weights is None
+
+    # (model, control, components) -> normals drawn per path, in units of n:
+    # the orthogonal noise is skipped only when neither the log price nor a
+    # nonzero u needs it
+    @pytest.mark.parametrize(
+        "name, control, components, per_step",
+        [
+            ("bergomi", "plain", [1], 2),
+            ("bergomi", "section", [1], 2),
+            ("bergomi", "plain", None, 3),
+            ("bergomi", "section", [0], 3),
+            ("bergomi", "nodal", [1], 3),
+            ("multifactor", "section", [1, 2], 4),
+            ("multifactor", "plain", [0, 2], 5),
+            ("heston", "plain", [1], 1),
+            ("heston", "section", [1], 1),
+            ("heston", "plain", [0, 1], 2),
+            ("heston", "nodal", [1], 2),
+        ],
+    )
+    def test_draws_only_the_normals_the_run_reads(
+        self, monkeypatch, name, control, components, per_step
+    ):
+        counts = []
+        normal_block = sve_sim._normal_block
+
+        def counting(seed, path_indices, count):
+            counts.append(count)
+            return normal_block(seed, path_indices, count)
+
+        monkeypatch.setattr(sve_sim, "_normal_block", counting)
+        _run(name, control, threads=1, components=components)
+        assert counts == [per_step * SMALL_GRID.n_steps]
 
     # Heston at n=128 (2n normals), Bergomi at n=64 (3n), and two runs whose
     # budget fits less than one history width
@@ -525,6 +574,28 @@ class TestNodes:
         with pytest.raises(KernelDomainError):
             ens.component(1)
         assert np.array_equal(full.component_at(1, 3), full.component(1)[:, 3])
+
+    @pytest.mark.parametrize(
+        "components", [[], [1, 0], [1, 1], [-1], [2], [1.0], [True], 1, [[0, 1]], ["1"]]
+    )
+    def test_bad_components_raise_before_drawing(self, monkeypatch, components):
+        monkeypatch.setattr(sve_sim, "_normal_block", None)  # any draw would fail
+        with pytest.raises(InvalidModel, match="components"):
+            simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0, components=components)
+
+    def test_reading_a_component_not_held_raises(self):
+        ens = simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0, components=[1])
+        full = simulate(BERGOMI, small_time_ldp(0.5), SMALL_GRID, 10, seed=0)
+        assert ens.paths.shape == (10, len(SMALL_GRID), 1)
+        assert np.array_equal(ens.component(1), full.component(1))
+        assert np.array_equal(ens.component_at(1, 3), full.component_at(1, 3))
+        for j in (0, 2, -1):
+            with pytest.raises(KernelDomainError, match="component"):
+                ens.component(j)
+            with pytest.raises(KernelDomainError, match="component"):
+                ens.component_at(j, 3)
+        with pytest.raises(KernelDomainError):
+            full.component_at(-1, 3)
 
     @pytest.mark.parametrize("name", ["bergomi", "heston"])
     def test_terminal_only_peak_memory_is_flat_in_paths(self, monkeypatch, name):
