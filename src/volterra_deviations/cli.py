@@ -536,6 +536,11 @@ def _cmd_smile(args) -> int:
         _header_comment(cfg, blk.get("seed", 0), args.deterministic)
         + f" regime={args.regime} source={points[0].source if points else 'n/a'}"
     )
+    if args.regime == "mc":  # the F - 1 control of each point, the run's Cholesky bump
+        columns += ["control_coef", "variance_ratio"]
+        for row, p in zip(rows, points):
+            row += [p.control_coef, p.variance_ratio]
+        header += f" regularized={points[0].bump if points else 0.0!r}"
     _write_csv(args.out, header, columns, rows)
     return 0
 

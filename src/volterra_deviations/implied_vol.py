@@ -24,7 +24,14 @@ from .errors import (
 )
 from .kernels import TimeGrid
 from .rate_functions import ldp_rate_terminal, tail_rate_terminal
-from .sve_sim import Model, MultiRoughBergomi, RoughBergomi, simulate, small_time_ldp
+from .sve_sim import (
+    PRICE_MOMENTS,
+    Model,
+    MultiRoughBergomi,
+    RoughBergomi,
+    simulate,
+    small_time_ldp,
+)
 
 __all__ = [
     "SmilePoint",
@@ -45,6 +52,11 @@ class SmilePoint:
     stderr: float | None = None
     flag: str | None = None
     attained: float | None = None  # where the rate infimum sits (ldp: x*, tail: y*)
+    # Monte Carlo only: the F - 1 control coefficient, Var(P) / Var(P - beta (F - 1)),
+    # and the run's largest Cholesky bump
+    control_coef: float | None = None
+    variance_ratio: float | None = None
+    bump: float | None = None
 
 
 def bs_call(t: float, k: float, sigma: float) -> float:
@@ -171,27 +183,56 @@ def mc_smile(
 ) -> list[SmilePoint]:
     """Monte Carlo implied-volatility points at physical log-moneyness values.
 
-    Simulates the small-time rescaled system at eps = t and maps back to the
-    physical log price X_t = t^(1/2 - H) X^eps_1; requires exp(X) to be a
-    martingale (rho <= 0 for rough Bergomi).
+    Simulates the small-time rescaled volatility at eps = t and prices each
+    path in closed form.  Given the volatility draws, the left-point log price
+    X_t = c X^eps_1 (c = t^(1/2 - H)) is Gaussian, N(m, v) (``_price_moments``),
+    so a path's call value is the Black-Scholes price P = BS(F, e^k, v) of the
+    forward F = e^(m + v/2); the run draws no price noise and builds no log
+    price.  E[F] = 1 exactly, because e^X is an exact discrete martingale, so
+    F - 1 is a free control: the price is mean(P - beta (F - 1)), beta =
+    Cov(P, F) / Var(F) (0 when Var(F) = 0), with the standard error of that
+    residual R.  Estimating beta on the same paths biases the price by
+    -E[R (F - 1)^2] / (N Var F) + o(1/N), at most the standard error times
+    sqrt(kappa / N), kappa the kurtosis of F.  Each point reports beta
+    (``control_coef``), Var(P) / Var(R) (``variance_ratio``) and the run's
+    largest Cholesky bump.  Requires exp(X) to be a martingale (rho <= 0 for
+    rough Bergomi); the multifactor price form is rejected.
     """
     if isinstance(model, RoughBergomi) and model.rho > 0.0:
         raise InvalidModel("exp(X) is a martingale for rough Bergomi only when rho <= 0")
     if isinstance(model, MultiRoughBergomi):
         raise InvalidModel("exp(X) is not a martingale under the multifactor price form")
-    grid = TimeGrid(1.0, n_steps)
     ens = simulate(
-        model, small_time_ldp(t), grid, n_paths, seed, threads=threads,
-        nodes=[n_steps], components=[0],
+        model, small_time_ldp(t), TimeGrid(1.0, n_steps), n_paths, seed, threads=threads,
+        components=[1], _reduce=PRICE_MOMENTS,
     )
-    x_phys = t ** (0.5 - model.min_hurst) * ens.component_at(0, n_steps)
-    s_terminal = np.exp(x_phys)
+    c = t ** (0.5 - model.min_hurst)
+    mean, var = c * ens.paths[:, 0], c * c * ens.paths[:, 1]
+    fwd = np.exp(mean + 0.5 * var)
+    dev = fwd - 1.0
+    dev_c = dev - dev.mean()
+    var_f = float(np.mean(dev_c * dev_c))
+    sd = np.sqrt(var)
+    vol = sd > 0.0
+    sd_safe = np.where(vol, sd, 1.0)
     out = []
     for k in strikes:
-        payoff = np.maximum(s_terminal - math.exp(k), 0.0)
-        price = float(payoff.mean())
-        se_price = float(payoff.std(ddof=1) / math.sqrt(n_paths))
-        intrinsic = max(1.0 - math.exp(k), 0.0)
+        strike = math.exp(k)
+        d2 = (mean - k) / sd_safe
+        calls = np.where(
+            vol, fwd * ndtr(d2 + sd) - strike * ndtr(d2), np.maximum(fwd - strike, 0.0)
+        )
+        beta = float(np.mean((calls - calls.mean()) * dev_c)) / var_f if var_f > 0.0 else 0.0
+        resid = calls - beta * dev
+        price = float(resid.mean())
+        var_r = float(resid.var(ddof=1))
+        se_price = math.sqrt(var_r / n_paths)
+        diag = dict(
+            control_coef=beta,
+            variance_ratio=float(calls.var(ddof=1)) / var_r if var_r > 0.0 else math.nan,
+            bump=ens.bump,
+        )
+        intrinsic = max(1.0 - strike, 0.0)
         flag = None
         if price <= intrinsic:
             price = intrinsic + 1e-12
@@ -199,11 +240,11 @@ def mc_smile(
         try:
             sig = implied_vol(price, t, k)
         except PriceOutOfBounds:
-            out.append(
-                SmilePoint(t, k, float("nan"), "monte_carlo", stderr=None, flag="price_out_of_bounds")
-            )
+            out.append(SmilePoint(
+                t, k, float("nan"), "monte_carlo", flag="price_out_of_bounds", **diag
+            ))
             continue
         vega = _vega(t, k, sig)
         se_sig = se_price / vega if vega > 1e-300 else float("inf")
-        out.append(SmilePoint(t, k, sig, "monte_carlo", stderr=se_sig, flag=flag))
+        out.append(SmilePoint(t, k, sig, "monte_carlo", stderr=se_sig, flag=flag, **diag))
     return out

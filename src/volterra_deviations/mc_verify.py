@@ -29,6 +29,7 @@ from .rate_functions import gaussian_terminal_control, ldp_rate_terminal
 from .sve_sim import (
     Model,
     ScalingRegime,
+    check_components,
     simulate,
     simulate_controlled,
 )
@@ -197,10 +198,12 @@ def build_is_control(
     section (so the shifted mean hits the boundary and the Girsanov pairing
     is exact); price events go through the terminal variational solver on
     [0, t_eval] with the grid's step, with a boundary-matching constant
-    control as fallback.  Every control is zero after t_eval.  A model
-    without a scalar coefficient catalogue (the multifactor model) raises
-    NotApplicable.
+    control as fallback.  Every control is zero after t_eval.  An event on a
+    component the model lacks raises InvalidModel, the check the simulator
+    applies, before any solve; a model without a scalar coefficient catalogue
+    (the multifactor model) raises NotApplicable.
     """
+    check_components(model, [event.component])
     zeta0 = float(model.zeta(np.asarray(model.y0)))
     t_end = event.t_eval if event.t_eval is not None else grid.horizon
     i_end = grid.node_index(t_end)

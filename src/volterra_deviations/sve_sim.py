@@ -53,6 +53,14 @@ channel, so each path draws only the volatility prefix of its stream (2n
 normals per Gaussian factor, n for rough Heston).  That is exact: the prefix
 of a stream does not depend on its length, and a zero orthogonal control adds
 exactly 0 to the log weight.
+
+Each chunk ends in one reducer (``_Reducer``) on its volatility components
+and increments, whose per-path columns are written in path order, so a
+reduction over the whole array does not depend on chunking or threads.  The
+default keeps the selected nodes and components; ``PRICE_MOMENTS`` gives
+each path's conditional mean and variance of the terminal log price given
+its volatility (``_price_moments``), which the mixing Monte Carlo smile
+(``implied_vol.mc_smile``) prices from a volatility-only run.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -62,9 +70,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -667,6 +676,8 @@ def simulate(
     threads: int | None = None,
     nodes: Sequence[int] | None = None,
     components: Sequence[int] | None = None,
+    *,
+    _reduce: _Reducer | None = None,
 ) -> PathEnsemble:
     """Plain simulation of the rescaled system under the given regime.
 
@@ -674,8 +685,13 @@ def simulate(
     columns the returned ensemble keeps, ``components`` (sorted, unique
     indices in [0, 1+m), 0 the log price; every component by default) the
     components.  A run without component 0 skips the log price and its noise.
+    ``_reduce`` is the library's private per-chunk reducer hook (``_Reducer``);
+    with it, ``paths`` holds the reducer's per-path columns instead
+    (``PRICE_MOMENTS``: each path's (m, v), shape (n_paths, 2)).
     """
-    return _simulate_impl(model, regime, grid, n_paths, seed, None, threads, nodes, components)
+    return _simulate_impl(
+        model, regime, grid, n_paths, seed, None, threads, nodes, components, _reduce
+    )
 
 
 def simulate_controlled(
@@ -720,6 +736,11 @@ def _scales(model: Model, regime: ScalingRegime) -> tuple:
     return eps**H, eps, eps ** (H + 0.5), 1.0
 
 
+def check_components(model: Model, components) -> np.ndarray:
+    """Kept components: 0 the log price, then one per volatility factor."""
+    return _check_kept("components", components, 1 + len(_hursts(model)))
+
+
 def _check_kept(name: str, kept, size: int) -> np.ndarray:
     """Indices to keep: a non-empty, strictly increasing integer sequence in [0, size)."""
     if kept is None:
@@ -750,7 +771,43 @@ def _chunk_rows(normals_per_path: int) -> int:
     return max(_HISTORY_PATHS, rows - rows % _HISTORY_PATHS)
 
 
-def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, components):
+class _Reducer(NamedTuple):
+    """A per-chunk reducer: fn(model, regime, grid, Y, dWs) -> (rows, *shape) per-path columns.
+
+    Y are the chunk's volatility components (rows, n+1, m) and dWs its
+    channels' shifted increments, the orthogonal noise last when it is drawn.
+    """
+
+    fn: Callable
+    shape: tuple
+
+
+def _keep(nodes, comps, n_grid: int) -> _Reducer:
+    """The default reducer: each path's kept nodes and components.
+
+    The whole path is built first and then selected, so a kept value goes
+    through the same operations as in a full run; the log price is built only
+    when component 0 is kept.
+    """
+    # a slice keeps the full-path run free of a per-chunk gather copy
+    cols = slice(None) if len(nodes) == n_grid else nodes
+
+    def reduce(model, regime, grid, Y, dWs):
+        if comps[0] == 0:
+            X = _log_price(model, regime, grid, Y, dWs)
+            out, picks = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2), comps
+        else:
+            out, picks = Y[:, cols], comps - 1  # Y holds components 1..m
+        if len(picks) < out.shape[2]:
+            out = out[:, :, picks]
+        return _to_mdp_frame(out, model, regime, comps)
+
+    return _Reducer(reduce, (len(nodes), len(comps)))
+
+
+def _simulate_impl(
+    model, regime, grid, n_paths, seed, control, threads, nodes, components, reduce=None
+):
     model.validate_regime(regime)
     if regime.is_tail and model.tail_degree is None:
         raise InvalidModel(f"tail rescaling is not defined for {type(model).__name__}")
@@ -759,10 +816,9 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, 
     if not isinstance(n_paths, (int, np.integer)) or n_paths < 1:
         raise InvalidModel(f"n_paths must be a positive integer, got {n_paths!r}")
     nodes = _check_kept("nodes", nodes, len(grid))
-    n_comps = 1 + len(_hursts(model))  # the log price, then the volatilities
-    comps = _check_kept("components", components, n_comps)
-    # a slice keeps the full-path run free of a per-chunk gather copy
-    cols = slice(None) if len(nodes) == len(grid) else nodes
+    comps = check_components(model, components)
+    if reduce is None:
+        reduce = _keep(nodes, comps, len(grid))
     channels = _channels(model, grid)
     plans = None
     if control is not None:
@@ -779,14 +835,12 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, 
     chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     # the run's size, never the chunk's, sets the history width
     history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
-    paths = np.empty((n_paths, len(nodes), len(comps)))
+    paths = np.empty((n_paths, *reduce.shape))
     logw = np.zeros(n_paths) if control is not None else None
 
     def run_chunk(chunk: range):
         idx = np.arange(chunk.start, chunk.stop)
-        p, lw = _simulate_chunk(
-            model, regime, grid, idx, seed, channels, plans, history, cols, comps
-        )
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, reduce)
         paths[chunk.start : chunk.stop] = p
         if logw is not None:
             logw[chunk.start : chunk.stop] = lw
@@ -804,13 +858,10 @@ def _simulate_impl(model, regime, grid, n_paths, seed, control, threads, nodes, 
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, cols, comps):
-    """Paths (chunk, kept nodes, kept components) and log weights (None when uncontrolled).
+def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, reduce):
+    """The reducer's per-path columns and the log weights (None when uncontrolled).
 
-    ``history`` is the rough Heston history block width (``_heston_volatility``);
-    ``cols`` and ``comps`` select the kept nodes and components once the
-    whole path is built, so a kept value goes through the same operations as
-    in a full run.  The log price is built only when component 0 is kept.
+    ``history`` is the rough Heston history block width (``_heston_volatility``).
     """
     sqrt_h = math.sqrt(grid.dt)
     widths = _channel_widths(channels, grid.n_steps)
@@ -832,14 +883,7 @@ def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, co
         Zs.append(Z)
     del draws, block  # the draws live on only in dWs and Zs
     Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
-    if comps[0] == 0:
-        X = _log_price(model, regime, grid, Y, dWs)
-        out, picks = np.concatenate([X[:, cols, None], Y[:, cols]], axis=2), comps
-    else:
-        out, picks = Y[:, cols], comps - 1  # Y holds components 1..m
-    if len(picks) < out.shape[2]:
-        out = out[:, :, picks]
-    return _to_mdp_frame(out, model, regime, comps), lw
+    return reduce.fn(model, regime, grid, Y, dWs), lw
 
 
 def _volatility(model, regime, grid, dWs, Zs, first, history):
@@ -931,28 +975,73 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     return Y
 
 
+def _left_vol(model, Y):
+    """(Sigma, sqrt-Sigma) at the left nodes t_0..t_(n-1), (paths, n) each.
+
+    A scalar model's variance is its catalogued Sigma(Y); the multifactor
+    price form, which has no catalogue, sums exp(Y_j) and exp(Y_j / 2).
+    """
+    left = Y[:, :-1]
+    try:
+        sig_sq = model.sigma_sq(left[:, :, 0])
+        return sig_sq, np.sqrt(sig_sq)
+    except NotApplicable:
+        return np.sum(np.exp(left), axis=2), np.sum(np.exp(0.5 * left), axis=2)
+
+
+def _correlations(model) -> tuple:
+    """(rho_j per volatility channel, rho_bar on the orthogonal noise)."""
+    rhos = np.atleast_1d(np.asarray(model.rho, dtype=float))
+    return rhos, math.sqrt(1.0 - float(np.sum(rhos**2)))
+
+
 def _log_price(model, regime, grid, Y, dWs):
     """Left-point Euler for the log price; exact discrete martingale for e^X.
 
-    ``dWs`` holds every channel's increments, the orthogonal noise last.  A
-    scalar model's variance is its catalogued Sigma(Y); the multifactor price
-    form, which has no catalogue, sums exp(Y_j) and exp(Y_j / 2).
+    X_(i+1) - X_i = -1/2 drift sig_i^2 h + noise sig_i (rho dW_i + rho_bar dW_perp_i),
+    (noise, drift) from ``_scales`` and sig_i^2 = Sigma(Y_i) (``_left_vol``);
+    ``dWs`` holds every channel's increments, the orthogonal noise last.
     """
-    h = grid.dt
-    rhos = np.atleast_1d(np.asarray(model.rho, dtype=float))
-    rho_bar = math.sqrt(1.0 - float(np.sum(rhos**2)))
-    try:
-        sig_sq = model.sigma_sq(Y[:, :, 0])
-        sig = np.sqrt(sig_sq)
-    except NotApplicable:
-        sig_sq = np.sum(np.exp(Y), axis=2)
-        sig = np.sum(np.exp(0.5 * Y), axis=2)
+    rhos, rho_bar = _correlations(model)
+    sig_sq, sig = _left_vol(model, Y)
     noise_amp, _, drift_amp, _ = _scales(model, regime)
     dB = rho_bar * dWs[-1]
     for rho, dW in zip(rhos, dWs):
-        dB = dB + rho * dW
-    incr = -0.5 * drift_amp * sig_sq[:, :-1] * h + noise_amp * sig[:, :-1] * dB
-    return np.concatenate([np.zeros((Y.shape[0], 1)), np.cumsum(incr, axis=1)], axis=1)
+        dB += rho * dW
+    sig_sq *= -0.5 * drift_amp
+    sig_sq *= grid.dt
+    sig *= noise_amp
+    sig *= dB
+    sig_sq += sig  # the increments
+    X = np.empty((Y.shape[0], grid.n_steps + 1))
+    X[:, 0] = 0.0
+    np.cumsum(sig_sq, axis=1, out=X[:, 1:])
+    return X
+
+
+def _price_moments(model, regime, grid, Y, dWs):
+    """Each path's conditional mean and variance of X_1 given its volatility, (paths, 2).
+
+    Given the volatility channels, the orthogonal noise enters the left-point
+    log price linearly, so X_1 is Gaussian with
+    m = sum(-1/2 drift sig_i^2 h + noise rho sig_i dW_i) and
+    v = noise^2 rho_bar^2 sum sig_i^2 h (the terms of ``_log_price``).  The
+    run needs no price noise: ``dWs`` are the volatility channels' increments.
+    """
+    rhos, rho_bar = _correlations(model)
+    noise_amp, _, drift_amp, _ = _scales(model, regime)
+    sig_sq, sig = _left_vol(model, Y)
+    quad = np.sum(sig_sq, axis=1) * grid.dt
+    del sig_sq
+    cross = sum(rho * np.sum(sig * dW, axis=1) for rho, dW in zip(rhos, dWs))
+    out = np.empty((Y.shape[0], 2))
+    out[:, 0] = -0.5 * drift_amp * quad + noise_amp * cross
+    out[:, 1] = (noise_amp * rho_bar) ** 2 * quad
+    return out
+
+
+# the reducer of the mixing Monte Carlo smile (``implied_vol.mc_smile``)
+PRICE_MOMENTS = _Reducer(_price_moments, (2,))
 
 
 def _to_mdp_frame(paths, model, regime, comps):

@@ -338,15 +338,16 @@ class TestSmileCommand:
         assert float(out[2].split(",")[2]) == pytest.approx(0.2)
 
 
-    def test_mc_smile_passes_threads_to_simulate(self, tmp_path, monkeypatch):
+    def test_mc_smile_passes_threads_to_simulate(self, tmp_path, capsys, monkeypatch):
         # the package re-exports the function implied_vol under the module's name
         implied_vol = importlib.import_module("volterra_deviations.implied_vol")
         seen = []
         simulate = implied_vol.simulate
 
         def recording(*args, threads=None, **kw):
-            seen.append(threads)
-            return simulate(*args, threads=threads, **kw)
+            ens = simulate(*args, threads=threads, **kw)
+            seen.append((threads, ens.components.tolist(), ens.paths.shape))
+            return ens
 
         monkeypatch.setattr(implied_vol, "simulate", recording)
         cfg = write(
@@ -354,11 +355,19 @@ class TestSmileCommand:
             "m.json",
             {
                 "model": BERGOMI_REC,
-                "smile": {"maturity": 0.1, "strikes": [0.0], "paths": 2000, "n_steps": 16},
+                "smile": {"maturity": 0.1, "strikes": [0.0, 0.05], "paths": 2000, "n_steps": 16},
             },
         )
         assert run(["smile", "--model", cfg, "--regime", "mc", "--threads", "3"]) == 0
-        assert seen == [3]
+        # one volatility-only run: (m, v) per path, no log price
+        assert seen == [(3, [1], (2000, 2))]
+        header, columns, *rows = capsys.readouterr().out.splitlines()
+        bump = float(header.split(" regularized=")[1])
+        assert bump >= 0.0
+        assert columns == "t,k,sigma_hat,stderr,control_coef,variance_ratio"
+        for row in rows:
+            beta, ratio = map(float, row.split(",")[4:])
+            assert math.isfinite(beta) and ratio >= 1.0
 
 
     @pytest.mark.parametrize("regime, fn", [("ldp", "smile_ldp"), ("tail", "smile_tail")])

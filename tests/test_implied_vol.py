@@ -212,13 +212,48 @@ def _tail_infimum_pin(model):
     return min(tail_rate_terminal(model, float(y), 1.0, n_steps=128).value for y in levels)
 
 
+MC_MODELS = {
+    "heston": RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H),
+    "bergomi": RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H),
+    "steinstein": RoughSteinStein(kappa=1.0, theta=0.2, xi=0.4, rho=-0.5, y0=0.2, hurst=H),
+}
+
+
+def _plain_smile_point(model, t, k, n_paths, seed, n_steps):
+    """(sigma_hat, stderr) of the plain payoff average over the simulated log price."""
+    from volterra_deviations.kernels import TimeGrid
+    from volterra_deviations.sve_sim import simulate, small_time_ldp
+
+    ens = simulate(
+        model, small_time_ldp(t), TimeGrid(1.0, n_steps), n_paths, seed,
+        nodes=[n_steps], components=[0],
+    )
+    s = np.exp(t ** (0.5 - H) * ens.component_at(0, n_steps))
+    payoff = np.maximum(s - math.exp(k), 0.0)
+    sig = implied_vol(float(payoff.mean()), t, k)
+    return sig, float(payoff.std(ddof=1)) / math.sqrt(n_paths) / _vega(t, k, sig)
+
+
 class TestMcSmile:
     def test_flat_vol_recovers_constant(self):
         mod = RoughSteinStein(kappa=1.0, theta=0.2, xi=0.0, rho=0.0, y0=0.2, hurst=H)
         pts = mc_smile(mod, 0.25, [-0.05, 0.0, 0.05], 40_000, seed=11, n_steps=64)
         for pt in pts:
             assert pt.attained is None
-            assert pt.sigma_hat == pytest.approx(0.2, abs=4.0 * max(pt.stderr, 1e-4))
+            # every path prices the same Black-Scholes call: the mixing estimator is exact
+            assert pt.sigma_hat == pytest.approx(0.2, abs=1e-9)
+            assert pt.stderr < 1e-12 and pt.control_coef == 0.0
+
+    @pytest.mark.parametrize("name", sorted(MC_MODELS))
+    def test_agrees_with_the_plain_payoff_average(self, name):
+        model, t = MC_MODELS[name], 0.04
+        pts = mc_smile(model, t, [-0.03, 0.03], 20_000, seed=5, n_steps=32)
+        for pt in pts:
+            sig, se = _plain_smile_point(model, t, pt.log_moneyness, 20_000, 5, 32)
+            assert abs(pt.sigma_hat - sig) <= 4.0 * math.hypot(pt.stderr, se)
+            assert pt.stderr < se
+            assert pt.variance_ratio >= 1.0  # beta minimises the residual's variance
+            assert pt.bump == 0.0 if name == "heston" else pt.bump >= 0.0
 
     def test_martingale_identity(self):
         mod = RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H)
@@ -231,25 +266,55 @@ class TestMcSmile:
         se = s.std(ddof=1) / math.sqrt(len(s))
         assert abs(s.mean() - 1.0) <= 3.0 * se
 
-    def test_keeps_only_the_terminal_node(self, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(MC_MODELS))
+    def test_the_control_forward_has_unit_mean(self, name):
         from volterra_deviations.kernels import TimeGrid
-        from volterra_deviations.sve_sim import simulate, small_time_ldp
+        from volterra_deviations.sve_sim import PRICE_MOMENTS, simulate, small_time_ldp
 
-        kept = []
+        t_mat = 0.25
+        ens = simulate(
+            MC_MODELS[name], small_time_ldp(t_mat), TimeGrid(1.0, 32), 20_000, seed=9,
+            components=[1], _reduce=PRICE_MOMENTS,
+        )
+        c = t_mat ** (0.5 - H)
+        fwd = np.exp(c * ens.paths[:, 0] + 0.5 * c * c * ens.paths[:, 1])
+        se = fwd.std(ddof=1) / math.sqrt(len(fwd))
+        assert abs(fwd.mean() - 1.0) <= 4.0 * se
+
+    def test_the_run_keeps_no_log_price(self, monkeypatch):
+        from volterra_deviations import sve_sim
+
+        runs, draws = [], []
+        simulate, normal_block = implied_vol_module.simulate, sve_sim._normal_block
 
         def recording(*args, **kw):
             ens = simulate(*args, **kw)
-            kept.append(ens.nodes.tolist())
+            runs.append(ens)
             return ens
 
+        def counting(seed, path_indices, count):
+            draws.append(count)
+            return normal_block(seed, path_indices, count)
+
         monkeypatch.setattr(implied_vol_module, "simulate", recording)
-        mod = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H)
+        monkeypatch.setattr(sve_sim, "_normal_block", counting)
+        mod = MC_MODELS["heston"]
         pts = mc_smile(mod, 0.04, [0.05], 2000, seed=3, n_steps=16)
-        assert kept == [[16]]
-        full = simulate(mod, small_time_ldp(0.04), TimeGrid(1.0, 16), 2000, seed=3)
-        s = np.exp(0.04 ** (0.5 - H) * full.component(0)[:, -1])
-        price = float(np.maximum(s - math.exp(0.05), 0.0).mean())
-        assert pts[0].sigma_hat == implied_vol(price, 0.04, 0.05)
+        (ens,) = runs
+        assert ens.components.tolist() == [1]
+        assert ens.paths.shape == (2000, 2)  # (m, v) per path, no log price
+        assert draws == [16]  # the volatility normals only, no price noise
+        assert math.isfinite(pts[0].sigma_hat)
+
+    def test_bit_identical_across_threads_and_chunks(self, monkeypatch):
+        from volterra_deviations import sve_sim
+
+        mod, strikes = MC_MODELS["heston"], [-0.03, 0.0, 0.03]
+        ref = mc_smile(mod, 0.04, strikes, 5000, seed=4, n_steps=16, threads=1)
+        monkeypatch.setattr(sve_sim, "_CHUNK_BYTES", 1 << 17)  # 1024-path chunks
+        assert sve_sim._chunk_rows(16) == 1024
+        for threads in (1, 3):
+            assert mc_smile(mod, 0.04, strikes, 5000, seed=4, n_steps=16, threads=threads) == ref
 
     def test_positive_rho_bergomi_rejected(self):
         mod = RoughBergomi(a=0.5, rho=0.5, y0=math.log(0.04), hurst=H)

@@ -245,6 +245,21 @@ class TestBuildIsControl:
         # shifted mean hits the boundary: zeta0 * coeff * R = offset
         assert sec.coeff * R == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("component", [2, -1])
+    @pytest.mark.parametrize("model", [GAUSSIAN, HESTON], ids=["bergomi", "heston"])
+    def test_a_component_the_model_lacks_raises_before_any_solve(
+        self, monkeypatch, model, component
+    ):
+        from volterra_deviations import mc_verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved for an event the model cannot have")
+
+        for name in ("gaussian_terminal_control", "ldp_rate_terminal"):
+            monkeypatch.setattr(mc_verify, name, forbidden)
+        with pytest.raises(InvalidModel, match="components"):
+            build_is_control(model, EventSpec(component=component, level=Y0 + 1.0), GRID)
+
     def test_price_control_ends_at_t_eval(self):
         model = RoughBergomi(a=0.3, rho=-0.5, y0=Y0, hurst=H)
         ev = EventSpec(component=0, level=0.1, t_eval=0.5)

@@ -613,6 +613,53 @@ class TestNodes:
         assert peaks[1] - peaks[0] <= kept_growth + (64 << 10)
 
 
+class TestPriceMoments:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+    def test_moments_match_a_loop_over_the_volatility_path(self, name):
+        model, regime, n = INVARIANCE_MODELS[name], small_time_ldp(0.3), SMALL_GRID.n_steps
+        n_vol = len(sve_sim._hursts(model))
+        seen = []
+
+        def capture(*args):
+            seen.append(args[3:])
+            return sve_sim._price_moments(*args)
+
+        ens = simulate(
+            model, regime, SMALL_GRID, 50, seed=21, components=list(range(1, n_vol + 1)),
+            _reduce=sve_sim._Reducer(capture, (2,)),
+        )
+        ((Y, dWs),) = seen
+        full = simulate(model, regime, SMALL_GRID, 50, seed=21)
+        assert np.array_equal(Y, full.paths[:, :, 1:])
+        assert len(dWs) == n_vol  # no price noise drawn
+        noise, _, drift, _ = sve_sim._scales(model, regime)
+        rhos = np.atleast_1d(model.rho)
+        rho_bar = math.sqrt(1.0 - float(np.sum(rhos**2)))
+        h = SMALL_GRID.dt
+        # the full run's orthogonal noise: the last n normals of each path's stream
+        total = sum(sve_sim._channel_widths(sve_sim._channels(model, SMALL_GRID), n))
+        dw_perp = sve_sim._normal_block(21, np.arange(50), total)[:, -n:] * math.sqrt(h)
+        m, quad, perp, scale = (np.zeros(50) for _ in range(4))
+        for i in range(n):
+            if name == "multifactor":
+                var, vol = np.exp(Y[:, i]).sum(axis=1), np.exp(0.5 * Y[:, i]).sum(axis=1)
+            else:
+                var = model.sigma_sq(Y[:, i, 0])
+                vol = np.sqrt(var)
+            terms = [-0.5 * drift * var * h] + [
+                noise * rho * vol * dW[:, i] for rho, dW in zip(rhos, dWs)
+            ]
+            m += sum(terms)
+            scale += sum(np.abs(x) for x in terms)
+            quad += var * h
+            perp += noise * rho_bar * vol * dw_perp[:, i]
+        assert np.all(np.abs(ens.paths[:, 0] - m) <= 1e-12 * scale)
+        np.testing.assert_allclose(ens.paths[:, 1], (noise * rho_bar) ** 2 * quad, rtol=1e-12)
+        # given its volatility, the simulated log price is m plus the orthogonal part
+        x_end = full.component_at(0, n)
+        assert np.all(np.abs(x_end - m - perp) <= 1e-12 * (scale + np.abs(perp)))
+
+
 def _fresh_stream_normals(seed, pids, count):
     """The per-path stream contract, one freshly built generator per path."""
     rows = [
