@@ -9,14 +9,17 @@ convolution kernels expose, besides pointwise evaluation:
 * exact cumulative moments ``moment0/moment1`` (integrals of ``K`` and
   ``u*K`` from 0), the basis of all product-integration rules,
 * ``conv_weights`` building the lower-triangular quadrature that maps nodal
-  values of a piecewise-linear integrand to ``(K * f)(t_i)`` exactly,
+  values of a piecewise-linear integrand to ``(K * f)(t_i)`` exactly; its
+  ``cells`` (the integral of ``K`` over each lag cell) are the one source of
+  cell integrals for the simulator and the rate functions,
 * ``terminal_weights`` pairing a kernel section ``K(T - .)`` with piecewise
   linear functions, and
 * ``autocovariance`` for the Gaussian Volterra integral, in closed form for
   power-law kernels.
 
 Singular kernels are never sampled at lag zero: every quadrature consumes the
-per-cell moments instead.
+per-cell moments instead, and the remaining integrals (``autocovariance`` of
+other kernels, the regularity check) run one trapezoid graded toward lag 0.
 """
 
 from __future__ import annotations
@@ -286,25 +289,29 @@ class KernelSpec:
 
 
 def _autocov_quadrature(k: KernelSpec, lo, hi, n_sub: int = 4000):
-    """Graded-grid trapezoid for R(lo, hi) on generic scalar kernels."""
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    out = np.zeros(lo.shape)
+    """R(lo, hi) = int_0^lo K(r) K(hi - lo + r) dr on generic scalar kernels."""
+    out = np.zeros(np.broadcast(lo, hi).shape)
+    lo, hi = np.broadcast_to(lo, out.shape), np.broadcast_to(hi, out.shape)
+    for idx in np.ndindex(out.shape):
+        s, gap = lo[idx], hi[idx] - lo[idx]
+        if s > 0:
+            out[idx] = _graded_integral(
+                k, lambda r: eval_conv(k, r) * eval_conv(k, gap + r), s, n_sub
+            )
+    return out if out.shape else float(out)
+
+
+def _graded_integral(k: KernelSpec, f, length: float, n_sub: int) -> float:
+    """int_0^length f(r) dr, trapezoid in x on the lag r = length x^q graded toward 0.
+
+    q = max(1, 2 / gamma_reg) crowds the nodes toward lag 0, where a singular
+    kernel's square piles up.  The lag itself is the variable, so a small lag
+    is never the difference of two large numbers.
+    """
     q = max(1.0, 2.0 / k.gamma_reg)
     x = np.linspace(0.0, 1.0, n_sub + 1)[1:]
-    for idx in np.ndindex(lo.shape):
-        s, t = lo[idx], hi[idx]
-        if s <= 0:
-            continue
-        # integrate over u in (0, s]; substitute s - u = s * x^q to grade
-        # toward the singular end u -> s
-        u = s - s * x**q
-        du = s * q * x ** (q - 1.0)
-        vals = eval_conv(k, np.maximum(s - u, 1e-300)) * eval_conv(
-            k, np.maximum(t - u, 1e-300)
-        )
-        out[idx] = np.trapezoid(vals * du, x)
-    return out if out.shape else float(out)
+    r = length * x**q
+    return float(np.trapezoid(f(r) * (length * q * x ** (q - 1.0)), x))
 
 
 # ---------------------------------------------------------------------------
@@ -383,36 +390,11 @@ def eval_conv(k: KernelSpec, t):
     return out if out.shape else float(out)
 
 
-def hyp2f1_pfaff(a: float, b: float, c: float, z, tol: float = 1e-12, max_terms: int = 8192):
-    """Gauss hypergeometric F(a, b; c; z) for z <= 0.
-
-    The Pfaff transformation F(a,b;c;z) = (1-z)^(-a) F(a, c-b; c; z/(z-1))
-    maps the argument into [0, 1) where the series converges; summation stops
-    on a 1e-12 term ratio.  The transformed argument approaches 1 as z tends
-    to -infinity, so very small s/t ratios converge slowly.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z > 0.0):
-        raise KernelDomainError("pfaff series implemented for z <= 0 only")
-    w = z / (z - 1.0)
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    ap, bp = a, c - b
-    for k in range(max_terms):
-        term = term * (ap + k) * (bp + k) / ((c + k) * (k + 1.0)) * w
-        total = total + term
-        if np.all(np.abs(term) <= tol * np.abs(total)):
-            break
-    out = (1.0 - z) ** (-a) * total
-    return out if out.shape else float(out)
-
-
 def eval_nonconv(k: KernelSpec, t, s):
     """fBm kernel K(t, s) for 0 < s < t.
 
-    K(t,s) = (t-s)^(H-1/2) / Gamma(H+1/2) * F(H-1/2, 1/2-H; H+1/2; 1 - t/s);
-    the hypergeometric argument is <= 0 and is evaluated through the Pfaff
-    transformation.
+    K(t,s) = (t-s)^(H-1/2) / Gamma(H+1/2) * F(H-1/2, 1/2-H; H+1/2; 1 - t/s)
+    with the hypergeometric argument <= 0.
     """
     if k.variant != "fbm":
         raise WrongVariant("eval_nonconv applies to the fbm kernel only")
@@ -425,7 +407,7 @@ def eval_nonconv(k: KernelSpec, t, s):
     out = (
         (t_arr - s_arr) ** (H - 0.5)
         / gamma_fn(H + 0.5)
-        * hyp2f1_pfaff(H - 0.5, 0.5 - H, H + 0.5, z)
+        * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
     )
     return out if np.asarray(out).shape else float(out)
 
@@ -465,11 +447,14 @@ class ConvWeights:
 
     (K f)_i = (w * f)_i - shift_(i+1) f_0,  a discrete convolution plus a
     boundary correction; ``apply`` is a scipy.fft real FFT at ``next_fast_len``.
+    ``cells[m]`` is the integral of K over the lag cell [m h, (m+1) h],
+    m = 0..n: the one source of cell integrals outside this module.
     """
 
     grid: TimeGrid
     w: np.ndarray
     shift: np.ndarray
+    cells: np.ndarray
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         v = np.asarray(values, dtype=float)
@@ -508,7 +493,7 @@ def conv_weights(k: KernelSpec, grid: TimeGrid) -> ConvWeights:
     w[0] = P[0]
     m_idx = np.arange(1, n + 1)
     w[1:] = M0[m_idx - 1] - P[m_idx - 1] + P[m_idx]
-    return ConvWeights(grid=grid, w=w, shift=np.concatenate([[0.0], P]))
+    return ConvWeights(grid=grid, w=w, shift=np.concatenate([[0.0], P]), cells=M0)
 
 
 def terminal_weights(k: KernelSpec, grid: TimeGrid, t_end: float | None = None) -> np.ndarray:
@@ -541,12 +526,7 @@ def _shift_term(k: KernelSpec, h: float, T: float, n_sub: int = 6000) -> float:
     """int_0^T (K(t+h) - K(t))^2 dt on a singularity-graded grid."""
     if k.variant == "constant":
         return 0.0
-    q = max(1.0, 2.0 / k.gamma_reg)
-    x = np.linspace(0.0, 1.0, n_sub + 1)[1:]
-    t = T * x**q
-    dtdx = T * q * x ** (q - 1.0)
-    diff = eval_conv(k, t + h) - eval_conv(k, t)
-    return float(np.trapezoid(diff**2 * dtdx, x))
+    return _graded_integral(k, lambda t: (eval_conv(k, t + h) - eval_conv(k, t)) ** 2, T, n_sub)
 
 
 def check_regularity(

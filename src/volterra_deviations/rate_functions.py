@@ -166,14 +166,13 @@ def _is_grid_ac(phi: GridFunction) -> bool:
 def _section_integral(kernel, grid: TimeGrid, t_end: float, f: np.ndarray) -> np.ndarray:
     """int_0^t K(t_end - s) f(s) ds at every node t, for piecewise-linear f.
 
-    Exact product integration from the kernel's moments, constant past
-    t_end; its value at t_end is ``terminal_weights(kernel, grid, t_end) @ f``.
+    Exact product integration with the kernel's ``conv_weights``, constant
+    past t_end; its value at t_end is ``terminal_weights(kernel, grid, t_end) @ f``.
     """
     i_end = grid.node_index(t_end)
-    m = np.arange(i_end, -1, -1, dtype=float)  # (t_end - t_j) / h
-    C0, C1 = kernel.moment0(m * grid.dt), kernel.moment1(m * grid.dt)
-    M0 = C0[:-1] - C0[1:]  # int of K(t_end - s) over the cell [t_j, t_j+1]
-    B = m[:-1] * M0 - (C1[:-1] - C1[1:]) / grid.dt  # weight of f(t_j+1)
+    cw = conv_weights(kernel, grid)
+    M0 = cw.cells[:i_end][::-1]  # int of K(t_end - s) over the cell [t_j, t_j+1]
+    B = cw.shift[1 : i_end + 1][::-1]  # weight of f(t_j+1)
     out = np.zeros(len(grid))
     out[1 : i_end + 1] = np.cumsum((M0 - B) * f[:i_end] + B * f[1 : i_end + 1])
     out[i_end + 1 :] = out[i_end]

@@ -3,21 +3,26 @@
 Gaussian Volterra components (Stein-Stein and Bergomi volatility drivers,
 multifactor Z factors) are sampled exactly: per driving factor the joint
 Gaussian vector (dW_1..dW_n, Z_(t_1)..Z_(t_n)) is drawn through a Cholesky
-factor of its exact covariance, whose blocks come from closed-form kernel
-moments.  Non-Gaussian components (Heston volatility, every log-price
-component) use left-point Euler with exact kernel-moment weights, so the
-singular kernel is never sampled at lag zero.  Every model runs through one
-chunk loop over its channels: 2n normals per Gaussian factor, n per Euler
-factor (rough Heston), and n for the orthogonal price noise, the last channel.
-``_scales`` gives every power of eps the two rescalings apply, and a model's
-``tail_degree`` (None: no tail rescaling) is the one tail catalogue.
+factor of its exact covariance, whose blocks come from the kernel's cell
+integrals and autocovariance.  Non-Gaussian components (Heston volatility,
+every log-price component) use left-point Euler with exact cell-integral
+weights, so the singular kernel is never sampled at lag zero.  Every cell
+integral is read from ``kernels.conv_weights(...).cells``, the one source of
+them: the Cholesky cross block is their lower-triangular Toeplitz matrix, a
+kernel section's cell weights their reversed prefix, and the Heston weights
+their first n entries.  Every model runs through one chunk loop over its
+channels: 2n normals per Gaussian factor, n per Euler factor (rough Heston),
+and n for the orthogonal price noise, the last channel.  ``_scales`` gives
+every power of eps the two rescalings apply, and a model's ``tail_degree``
+(None: no tail rescaling) is the one tail catalogue.
 
 Controlled simulation feeds the same pipeline with shifted Gaussian inputs
 and attaches the Girsanov log-density evaluated on the unshifted draws; the
 shift and the density use one and the same discrete pairing, which makes the
 importance-sampling identity exact at any grid size, not just in the limit.
 A kernel section must sit on a Gaussian factor's channel and carry that
-factor's kernel, or the run raises InvalidModel.
+factor's kernel, or the run raises InvalidModel; it must end on a grid node,
+or the run raises KernelDomainError.  Both fail before any draw.
 
 Randomness comes from counter-based per-path Philox streams keyed by
 (seed, path index), seeds being integers in [0, 2^63), with normals via
@@ -86,7 +91,7 @@ from .errors import (
     NotApplicable,
 )
 from .frac_calculus import Control
-from .kernels import KernelSpec, TimeGrid, power_law
+from .kernels import KernelSpec, TimeGrid, conv_weights, power_law
 
 __all__ = [
     "RoughSteinStein",
@@ -515,22 +520,16 @@ class GaussianFactor:
         self.kernel = kernel
         self.grid = grid
         n = grid.n_steps
-        h = grid.dt
         t = grid.nodes[1:]
+        self.cells = conv_weights(kernel, grid).cells
         C = np.zeros((2 * n, 2 * n))
-        C[:n, :n] = h * np.eye(n)
-        # cross block Cov(Z_i, dW_j) = C0(t_i - t_(j-1)) - C0(t_i - t_j)
-        ti = t[:, None]
-        tj = t[None, :]
-        cross = np.where(
-            ti >= tj,
-            np.asarray(kernel.moment0(np.maximum(ti - tj + h, 0.0)))
-            - np.asarray(kernel.moment0(np.maximum(ti - tj, 0.0))),
-            0.0,
-        )
+        C[:n, :n] = grid.dt * np.eye(n)
+        # cross block Cov(Z_i, dW_j): the integral of K over lag cell i - j
+        lag = np.arange(n)
+        cross = np.tril(self.cells[lag[:, None] - lag[None, :]])
         C[n:, :n] = cross
         C[:n, n:] = cross.T
-        C[n:, n:] = kernel.autocovariance(ti, tj)
+        C[n:, n:] = kernel.autocovariance(t[:, None], t[None, :])
         self.cross = cross
         self.bump = 0.0
         try:
@@ -545,11 +544,11 @@ class GaussianFactor:
                 ) from exc
 
     def terminal_moments(self, t_end: float) -> np.ndarray:
-        """Cell integrals of K(t_end - .) over each increment cell."""
-        h = self.grid.dt
-        edges = np.arange(self.grid.n_steps + 1) * h
-        c0 = np.asarray(self.kernel.moment0(np.maximum(t_end - edges, 0.0)))
-        return c0[:-1] - c0[1:]
+        """Cell integrals of K(t_end - .) over each increment cell; t_end a node."""
+        i_end = self.grid.node_index(t_end)
+        mom = np.zeros(self.grid.n_steps)
+        mom[:i_end] = self.cells[:i_end][::-1]
+        return mom
 
     def z_column(self, t_end: float) -> np.ndarray:
         """Cov(Z_(t_i), Z_(t_end)) at interior nodes t_1..t_n."""
@@ -948,10 +947,7 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     """
     n = grid.n_steps
     h = grid.dt
-    kernel = power_law(model.hurst)
-    edges = np.arange(n + 1, dtype=float) * h
-    c0 = np.asarray(kernel.moment0(edges))
-    mom = c0[1:] - c0[:-1]
+    mom = conv_weights(power_law(model.hurst), grid).cells[:n]
     mom_rev = mom[::-1].copy()
     w_rev = (mom / h)[::-1].copy()
     theta, _, drift, level = _scales(model, regime)

@@ -41,3 +41,27 @@ def test_no_module_imports_a_private_name_of_another():
                     if a.name.startswith("_")
                 ]
     assert offenders == []
+
+
+def test_only_kernels_differences_the_kernel_moments():
+    # cell integrals come from conv_weights(...).cells; a module that takes
+    # its own differences of moment0/moment1 is a second quadrature core
+    import ast
+
+    uses = set()
+    for path in sorted((SRC / "volterra_deviations").glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first: the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        uses |= {
+            (path.name, owner.get(node, "<module>"), node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("moment0", "moment1")
+        }
+    # the constant-control fallback of an importance-sampling tilt needs
+    # int_0^T K once, not a cell integral
+    assert uses == {("mc_verify.py", "build_is_control", "moment0")}

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import gamma as gamma_fn
-from scipy.special import hyp2f1
 
 from volterra_deviations.errors import (
     ConfigError,
@@ -118,26 +117,32 @@ class TestEvalNonConv:
             lead = lag ** (-0.2) / gamma_fn(0.8)
             assert got == pytest.approx(lead, rel=1e-3)
 
-    def test_against_scipy_hypergeometric(self):
-        # independent series-summation oracle
-        H, t, s = 0.3, 1.0, 0.5
-        want = (t - s) ** (H - 0.5) / gamma_fn(H + 0.5) * hyp2f1(
-            H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s
-        )
-        assert eval_nonconv(fbm_nonconv(H), t, s) == pytest.approx(want, rel=1e-10)
+    @staticmethod
+    def _mpmath_kernel(H, t, s):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            H, t, s = mp.mpf(H), mp.mpf(t), mp.mpf(s)
+            val = (t - s) ** (H - 0.5) / mp.gamma(H + 0.5) * mp.hyp2f1(
+                H - 0.5, 0.5 - H, H + 0.5, 1 - t / s
+            )
+            return float(val)
+
+    @pytest.mark.parametrize("s", [0.5, 1e-4, 1e-6, 1e-8])
+    def test_against_mpmath_hypergeometric(self, s):
+        # small s/t drives the hypergeometric argument 1 - t/s toward -infinity
+        want = self._mpmath_kernel(0.3, 1.0, s)
+        assert eval_nonconv(fbm_nonconv(0.3), 1.0, s) == pytest.approx(want, rel=1e-12)
 
     @given(
         st.floats(min_value=0.02, max_value=0.5),
-        st.floats(min_value=0.01, max_value=0.99),
+        st.floats(min_value=-8.0, max_value=float(np.log10(0.99))),
+        st.floats(min_value=0.1, max_value=10.0),
     )
     @settings(max_examples=60, deadline=None)
-    def test_pfaff_matches_scipy(self, H, ratio):
-        t = 1.0
-        s = ratio * t
-        want = (t - s) ** (H - 0.5) / gamma_fn(H + 0.5) * hyp2f1(
-            H - 0.5, 0.5 - H, H + 0.5, 1.0 - t / s
-        )
-        assert eval_nonconv(fbm_nonconv(H), t, s) == pytest.approx(want, rel=1e-9)
+    def test_matches_mpmath_for_ratios_down_to_1e_8(self, H, log_ratio, t):
+        s = 10.0**log_ratio * t
+        want = self._mpmath_kernel(H, t, s)
+        assert eval_nonconv(fbm_nonconv(H), t, s) == pytest.approx(want, rel=1e-12)
 
     def test_domain_errors(self):
         k = fbm_nonconv(0.3)
@@ -191,6 +196,10 @@ class TestL2Norm:
         assert l2_norm_sq(k, 1.0) == pytest.approx(want, rel=1e-5)
 
 
+def _kernel_id(k):
+    return f"gamma({k.hurst},{k.decay})" if k.variant == "gamma" else f"raw_power({k.exponent})"
+
+
 class TestAutocovariance:
     @pytest.mark.parametrize("pair", [(0.3, 0.7), (0.5, 0.5), (0.95, 1.0), (0.02, 1.0)])
     def test_powerlaw_vs_quadrature(self, pair):
@@ -206,6 +215,39 @@ class TestAutocovariance:
     def test_variance_matches_l2(self):
         k = power_law(0.31)
         assert k.autocovariance(0.8, 0.8) == pytest.approx(l2_norm_sq(k, 0.8), rel=1e-12)
+
+    QUADRATURE_KERNELS = [
+        *(gamma_kernel(h, lam) for h in (0.02, 0.1, 0.25, 0.5) for lam in (0.5, 2.0, 10.0)),
+        *(raw_power(a) for a in (-0.45, -0.2, 0.0, 0.5, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("k", QUADRATURE_KERNELS, ids=_kernel_id)
+    def test_quadrature_variance_matches_l2(self, k, t):
+        assert k.autocovariance(t, t) == pytest.approx(l2_norm_sq(k, t), rel=1e-5)
+
+    @pytest.mark.parametrize("pair", [(0.3, 0.7), (0.02, 1.0), (0.5, 1.5), (0.99, 1.0)])
+    @pytest.mark.parametrize(
+        "k", [gamma_kernel(0.05, 2.0), gamma_kernel(0.4, 10.0), raw_power(-0.45), raw_power(0.3)],
+        ids=_kernel_id,
+    )
+    def test_quadrature_off_diagonal_vs_scipy(self, k, pair):
+        s, t = pair
+        want, _ = quad(
+            lambda u: eval_conv(k, s - u) * eval_conv(k, t - u),
+            0.0, s, points=[s], limit=200, epsabs=0.0, epsrel=1e-10,
+        )
+        assert k.autocovariance(s, t) == pytest.approx(want, rel=1e-5)
+        assert k.autocovariance(t, s) == k.autocovariance(s, t)
+
+    @pytest.mark.parametrize(
+        "k", [constant(1.5), power_law(0.2), gamma_kernel(0.1, 2.0), raw_power(-0.2)],
+        ids=lambda k: k.variant,
+    )
+    def test_scalar_in_scalar_out(self, k):
+        assert np.shape(k.autocovariance(0.5, 0.7)) == ()
+        assert np.shape(k.autocovariance(np.array([0.2, 0.5, 0.0]), 0.7)) == (3,)
+        assert k.autocovariance(0.0, 0.7) == 0.0
 
 
 class TestMatrixKernel:

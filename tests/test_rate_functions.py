@@ -14,6 +14,7 @@ from volterra_deviations.errors import (
     SingularL,
 )
 from volterra_deviations.frac_calculus import control_energy
+from volterra_deviations.implied_vol import smile_ldp
 from volterra_deviations.kernels import (
     GridFunction,
     TimeGrid,
@@ -954,3 +955,69 @@ class TestRayHinge:
             res = ldp_rate_terminal(hes, x, n_steps=64, frozen=True, ray=True)
             assert res.value == pytest.approx(mdp_rate_terminal_x(hes, x), rel=1e-12)
             assert res.optimal_path.values[-1, 0] == pytest.approx(x, abs=1e-12)
+
+
+# near-the-money expansion I(x) = x^2 / (2 Sigma0) + c3 x^3 + O(x^4) with
+# c3 = -rho Sigma'(y0) zeta(y0) M / (2 Sigma0^(5/2)) and M = int_0^1 int_0^t K
+# = 1 / Gamma(H + 5/2) (Forde & Zhang 2017; Bayer, Friz, Gulisashvili,
+# Horvath & Stemper 2019); rough Heston has Sigma' = 1 and zeta = xi sqrt(y0)
+_NEAR_THE_MONEY = {
+    "bergomi:-0.5": RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H),
+    "bergomi:0.4": RoughBergomi(a=0.5, rho=0.4, y0=math.log(0.04), hurst=H),
+    "stein_stein:-0.7": RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.7, y0=0.3, hurst=H),
+    "heston:-0.7": RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=-0.7, y0=0.04, hurst=H),
+    "heston:0.5": RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=0.5, y0=0.04, hurst=H),
+}
+
+
+def _near_the_money_coefficients(model):
+    """(1 / (2 Sigma0), c3) from the model catalogue."""
+    y0 = np.asarray(model.y0)
+    sig0 = float(model.sigma_sq(y0))
+    sig_prime = 1.0 if isinstance(model, RoughHeston) else float(model.sigma_sq_prime(y0))
+    m = 1.0 / gamma_fn(H + 2.5)
+    return 1.0 / (2.0 * sig0), -model.rho * sig_prime * float(model.zeta(y0)) * m / (
+        2.0 * sig0**2.5
+    )
+
+
+def _fitted_coefficients(model, n):
+    """Richardson limits of the symmetric quotients (I(x) +- I(-x)) / (2 x^2 or 2 x^3)."""
+    even, odd = [], []
+    for x in (0.01, 0.005):
+        up, down = (ldp_rate_terminal(model, s * x, n_steps=n).value for s in (1.0, -1.0))
+        even.append((up + down) / (2.0 * x**2))
+        odd.append((up - down) / (2.0 * x**3))
+    return (4.0 * even[1] - even[0]) / 3.0, (4.0 * odd[1] - odd[0]) / 3.0
+
+
+class TestNearTheMoney:
+    """Correlated price solves and the LDP smile against the small-x expansion.
+
+    In rescaled log-moneyness the smile's at-the-money slope is
+    -Sigma0^(3/2) c3 = rho Sigma'(y0) zeta(y0) M / (2 Sigma0).
+    """
+
+    @pytest.mark.parametrize("name", sorted(_NEAR_THE_MONEY))
+    def test_cubic_and_quadratic_coefficients(self, name):
+        model = _NEAR_THE_MONEY[name]
+        quad_want, c3_want = _near_the_money_coefficients(model)
+        errors = []
+        for n, gate in ((64, 1e-3), (256, 1e-4)):
+            quad_got, c3_got = _fitted_coefficients(model, n)
+            assert quad_got == pytest.approx(quad_want, rel=1e-5)
+            errors.append(abs(c3_got / c3_want - 1.0))
+            assert errors[-1] <= gate
+        assert errors[1] < errors[0]
+
+    @pytest.mark.parametrize("name", sorted(_NEAR_THE_MONEY))
+    def test_smile_slope_at_the_money(self, name):
+        model = _NEAR_THE_MONEY[name]
+        quad_want, c3_want = _near_the_money_coefficients(model)
+        want = -c3_want / (2.0 * quad_want) ** 1.5
+        quotients = []
+        for k in (0.01, 0.005):
+            up, down = (smile_ldp(model, s * k, 0.01, n_steps=256).sigma_hat for s in (1.0, -1.0))
+            quotients.append((up - down) / (2.0 * k))
+        got = (4.0 * quotients[1] - quotients[0]) / 3.0
+        assert got == pytest.approx(want, rel=1e-4)

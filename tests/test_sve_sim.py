@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from volterra_deviations import sve_sim
+from scipy.integrate import quad
 from scipy.special import ndtri
 from volterra_deviations.errors import ConfigError, InvalidModel, KernelDomainError, NotApplicable
 from volterra_deviations.frac_calculus import Control, KernelSection
@@ -357,6 +358,20 @@ class TestSections:
         ctrl = self._ctrl(KernelSection(power_law(0.3), 1.0, 0.5, 0))
         with pytest.raises(InvalidModel):
             simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
+
+    def test_off_grid_section_raises_before_drawing(self, monkeypatch):
+        draws = []
+        normal_block = sve_sim._normal_block
+
+        def counting(seed, path_indices, count):
+            draws.append(count)
+            return normal_block(seed, path_indices, count)
+
+        monkeypatch.setattr(sve_sim, "_normal_block", counting)
+        ctrl = self._ctrl(KernelSection(power_law(H), 0.503, 0.5, 0))
+        with pytest.raises(KernelDomainError):
+            simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
+        assert draws == []
 
 
 class TestSeedDomain:
@@ -800,6 +815,33 @@ class TestFactorCache:
         assert sve_sim._factor.cache_info().currsize <= 8
         last = sve_sim._factor(power_law(H), grids[-1])
         assert sve_sim._factor(power_law(H), grids[-1]) is last
+
+
+class TestFactorBlocks:
+    """Cell integrals of the factor against quad of K over each cell."""
+
+    GRID = TimeGrid(1.0, 12)
+
+    @staticmethod
+    def _cell(kernel, t, lo, hi):
+        """int_lo^hi K(t - u) du, the cell cut off at t."""
+        if lo >= t:
+            return 0.0
+        return quad(lambda u: float(kernel(t - u)), lo, min(hi, t), limit=200, epsrel=1e-12)[0]
+
+    @pytest.mark.parametrize("hurst", [H, 0.3])
+    def test_cross_block_is_the_cell_integral(self, hurst):
+        kernel, t = power_law(hurst), self.GRID.nodes
+        f = sve_sim.GaussianFactor(kernel, self.GRID)
+        want = [[self._cell(kernel, ti, t[j], t[j + 1]) for j in range(12)] for ti in t[1:]]
+        np.testing.assert_allclose(f.cross, want, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("t_end", [0.5, 1.0])
+    def test_section_cells_are_the_cell_integrals(self, t_end):
+        kernel, t = power_law(H), self.GRID.nodes
+        f = sve_sim.GaussianFactor(kernel, self.GRID)
+        want = [self._cell(kernel, t_end, t[j], t[j + 1]) for j in range(12)]
+        np.testing.assert_allclose(f.terminal_moments(t_end), want, rtol=1e-10, atol=0.0)
 
 
 class TestCholeskyBump:
