@@ -175,7 +175,7 @@ _SCHEMAS = {
                 "required": ["component", "level"],
                 "additionalProperties": False,
             },
-            "epsilons": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+            "epsilons": {"type": "array", "items": {"type": "number"}, "minItems": 2},
             "regime": {
                 "enum": ["small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"]
             },

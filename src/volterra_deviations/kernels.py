@@ -3,29 +3,33 @@
 The central objects are :class:`TimeGrid` / :class:`GridFunction` (the
 discrete carriers used everywhere else) and :class:`KernelSpec`.  The grid
 owns the trapezoid weights, cumulative trapezoid and forward differences the
-other modules share, and the node lookup that rejects off-grid times.  Scalar
-convolution kernels expose, besides pointwise evaluation:
+other modules share, and the node lookup that rejects off-grid times.  Every
+scalar convolution kernel (constant, power law, raw power, gamma) has the one
+shape K(t) = t^a e^(-lambda t) / norm, so one moment formula
+int_0^t u^(p-1) e^(-lambda u) du / norm serves them all.  They expose, besides
+pointwise evaluation:
 
 * exact cumulative moments ``moment0/moment1`` (integrals of ``K`` and
-  ``u*K`` from 0), the basis of all product-integration rules,
+  ``u*K`` from 0), the basis of all product-integration rules, and the
+  squared norm ``l2_norm_sq``,
 * ``conv_weights`` building the lower-triangular quadrature that maps nodal
   values of a piecewise-linear integrand to ``(K * f)(t_i)`` exactly; its
   ``cells`` (the integral of ``K`` over each lag cell) are the one source of
   cell integrals for the simulator and the rate functions,
 * ``terminal_weights`` pairing a kernel section ``K(T - .)`` with piecewise
   linear functions, and
-* ``autocovariance`` for the Gaussian Volterra integral, in closed form for
-  power-law kernels.
+* ``autocovariance`` for the Gaussian Volterra integral, in hypergeometric
+  closed form for every kernel without decay.
 
 Singular kernels are never sampled at lag zero: every quadrature consumes the
 per-cell moments instead, and the remaining integrals (``autocovariance`` of
-other kernels, the regularity check) run one trapezoid graded toward lag 0.
+the gamma kernel, the regularity check) run one trapezoid graded toward lag 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -160,10 +164,14 @@ class KernelSpec:
     c            level of the constant kernel
     hurst        H for power_law / gamma / fbm
     exponent     a for raw_power, K(t) = t^a
-    decay        lambda for the gamma kernel
+    decay        lambda >= 0 for the gamma kernel
     entries      (d, d) nested tuple of KernelSpec or None, upper triangular
-    gamma_reg    regularity exponent in (0, 2]
-    homogeneity  homogeneity degree, None when the kernel is not homogeneous
+
+    Every scalar convolution kernel is K(t) = t^a e^(-decay t) / norm, and
+    ``form`` holds that triple (a, norm, decay), worked out from the variant
+    at construction (None for fbm and matrix kernels).  The moments, norm,
+    pointwise values, autocovariance, singularity and regularity exponent
+    read only the triple.
     """
 
     variant: str
@@ -172,8 +180,7 @@ class KernelSpec:
     exponent: float | None = None
     decay: float | None = None
     entries: tuple | None = None
-    gamma_reg: float = 1.0
-    homogeneity: float | None = None
+    form: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
@@ -181,6 +188,8 @@ class KernelSpec:
         if self.variant in ("power_law", "gamma", "fbm"):
             if self.hurst is None or not 0.0 < self.hurst <= 0.5:
                 raise ValueError("hurst must lie in (0, 1/2]")
+        if self.variant == "gamma" and (self.decay is None or not 0.0 <= self.decay < math.inf):
+            raise ValueError("gamma kernel needs a finite decay >= 0")
         if self.variant == "raw_power" and self.exponent is None:
             raise ValueError("raw_power needs an exponent")
         if self.variant == "matrix":
@@ -196,91 +205,75 @@ class KernelSpec:
                             "matrix kernel must be upper triangular: "
                             f"entry ({i}, {j}) is nonzero"
                         )
-        if not 0.0 < self.gamma_reg <= 2.0:
-            raise ValueError("regularity exponent must lie in (0, 2]")
+        form = None
+        if self.variant == "constant":
+            form = (0.0, 1.0 / self.c if self.c else math.inf, 0.0)
+        elif self.variant == "raw_power":
+            form = (self.exponent, 1.0, 0.0)
+        elif self.variant in ("power_law", "gamma"):
+            lam = self.decay if self.variant == "gamma" else 0.0
+            form = (self.hurst - 0.5, float(gamma_fn(self.hurst + 0.5)), lam)
+        object.__setattr__(self, "form", form)
+
+    def _form(self, what: str) -> tuple:
+        if self.form is None:
+            raise WrongVariant(f"{what} applies to scalar convolution kernels, not {self.variant}")
+        return self.form
 
     # -- basic properties ----------------------------------------------------
 
     @property
-    def is_scalar_conv(self) -> bool:
-        return self.variant in ("constant", "power_law", "raw_power", "gamma")
+    def is_singular(self) -> bool:
+        return self.form is not None and self.form[0] < 0.0
 
     @property
-    def is_singular(self) -> bool:
-        if self.variant == "power_law" or self.variant == "gamma":
-            return self.hurst < 0.5
-        if self.variant == "raw_power":
-            return self.exponent < 0.0
-        return False
+    def gamma_reg(self) -> float:
+        """Regularity exponent in (0, 2]: 2a + 1 for K ~ t^a at lag 0 (2H for
+        fbm), clipped; the least over its entries for a matrix kernel."""
+        if self.variant == "matrix":
+            return min((e.gamma_reg for r in self.entries for e in r if e is not None), default=1.0)
+        a = self.hurst - 0.5 if self.form is None else self.form[0]
+        return min(max(2.0 * a + 1.0, 1e-12), 2.0)
 
     # -- cumulative moments ---------------------------------------------------
 
     def moment0(self, t):
         """Integral of K over [0, t] (vectorized in t)."""
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        if self.variant == "constant":
-            return self.c * t
-        if self.variant == "power_law":
-            a = self.hurst + 0.5
-            return t**a / (a * gamma_fn(self.hurst + 0.5))
-        if self.variant == "raw_power":
-            a = self.exponent + 1.0
-            if a <= 0.0:
-                raise WrongVariant("raw_power exponent <= -1 is not integrable")
-            return t**a / a
-        if self.variant == "gamma":
-            a = self.hurst + 0.5
-            lam = self.decay
-            # int_0^t u^(a-1) e^(-lam u) du = P(a, lam t) Gamma(a) / lam^a
-            return gammainc(a, lam * t) * gamma_fn(a) / (lam**a * gamma_fn(self.hurst + 0.5))
-        raise WrongVariant(f"moment0 undefined for {self.variant} kernel")
+        a, norm, lam = self._form("moment0")
+        return _moment(a + 1.0, lam, norm, t)
 
     def moment1(self, t):
         """Integral of u * K(u) over [0, t]."""
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        if self.variant == "constant":
-            return self.c * t**2 / 2.0
-        if self.variant == "power_law":
-            a = self.hurst + 1.5
-            return t**a / (a * gamma_fn(self.hurst + 0.5))
-        if self.variant == "raw_power":
-            a = self.exponent + 2.0
-            return t**a / a
-        if self.variant == "gamma":
-            a = self.hurst + 1.5
-            lam = self.decay
-            return gammainc(a, lam * t) * gamma_fn(a) / (lam**a * gamma_fn(self.hurst + 0.5))
-        raise WrongVariant(f"moment1 undefined for {self.variant} kernel")
+        a, norm, lam = self._form("moment1")
+        return _moment(a + 2.0, lam, norm, t)
 
     # -- Gaussian autocovariance ----------------------------------------------
 
     def autocovariance(self, s, t):
         """R(s, t) = int_0^(s ^ t) K(s - u) K(t - u) du for the Volterra integral.
 
-        Closed form through the Gauss hypergeometric function for power-law
-        kernels; composite quadrature on a singularity-graded grid otherwise.
+        Closed form through the Gauss hypergeometric function for every kernel
+        without decay; composite quadrature on a singularity-graded grid for
+        the gamma kernel.
         """
+        a, norm, lam = self._form("autocovariance")
+        if 2.0 * a + 1.0 <= 0.0:
+            raise WrongVariant("K is not square integrable: no Gaussian Volterra integral")
         s_arr = np.asarray(s, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         lo = np.minimum(s_arr, t_arr)
         hi = np.maximum(s_arr, t_arr)
-        if self.variant == "constant":
-            return self.c**2 * lo
-        if self.variant == "power_law":
-            a = self.hurst - 0.5
-            g2 = gamma_fn(self.hurst + 0.5) ** 2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
-                out = (
-                    lo ** (a + 1.0)
-                    * np.where(hi > 0, hi, 1.0) ** a
-                    / ((a + 1.0) * g2)
-                    * hyp2f1(-a, 1.0, a + 2.0, ratio)
-                )
-            return np.where(lo <= 0.0, 0.0, out)
-        if self.is_scalar_conv:
+        if lam:
             return _autocov_quadrature(self, lo, hi)
-        raise WrongVariant(f"autocovariance undefined for {self.variant} kernel")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(hi > 0, lo / np.where(hi > 0, hi, 1.0), 0.0)
+            out = (
+                lo ** (a + 1.0)
+                * np.where(hi > 0, hi, 1.0) ** a
+                / ((a + 1.0) * norm**2)
+                * hyp2f1(-a, 1.0, a + 2.0, ratio)
+            )
+        return np.where(lo <= 0.0, 0.0, out)
 
     # -- pointwise evaluation ---------------------------------------------------
 
@@ -288,8 +281,18 @@ class KernelSpec:
         return eval_conv(self, t)
 
 
+def _moment(p: float, lam: float, norm: float, t):
+    """int_0^t u^(p-1) e^(-lam u) du / norm (vectorized in t), t^p / (p norm) at lam = 0."""
+    if p <= 0.0:
+        raise WrongVariant(f"u^({p - 1.0:g}) is not integrable at 0")
+    t = np.maximum(np.asarray(t, dtype=float), 0.0)
+    if lam == 0.0:
+        return t**p / (p * norm)
+    return gammainc(p, lam * t) * gamma_fn(p) / (lam**p * norm)
+
+
 def _autocov_quadrature(k: KernelSpec, lo, hi, n_sub: int = 4000):
-    """R(lo, hi) = int_0^lo K(r) K(hi - lo + r) dr on generic scalar kernels."""
+    """R(lo, hi) = int_0^lo K(r) K(hi - lo + r) dr for a kernel with decay."""
     out = np.zeros(np.broadcast(lo, hi).shape)
     lo, hi = np.broadcast_to(lo, out.shape), np.broadcast_to(hi, out.shape)
     for idx in np.ndindex(out.shape):
@@ -306,11 +309,18 @@ def _graded_integral(k: KernelSpec, f, length: float, n_sub: int) -> float:
 
     q = max(1, 2 / gamma_reg) crowds the nodes toward lag 0, where a singular
     kernel's square piles up.  The lag itself is the variable, so a small lag
-    is never the difference of two large numbers.
+    is never the difference of two large numbers.  Past q = 50 the node count
+    grows with q, keeping the bulk's trapezoid error at its q = 50 size.  Lags
+    below the smallest normal float are dropped: they underflow for
+    gamma_reg <= 0.022, and K^2 <= 1/r would overflow near them.  The dropped
+    head stays below 1e-5 of the integral for gamma_reg >= 0.02 (H >= 0.01).
     """
     q = max(1.0, 2.0 / k.gamma_reg)
+    n_sub *= math.ceil(q / 50.0)
     x = np.linspace(0.0, 1.0, n_sub + 1)[1:]
     r = length * x**q
+    keep = r >= np.finfo(float).tiny
+    x, r = x[keep], r[keep]
     return float(np.trapezoid(f(r) * (length * q * x ** (q - 1.0)), x))
 
 
@@ -320,41 +330,32 @@ def _graded_integral(k: KernelSpec, f, length: float, n_sub: int) -> float:
 
 
 def constant(c: float = 1.0) -> KernelSpec:
-    return KernelSpec("constant", c=float(c), gamma_reg=1.0, homogeneity=0.0)
+    return KernelSpec("constant", c=float(c))
 
 
 def power_law(hurst: float) -> KernelSpec:
     """Riemann-Liouville kernel t^(H - 1/2) / Gamma(H + 1/2)."""
-    return KernelSpec(
-        "power_law", hurst=float(hurst), gamma_reg=2.0 * hurst, homogeneity=hurst - 0.5
-    )
+    return KernelSpec("power_law", hurst=float(hurst))
 
 
 def raw_power(exponent: float) -> KernelSpec:
     """Unnormalized power kernel t^a."""
-    a = float(exponent)
-    g = min(max(1.0 + 2.0 * a, 1e-12), 2.0)
-    return KernelSpec("raw_power", exponent=a, gamma_reg=g, homogeneity=a)
+    return KernelSpec("raw_power", exponent=float(exponent))
 
 
 def gamma_kernel(hurst: float, decay: float) -> KernelSpec:
     """t^(H - 1/2) e^(-lambda t) / Gamma(H + 1/2); keeps gamma = 2H since the
     locally Lipschitz factor preserves the square-integrability scaling."""
-    return KernelSpec(
-        "gamma", hurst=float(hurst), decay=float(decay), gamma_reg=2.0 * hurst
-    )
+    return KernelSpec("gamma", hurst=float(hurst), decay=float(decay))
 
 
 def fbm_nonconv(hurst: float) -> KernelSpec:
     """Fractional Brownian motion kernel (non-convolution, hypergeometric)."""
-    return KernelSpec("fbm", hurst=float(hurst), gamma_reg=2.0 * hurst)
+    return KernelSpec("fbm", hurst=float(hurst))
 
 
 def matrix_kernel(entries) -> KernelSpec:
-    rows = tuple(tuple(e for e in row) for row in entries)
-    gammas = [e.gamma_reg for row in rows for e in row if e is not None]
-    g = min(gammas) if gammas else 1.0
-    return KernelSpec("matrix", entries=rows, gamma_reg=g)
+    return KernelSpec("matrix", entries=tuple(tuple(e for e in row) for row in entries))
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +369,13 @@ def eval_conv(k: KernelSpec, t):
     Raises SingularAtZero when a singular variant is evaluated at t = 0 and
     WrongVariant for matrix / fbm kernels.
     """
-    if not k.is_scalar_conv:
-        raise WrongVariant(f"eval_conv does not apply to {k.variant} kernels")
+    a, norm, lam = k._form("eval_conv")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise KernelDomainError("kernel argument must be nonnegative")
-    if k.is_singular and np.any(t_arr == 0.0):
+    if a < 0.0 and np.any(t_arr == 0.0):
         raise SingularAtZero(f"{k.variant} kernel diverges at t = 0")
-    if k.variant == "constant":
-        out = np.full(t_arr.shape, k.c)
-    elif k.variant == "power_law":
-        out = t_arr ** (k.hurst - 0.5) / gamma_fn(k.hurst + 0.5)
-    elif k.variant == "raw_power":
-        out = t_arr**k.exponent
-    else:  # gamma
-        out = (
-            t_arr ** (k.hurst - 0.5)
-            * np.exp(-k.decay * t_arr)
-            / gamma_fn(k.hurst + 0.5)
-        )
+    out = t_arr**a * np.exp(-lam * t_arr) / norm
     return out if out.shape else float(out)
 
 
@@ -414,26 +403,11 @@ def eval_nonconv(k: KernelSpec, t, s):
 
 def l2_norm_sq(k: KernelSpec, t: float) -> float:
     """Integral of K^2 over [0, t]."""
-    if not k.is_scalar_conv:
-        raise WrongVariant("l2_norm_sq applies to scalar convolution kernels")
+    a, norm, lam = k._form("l2_norm_sq")
     if t <= 0.0:
         raise KernelDomainError("t must be positive")
-    if k.variant == "constant":
-        return k.c**2 * t
-    if k.variant == "power_law":
-        H = k.hurst
-        return t ** (2 * H) / (2 * H * gamma_fn(H + 0.5) ** 2)
-    if k.variant == "raw_power":
-        a = 2.0 * k.exponent + 1.0
-        if a <= 0.0:
-            raise WrongVariant("raw_power kernel is not square integrable")
-        return t**a / a
-    # gamma: int u^(2H-1) e^(-2 lam u) du in closed incomplete-gamma form
-    H, lam = k.hurst, k.decay
-    a = 2.0 * H
-    return float(
-        gammainc(a, 2.0 * lam * t) * gamma_fn(a) / ((2.0 * lam) ** a * gamma_fn(H + 0.5) ** 2)
-    )
+    # K^2 = t^(2a) e^(-2 lam t) / norm^2: the moment of order 2a + 1
+    return float(_moment(2.0 * a + 1.0, 2.0 * lam, norm**2, t))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +452,6 @@ class ConvWeights:
 
 def conv_weights(k: KernelSpec, grid: TimeGrid) -> ConvWeights:
     """Exact product-integration weights of a scalar convolution kernel."""
-    if not k.is_scalar_conv:
-        raise WrongVariant("conv_weights applies to scalar convolution kernels")
     n = grid.n_steps
     h = grid.dt
     edges = np.arange(n + 2, dtype=float) * h
@@ -524,8 +496,6 @@ class RegularityReport:
 
 def _shift_term(k: KernelSpec, h: float, T: float, n_sub: int = 6000) -> float:
     """int_0^T (K(t+h) - K(t))^2 dt on a singularity-graded grid."""
-    if k.variant == "constant":
-        return 0.0
     return _graded_integral(k, lambda t: (eval_conv(k, t + h) - eval_conv(k, t)) ** 2, T, n_sub)
 
 

@@ -146,8 +146,11 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
     """Extrapolated decay rate of the epsilon sweep.
 
     Fits s log p_hat = -I + c s by 1/s^2-weighted least squares and reports
-    the intercept against the configured reference rate.
+    the intercept against the configured reference rate.  The two-parameter
+    fit needs at least two levels: ValueError before any simulation otherwise.
     """
+    if len(exp.epsilons) < 2:
+        raise ValueError(f"the slope fit needs >= 2 epsilons, got {len(exp.epsilons)}")
     ps, ses, hits, ss, fs = [], [], [], [], []
     for i, eps in enumerate(exp.epsilons):
         p, se, h = estimate_event_prob(exp, eps, seed=exp.seed + i)

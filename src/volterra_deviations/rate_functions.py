@@ -134,18 +134,20 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _energy_masked(grid: TimeGrid, *channels) -> float:
-    """(1/2) sum of channel L2 norms; non-finite entries get zero weight."""
+def _energy(grid: TimeGrid, *channels) -> float:
+    """(1/2) sum of the channels' squared L2 norms, by the trapezoid rule."""
     w = grid.trapezoid_weights()
     total = 0.0
     for ch in channels:
-        sq = np.where(np.isfinite(ch), ch, 0.0) ** 2
-        total += float(np.sum(w * sq))
+        total += float(np.sum(w * ch**2))
     return 0.5 * total
 
 
-def _finite(vals: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(vals), vals, 0.0)
+def _require_finite(what: str, *arrays) -> None:
+    """DomainError unless every entry is finite: a NaN would spread through
+    the product integration into every later node."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise DomainError(f"{what} must be finite at every node")
 
 
 def _is_grid_ac(phi: GridFunction) -> bool:
@@ -235,10 +237,12 @@ def _pair_rate(model, phi, vphi, frozen=False, tail=False, delta=None):
     kappa I^order vphi (``_reversion``); v = z / zeta(vphi), and u solves the
     price equation.  Nodes where zeta or Sigma = S^2 vanishes get v = 0 or
     u = 0.  +infinity off the start point (phi(0) = 0, vphi(0) = y0) or the
-    absolutely continuous range, per the grid blow-up test.  ``delta`` > 0
-    evaluates on vphi + delta t^(H+1/2) and reports a Richardson
-    extrapolation over (delta, delta/2).  Returns the result and z.
+    absolutely continuous range, per the grid blow-up test; DomainError on
+    a non-finite path.  ``delta`` > 0 evaluates on vphi + delta t^(H+1/2)
+    and reports a Richardson extrapolation over (delta, delta/2).  Returns
+    the result and z.
     """
+    _require_finite("the paths phi and vphi", phi.values, vphi.values)
     y0, drift, zeta, S = _family(model, frozen, tail)
     grid = phi.grid
     start = abs(phi.values[0]) <= 1e-9 and abs(vphi.values[0] - y0) <= 1e-9 * max(1.0, abs(y0))
@@ -260,7 +264,7 @@ def _pair_rate(model, phi, vphi, frozen=False, tail=False, delta=None):
             v = np.where(dead_v, 0.0, z / np.where(dead_v, 1.0, zt))
             s = np.where(dead_u, 1.0, s)
             u = np.where(dead_u, 0.0, (dphi / s + drift * s - rho * v) / rho_bar)
-        return _energy_masked(grid, u, v), v, u, z
+        return _energy(grid, u, v), v, u, z
 
     value, v, u, z = once(delta or 0.0)
     rich = 2.0 * once(0.5 * delta)[0] - value if (delta or 0.0) > 0.0 else None
@@ -355,7 +359,7 @@ def tail_mdp_rate_y(model: RoughSteinStein, vphi: GridFunction) -> RateResult:
         return res
     v = res.optimal_control.values.values[:, 0]
     ctrl = Control(GridFunction(grid, np.stack([v, np.zeros_like(v)], axis=1)))
-    return RateResult(value=_energy_masked(grid, v), optimal_control=ctrl, optimal_path=vphi)
+    return RateResult(value=_energy(grid, v), optimal_control=ctrl, optimal_path=vphi)
 
 
 def tail_rate_heston(
@@ -392,7 +396,7 @@ def multifactor_mdp_rate(
     Controls exist only on the kernels sharing the smallest Hurst index; the
     remaining volatility components are determined, and a mismatch beyond
     ``attain_tol`` (sup norm, operator round-trip accuracy) makes the rate
-    +infinity.
+    +infinity.  DomainError on a non-finite path.
     """
     grid = phi.grid
     m = model.n_factors
@@ -402,6 +406,7 @@ def multifactor_mdp_rate(
     vv = vphi.values if vphi.values.ndim == 2 else vphi.values[:, None]
     if vv.shape[1] != m:
         raise ValueError("vphi must carry one column per factor")
+    _require_finite("the paths phi and vphi", phi.values, vv)
     if not _is_grid_ac(phi) or abs(phi.values[0]) > 1e-9:
         return RateResult(value=np.inf)
     vs = []
@@ -417,10 +422,7 @@ def multifactor_mdp_rate(
             / L[i, i]
         )
         vs.append(vi)
-        vi_clean = np.where(np.isfinite(vi), vi, 0.0)
-        integrals.append(
-            rl_integral(GridFunction(grid, vi_clean), float(model.hurst[i]) + 0.5).values
-        )
+        integrals.append(rl_integral(GridFunction(grid, vi), float(model.hurst[i]) + 0.5).values)
     scale = max(1.0, float(np.max(np.abs(vv))))
     for i in range(mstar, m):
         induced = np.full(len(grid), y0[i])
@@ -436,10 +438,9 @@ def multifactor_mdp_rate(
     dphi = grid.forward_difference(phi.values)
     u = dphi / weight
     for j in range(mstar):
-        vj = np.where(np.isfinite(vs[j]), vs[j], 0.0)
-        u = u - rho[j] * vj
+        u = u - rho[j] * vs[j]
     u = u / rho_bar
-    value = _energy_masked(grid, u, *vs)
+    value = _energy(grid, u, *vs)
     cols = [u] + vs
     ctrl = Control(GridFunction(grid, np.stack(cols, axis=1)))
     return RateResult(
@@ -482,7 +483,8 @@ def regenerate_pair(
     the volatility solve's ``SolveReport``.  A tail rough Heston RateResult
     carries the smooth forcing z = xi sqrt(vphi) v (``z_values``); it drives
     the equivalent linear equation instead, which avoids the indicator
-    artifact of the singular recovered control at t = 0.
+    artifact of the singular recovered control at t = 0.  DomainError on a
+    non-finite control or forcing.
     """
     from .volterra_det import TOL_SMOOTH, DiffusionTerm, DriftTerm, LimitProblem, solve_ldp_limit
 
@@ -492,12 +494,13 @@ def regenerate_pair(
         z = ctrl.diagnostics.get("z_values")
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
-    vals = _finite(ctrl.values.values)
+    vals = ctrl.values.values
+    _require_finite("the control", vals, 0.0 if z is None else z)
     v, u = (vals, np.zeros_like(vals)) if vals.ndim == 1 else (vals[:, 0], vals[:, 1])
     kernel = power_law(model.hurst)
     forcing, tol, drift_terms = v, None, ()
     if z is not None:
-        forcing, zeta, tol = _finite(z), np.ones_like, TOL_SMOOTH
+        forcing, zeta, tol = z, np.ones_like, TOL_SMOOTH
     if tail:
         reversion = _field(lambda y: -model.kappa * y, 1)
         drift_terms = (DriftTerm(_reversion(model, kernel)[0], reversion),)
@@ -559,13 +562,15 @@ def regenerate_mdp_pair(model: Model, ctrl: Control | RateResult):
 def regenerate_multifactor_mdp_pair(
     model: MultiRoughBergomi, ctrl: Control | RateResult
 ):
-    """Forward map of the multifactor MDP limit (controls to (phi, vphi))."""
+    """Forward map of the multifactor MDP limit (controls to (phi, vphi));
+    DomainError on a non-finite control."""
     if isinstance(ctrl, RateResult):
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     vals = ctrl.values.values
-    u = _finite(vals[:, 0])
-    vs = [_finite(vals[:, 1 + j]) for j in range(vals.shape[1] - 1)]
+    _require_finite("the control", vals)
+    u = vals[:, 0]
+    vs = [vals[:, 1 + j] for j in range(vals.shape[1] - 1)]
     L = np.asarray(model.loadings, dtype=float)
     y0 = np.asarray(model.y0, dtype=float)
     m = model.n_factors

@@ -206,6 +206,18 @@ class TestRateCommand:
         want = 0.5 * 0.25 * gamma_fn(1.6) ** 2
         assert rep["value"] == pytest.approx(want, rel=1e-6)
 
+    def test_eval_on_a_path_with_a_nan_sample_is_a_domain_error(self, tmp_path, capsys):
+        n = 64
+        t = np.linspace(0.0, 1.0, n + 1)
+        y0 = math.log(0.04)
+        rows = [f"{x!r},{0.1 * x!r},{y0 + 0.2 * x**0.6!r}" for x in map(float, t)]
+        rows[21] = rows[21].rsplit(",", 1)[0] + ",nan"
+        path = tmp_path / "p.csv"
+        path.write_text("t,phi,vphi\n" + "\n".join(rows) + "\n")
+        cfg = write(tmp_path, "m.json", {"model": dict(BERGOMI_REC, y0=y0), "family": "small_time"})
+        assert run(["rate", "eval", "--model", cfg, "--path", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_eval_on_a_one_row_path_is_a_config_error(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("t,phi,vphi\n0.0,0.0,-3.2\n")
@@ -478,7 +490,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "change",
-        [{"epsilons": [0.01, 0.02]}, {"epsilons": [0.02, -0.01]}, {"regime": "small_time_mdp"}],
+        [
+            {"epsilons": [0.01, 0.02]},
+            {"epsilons": [0.02, -0.01]},
+            {"epsilons": [0.02]},
+            {"regime": "small_time_mdp"},
+        ],
     )
     def test_bad_sweep_is_a_config_error_before_any_work(self, tmp_path, capsys, monkeypatch, change):
         from volterra_deviations import mc_verify

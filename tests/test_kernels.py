@@ -175,7 +175,9 @@ class TestL2Norm:
         vals = [l2_norm_sq(k, t) for t in ts]
         assert np.all(np.diff(vals) >= 0)
 
-    @pytest.mark.parametrize("k", [constant(1.3), raw_power(0.5), gamma_kernel(0.5, 2.0)])
+    @pytest.mark.parametrize(
+        "k", [constant(1.3), raw_power(0.5), gamma_kernel(0.5, 2.0), power_law(0.5)]
+    )
     def test_nonsingular_quadrature_oracle(self, k):
         # fine trapezoid (transformed variable is the identity here: kernels
         # are bounded) against the closed forms
@@ -185,19 +187,27 @@ class TestL2Norm:
         want = np.trapezoid(vals, s)
         assert l2_norm_sq(k, t_end) == pytest.approx(want, rel=1e-6)
 
-    def test_singular_quadrature_oracle_transformed(self):
-        # substitute s = u^(1/2H) to remove the singularity
-        H = 0.2
-        k = power_law(H)
+    @pytest.mark.parametrize(
+        "k, g",
+        [
+            (constant(1.3), 1.0),
+            (power_law(0.2), 0.4),
+            (raw_power(-0.3), 0.4),
+            (gamma_kernel(0.2, 1.5), 0.4),
+        ],
+        ids=["constant", "power_law", "raw_power", "gamma"],
+    )
+    def test_singular_quadrature_oracle_transformed(self, k, g):
+        # K^2 ~ s^(g - 1) at 0: substitute s = u^(1/g) to remove the singularity
         u = np.linspace(0.0, 1.0, 200001)[1:]
-        s = u ** (1.0 / (2.0 * H))
-        integrand = eval_conv(k, s) ** 2 * s / (2.0 * H * u)
+        s = u ** (1.0 / g)
+        integrand = eval_conv(k, s) ** 2 * s / (g * u)
         want = np.trapezoid(integrand, u)
         assert l2_norm_sq(k, 1.0) == pytest.approx(want, rel=1e-5)
 
 
 def _kernel_id(k):
-    return f"gamma({k.hurst},{k.decay})" if k.variant == "gamma" else f"raw_power({k.exponent})"
+    return f"gamma({k.hurst},{k.decay})"
 
 
 class TestAutocovariance:
@@ -218,7 +228,9 @@ class TestAutocovariance:
 
     QUADRATURE_KERNELS = [
         *(gamma_kernel(h, lam) for h in (0.02, 0.1, 0.25, 0.5) for lam in (0.5, 2.0, 10.0)),
-        *(raw_power(a) for a in (-0.45, -0.2, 0.0, 0.5, 1.0)),
+        # the first graded lags underflow below H = 0.011
+        gamma_kernel(0.01, 1.0),
+        gamma_kernel(0.011, 1.0),
     ]
 
     @pytest.mark.parametrize("t", [0.01, 0.3, 1.0, 2.0])
@@ -228,7 +240,8 @@ class TestAutocovariance:
 
     @pytest.mark.parametrize("pair", [(0.3, 0.7), (0.02, 1.0), (0.5, 1.5), (0.99, 1.0)])
     @pytest.mark.parametrize(
-        "k", [gamma_kernel(0.05, 2.0), gamma_kernel(0.4, 10.0), raw_power(-0.45), raw_power(0.3)],
+        "k",
+        [gamma_kernel(h, lam) for h, lam in ((0.05, 2.0), (0.4, 10.0), (0.01, 1.0), (0.011, 1.0))],
         ids=_kernel_id,
     )
     def test_quadrature_off_diagonal_vs_scipy(self, k, pair):
@@ -239,6 +252,24 @@ class TestAutocovariance:
         )
         assert k.autocovariance(s, t) == pytest.approx(want, rel=1e-5)
         assert k.autocovariance(t, s) == k.autocovariance(s, t)
+
+    @pytest.mark.parametrize("pair", [(0.3, 0.7), (0.02, 1.0), (0.5, 1.5), (0.99, 1.0), (0.8, 0.8)])
+    @pytest.mark.parametrize("a", [-0.45, -0.2, 0.0, 0.5, 1.0])
+    def test_raw_power_closed_form_vs_scipy(self, a, pair):
+        # int_0^s (s - u)^a (t - u)^a du, the endpoint power as quad's algebraic weight
+        s, t = pair
+        if s == t:
+            want = s ** (2.0 * a + 1.0) / (2.0 * a + 1.0)
+        else:
+            want, _ = quad(
+                lambda u: (t - u) ** a, 0.0, s, weight="alg", wvar=(0.0, a),
+                epsabs=0.0, epsrel=1e-13,
+            )
+        assert raw_power(a).autocovariance(s, t) == pytest.approx(want, rel=1e-10)
+
+    def test_not_square_integrable_raises(self):
+        with pytest.raises(WrongVariant):
+            raw_power(-0.6).autocovariance(0.3, 0.5)
 
     @pytest.mark.parametrize(
         "k", [constant(1.5), power_law(0.2), gamma_kernel(0.1, 2.0), raw_power(-0.2)],
@@ -270,6 +301,11 @@ class TestRegularity:
         rep = check_regularity(constant(1.0), 1.0, self.H_GRID)
         assert rep.passed
         assert rep.fitted_slope == pytest.approx(1.0, abs=0.02)
+
+    def test_gamma_below_the_underflow_has_a_finite_functional(self):
+        rep = check_regularity(gamma_kernel(0.01, 1.0), 0.02, self.H_GRID)
+        assert np.all(np.isfinite(rep.functional))
+        assert rep.passed
 
     def test_overclaim_fails(self):
         rep = check_regularity(power_law(0.3), 0.9, self.H_GRID)
@@ -308,17 +344,37 @@ class TestConvWeights:
         atol = 1e-13 * max(abs(a) + abs(b), np.finfo(float).tiny)
         assert np.allclose(got, want, rtol=1e-12, atol=atol)
 
-    def test_exact_on_linear_integrands(self):
+    # (kernel, exponent, decay, norm) of K(t) = t^exponent e^(-decay t) / norm
+    EXACT_KERNELS = [
+        (constant(1.3), 0.0, 0.0, 1.0 / 1.3),
+        (power_law(0.3), -0.2, 0.0, gamma_fn(0.8)),
+        (raw_power(-0.3), -0.3, 0.0, 1.0),
+        (raw_power(0.5), 0.5, 0.0, 1.0),
+        (gamma_kernel(0.3, 2.0), -0.2, 2.0, gamma_fn(0.8)),
+    ]
+
+    @pytest.mark.parametrize(
+        "k, e, lam, norm",
+        EXACT_KERNELS,
+        ids=["constant", "power_law", "raw_power-0.3", "raw_power0.5", "gamma"],
+    )
+    def test_exact_on_linear_integrands(self, k, e, lam, norm):
         grid = TimeGrid(1.0, 64)
-        k = power_law(0.3)
         cw = conv_weights(k, grid)
         f = 2.0 - 0.5 * grid.nodes
         got = cw.apply(f)
-        # analytic: int (t-s)^(H-1/2)(a + b s) ds via moments
+        # analytic: int K(t - s)(a + b s) ds via moments
         a, b = 2.0, -0.5
         t = grid.nodes
         want = a * k.moment0(t) + b * (t * k.moment0(t) - k.moment1(t))
         assert np.allclose(got, want, rtol=1e-12)
+        # and against quad, the kernel's endpoint power as its algebraic weight
+        for i in (1, 17, 64):
+            ref, _ = quad(
+                lambda s: np.exp(-lam * (t[i] - s)) * (a + b * s) / norm,
+                0.0, t[i], weight="alg", wvar=(0.0, e), epsabs=0.0, epsrel=1e-13,
+            )
+            assert got[i] == pytest.approx(ref, rel=1e-11)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 63, 64, 128, 256, 512, 1024])
     def test_apply_matches_direct_and_scipy_convolution(self, n):
@@ -376,3 +432,5 @@ class TestConfig:
             kernel_from_config({"kind": "power_law"})
         with pytest.raises(ConfigError):
             kernel_from_config({"kind": "nope"})
+        with pytest.raises(ConfigError):
+            kernel_from_config({"kind": "gamma", "hurst": 0.2, "decay": -1.0})

@@ -198,8 +198,21 @@ class TestLdpSlope:
 
     def test_insufficient_hits(self):
         ev = EventSpec(component=1, level=Y0 + 5.0)
-        exp = experiment(event=ev, epsilons=(0.05 ** (1.0 / H),), n_paths=2000, seed=3)
+        eps = (0.05 ** (1.0 / H), 0.04 ** (1.0 / H))
+        exp = experiment(event=ev, epsilons=eps, n_paths=2000, seed=3)
         with pytest.raises(InsufficientHits):
+            ldp_slope(exp)
+
+    def test_one_level_fails_before_simulating(self, monkeypatch):
+        from volterra_deviations import mc_verify
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the sweep was checked")
+
+        monkeypatch.setattr(mc_verify, "estimate_event_prob", forbidden)
+        ev = EventSpec(component=1, level=Y0 + 1.0)
+        exp = experiment(event=ev, epsilons=(0.4 ** (1.0 / H),), n_paths=2000, seed=3)
+        with pytest.raises(ValueError, match="2 epsilons"):
             ldp_slope(exp)
 
     def test_mdp_normalized_reference(self):

@@ -418,6 +418,67 @@ class TestMultifactor:
         assert np.max(np.abs(vphir.values[3:] - vphi.values[3:])) < 1e-3
 
 
+_NAN_GRID = TimeGrid(1.0, 64)
+_NAN_T = _NAN_GRID.nodes
+_NAN_BERGOMI = RoughBergomi(a=0.5, rho=-0.5, y0=math.log(0.04), hurst=H)
+_NAN_MULTI = MultiRoughBergomi(
+    loadings=((1.0, 0.0), (0.6, 0.8)), a=(0.1, 0.1), y0=(-3.0, -3.2), rho=(-0.3, 0.2),
+    hurst=(0.1, 0.1),
+)
+# (rate(phi, vphi), y0 of vphi): the six pair entries and the multifactor rate
+_NAN_RATES = {
+    "ldp_rate_pair": (lambda p, v: ldp_rate_pair(_NAN_BERGOMI, p, v), _NAN_BERGOMI.y0),
+    "heston_rate": (lambda p, v: heston_rate(HESTON, p, v), HESTON.y0),
+    "mdp_rate_pair": (lambda p, v: mdp_rate_pair(_NAN_BERGOMI, p, v), _NAN_BERGOMI.y0),
+    "tail_rate_steinstein": (lambda p, v: tail_rate_steinstein(SS, p, v), 0.0),
+    "tail_mdp_rate_y": (lambda p, v: tail_mdp_rate_y(SS, v), 0.0),
+    "tail_rate_heston": (lambda p, v: tail_rate_heston(HESTON, p, v), 0.0),
+    "multifactor_mdp_rate": (
+        lambda p, v: multifactor_mdp_rate(
+            _NAN_MULTI, p, gf(v.values[:, None] + [0.0, -0.2], _NAN_GRID)
+        ),
+        -3.0,
+    ),
+}
+# tail_mdp_rate_y reads no price path
+_NAN_CASES = [
+    (name, col) for name in sorted(_NAN_RATES) for col in ("phi", "vphi")
+    if (name, col) != ("tail_mdp_rate_y", "phi")
+]
+
+
+class TestNonFiniteInput:
+    """A NaN or inf node fails loudly: the product integration would spread it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, column", _NAN_CASES)
+    def test_rate_of_a_non_finite_path_raises(self, name, column, bad):
+        rate, y0 = _NAN_RATES[name]
+        paths = {"phi": 0.1 * _NAN_T, "vphi": y0 + 0.2 * _NAN_T**0.6}
+        assert math.isfinite(rate(*(gf(paths[c], _NAN_GRID) for c in ("phi", "vphi"))).value)
+        paths[column][20] = bad
+        with pytest.raises(DomainError, match="finite"):
+            rate(*(gf(paths[c], _NAN_GRID) for c in ("phi", "vphi")))
+
+    @pytest.mark.parametrize("where", ["control", "z_values"])
+    def test_regenerating_a_non_finite_control_raises(self, where):
+        vphi = gf(0.2 * _NAN_T ** (H + 0.5), _NAN_GRID)
+        res = tail_rate_heston(HESTON, gf(np.zeros(len(_NAN_GRID)), _NAN_GRID), vphi)
+        regenerate_tail_pair(HESTON, res)
+        target = res.optimal_control.values.values if where == "control" else res.diagnostics[where]
+        target[20] = np.nan
+        with pytest.raises(DomainError, match="finite"):
+            regenerate_tail_pair(HESTON, res)
+
+    def test_regenerating_a_non_finite_multifactor_control_raises(self):
+        vphi = gf(np.tile([-3.0, -3.2], (len(_NAN_GRID), 1)) + 0.1 * _NAN_T[:, None], _NAN_GRID)
+        res = multifactor_mdp_rate(_NAN_MULTI, gf(0.1 * _NAN_T, _NAN_GRID), vphi)
+        regenerate_multifactor_mdp_pair(_NAN_MULTI, res)
+        res.optimal_control.values.values[20, 1] = np.inf
+        with pytest.raises(DomainError, match="finite"):
+            regenerate_multifactor_mdp_pair(_NAN_MULTI, res)
+
+
 class TestTerminalSolver:
     def test_zero_target_zero_value(self):
         r = ldp_rate_terminal(BERGOMI, 0.0, component="x", n_steps=128)
