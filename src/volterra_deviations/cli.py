@@ -583,6 +583,7 @@ def _cmd_verify(args) -> int:
         "hit_counts": list(rep.hit_counts),
         "s_values": list(rep.s_values),
         "f_values": list(rep.f_values),
+        "regularized": list(rep.bumps),
         "intercept": rep.intercept,
         "slope": rep.slope,
         "reference_rate": rep.reference_rate,

@@ -30,6 +30,7 @@ from .sve_sim import (
     Model,
     ScalingRegime,
     check_components,
+    cholesky_bump,
     simulate,
     simulate_controlled,
 )
@@ -110,6 +111,12 @@ class DeviationExperiment:
 
 @dataclass
 class SlopeReport:
+    """The sweep's levels, their fit and how each level was simulated.
+
+    ``bumps`` holds each level's Cholesky bump (``PathEnsemble.bump``); every
+    level runs on the experiment's grid, so they are equal.
+    """
+
     epsilons: tuple
     p_hats: tuple
     stderrs: tuple
@@ -121,6 +128,7 @@ class SlopeReport:
     reference_rate: float | None
     relative_gap: float | None
     used_importance_sampling: bool
+    bumps: tuple
 
 
 def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None = None):
@@ -151,7 +159,7 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
     """
     if len(exp.epsilons) < 2:
         raise ValueError(f"the slope fit needs >= 2 epsilons, got {len(exp.epsilons)}")
-    ps, ses, hits, ss, fs = [], [], [], [], []
+    ps, ses, hits, ss, fs, bumps = [], [], [], [], [], []
     for i, eps in enumerate(exp.epsilons):
         p, se, h = estimate_event_prob(exp, eps, seed=exp.seed + i)
         if h < _MIN_HITS:
@@ -166,6 +174,7 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         hits.append(h)
         ss.append(s)
         fs.append(s * math.log(p))
+        bumps.append(cholesky_bump(exp.model, exp.grid))
     A = np.vstack([np.ones(len(ss)), np.asarray(ss)]).T
     wgt = 1.0 / np.asarray(ss) ** 2
     W = A.T * wgt
@@ -186,6 +195,7 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         reference_rate=exp.reference_rate,
         relative_gap=gap,
         used_importance_sampling=exp.is_control is not None,
+        bumps=tuple(bumps),
     )
 
 

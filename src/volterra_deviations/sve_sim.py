@@ -10,11 +10,15 @@ weights, so the singular kernel is never sampled at lag zero.  Every cell
 integral is read from ``kernels.conv_weights(...).cells``, the one source of
 them: the Cholesky cross block is their lower-triangular Toeplitz matrix, a
 kernel section's cell weights their reversed prefix, and the Heston weights
-their first n entries.  Every model runs through one chunk loop over its
-channels: 2n normals per Gaussian factor, n per Euler factor (rough Heston),
-and n for the orthogonal price noise, the last channel.  ``_scales`` gives
-every power of eps the two rescalings apply, and a model's ``tail_degree``
-(None: no tail rescaling) is the one tail catalogue.
+their first n entries.  The rough Heston history sum is one product with a
+lower-triangular Toeplitz matrix of interleaved drift and noise weights,
+taken in blocks of _HISTORY_STEPS steps: one GEMM adds the far history (every
+step before the block) to the whole block, and one short product per step the
+near history (the block's own steps).  Every model runs through one chunk loop
+over its channels: 2n normals per Gaussian factor, n per Euler factor (rough
+Heston), and n for the orthogonal price noise, the last channel.  ``_scales``
+gives every power of eps the two rescalings apply, and a model's
+``tail_degree`` (None: no tail rescaling) is the one tail catalogue.
 
 Controlled simulation feeds the same pipeline with shifted Gaussian inputs
 and attaches the Girsanov log-density evaluated on the unshifted draws; the
@@ -39,7 +43,9 @@ therefore guaranteed bit-identical to the same path of a larger run only when
 both runs have more than 960 paths (one width); otherwise the two agree to the
 history sum's accuracy (with OpenBLAS they came out equal in every case
 tried), which matches the path-major double sum of its formula to 1e-12 of
-the path's sup norm.
+the path's sup norm, except on a path whose variance touches zero, where the
+square root amplifies last-bit rounding (1.2e-11 on one of 20k paths at
+n = 128).
 
 Paths run in chunks of as many rows as keep a chunk's normals block (rows x
 normals per path x 8 B) within the byte budget _CHUNK_BYTES; the block is
@@ -108,6 +114,7 @@ __all__ = [
 _CHUNK_BYTES = 16 << 20
 _BLAS_ROWS = 64
 _HISTORY_PATHS = 1024
+_HISTORY_STEPS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +588,15 @@ def _channels(model: Model, grid: TimeGrid) -> list:
     return [*(_factor(power_law(float(H)), grid) for H in _hursts(model)), None]
 
 
+def cholesky_bump(model: Model, grid: TimeGrid) -> float:
+    """The largest Cholesky bump (``GaussianFactor.bump``) of the model's factors.
+
+    It is the ``bump`` of every ensemble a run of ``model`` on ``grid``
+    returns, whatever the regime, control or path count; 0.0 for rough Heston.
+    """
+    return max((f.bump for f in _channels(model, grid) if f is not None), default=0.0)
+
+
 # ---------------------------------------------------------------------------
 # control shifts
 # ---------------------------------------------------------------------------
@@ -852,8 +868,7 @@ def _simulate_impl(
             run_chunk(c)
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
-        nodes=nodes, bump=max((f.bump for f in channels if f is not None), default=0.0),
-        components=comps,
+        nodes=nodes, bump=cholesky_bump(model, grid), components=comps,
     )
 
 
@@ -939,6 +954,16 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     variance enters every coefficient as max(Y, 0), so the square root never
     sees a negative value; the state itself may go transiently negative.
 
+    The sum is one product.  Step j stores two interleaved history rows,
+    Y_j^+ and sqrt(Y_j^+) dW_j, and a lower-triangular Toeplitz matrix holds
+    the matching weights -drift_amp mom_(i-j) and noise_amp mom_(i-j) / h;
+    the constant drift y_start + drift_amp theta_lvl (mom_1 + ... + mom_i) is
+    a per-step base.  Steps run in blocks of _HISTORY_STEPS: the far history,
+    every row before the block, enters the whole block in one GEMM, and the
+    near history, the block's own rows, in one short product per step.  The
+    Toeplitz matrix's block rows are slices of one (_HISTORY_STEPS, ~2n)
+    block row, built once per call, so the weights take O(n) memory.
+
     The history runs time-major, (steps, paths), in zero-padded blocks of
     ``width`` paths aligned to the path index.  The width is fixed for a run
     because BLAS rounds an odd-width block differently, so a block that
@@ -946,27 +971,40 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     ``_simulate_impl`` sets it from the run's path count.
     """
     n = grid.n_steps
-    h = grid.dt
     mom = conv_weights(power_law(model.hurst), grid).cells[:n]
-    mom_rev = mom[::-1].copy()
-    w_rev = (mom / h)[::-1].copy()
     theta, _, drift, level = _scales(model, regime)
     y_start, theta_lvl = level * model.y0, level * model.theta
     drift_amp, noise_amp = drift * model.kappa, theta * model.xi
+    base = y_start + drift_amp * theta_lvl * np.cumsum(mom)
+    # T[i, 2j + c], the weight of history row (j, c) (c = 0: Y_j^+, 1: the
+    # noise) in Y_(i+1), depends on i - j alone, so every block row of T is a
+    # slice of one: G[r, 2p + c] = T[s + r, 2(p - V + s) + c] for the block
+    # starting at step s, V the last block's start
+    S = _HISTORY_STEPS
+    V = S * ((n - 1) // S)
+    lag = np.arange(S)[:, None] + V - np.arange(V + S)
+    pair = np.stack([-drift_amp * mom, noise_amp / grid.dt * mom], axis=1)
+    G = np.where(((lag >= 0) & (lag < n))[:, :, None], pair[np.clip(lag, 0, n - 1)], 0.0)
+    G = G.reshape(S, 2 * (V + S))
     B = width
     Y = np.empty((dW.shape[0], n + 1))
     for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
-        dw = np.zeros((n, B))
-        dw[:, p0 - lo : p1 - lo] = dW[p0:p1].T
+        hist = np.zeros((n, 2, B))
+        hist[:, 1, p0 - lo : p1 - lo] = dW[p0:p1].T
+        rows = hist.reshape(2 * n, B)
         y = np.empty((n + 1, B))
         y[0] = y_start
-        drift = np.empty((n, B))
-        noise = np.empty((n, B))
-        for i in range(1, n + 1):
-            ypos = np.maximum(y[i - 1], 0.0)
-            drift[i - 1] = drift_amp * (theta_lvl - ypos)
-            noise[i - 1] = noise_amp * np.sqrt(ypos) * dw[i - 1]
-            y[i] = y_start + (mom_rev[n - i :] @ drift[:i] + w_rev[n - i :] @ noise[:i])
+        root = np.empty(B)
+        for s in range(0, n, S):
+            e = min(s + S, n)
+            far = y[s + 1 : e + 1]
+            np.matmul(G[: e - s, 2 * (V - s) : 2 * V], rows[: 2 * s], out=far)
+            far += base[s:e, None]
+            for j in range(s, e):
+                np.maximum(y[j], 0.0, out=hist[j, 0])
+                np.sqrt(hist[j, 0], out=root)
+                hist[j, 1] *= root
+                y[j + 1] += G[j - s, 2 * V : 2 * (V + j - s + 1)] @ rows[2 * s : 2 * (j + 1)]
         Y[p0:p1] = y[:, p0 - lo : p1 - lo].T
     return Y
 

@@ -488,6 +488,25 @@ class TestVerifyCommand:
         assert len(rep["p_hats"]) == 3
         assert rep["used_importance_sampling"] is True
 
+    def test_reports_each_level_cholesky_bump(self, tmp_path, capsys):
+        bumps = {}
+        for hurst in (0.1, 0.5):
+            rec = {
+                "model": dict(BERGOMI_REC, a=0.0, hurst=hurst),
+                "event": {"component": 1, "level": BERGOMI_REC["y0"]},
+                "epsilons": [0.5, 0.25],
+                "regime": "small_time_ldp",
+                "paths": 1000,
+                "seed": 3,
+                "grid": {"horizon": 1.0, "n_steps": 8},
+            }
+            cfg = write(tmp_path, f"exp{hurst}.json", rec)
+            assert run(["verify", "--experiment", cfg, "--deterministic"]) == 0
+            bumps[hurst] = json.loads(capsys.readouterr().out)["regularized"]
+        assert bumps[0.1] == [0.0, 0.0]
+        # H = 1/2 makes the joint covariance singular (Z = W), so it is bumped
+        assert len(bumps[0.5]) == 2 and bumps[0.5][0] == bumps[0.5][1] > 0.0
+
     @pytest.mark.parametrize(
         "change",
         [

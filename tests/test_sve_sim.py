@@ -557,6 +557,33 @@ class TestEveryModel:
         se = w.std(ddof=1) / math.sqrt(len(w))
         assert abs(w.mean() - 1.0) <= 5.0 * se
 
+    # E[w] = 1 for any deterministic control: the shift and the density use
+    # one discrete pairing.  Rough Bergomi tilts its Gaussian factor through a
+    # nodal v and a kernel section; rough Heston's nodal v enters its Euler
+    # channel, and 48 steps take it across a _HISTORY_STEPS block edge
+    @pytest.mark.parametrize("name", ["bergomi", "heston"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        v=st.floats(-0.5, 0.5),
+        u=st.floats(-0.5, 0.5),
+        lam=st.floats(-0.5, 0.5),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_importance_weights_have_mean_one(self, name, v, u, lam, seed):
+        model = INVARIANCE_MODELS[name]
+        grid = TimeGrid(1.0, 48)
+        vals = np.empty((len(grid), 2))
+        vals[:, 0] = v * (1.0 - grid.nodes)
+        vals[:, 1] = u
+        secs = () if name == "heston" else (KernelSection(power_law(H), 0.5, lam, 0),)
+        ctrl = Control(GridFunction(grid, vals), sections=secs)
+        ens = simulate_controlled(
+            model, small_time_ldp(0.3), ctrl, grid, 8000, seed, nodes=[0], components=[1]
+        )
+        w = ens.weights()
+        se = w.std(ddof=1) / math.sqrt(len(w))
+        assert abs(w.mean() - 1.0) <= 4.0 * se
+
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
     def test_simulator_and_limit_family_reject_the_same_tails(self, name):
         model = INVARIANCE_MODELS[name]
@@ -735,16 +762,19 @@ def _heston_block_reference():
 
 
 class TestHestonHistory:
+    # 31, 32 and 33 steps sit at the edge of a _HISTORY_STEPS block, where
+    # the far GEMM takes over from the near product; 70 crosses two edges
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
     @pytest.mark.parametrize(
         "xi, regime",
         [(0.3, small_time_ldp(0.04)), (2.0, small_time_ldp(1.0)), (0.3, tail_ldp(0.3))],
     )
-    def test_matches_the_path_major_double_sum(self, xi, regime):
+    def test_matches_the_path_major_double_sum(self, xi, regime, n):
         # xi = 2 at eps = 1 drives variances negative; first = 1019 puts
         # the 12 paths across the history block edge at path 1024
         model = RoughHeston(kappa=1.0, theta=0.04, xi=xi, rho=-0.7, y0=0.04, hurst=H)
-        grid = TimeGrid(1.0, 24)
-        dW = np.random.default_rng(4).normal(size=(12, 24)) * math.sqrt(grid.dt)
+        grid = TimeGrid(1.0, n)
+        dW = np.random.default_rng(4).normal(size=(12, n)) * math.sqrt(grid.dt)
         got = sve_sim._heston_volatility(model, regime, grid, dW, 1019)
         ref = _heston_oracle(model, regime, grid, dW)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
