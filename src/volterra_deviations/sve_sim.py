@@ -4,7 +4,10 @@ Gaussian Volterra components (Stein-Stein and Bergomi volatility drivers,
 multifactor Z factors) are sampled exactly: per driving factor the joint
 Gaussian vector (dW_1..dW_n, Z_(t_1)..Z_(t_n)) is drawn through a Cholesky
 factor of its exact covariance, whose blocks come from the kernel's cell
-integrals and autocovariance.  Non-Gaussian components (Heston volatility,
+integrals and autocovariance.  The dW block is dt times the identity (plus
+the Cholesky bump), so the factor's dW rows are a diagonal: dW is the diagonal
+scale of the first n normals, and Z one half-width product of all 2n normals
+with the factor's Z rows.  Non-Gaussian components (Heston volatility,
 every log-price component) use left-point Euler with exact cell-integral
 weights, so the singular kernel is never sampled at lag zero.  Every cell
 integral is read from ``kernels.conv_weights(...).cells``, the one source of
@@ -32,7 +35,8 @@ Randomness comes from counter-based per-path Philox streams keyed by
 (seed, path index), seeds being integers in [0, 2^63), with normals via
 inverse CDF: a path's row equals ndtri(Generator(Philox(key=[seed, path]))
 .random(count)) bit for bit, realised by one generator per chunk whose state
-is reset to the path's key and counter 0 before each row.  Per-path BLAS
+is reset to the path's key and counter 0 before each row, from one state dict
+of plain lists whose key word is rewritten in place.  Per-path BLAS
 products run in fixed 64-path blocks aligned to the path index, and the
 rough Heston history sum runs time-major, (steps, paths), in blocks aligned
 the same way whose width is fixed per run, so ensembles are bit-identical for
@@ -448,23 +452,33 @@ def _held(held: np.ndarray, index, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _normal_block(seed: int, path_indices: np.ndarray, count: int) -> np.ndarray:
+def _normal_block(seed: int, path_indices, count: int) -> np.ndarray:
     """Inverse-CDF normals, one independent Philox stream per path.
 
     Row r is ndtri(Generator(Philox(key=[seed, path_indices[r]])).random(count)).
-    One generator serves every row: its state is reset to counter 0, the
-    row's key and an empty buffer before each draw, which skips the entropy
-    seeding a fresh Philox pays only to have its key overwritten.
+    One generator serves every row: before each draw its state is set to
+    counter 0, the row's key and an empty buffer, which skips the entropy
+    seeding a fresh Philox pays only to have its key overwritten.  The state
+    is one dict of plain lists whose key word is rewritten in place (the
+    setter reads lists faster than arrays), so a row costs the Philox fill
+    and ``ndtri`` and little else.
     """
     out = np.empty((len(path_indices), count))
-    bg = np.random.Philox(key=[int(seed), 0])
-    gen = np.random.Generator(bg)
-    state = bg.state  # counter 0, buffer_pos 4 (empty), has_uint32 0, uinteger 0
-    key = state["state"]["key"]
-    for row, pid in enumerate(path_indices):
+    key = [int(seed), 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0] * 4, "key": key},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,  # empty buffer
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bg = np.random.Philox(key=key)
+    random = np.random.Generator(bg).random
+    for row, pid in zip(out, np.asarray(path_indices).tolist()):
         key[1] = pid
         bg.state = state
-        gen.random(out=out[row])
+        random(out=row)
     return ndtri(out, out=out)
 
 
@@ -478,19 +492,27 @@ def _aligned_blocks(first: int, count: int, width: int):
         yield lo, max(lo, 0), min(lo + width, count)
 
 
-def _aligned_matmul(a: np.ndarray, b: np.ndarray, first: int) -> np.ndarray:
+def _aligned_matmul(
+    a: np.ndarray, b: np.ndarray, first: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """a @ b for paths first, first+1, ..., one BLAS call per aligned block.
 
     BLAS picks kernels and thread splits by shape, so one product over a
     chunk would round a path according to the number of paths sharing it.
-    Zero-padded blocks of _BLAS_ROWS rows, aligned to the path index, give
-    every path the same value in every chunking.
+    Blocks of _BLAS_ROWS rows, aligned to the path index, give every path the
+    same value in every chunking: a full block multiplies its rows in place,
+    a partial edge block is zero-padded to the full height first.  The
+    product is written to ``out`` when given (it may be a column slice).
     """
-    out = np.empty((len(a),) + b.shape[1:])
+    if out is None:
+        out = np.empty((len(a),) + b.shape[1:])
     for lo, i, j in _aligned_blocks(first, len(a), _BLAS_ROWS):
-        block = np.zeros((_BLAS_ROWS, a.shape[1]))
-        block[i - lo : j - lo] = a[i:j]
-        out[i:j] = (block @ b)[i - lo : j - lo]
+        if j - i == _BLAS_ROWS:
+            np.matmul(a[i:j], b, out=out[i:j])
+        else:
+            block = np.zeros((_BLAS_ROWS, a.shape[1]))
+            block[i - lo : j - lo] = a[i:j]
+            out[i:j] = (block @ b)[i - lo : j - lo]
     return out
 
 
@@ -519,8 +541,11 @@ def _check_threads(n, source: str) -> int:
 class GaussianFactor:
     """Joint law of (dW cells, Z nodes) for one Volterra factor.
 
-    ``bump`` is the diagonal shift the Cholesky factorisation needed, a
-    1e-12 share of the mean variance; 0.0 when the covariance factorised as is.
+    ``chol`` is the lower Cholesky factor of the joint (2n, 2n) covariance.
+    Its dW block is (dt + bump) I, so its first n rows are sqrt(dt + bump) on
+    the diagonal and exact zeros elsewhere.  ``bump`` is the diagonal shift
+    the Cholesky factorisation needed, a 1e-12 share of the mean variance;
+    0.0 when the covariance factorised as is.
     """
 
     def __init__(self, kernel: KernelSpec, grid: TimeGrid):
@@ -549,6 +574,8 @@ class GaussianFactor:
                 raise FactorizationFailure(
                     "joint kernel covariance is not numerically PSD"
                 ) from exc
+        self._dw_scale = self.chol.diagonal()[:n].copy()
+        self._z_rows = np.ascontiguousarray(self.chol.T[:, n:])
 
     def terminal_moments(self, t_end: float) -> np.ndarray:
         """Cell integrals of K(t_end - .) over each increment cell; t_end a node."""
@@ -563,17 +590,24 @@ class GaussianFactor:
         return np.asarray(self.kernel.autocovariance(t, t_end), dtype=float)
 
     def sample(self, normals: np.ndarray, first: int):
-        """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1))."""
-        G = _aligned_matmul(normals, self.chol.T, first)
+        """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1)).
+
+        The draw is normals @ chol.T.  Since the dW rows of ``chol`` are a
+        diagonal, dW is the first n normals times it, bit for bit the full
+        product's dW; Z is one half-width product with the last n columns.
+        """
         n = self.grid.n_steps
-        dW = G[:, :n]
-        Z = np.concatenate([np.zeros((G.shape[0], 1)), G[:, n:]], axis=1)
+        dW = normals[:, :n] * self._dw_scale
+        Z = np.zeros((len(normals), n + 1))
+        _aligned_matmul(normals, self._z_rows, first, out=Z[:, 1:])
         return dW, Z
 
 
 @functools.lru_cache(maxsize=8)
 def _factor(kernel: KernelSpec, grid: TimeGrid) -> GaussianFactor:
-    """Cached factor; at n=1024 each one holds a 2048^2 Cholesky factor."""
+    """Cached factor; at n=1024 each one holds a 2048^2 Cholesky factor (32 MiB)
+    and the contiguous 2048 x 1024 copy of its Z rows that ``sample`` uses (16 MiB).
+    """
     return GaussianFactor(kernel, grid)
 
 
@@ -890,9 +924,9 @@ def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, re
         if plans is not None:
             plan = plans[j]
             lw = _log_weight(lw, plan, grid, dW, Z, idx[0])
-            dW = dW + plan.dw_shift
+            dW += plan.dw_shift  # dW and Z are this chunk's own arrays
             if Z is not None:
-                Z = Z + plan.z_shift
+                Z += plan.z_shift
         dWs.append(dW)
         Zs.append(Z)
     del draws, block  # the draws live on only in dWs and Zs

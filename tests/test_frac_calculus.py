@@ -120,6 +120,24 @@ class TestRlDerivative:
         orders = [np.log2(errs[i] / errs[i + 1]) for i in range(3)]
         assert min(orders) >= min(alpha, 1.0 - alpha) - 0.05
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        alpha=st.floats(0.2, 1.0),
+    )
+    def test_round_trip_of_cubics_is_first_order(self, coeffs, alpha):
+        errs = []
+        for n in (64, 256):
+            grid = TimeGrid(1.0, n)
+            f = np.polynomial.polynomial.polyval(grid.nodes, coeffs)
+            back = rl_derivative(rl_integral(GridFunction(grid, f), alpha), alpha, 0.0)
+            errs.append(np.max(np.abs(back.values[1:-1] - f[1:-1])))
+        # the derivative is a forward difference, off by about h |f'|; the
+        # worst corner of the coefficient cube, (-1, 1, 1, 1) at alpha = 0.2,
+        # is 1.26e-2 = 3.2 h at n = 256
+        assert errs[1] <= 4.0 / 256
+        assert errs[1] <= 0.5 * errs[0] or max(errs) < 1e-12
+
     def test_constant_with_offset(self):
         c = 1.7
         alpha = 0.4

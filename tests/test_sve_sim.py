@@ -721,14 +721,23 @@ class TestNormalStreams:
             max_size=6,
             unique=True,
         ),
-        count=st.integers(1, 41),
+        count=st.integers(1, 256),
     )
     @example(seed=2**63 - 1, pids=[2**32 + 7, 3, 2**62, 4], count=7)
+    @example(seed=3, pids=[5, 0], count=256)
     def test_each_row_is_its_own_fresh_philox_stream(self, seed, pids, count):
-        # unsorted, gapped path ids and counts off the 4-word Philox block:
-        # state left over by one row would show in the next
+        # unsorted, gapped path ids and counts off the 4-word Philox block
+        # (up to 2n = 256 normals at n = 128): state left over by one row
+        # would show in the next
         got = sve_sim._normal_block(seed, np.array(pids, dtype=np.int64), count)
         assert np.array_equal(got, _fresh_stream_normals(seed, pids, count))
+
+    def test_path_ids_as_array_range_or_list_give_one_block(self):
+        ids = range(1019, 1031)
+        want = sve_sim._normal_block(9, np.arange(1019, 1031), 33)
+        assert np.array_equal(sve_sim._normal_block(9, ids, 33), want)
+        assert np.array_equal(sve_sim._normal_block(9, list(ids), 33), want)
+        assert np.array_equal(want, _fresh_stream_normals(9, ids, 33))
 
 
 def _heston_oracle(model, regime, grid, dW):
@@ -872,6 +881,48 @@ class TestFactorBlocks:
         f = sve_sim.GaussianFactor(kernel, self.GRID)
         want = [self._cell(kernel, t_end, t[j], t[j + 1]) for j in range(12)]
         np.testing.assert_allclose(f.terminal_moments(t_end), want, rtol=1e-10, atol=0.0)
+
+
+class TestFactorSplit:
+    """``GaussianFactor.sample`` against the full product normals @ chol.T."""
+
+    # 8, 16, 64, 128 and 256 steps are bit-identical to the full product in
+    # every BLAS thread count tried; other sizes block the half-width
+    # product's sums differently and move Z by a few ulps of max|Z|
+    EXACT_Z = (8, 16, 64, 128, 256)
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 33, 50, 64, 65, 100, 127, 128, 129, 256])
+    @pytest.mark.parametrize("hurst", [H, 0.5])  # 0.5: the bumped Brownian factor
+    @pytest.mark.parametrize("first", [0, 37])
+    def test_matches_the_full_product(self, n, hurst, first):
+        f = sve_sim.GaussianFactor(power_law(hurst), TimeGrid(1.0, n))
+        assert (f.bump > 0.0) == (hurst == 0.5)
+        # the split rests on this: the dW rows of chol are a diagonal and zeros
+        dw_rows = f.chol[:n, :n]
+        assert np.array_equal(dw_rows, np.diag(np.diag(dw_rows)))
+        assert not f.chol[:n, n:].any()
+        # 150 paths from 37 cover partial blocks at both edges and full ones
+        normals = np.random.default_rng(n).normal(size=(150, 2 * n))
+        full = sve_sim._aligned_matmul(normals, f.chol.T, first)
+        dW, Z = f.sample(normals, first)
+        assert np.array_equal(dW, full[:, :n])
+        assert not Z[:, 0].any()
+        if n in self.EXACT_Z:
+            assert np.array_equal(Z[:, 1:], full[:, n:])
+        else:
+            assert np.abs(Z[:, 1:] - full[:, n:]).max() <= 1e-14 * np.abs(full[:, n:]).max()
+
+    def test_aligned_product_is_bit_identical_for_column_slices(self):
+        # the price-noise channel is a column slice of the chunk's draws
+        draws = np.random.default_rng(2).normal(size=(300, 3 * 32))
+        b = np.random.default_rng(3).normal(size=(32, 32))
+        got = sve_sim._aligned_matmul(draws[:, 32:64], b, 37)
+        want = sve_sim._aligned_matmul(np.ascontiguousarray(draws[:, 32:64]), b, 37)
+        assert np.array_equal(got, want)
+        for lo, i, j in sve_sim._aligned_blocks(37, 300, sve_sim._BLAS_ROWS):
+            block = np.zeros((sve_sim._BLAS_ROWS, 32))
+            block[i - lo : j - lo] = draws[i:j, 32:64]
+            assert np.array_equal(got[i:j], (block @ b)[i - lo : j - lo])
 
 
 class TestCholeskyBump:
