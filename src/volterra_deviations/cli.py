@@ -600,18 +600,17 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every flag sits on the subcommands that read it, so a misplaced one is
+    # rejected (exit 2) instead of parsed and dropped
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="worker threads")
     common.add_argument(
         "--deterministic",
         action="store_true",
         help="suppress timestamps for byte-identical reruns",
     )
-    ap = argparse.ArgumentParser(
-        prog="vd",
-        description="stochastic Volterra deviations toolkit",
-        parents=[common],
-    )
+    threaded = argparse.ArgumentParser(add_help=False, parents=[common])
+    threaded.add_argument("--threads", type=int, default=None, help="worker threads")
+    ap = argparse.ArgumentParser(prog="vd", description="stochastic Volterra deviations toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
     k = sub.add_parser("kernels", help="kernel regularity report", parents=[common])
@@ -626,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--out")
     ls.set_defaults(fn=_cmd_limit)
 
-    sim = sub.add_parser("simulate", help="simulate the rescaled system", parents=[common])
+    sim = sub.add_parser("simulate", help="simulate the rescaled system", parents=[threaded])
     sim.add_argument("--config", required=True)
     sim.add_argument("--paths", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
@@ -646,7 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rm.add_argument("--out")
     rm.set_defaults(fn=_cmd_rate)
 
-    smile = sub.add_parser("smile", help="implied-volatility points", parents=[common])
+    smile = sub.add_parser("smile", help="implied-volatility points", parents=[threaded])
     smile.add_argument("--model", required=True)
     smile.add_argument("--regime", required=True, choices=["ldp", "mdp", "tail", "mc"])
     smile.add_argument("--out")

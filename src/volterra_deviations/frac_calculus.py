@@ -137,9 +137,10 @@ class KernelSection:
     """Control atom lambda * K(t_end - s) on a given driving channel.
 
     The optimal Cameron-Martin control of a Gaussian Volterra terminal
-    functional has exactly this shape; keeping it symbolic lets energies,
-    simulation shifts and Girsanov pairings use exact kernel moments instead
-    of sampling the (singular) section pointwise.
+    functional has exactly this shape; keeping it symbolic lets energies use
+    exact kernel moments, and lets the simulator tilt by lambda Z_(t_end),
+    the section's pairing with the noise, instead of sampling the (singular)
+    section pointwise.
     """
 
     kernel: KernelSpec

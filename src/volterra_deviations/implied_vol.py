@@ -80,46 +80,44 @@ def _vega(t: float, k: float, sigma: float) -> float:
 def implied_vol(price: float, t: float, k: float) -> float:
     """Unique nonnegative Black-Scholes volatility matching ``price``.
 
-    Bisection bracket followed by Newton polish, to 1e-10 in price.
+    One Newton loop on log bs_call, whose slope vega / price keeps its steps
+    in scale when the price is tiny, inside a bracket [lo, hi] that every
+    evaluated price narrows.  A step that leaves the bracket becomes a
+    bisection; the loop stops when a step no longer moves sigma or the
+    bracket closes to rounding, so sigma is as accurate as the price's last
+    bits allow, not as a price tolerance would.
     """
     intrinsic = max(1.0 - math.exp(k), 0.0)
     if not intrinsic < price < 1.0:
         raise PriceOutOfBounds(
             f"price {price} outside ({intrinsic}, 1) for k={k}, t={t}"
         )
-    lo, hi = 1e-12, 1.0
+    lo, hi = 0.0, 1.0  # bs_call(0) is the intrinsic value, below the price
     while bs_call(t, k, hi) < price:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
         if hi > 1e6:
             raise PriceOutOfBounds("no volatility matches the price")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if bs_call(t, k, mid) < price:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-6:
-            break
+    target = math.log(price)
     sigma = 0.5 * (lo + hi)
-    for _ in range(50):
-        diff = bs_call(t, k, sigma) - price
-        if abs(diff) <= 1e-10:
+    for _ in range(200):
+        call = bs_call(t, k, sigma)
+        if call < price:
+            lo = sigma
+        elif call > price:
+            hi = sigma
+        else:
             return sigma
         vega = _vega(t, k, sigma)
-        if vega <= 1e-300:
-            break
-        step = diff / vega
-        sigma = min(max(sigma - step, lo), hi)
-    # fall back to tight bisection if Newton stalled near zero vega
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if bs_call(t, k, mid) < price:
-            lo = mid
-        else:
-            hi = mid
-        if bs_call(t, k, 0.5 * (lo + hi)) - price <= 1e-10 and 0.5 * (lo + hi) > 0:
-            break
-    return 0.5 * (lo + hi)
+        step = (math.log(call) - target) * call / vega if call > 0.0 and vega > 0.0 else math.inf
+        new = sigma - step
+        if new == sigma:  # the step is below rounding
+            return sigma
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+            if not lo < new < hi:  # the bracket closed to rounding
+                return sigma
+        sigma = new
+    return sigma
 
 
 def smile_ldp(model: Model, k: float, t: float, n_steps: int = 256) -> SmilePoint:

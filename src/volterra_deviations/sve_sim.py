@@ -11,25 +11,27 @@ with the factor's Z rows.  Non-Gaussian components (Heston volatility,
 every log-price component) use left-point Euler with exact cell-integral
 weights, so the singular kernel is never sampled at lag zero.  Every cell
 integral is read from ``kernels.conv_weights(...).cells``, the one source of
-them: the Cholesky cross block is their lower-triangular Toeplitz matrix, a
-kernel section's cell weights their reversed prefix, and the Heston weights
-their first n entries.  The rough Heston history sum is one product with a
-lower-triangular Toeplitz matrix of interleaved drift and noise weights,
-taken in blocks of _HISTORY_STEPS steps: one GEMM adds the far history (every
-step before the block) to the whole block, and one short product per step the
-near history (the block's own steps).  Every model runs through one chunk loop
-over its channels: 2n normals per Gaussian factor, n per Euler factor (rough
-Heston), and n for the orthogonal price noise, the last channel.  ``_scales``
-gives every power of eps the two rescalings apply, and a model's
-``tail_degree`` (None: no tail rescaling) is the one tail catalogue.
+them: the Cholesky cross block is their lower-triangular Toeplitz matrix and
+the Heston weights their first n entries.  The rough Heston history sum is
+one product with a lower-triangular Toeplitz matrix of interleaved drift and
+noise weights, taken in blocks of _HISTORY_STEPS steps: one GEMM adds the far
+history (every step before the block) to the whole block, and one short
+product per step the near history (the block's own steps).  Every model runs
+through one chunk loop over its channels: 2n normals per Gaussian factor, n
+per Euler factor (rough Heston), and n for the orthogonal price noise, the
+last channel.  ``_scales`` gives every power of eps the two rescalings apply,
+and a model's ``tail_degree`` (None: no tail rescaling) is the one tail
+catalogue.
 
-Controlled simulation feeds the same pipeline with shifted Gaussian inputs
-and attaches the Girsanov log-density evaluated on the unshifted draws; the
-shift and the density use one and the same discrete pairing, which makes the
-importance-sampling identity exact at any grid size, not just in the limit.
-A kernel section must sit on a Gaussian factor's channel and carry that
-factor's kernel, or the run raises InvalidModel; it must end on a grid node,
-or the run raises KernelDomainError.  Both fail before any draw.
+Controlled simulation tilts every channel by one formula.  On a channel the
+control's tilt s (int v dW + sum c Z_(t_end)) is eta . xi on its standard
+normals xi (``_plan_control``, ``GaussianFactor.tilt``): a chunk shifts xi by
+eta before sampling and adds -eta . xi - |eta|^2 / 2 on the unshifted xi to
+the log weight, the exact likelihood ratio of the law simulated (Cholesky
+bump included) at any grid size.  A kernel section must sit on a Gaussian
+factor's channel and carry that factor's kernel, or the run raises
+InvalidModel; it must end on a grid node, or the run raises
+KernelDomainError.  Both fail before any draw.
 
 Randomness comes from counter-based per-path Philox streams keyed by
 (seed, path index), seeds being integers in [0, 2^63), with normals via
@@ -553,16 +555,15 @@ class GaussianFactor:
         self.grid = grid
         n = grid.n_steps
         t = grid.nodes[1:]
-        self.cells = conv_weights(kernel, grid).cells
+        cells = conv_weights(kernel, grid).cells
         C = np.zeros((2 * n, 2 * n))
         C[:n, :n] = grid.dt * np.eye(n)
         # cross block Cov(Z_i, dW_j): the integral of K over lag cell i - j
         lag = np.arange(n)
-        cross = np.tril(self.cells[lag[:, None] - lag[None, :]])
+        cross = np.tril(cells[lag[:, None] - lag[None, :]])
         C[n:, :n] = cross
         C[:n, n:] = cross.T
         C[n:, n:] = kernel.autocovariance(t[:, None], t[None, :])
-        self.cross = cross
         self.bump = 0.0
         try:
             self.chol = np.linalg.cholesky(C)
@@ -577,17 +578,11 @@ class GaussianFactor:
         self._dw_scale = self.chol.diagonal()[:n].copy()
         self._z_rows = np.ascontiguousarray(self.chol.T[:, n:])
 
-    def terminal_moments(self, t_end: float) -> np.ndarray:
-        """Cell integrals of K(t_end - .) over each increment cell; t_end a node."""
-        i_end = self.grid.node_index(t_end)
-        mom = np.zeros(self.grid.n_steps)
-        mom[:i_end] = self.cells[:i_end][::-1]
-        return mom
-
-    def z_column(self, t_end: float) -> np.ndarray:
-        """Cov(Z_(t_i), Z_(t_end)) at interior nodes t_1..t_n."""
-        t = self.grid.nodes[1:]
-        return np.asarray(self.kernel.autocovariance(t, t_end), dtype=float)
+    def tilt(self, l_dw: np.ndarray, l_z: np.ndarray) -> np.ndarray:
+        """eta = chol.T @ (l_dw, l_z): l_dw . dW + l_z . Z_(t_1..t_n) as eta . normals."""
+        eta = self._z_rows @ l_z
+        eta[: self.grid.n_steps] += self._dw_scale * l_dw
+        return eta
 
     def sample(self, normals: np.ndarray, first: int):
         """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1)).
@@ -632,56 +627,16 @@ def cholesky_bump(model: Model, grid: TimeGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
-# control shifts
+# control tilts
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ShiftPlan:
-    """Exact Gaussian tilt data for one driving channel.
-
-    dw_shift   per-cell shift of the Brownian increments
-    z_shift    node shift of the Volterra integral Z (None: no Gaussian factor)
-    pair_pl    left-node control values paired with dW in the density
-    sections   kernel sections paired with the Z draw at their end time
-    quad       s^2 u' C u term of the density, for the shift strength s_mult
-    """
-
-    dw_shift: np.ndarray
-    z_shift: np.ndarray | None
-    pair_pl: np.ndarray
-    sections: list
-    quad: float
-    s_mult: float
-
-
-def _plan_shift(
-    factor: GaussianFactor | None, grid: TimeGrid, v_nodes: np.ndarray, sections, s_mult: float
-) -> _ShiftPlan:
-    h = grid.dt
-    v_left = v_nodes[:-1]
-    dw = s_mult * v_left * h
-    quad = float(np.sum(v_left**2) * h)
-    if factor is None:
-        return _ShiftPlan(dw, None, v_left, [], quad * s_mult**2, s_mult)
-    z = s_mult * (factor.cross @ v_left)
-    for sec in sections:
-        mom = factor.terminal_moments(sec.t_end)
-        dw = dw + s_mult * sec.coeff * mom
-        z = z + s_mult * sec.coeff * factor.z_column(sec.t_end)
-        quad += 2.0 * sec.coeff * float(np.dot(v_left, mom))
-        quad += sec.coeff**2 * float(factor.kernel.autocovariance(sec.t_end, sec.t_end))
-    for i, s1 in enumerate(sections):
-        for s2 in sections[i + 1 :]:
-            quad += 2.0 * s1.coeff * s2.coeff * float(
-                factor.kernel.autocovariance(s1.t_end, s2.t_end)
-            )
-    z_full = np.concatenate([[0.0], z])
-    return _ShiftPlan(dw, z_full, v_left, list(sections), quad * s_mult**2, s_mult)
-
-
 def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: float) -> list:
-    """One shift plan per channel: the volatility factors', then the orthogonal noise's."""
+    """One tilt eta per channel, the volatility factors' then the orthogonal noise's.
+
+    eta pairs with the channel's normals as s (sum v_(t_i) dW_i + sum c Z_(t_end))
+    pairs with its draws: chol.T l on a Gaussian factor, sqrt(dt) s v on Euler.
+    """
     vals = control.values.values
     if vals.ndim == 1:
         vals = vals[:, None]
@@ -690,25 +645,20 @@ def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: floa
         raise InvalidModel(
             f"control carries {n_ch} channels, model drives {n_vol} (+1 orthogonal)"
         )
-    u = vals[:, n_vol] if n_ch > n_vol else np.zeros(len(grid))
-    secs = [[] for _ in channels]
+    l_z = np.zeros((len(channels), grid.n_steps))
     for sec in control.sections:
         j = sec.channel
         f = channels[j] if 0 <= j < len(channels) else None
         if f is None or sec.kernel != f.kernel:
             raise InvalidModel(f"channel {j} has no Gaussian factor with the section's kernel")
-        secs[j].append(sec)
-    v = [vals[:, j] for j in range(n_vol)] + [u]
-    return [_plan_shift(f, grid, v[j], secs[j], s_mult) for j, f in enumerate(channels)]
-
-
-def _log_weight(lw, plan: _ShiftPlan, grid: TimeGrid, dW0: np.ndarray, Z0, first: int):
-    """lw - s int v dW - s^2/2 ||v||^2 on the unshifted draws of one channel."""
-    s = plan.s_mult
-    lw = lw - s * _aligned_matmul(dW0, plan.pair_pl, first)
-    for sec in plan.sections:
-        lw = lw - s * sec.coeff * Z0[:, grid.node_index(sec.t_end)]
-    return lw - 0.5 * plan.quad
+        i_end = grid.node_index(sec.t_end)
+        if i_end > 0:  # Z_0 = 0: a section ending at t = 0 tilts nothing
+            l_z[j, i_end - 1] += sec.coeff
+    etas = []
+    for j, f in enumerate(channels):
+        l_dw = s_mult * (vals[:-1, j] if j < n_ch else np.zeros(grid.n_steps))
+        etas.append(math.sqrt(grid.dt) * l_dw if f is None else f.tilt(l_dw, s_mult * l_z[j]))
+    return etas
 
 
 # ---------------------------------------------------------------------------
@@ -869,16 +819,16 @@ def _simulate_impl(
     if reduce is None:
         reduce = _keep(nodes, comps, len(grid))
     channels = _channels(model, grid)
-    plans = None
+    etas = None
     if control is not None:
         s_mult = regime.h_eps() if regime.is_mdp else 1.0 / _scales(model, regime)[0]
-        plans = _plan_control(control, channels, grid, s_mult)
-    if comps[0] != 0 and (plans is None or not np.any(plans[-1].pair_pl)):
+        etas = _plan_control(control, channels, grid, s_mult)
+    if comps[0] != 0 and (etas is None or not np.any(etas[-1])):
         # the orthogonal noise ends every path's stream and, with u = 0, adds
         # exactly 0 to the log weight: a run without the log price skips it
         channels = channels[:-1]
-        if plans is not None:
-            plans = plans[:-1]
+        if etas is not None:
+            etas = etas[:-1]
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
     rows = _chunk_rows(sum(_channel_widths(channels, grid.n_steps)))
     chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
@@ -889,7 +839,7 @@ def _simulate_impl(
 
     def run_chunk(chunk: range):
         idx = np.arange(chunk.start, chunk.stop)
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, reduce)
+        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, reduce)
         paths[chunk.start : chunk.stop] = p
         if logw is not None:
             logw[chunk.start : chunk.stop] = lw
@@ -906,27 +856,27 @@ def _simulate_impl(
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, channels, plans, history, reduce):
+def _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, reduce):
     """The reducer's per-path columns and the log weights (None when uncontrolled).
 
-    ``history`` is the rough Heston history block width (``_heston_volatility``).
+    ``etas`` are the channels' tilts (``_plan_control``), ``history`` the rough
+    Heston history block width (``_heston_volatility``).
     """
     sqrt_h = math.sqrt(grid.dt)
     widths = _channel_widths(channels, grid.n_steps)
     draws = _normal_block(seed, idx, sum(widths))
-    lw = None if plans is None else np.zeros(len(idx))
+    lw = None if etas is None else np.zeros(len(idx))
     dWs, Zs = [], []
     col = 0
     for j, (f, width) in enumerate(zip(channels, widths)):
         block = draws[:, col : col + width]
         col += width
+        if etas is not None:
+            eta = etas[j]
+            lw -= _aligned_matmul(block, eta, idx[0])
+            lw -= 0.5 * float(eta @ eta)
+            block += eta  # the chunk's own draws
         dW, Z = (block * sqrt_h, None) if f is None else f.sample(block, idx[0])
-        if plans is not None:
-            plan = plans[j]
-            lw = _log_weight(lw, plan, grid, dW, Z, idx[0])
-            dW += plan.dw_shift  # dW and Z are this chunk's own arrays
-            if Z is not None:
-                Z += plan.z_shift
         dWs.append(dW)
         Zs.append(Z)
     del draws, block  # the draws live on only in dWs and Zs
@@ -953,10 +903,11 @@ def _volatility(model, regime, grid, dWs, Zs, first, history):
     theta, clock = _scales(model, regime)[:2]
     Y = np.empty(Zs[0].shape + (len(hursts),))
     for i in range(len(hursts)):
-        acc = np.zeros(Zs[0].shape)
-        for j, H in enumerate(hursts):
-            acc += eps ** (float(H) - H1) * L[i, j] * Zs[j]
-        Y[:, :, i] = y0[i] - a[i] * (clock * grid.nodes[None, :]) ** (2 * H1) + theta * acc
+        Yi = np.multiply(Zs[0], L[i, 0], out=Y[:, :, i])  # H_1 is the first Hurst index
+        for j in range(1, len(hursts)):
+            Yi += eps ** (float(hursts[j]) - H1) * L[i, j] * Zs[j]
+        Yi *= theta
+        Yi += y0[i] - a[i] * (clock * grid.nodes) ** (2 * H1)
     return Y
 
 

@@ -175,6 +175,22 @@ class TestSimulateCommand:
         assert float(header[0.5]["regularized"]) > 0.0
         assert header[0.1]["paths"] == header[0.5]["paths"] == "0..19"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--deterministic", "simulate", "--paths", "10", "--seed", "1"],
+            ["--threads", "3", "simulate", "--paths", "10", "--seed", "1"],
+            ["kernels", "--threads", "3"],
+        ],
+    )
+    def test_a_flag_off_its_subcommand_is_rejected(self, tmp_path, capsys, argv):
+        # a flag its subcommand does not read fails instead of being dropped
+        cfg = write(tmp_path, "cfg.json", {})
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--config", cfg])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestRateCommand:
     def test_minimize_zero_terminal(self, tmp_path, capsys):

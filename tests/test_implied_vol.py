@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from volterra_deviations.errors import DegenerateCoefficients, InvalidModel, PriceOutOfBounds
@@ -76,6 +78,22 @@ class TestImpliedVol:
                     back = implied_vol(price, t, k)
                     assert bs_call(t, k, back) == pytest.approx(price, abs=1e-8)
                     assert back == pytest.approx(sigma, abs=1e-6)
+
+    # every lattice point where sigma is well conditioned in the price
+    # (vega sigma / price >= 1e-3) and the price is far from underflow; the
+    # example's price, near 1e-136, is below any absolute price tolerance
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        t=st.sampled_from((0.001, 0.01, 0.05, 0.25, 1.0, 2.0, 5.0)),
+        k=st.sampled_from(tuple(np.linspace(-1.75, 1.75, 36))),
+        sigma=st.sampled_from((0.05, 0.1, 0.2, 0.4, 0.8, 1.6)),
+    )
+    @example(t=0.01, k=0.5, sigma=0.2)
+    def test_round_trip_is_accurate_in_sigma(self, t, k, sigma):
+        price = bs_call(t, k, sigma)
+        assume(max(1.0 - math.exp(k), 0.0) < price < 1.0 and price > 1e-290)
+        assume(_vega(t, k, sigma) * sigma / price >= 1e-3)
+        assert implied_vol(price, t, k) == pytest.approx(sigma, rel=1e-9, abs=0.0)
 
     def test_example_inverse(self):
         assert implied_vol(2.0 * norm.cdf(0.1) - 1.0, 1.0, 0.0) == pytest.approx(0.2, abs=1e-8)

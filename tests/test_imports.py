@@ -65,3 +65,38 @@ def test_only_kernels_differences_the_kernel_moments():
     # the constant-control fallback of an importance-sampling tilt needs
     # int_0^T K once, not a cell integral
     assert uses == {("mc_verify.py", "build_is_control", "moment0")}
+
+
+def test_every_cli_option_is_read_by_its_handler():
+    # a flag the parser accepts but no handler reads is parsed and dropped
+    # without a word: every option of a leaf subcommand must be read as
+    # args.<dest> in its handler, and a parser with subcommands takes none
+    # (the subcommand's defaults would overwrite it)
+    import argparse
+    import ast
+    import inspect
+    import textwrap
+
+    from volterra_deviations.cli import _build_parser
+
+    def options(parser):
+        return [a for a in parser._actions if a.option_strings and a.dest != "help"]
+
+    unread, parsers = [], [_build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            unread += [f"{parser.prog} {a.option_strings[0]}" for a in options(parser)]
+            parsers += [p for action in subs for p in action.choices.values()]
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("fn"))))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        }
+        unread += [f"{parser.prog} {a.option_strings[0]}" for a in options(parser) if a.dest not in read]
+    assert unread == []

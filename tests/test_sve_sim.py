@@ -373,6 +373,14 @@ class TestSections:
             simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
         assert draws == []
 
+    def test_section_at_time_zero_tilts_nothing(self):
+        # Z_0 = 0, so a section ending at t = 0 pairs with nothing
+        ctrl = self._ctrl(KernelSection(power_law(H), 0.0, 0.7, 0))
+        ec = simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 200, seed=4)
+        ep = simulate(BERGOMI, small_time_ldp(0.3), GRID, 200, seed=4)
+        assert np.all(ec.log_weights == 0.0)
+        assert np.array_equal(ec.paths, ep.paths)
+
 
 class TestSeedDomain:
     @pytest.mark.parametrize("seed", [-1, 2**63, 2**63 + 1, 1.0, "3", None])
@@ -873,14 +881,30 @@ class TestFactorBlocks:
         kernel, t = power_law(hurst), self.GRID.nodes
         f = sve_sim.GaussianFactor(kernel, self.GRID)
         want = [[self._cell(kernel, ti, t[j], t[j + 1]) for j in range(12)] for ti in t[1:]]
-        np.testing.assert_allclose(f.cross, want, rtol=1e-10, atol=0.0)
+        # the Cholesky product restores the cross block to rounding; the
+        # cells beyond each row's node are zero only to that rounding
+        cross = (f.chol @ f.chol.T)[12:, :12]
+        np.testing.assert_allclose(cross, want, rtol=1e-10, atol=1e-15)
 
     @pytest.mark.parametrize("t_end", [0.5, 1.0])
     def test_section_cells_are_the_cell_integrals(self, t_end):
+        # a unit section at t_end shifts dW by its cell integrals and Z by
+        # the autocovariance column Cov(Z_(t_i), Z_(t_end))
         kernel, t = power_law(H), self.GRID.nodes
         f = sve_sim.GaussianFactor(kernel, self.GRID)
+        e_k = np.zeros(12)
+        e_k[self.GRID.node_index(t_end) - 1] = 1.0
+        dW, Z = f.sample(f.tilt(np.zeros(12), e_k)[None, :], 0)
         want = [self._cell(kernel, t_end, t[j], t[j + 1]) for j in range(12)]
-        np.testing.assert_allclose(f.terminal_moments(t_end), want, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(dW[0], want, rtol=1e-10, atol=1e-15)
+        autocov = [
+            quad(
+                lambda u: float(kernel(ti - u) * kernel(t_end - u)),
+                0.0, min(ti, t_end), limit=200, epsrel=1e-12,
+            )[0]
+            for ti in t[1:]
+        ]
+        np.testing.assert_allclose(Z[0, 1:], autocov, rtol=1e-9, atol=0.0)
 
 
 class TestFactorSplit:
