@@ -193,9 +193,11 @@ _SCHEMAS = {
 
 
 def _load_config(path: str, schema_key: str) -> dict:
+    def non_finite(name):  # json reads NaN and +-Infinity, which no schema bound rejects
+        raise ConfigError(f"config {path} holds {name}; numbers must be finite")
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=non_finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

@@ -186,16 +186,21 @@ def mc_smile(
     X_t = c X^eps_1 (c = t^(1/2 - H)) is Gaussian, N(m, v) (``_price_moments``),
     so a path's call value is the Black-Scholes price P = BS(F, e^k, v) of the
     forward F = e^(m + v/2); the run draws no price noise and builds no log
-    price.  E[F] = 1 exactly, because e^X is an exact discrete martingale, so
-    F - 1 is a free control: the price is mean(P - beta (F - 1)), beta =
-    Cov(P, F) / Var(F) (0 when Var(F) = 0), with the standard error of that
-    residual R.  Estimating beta on the same paths biases the price by
+    price, and for rough Heston no volatility path: its history loop sums the
+    terms of m and v, bit for bit the path-major sums.  E[F] = 1 exactly,
+    because e^X is an exact discrete martingale, so F - 1 is a free control:
+    the price is mean(P - beta (F - 1)), beta = Cov(P, F) / Var(F) (0 when
+    Var(F) = 0), with the standard error of that residual R.  Estimating
+    beta on the same paths biases the price by
     -E[R (F - 1)^2] / (N Var F) + o(1/N), at most the standard error times
     sqrt(kappa / N), kappa the kurtosis of F.  Each point reports beta
     (``control_coef``), Var(P) / Var(R) (``variance_ratio``) and the run's
     largest Cholesky bump.  Requires exp(X) to be a martingale (rho <= 0 for
-    rough Bergomi); the multifactor price form is rejected.
+    rough Bergomi); the multifactor price form is rejected, and so are a
+    non-finite or non-positive t and a non-finite strike, before any draw.
     """
+    if not 0.0 < t < math.inf or not np.all(np.isfinite(strikes)):
+        raise InvalidModel(f"need finite t > 0 and strikes, got t={t!r}, strikes={strikes!r}")
     if isinstance(model, RoughBergomi) and model.rho > 0.0:
         raise InvalidModel("exp(X) is a martingale for rough Bergomi only when rho <= 0")
     if isinstance(model, MultiRoughBergomi):

@@ -77,7 +77,9 @@ reduction over the whole array does not depend on chunking or threads.  The
 default keeps the selected nodes and components; ``PRICE_MOMENTS`` gives
 each path's conditional mean and variance of the terminal log price given
 its volatility (``_price_moments``), which the mixing Monte Carlo smile
-(``implied_vol.mc_smile``) prices from a volatility-only run.
+(``implied_vol.mc_smile``) prices from a volatility-only run.  Rough Heston
+sums their terms in its history loop (no (paths, n+1) volatility) in numpy's
+pairwise order: bit for bit the path-major sums, to rounding if numpy changes.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -775,10 +777,14 @@ class _Reducer(NamedTuple):
 
     Y are the chunk's volatility components (rows, n+1, m) and dWs its
     channels' shifted increments, the orthogonal noise last when it is drawn.
+    ``from_sums(model, regime, grid, sums)``, when set, is fn from each path's
+    left-node sums, (sum Sigma_i, sum sqrt(Sigma_i) dW_i), which rough Heston
+    takes from its history loop (``_heston_volatility``) and never builds Y.
     """
 
     fn: Callable
     shape: tuple
+    from_sums: Callable | None = None
 
 
 def _keep(nodes, comps, n_grid: int) -> _Reducer:
@@ -880,6 +886,9 @@ def _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, red
         dWs.append(dW)
         Zs.append(Z)
     del draws, block  # the draws live on only in dWs and Zs
+    if reduce.from_sums is not None and isinstance(model, RoughHeston):
+        sums = _heston_volatility(model, regime, grid, dWs[0], idx[0], history, sums=True)
+        return reduce.from_sums(model, regime, grid, sums), lw
     Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
     return reduce.fn(model, regime, grid, Y, dWs), lw
 
@@ -928,7 +937,7 @@ def _stein_stein_volatility(model, regime, grid, Z):
     return Y
 
 
-def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
+def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sums=False):
     """Volterra-Euler with exact kernel moments and full truncation.
 
     Y_i = y_start + sum_(j<i) mom_(i-j) [drift_amp (theta_lvl - Y_j^+)
@@ -953,7 +962,8 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     ``width`` paths aligned to the path index.  The width is fixed for a run
     because BLAS rounds an odd-width block differently, so a block that
     followed the chunk would make a path depend on the chunk carrying it;
-    ``_simulate_impl`` sets it from the run's path count.
+    ``_simulate_impl`` sets it from the run's path count.  With ``sums`` the
+    result is not Y but each path's sums of its history rows, (paths, 2).
     """
     n = grid.n_steps
     mom = conv_weights(power_law(model.hurst), grid).cells[:n]
@@ -972,7 +982,7 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
     G = np.where(((lag >= 0) & (lag < n))[:, :, None], pair[np.clip(lag, 0, n - 1)], 0.0)
     G = G.reshape(S, 2 * (V + S))
     B = width
-    Y = np.empty((dW.shape[0], n + 1))
+    out = np.empty((dW.shape[0], 2 if sums else n + 1))
     for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
         hist = np.zeros((n, 2, B))
         hist[:, 1, p0 - lo : p1 - lo] = dW[p0:p1].T
@@ -990,8 +1000,22 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS):
                 np.sqrt(hist[j, 0], out=root)
                 hist[j, 1] *= root
                 y[j + 1] += G[j - s, 2 * V : 2 * (V + j - s + 1)] @ rows[2 * s : 2 * (j + 1)]
-        Y[p0:p1] = y[:, p0 - lo : p1 - lo].T
-    return Y
+        kept = _row_sum(hist) if sums else y
+        out[p0:p1] = kept[:, p0 - lo : p1 - lo].T
+    return out
+
+
+def _row_sum(a):
+    """Sum over axis 0 in np.sum's pairwise order along a row (halve at a
+    multiple of 8 above 128 terms, else 8 strided partial sums, then the rest
+    in turn), so a time-major sum equals np.sum of the path-major row."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(a[:half]) + _row_sum(a[half:])
+    m = n - n % 8  # 0 below 8 terms: the partial sums are all zero
+    r = a[:m].reshape(m // 8, 8, *a.shape[1:]).sum(axis=0)
+    return sum(a[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _left_vol(model, Y):
@@ -1046,21 +1070,29 @@ def _price_moments(model, regime, grid, Y, dWs):
     m = sum(-1/2 drift sig_i^2 h + noise rho sig_i dW_i) and
     v = noise^2 rho_bar^2 sum sig_i^2 h (the terms of ``_log_price``).  The
     run needs no price noise: ``dWs`` are the volatility channels' increments.
+    Rough Heston's sums come from its history loop instead (``_Reducer.from_sums``).
     """
+    sig_sq, sig = _left_vol(model, Y)
+    sums = [np.sum(sig_sq, axis=1)]
+    del sig_sq
+    sums += [np.sum(sig * dW, axis=1) for dW in dWs]
+    return _moments_from_sums(model, regime, grid, np.stack(sums, axis=1))
+
+
+def _moments_from_sums(model, regime, grid, sums):
+    """(m, v) per path from its left-node sums (sum sig_i^2, sum sig_i dW_i per channel)."""
     rhos, rho_bar = _correlations(model)
     noise_amp, _, drift_amp, _ = _scales(model, regime)
-    sig_sq, sig = _left_vol(model, Y)
-    quad = np.sum(sig_sq, axis=1) * grid.dt
-    del sig_sq
-    cross = sum(rho * np.sum(sig * dW, axis=1) for rho, dW in zip(rhos, dWs))
-    out = np.empty((Y.shape[0], 2))
+    quad = sums[:, 0] * grid.dt
+    cross = sum(rho * sums[:, k] for k, rho in enumerate(rhos, 1))
+    out = np.empty((len(sums), 2))
     out[:, 0] = -0.5 * drift_amp * quad + noise_amp * cross
     out[:, 1] = (noise_amp * rho_bar) ** 2 * quad
     return out
 
 
 # the reducer of the mixing Monte Carlo smile (``implied_vol.mc_smile``)
-PRICE_MOMENTS = _Reducer(_price_moments, (2,))
+PRICE_MOMENTS = _Reducer(_price_moments, (2,), _moments_from_sums)
 
 
 def _to_mdp_frame(paths, model, regime, comps):

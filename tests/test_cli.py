@@ -398,6 +398,20 @@ class TestSmileCommand:
             assert math.isfinite(beta) and ratio >= 1.0
 
 
+    # json reads NaN and +-Infinity, and a NaN passes every schema bound
+    @pytest.mark.parametrize(
+        "blk, constant",
+        [({"maturity": math.nan, "strikes": [0.05]}, "NaN"),
+         ({"maturity": 0.1, "strikes": [math.nan]}, "NaN"),
+         ({"maturity": 0.1, "strikes": [-math.inf]}, "-Infinity")],
+    )
+    def test_non_finite_constants_exit_2(self, tmp_path, capsys, blk, constant):
+        cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC, "smile": dict(blk, paths=2000)})
+        out = str(tmp_path / "s.csv")
+        assert run(["smile", "--model", cfg, "--regime", "mc", "--out", out]) == 2
+        assert constant in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("regime, fn", [("ldp", "smile_ldp"), ("tail", "smile_tail")])
     @pytest.mark.parametrize("n_steps", [None, 24])
     def test_solver_smiles_take_n_steps(self, tmp_path, monkeypatch, regime, fn, n_steps):

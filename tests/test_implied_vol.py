@@ -324,6 +324,20 @@ class TestMcSmile:
         assert draws == [16]  # the volatility normals only, no price noise
         assert math.isfinite(pts[0].sigma_hat)
 
+    @pytest.mark.parametrize(
+        "t, strikes",
+        [(math.nan, [0.0]), (math.inf, [0.0]), (0.0, [0.0]), (-0.04, [0.0]),
+         (0.04, [0.0, math.nan]), (0.04, [math.inf]), (0.04, np.array([-math.inf]))],
+    )
+    def test_bad_maturity_or_strike_raises_before_any_draw(self, monkeypatch, t, strikes):
+        from volterra_deviations import sve_sim
+
+        draws = []
+        monkeypatch.setattr(sve_sim, "_normal_block", lambda *args: draws.append(args))
+        with pytest.raises(InvalidModel, match="finite t > 0 and strikes"):
+            mc_smile(MC_MODELS["heston"], t, strikes, 2000, seed=3, n_steps=16)
+        assert draws == []
+
     def test_bit_identical_across_threads_and_chunks(self, monkeypatch):
         from volterra_deviations import sve_sim
 

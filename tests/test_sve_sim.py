@@ -662,6 +662,50 @@ class TestNodes:
         kept_growth = (16384 - 4096) * 16
         assert peaks[1] - peaks[0] <= kept_growth + (64 << 10)
 
+    def test_heston_price_moments_hold_no_volatility_path(self):
+        # one chunk needs its draws, dW, one history block and its (rows, 2)
+        # output; the (rows, n+1) volatility and (rows, n) sigma arrays of a
+        # reduction after the history loop would add about 4 MiB
+        model, grid, rows, n, width = INVARIANCE_MODELS["heston"], TimeGrid(1.0, 64), 4096, 64, 1024
+        assert sve_sim._chunk_rows(n) >= rows and sve_sim._HISTORY_PATHS == width
+
+        def run():
+            simulate(model, small_time_ldp(0.3), grid, rows, seed=3, threads=1, components=[1],
+                     _reduce=sve_sim.PRICE_MOMENTS)
+
+        run()  # the kernel weights and Philox set-up are cached by now
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        draws = dW = rows * n * 8
+        block = (2 * n + n + 1) * width * 8  # history rows and the block's volatility
+        outputs = 2 * rows * 2 * 8  # the chunk's (m, v) and the run's
+        assert peak <= draws + dW + block + outputs
+
+
+def _moments_loop(model, regime, grid, Y, dWs, dw_perp):
+    """(m, v, orthogonal part, size of m's terms) per path, a loop over the left nodes."""
+    noise, _, drift, _ = sve_sim._scales(model, regime)
+    rhos = np.atleast_1d(model.rho)
+    rho_bar = math.sqrt(1.0 - float(np.sum(rhos**2)))
+    h = grid.dt
+    m, quad, perp, scale = (np.zeros(len(Y)) for _ in range(4))
+    for i in range(grid.n_steps):
+        if isinstance(model, MultiRoughBergomi):
+            var, vol = np.exp(Y[:, i]).sum(axis=1), np.exp(0.5 * Y[:, i]).sum(axis=1)
+        else:
+            var = model.sigma_sq(Y[:, i, 0])
+            vol = np.sqrt(var)
+        terms = [-0.5 * drift * var * h] + [
+            noise * rho * vol * dW[:, i] for rho, dW in zip(rhos, dWs)
+        ]
+        m += sum(terms)
+        scale += sum(np.abs(x) for x in terms)
+        quad += var * h
+        perp += noise * rho_bar * vol * dw_perp[:, i]
+    return m, (noise * rho_bar) ** 2 * quad, perp, scale
+
 
 class TestPriceMoments:
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
@@ -682,32 +726,43 @@ class TestPriceMoments:
         full = simulate(model, regime, SMALL_GRID, 50, seed=21)
         assert np.array_equal(Y, full.paths[:, :, 1:])
         assert len(dWs) == n_vol  # no price noise drawn
-        noise, _, drift, _ = sve_sim._scales(model, regime)
-        rhos = np.atleast_1d(model.rho)
-        rho_bar = math.sqrt(1.0 - float(np.sum(rhos**2)))
         h = SMALL_GRID.dt
         # the full run's orthogonal noise: the last n normals of each path's stream
         total = sum(sve_sim._channel_widths(sve_sim._channels(model, SMALL_GRID), n))
         dw_perp = sve_sim._normal_block(21, np.arange(50), total)[:, -n:] * math.sqrt(h)
-        m, quad, perp, scale = (np.zeros(50) for _ in range(4))
-        for i in range(n):
-            if name == "multifactor":
-                var, vol = np.exp(Y[:, i]).sum(axis=1), np.exp(0.5 * Y[:, i]).sum(axis=1)
-            else:
-                var = model.sigma_sq(Y[:, i, 0])
-                vol = np.sqrt(var)
-            terms = [-0.5 * drift * var * h] + [
-                noise * rho * vol * dW[:, i] for rho, dW in zip(rhos, dWs)
-            ]
-            m += sum(terms)
-            scale += sum(np.abs(x) for x in terms)
-            quad += var * h
-            perp += noise * rho_bar * vol * dw_perp[:, i]
+        m, v, perp, scale = _moments_loop(model, regime, SMALL_GRID, Y, dWs, dw_perp)
         assert np.all(np.abs(ens.paths[:, 0] - m) <= 1e-12 * scale)
-        np.testing.assert_allclose(ens.paths[:, 1], (noise * rho_bar) ** 2 * quad, rtol=1e-12)
+        np.testing.assert_allclose(ens.paths[:, 1], v, rtol=1e-12)
         # given its volatility, the simulated log price is m plus the orthogonal part
         x_end = full.component_at(0, n)
         assert np.all(np.abs(x_end - m - perp) <= 1e-12 * (scale + np.abs(perp)))
+
+    # 100-path chunks start inside a history block (first = 100, 200, ...);
+    # the runs' blocks are 64, 192 and 1024 paths wide, partly filled at the
+    # edges.  137 steps take every branch of sve_sim._row_sum.
+    @pytest.mark.parametrize("n_paths", [10, 130, 2100])
+    def test_heston_history_sums_match_the_loop(self, monkeypatch, n_paths):
+        model, regime, grid = INVARIANCE_MODELS["heston"], small_time_ldp(0.3), TimeGrid(1.0, 137)
+        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
+        run = functools.partial(simulate, model, regime, grid, n_paths, seed=21, components=[1])
+        got = run(_reduce=sve_sim.PRICE_MOMENTS).paths
+        Y = simulate(model, regime, grid, n_paths, seed=21).paths[:, :, 1:]
+        normals = sve_sim._normal_block(21, np.arange(n_paths), 2 * grid.n_steps)
+        dW, dw_perp = np.split(normals * math.sqrt(grid.dt), 2, axis=1)
+        m, v, _, scale = _moments_loop(model, regime, grid, Y, [dW], dw_perp)
+        assert np.all(np.abs(got[:, 0] - m) <= 1e-12 * scale)
+        np.testing.assert_allclose(got[:, 1], v, rtol=1e-12)
+        # the sums take np.sum's order: equal to the reducer on the volatility path
+        assert np.array_equal(got, run(_reduce=sve_sim._Reducer(sve_sim._price_moments, (2,))).paths)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 600), width=st.integers(1, 5))
+    @example(n=128, width=1024)
+    def test_row_sum_takes_the_order_of_np_sum_along_a_row(self, n, width):
+        rng = np.random.default_rng(n * 7 + width)
+        a = rng.standard_normal((n, 2, width)) * np.exp(8.0 * rng.standard_normal((n, 2, width)))
+        rows = np.ascontiguousarray(np.moveaxis(a, 0, -1))
+        assert np.array_equal(sve_sim._row_sum(a), rows.sum(axis=-1))
 
 
 def _fresh_stream_normals(seed, pids, count):
