@@ -396,7 +396,8 @@ def multifactor_mdp_rate(
     Controls exist only on the kernels sharing the smallest Hurst index; the
     remaining volatility components are determined, and a mismatch beyond
     ``attain_tol`` (sup norm, operator round-trip accuracy) makes the rate
-    +infinity.  DomainError on a non-finite path.
+    +infinity.  DomainError on a non-finite path.  The control's columns are
+    the simulator's channels, [v_1, ..., v_m, u], zero on determined factors.
     """
     grid = phi.grid
     m = model.n_factors
@@ -441,7 +442,7 @@ def multifactor_mdp_rate(
         u = u - rho[j] * vs[j]
     u = u / rho_bar
     value = _energy(grid, u, *vs)
-    cols = [u] + vs
+    cols = vs + [np.zeros(len(grid))] * (m - mstar) + [u]
     ctrl = Control(GridFunction(grid, np.stack(cols, axis=1)))
     return RateResult(
         value=value,
@@ -563,14 +564,15 @@ def regenerate_multifactor_mdp_pair(
     model: MultiRoughBergomi, ctrl: Control | RateResult
 ):
     """Forward map of the multifactor MDP limit (controls to (phi, vphi));
-    DomainError on a non-finite control."""
+    DomainError on a non-finite control.  The columns are those of
+    ``multifactor_mdp_rate``: v on the first m* factors drives the limit, u is last."""
     if isinstance(ctrl, RateResult):
         ctrl = ctrl.optimal_control
     grid = ctrl.grid
     vals = ctrl.values.values
     _require_finite("the control", vals)
-    u = vals[:, 0]
-    vs = [vals[:, 1 + j] for j in range(vals.shape[1] - 1)]
+    u = vals[:, -1]
+    vs = [vals[:, j] for j in range(model.m_star)]
     L = np.asarray(model.loadings, dtype=float)
     y0 = np.asarray(model.y0, dtype=float)
     m = model.n_factors

@@ -71,15 +71,15 @@ normals per Gaussian factor, n for rough Heston).  That is exact: the prefix
 of a stream does not depend on its length, and a zero orthogonal control adds
 exactly 0 to the log weight.
 
-Each chunk ends in one reducer (``_Reducer``) on its volatility components
-and increments, whose per-path columns are written in path order, so a
-reduction over the whole array does not depend on chunking or threads.  The
-default keeps the selected nodes and components; ``PRICE_MOMENTS`` gives
-each path's conditional mean and variance of the terminal log price given
-its volatility (``_price_moments``), which the mixing Monte Carlo smile
-(``implied_vol.mc_smile``) prices from a volatility-only run.  Rough Heston
-sums their terms in its history loop (no (paths, n+1) volatility) in numpy's
-pairwise order: bit for bit the path-major sums, to rounding if numpy changes.
+Each chunk makes one ``_volatility`` call and one reducer (``_Reducer``)
+call; the per-path columns are written in path order, so a reduction over
+the whole array does not depend on chunking or threads.  The default keeps
+the selected nodes and components; ``PRICE_MOMENTS`` gives each path's
+conditional mean and variance of the terminal log price given its volatility
+(``_price_moments``), which the mixing Monte Carlo smile
+(``implied_vol.mc_smile``) prices from a volatility-only run, from each
+path's left-node sums: rough Heston adds them up step by step in its history
+loop (no (paths, n+1) volatility), the path-major sums to rounding.
 Worker threads come from the ``threads`` argument or VD_THREADS; anything but
 a positive integer raises ConfigError.
 """
@@ -773,18 +773,17 @@ def _chunk_rows(normals_per_path: int) -> int:
 
 
 class _Reducer(NamedTuple):
-    """A per-chunk reducer: fn(model, regime, grid, Y, dWs) -> (rows, *shape) per-path columns.
+    """A per-chunk reducer: fn(model, regime, grid, vol, dWs) -> (rows, *shape) per-path columns.
 
-    Y are the chunk's volatility components (rows, n+1, m) and dWs its
-    channels' shifted increments, the orthogonal noise last when it is drawn.
-    ``from_sums(model, regime, grid, sums)``, when set, is fn from each path's
-    left-node sums, (sum Sigma_i, sum sqrt(Sigma_i) dW_i), which rough Heston
-    takes from its history loop (``_heston_volatility``) and never builds Y.
+    ``vol`` is what ``_volatility`` returns for the chunk: its volatility
+    components (rows, n+1, m), or with ``sums`` each path's left-node sums
+    (sum Sigma_i, sum sqrt(Sigma_i) dW_i per volatility channel).  ``dWs`` are
+    the channels' shifted increments, the orthogonal noise last when it is drawn.
     """
 
     fn: Callable
     shape: tuple
-    from_sums: Callable | None = None
+    sums: bool = False
 
 
 def _keep(nodes, comps, n_grid: int) -> _Reducer:
@@ -886,38 +885,46 @@ def _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, red
         dWs.append(dW)
         Zs.append(Z)
     del draws, block  # the draws live on only in dWs and Zs
-    if reduce.from_sums is not None and isinstance(model, RoughHeston):
-        sums = _heston_volatility(model, regime, grid, dWs[0], idx[0], history, sums=True)
-        return reduce.from_sums(model, regime, grid, sums), lw
-    Y = _volatility(model, regime, grid, dWs, Zs, idx[0], history)
-    return reduce.fn(model, regime, grid, Y, dWs), lw
+    vol = _volatility(model, regime, grid, dWs, Zs, idx[0], history, reduce.sums)
+    return reduce.fn(model, regime, grid, vol, dWs), lw
 
 
-def _volatility(model, regime, grid, dWs, Zs, first, history):
-    """Volatility components (paths, n+1, m) from the shifted draws.
+def _volatility(model, regime, grid, dWs, Zs, first, history, sums=False):
+    """Volatility components (paths, n+1, m) from the shifted draws, or with
+    ``sums`` each path's left-node sums (paths, 1 + m): sum Sigma_i, then sum
+    sqrt(Sigma_i) dW_i per volatility channel (``_left_vol``).
 
-    Rough Bergomi is the one-factor case of the multifactor log volatility
+    Rough Heston takes the sums from its history loop and builds no Y
+    (``_heston_volatility``).  Rough Bergomi is the one-factor case of the
+    multifactor log volatility
     Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j,
     with eps^H_1 and eps the theta and clock of ``_scales``.
     """
     if isinstance(model, RoughHeston):
-        return _heston_volatility(model, regime, grid, dWs[0], first, history)[:, :, None]
+        vol = _heston_volatility(model, regime, grid, dWs[0], first, history, sums)
+        return vol if sums else vol[:, :, None]
     if isinstance(model, RoughSteinStein):
-        return _stein_stein_volatility(model, regime, grid, Zs[0])[:, :, None]
-    if isinstance(model, MultiRoughBergomi):
-        L, y0, a = np.asarray(model.loadings, dtype=float), model.y0, model.a
+        Y = _stein_stein_volatility(model, regime, grid, Zs[0])[:, :, None]
     else:
-        L, y0, a = np.ones((1, 1)), (model.y0,), (model.a,)
-    hursts, eps, H1 = _hursts(model), regime.eps, model.min_hurst
-    theta, clock = _scales(model, regime)[:2]
-    Y = np.empty(Zs[0].shape + (len(hursts),))
-    for i in range(len(hursts)):
-        Yi = np.multiply(Zs[0], L[i, 0], out=Y[:, :, i])  # H_1 is the first Hurst index
-        for j in range(1, len(hursts)):
-            Yi += eps ** (float(hursts[j]) - H1) * L[i, j] * Zs[j]
-        Yi *= theta
-        Yi += y0[i] - a[i] * (clock * grid.nodes) ** (2 * H1)
-    return Y
+        if isinstance(model, MultiRoughBergomi):
+            L, y0, a = np.asarray(model.loadings, dtype=float), model.y0, model.a
+        else:
+            L, y0, a = np.ones((1, 1)), (model.y0,), (model.a,)
+        hursts, eps, H1 = _hursts(model), regime.eps, model.min_hurst
+        theta, clock = _scales(model, regime)[:2]
+        Y = np.empty(Zs[0].shape + (len(hursts),))
+        for i in range(len(hursts)):
+            Yi = np.multiply(Zs[0], L[i, 0], out=Y[:, :, i])  # H_1 is the first Hurst index
+            for j in range(1, len(hursts)):
+                Yi += eps ** (float(hursts[j]) - H1) * L[i, j] * Zs[j]
+            Yi *= theta
+            Yi += y0[i] - a[i] * (clock * grid.nodes) ** (2 * H1)
+    if not sums:
+        return Y
+    sig_sq, sig = _left_vol(model, Y)
+    cols = [np.sum(sig_sq, axis=1)]
+    del sig_sq
+    return np.stack(cols + [np.sum(sig * dW, axis=1) for dW in dWs[: Y.shape[2]]], axis=1)
 
 
 def _stein_stein_volatility(model, regime, grid, Z):
@@ -963,7 +970,8 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sum
     because BLAS rounds an odd-width block differently, so a block that
     followed the chunk would make a path depend on the chunk carrying it;
     ``_simulate_impl`` sets it from the run's path count.  With ``sums`` the
-    result is not Y but each path's sums of its history rows, (paths, 2).
+    result is each path's history-row sums, (paths, 2), added step by step
+    (numpy's axis-0 order): the path-major sums to rounding, not bit for bit.
     """
     n = grid.n_steps
     mom = conv_weights(power_law(model.hurst), grid).cells[:n]
@@ -1000,22 +1008,9 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sum
                 np.sqrt(hist[j, 0], out=root)
                 hist[j, 1] *= root
                 y[j + 1] += G[j - s, 2 * V : 2 * (V + j - s + 1)] @ rows[2 * s : 2 * (j + 1)]
-        kept = _row_sum(hist) if sums else y
+        kept = hist.sum(axis=0) if sums else y
         out[p0:p1] = kept[:, p0 - lo : p1 - lo].T
     return out
-
-
-def _row_sum(a):
-    """Sum over axis 0 in np.sum's pairwise order along a row (halve at a
-    multiple of 8 above 128 terms, else 8 strided partial sums, then the rest
-    in turn), so a time-major sum equals np.sum of the path-major row."""
-    n = len(a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sum(a[:half]) + _row_sum(a[half:])
-    m = n - n % 8  # 0 below 8 terms: the partial sums are all zero
-    r = a[:m].reshape(m // 8, 8, *a.shape[1:]).sum(axis=0)
-    return sum(a[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
 def _left_vol(model, Y):
@@ -1062,25 +1057,15 @@ def _log_price(model, regime, grid, Y, dWs):
     return X
 
 
-def _price_moments(model, regime, grid, Y, dWs):
+def _price_moments(model, regime, grid, sums, dWs):
     """Each path's conditional mean and variance of X_1 given its volatility, (paths, 2).
 
     Given the volatility channels, the orthogonal noise enters the left-point
     log price linearly, so X_1 is Gaussian with
     m = sum(-1/2 drift sig_i^2 h + noise rho sig_i dW_i) and
-    v = noise^2 rho_bar^2 sum sig_i^2 h (the terms of ``_log_price``).  The
-    run needs no price noise: ``dWs`` are the volatility channels' increments.
-    Rough Heston's sums come from its history loop instead (``_Reducer.from_sums``).
+    v = noise^2 rho_bar^2 sum sig_i^2 h (the terms of ``_log_price``), read
+    off the left-node ``sums`` of ``_volatility``: the run needs no price noise.
     """
-    sig_sq, sig = _left_vol(model, Y)
-    sums = [np.sum(sig_sq, axis=1)]
-    del sig_sq
-    sums += [np.sum(sig * dW, axis=1) for dW in dWs]
-    return _moments_from_sums(model, regime, grid, np.stack(sums, axis=1))
-
-
-def _moments_from_sums(model, regime, grid, sums):
-    """(m, v) per path from its left-node sums (sum sig_i^2, sum sig_i dW_i per channel)."""
     rhos, rho_bar = _correlations(model)
     noise_amp, _, drift_amp, _ = _scales(model, regime)
     quad = sums[:, 0] * grid.dt
@@ -1092,7 +1077,7 @@ def _moments_from_sums(model, regime, grid, sums):
 
 
 # the reducer of the mixing Monte Carlo smile (``implied_vol.mc_smile``)
-PRICE_MOMENTS = _Reducer(_price_moments, (2,), _moments_from_sums)
+PRICE_MOMENTS = _Reducer(_price_moments, (2,), sums=True)
 
 
 def _to_mdp_frame(paths, model, regime, comps):

@@ -358,3 +358,30 @@ class TestMcSmile:
         pts = mc_smile(mod, 0.01, [3.0], 2000, seed=7, n_steps=32)
         assert len(pts) == 1
         assert pts[0].flag in ("clipped_to_intrinsic", "price_out_of_bounds")
+
+
+# (function, positional arguments): each with a NaN or infinite maturity or strike
+_BAD_INPUTS = [
+    ("smile_ldp", ("bergomi", 0.1, math.nan)),
+    ("smile_ldp", ("bergomi", math.inf, 0.04)),
+    ("smile_mdp", ("bergomi", 0.1, math.nan, H / 2)),
+    ("smile_mdp", ("bergomi", math.nan, 0.04, H / 2)),
+    ("smile_tail", ("heston", math.nan, 0.1)),
+    ("smile_tail", ("heston", 0.1, math.nan)),
+    ("implied_vol", (0.05, math.nan, 0.0)),
+    ("implied_vol", (0.05, 0.04, -math.inf)),
+    ("mc_smile", ("heston", math.inf, [0.0], 2000, 3)),
+    ("mc_smile", ("heston", 0.04, [math.nan], 2000, 3)),
+]
+
+
+@pytest.mark.parametrize("name, args", _BAD_INPUTS)
+def test_non_finite_maturity_or_strike_raises_before_any_solve(monkeypatch, name, args):
+    def refuse(*args, **kw):
+        raise AssertionError("solved, priced or drew on a non-finite input")
+
+    for callee in ("ldp_rate_terminal", "tail_rate_terminal", "simulate", "bs_call"):
+        monkeypatch.setattr(implied_vol_module, callee, refuse)
+    args = [MC_MODELS.get(a, a) if isinstance(a, str) else a for a in args]
+    with pytest.raises(InvalidModel, match="finite t > 0 and strikes"):
+        getattr(implied_vol_module, name)(*args)

@@ -67,6 +67,24 @@ def test_only_kernels_differences_the_kernel_moments():
     assert uses == {("mc_verify.py", "build_is_control", "moment0")}
 
 
+def test_the_chunk_loop_names_no_model_class():
+    # every chunk reaches its reducer through one _volatility call, which
+    # dispatches on the model; a model check in the loop is a second route
+    # past it
+    import ast
+
+    tree = ast.parse((SRC / "volterra_deviations" / "sve_sim.py").read_text())
+    (loop,) = [
+        fn for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_simulate_chunk"
+    ]
+    names = [node.id for node in ast.walk(loop) if isinstance(node, ast.Name)]
+    names += [node.attr for node in ast.walk(loop) if isinstance(node, ast.Attribute)]
+    models = {"RoughHeston", "RoughSteinStein", "RoughBergomi", "MultiRoughBergomi"}
+    assert models.isdisjoint(names)
+    assert names.count("_volatility") == 1
+
+
 def test_every_cli_option_is_read_by_its_handler():
     # a flag the parser accepts but no handler reads is parsed and dropped
     # without a word: every option of a leaf subcommand must be read as

@@ -358,8 +358,8 @@ class TestMultifactor:
         r = multifactor_mdp_rate(self.MODEL, zeros(), vphi)
         ctrl = r.optimal_control.values.values
         # v1 = D(vphi1 - y01)/L11; v2 = (D(vphi2 - y02) - L21 v1)/L22
-        assert np.max(np.abs(ctrl[3:, 1] - 0.5)) < 1e-6
-        assert np.max(np.abs(ctrl[3:, 2] - (-0.2))) < 1e-6
+        assert np.max(np.abs(ctrl[3:, 0] - 0.5)) < 1e-6
+        assert np.max(np.abs(ctrl[3:, 1] - (-0.2))) < 1e-6
         # phi == 0 with nonzero correlations forces a compensating u
         rho = np.asarray(self.MODEL.rho)
         u = -(rho[0] * 0.5 + rho[1] * (-0.2)) / self.MODEL.rho_bar
@@ -394,8 +394,24 @@ class TestMultifactor:
         vals = np.stack([-3.0 + i1, -3.2 + 0.7 * i1], axis=1)
         r = multifactor_mdp_rate(model, zeros(), gf(vals))
         assert math.isfinite(r.value)
+        assert not np.any(r.optimal_control.values.values[:, 1])  # no control on factor 2
         u = -(-0.3 * 0.5) / model.rho_bar
         assert r.value == pytest.approx(0.5 * (0.25 + u**2), rel=1e-3)
+
+    def test_one_factor_controls_match_rough_bergomi_column_for_column(self):
+        # both layouts are the simulator's channels, [v, u]: a control read
+        # with u first would tilt the volatility by the price control
+        y0, grid = -3.0, TimeGrid(1.0, 256)
+        one = MultiRoughBergomi(loadings=((1.0,),), a=(0.0,), y0=(y0,), rho=(-0.3,), hurst=(H,))
+        berg = RoughBergomi(a=0.0, rho=-0.3, y0=y0, hurst=H)
+        t = grid.nodes
+        phi, vphi = gf(0.2 * t, grid), gf(y0 + 0.3 * t ** (H + 0.5) - 0.1 * t, grid)
+        multi = multifactor_mdp_rate(one, phi, vphi).optimal_control.values.values
+        pair = mdp_rate_pair(berg, phi, vphi).optimal_control.values.values
+        assert multi.shape == pair.shape == (len(grid), 2)
+        assert np.array_equal(multi[:, 0], pair[:, 0])
+        # u divides by exp(y0 / 2) against sqrt(Sigma(y0)): equal to rounding
+        np.testing.assert_allclose(multi[:, 1], pair[:, 1], rtol=1e-14)
 
     def test_singular_loading(self):
         model = MultiRoughBergomi(

@@ -716,12 +716,13 @@ class TestPriceMoments:
 
         def capture(*args):
             seen.append(args[3:])
-            return sve_sim._price_moments(*args)
+            return np.zeros((len(args[3]), 2))
 
-        ens = simulate(
-            model, regime, SMALL_GRID, 50, seed=21, components=list(range(1, n_vol + 1)),
-            _reduce=sve_sim._Reducer(capture, (2,)),
+        run = functools.partial(
+            simulate, model, regime, SMALL_GRID, 50, seed=21, components=list(range(1, n_vol + 1))
         )
+        run(_reduce=sve_sim._Reducer(capture, (2,)))  # the volatility path and increments
+        ens = run(_reduce=sve_sim.PRICE_MOMENTS)
         ((Y, dWs),) = seen
         full = simulate(model, regime, SMALL_GRID, 50, seed=21)
         assert np.array_equal(Y, full.paths[:, :, 1:])
@@ -739,7 +740,7 @@ class TestPriceMoments:
 
     # 100-path chunks start inside a history block (first = 100, 200, ...);
     # the runs' blocks are 64, 192 and 1024 paths wide, partly filled at the
-    # edges.  137 steps take every branch of sve_sim._row_sum.
+    # edges
     @pytest.mark.parametrize("n_paths", [10, 130, 2100])
     def test_heston_history_sums_match_the_loop(self, monkeypatch, n_paths):
         model, regime, grid = INVARIANCE_MODELS["heston"], small_time_ldp(0.3), TimeGrid(1.0, 137)
@@ -752,17 +753,20 @@ class TestPriceMoments:
         m, v, _, scale = _moments_loop(model, regime, grid, Y, [dW], dw_perp)
         assert np.all(np.abs(got[:, 0] - m) <= 1e-12 * scale)
         np.testing.assert_allclose(got[:, 1], v, rtol=1e-12)
-        # the sums take np.sum's order: equal to the reducer on the volatility path
-        assert np.array_equal(got, run(_reduce=sve_sim._Reducer(sve_sim._price_moments, (2,))).paths)
 
-    @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 600), width=st.integers(1, 5))
-    @example(n=128, width=1024)
-    def test_row_sum_takes_the_order_of_np_sum_along_a_row(self, n, width):
-        rng = np.random.default_rng(n * 7 + width)
-        a = rng.standard_normal((n, 2, width)) * np.exp(8.0 * rng.standard_normal((n, 2, width)))
-        rows = np.ascontiguousarray(np.moveaxis(a, 0, -1))
-        assert np.array_equal(sve_sim._row_sum(a), rows.sum(axis=-1))
+    def test_heston_sums_do_not_depend_on_chunks_or_threads(self, monkeypatch):
+        # the history loop adds the sums step by step inside each aligned
+        # block: 100-path chunks that start inside a block, and three worker
+        # threads, must give the default run's (m, v) bit for bit
+        model, grid = INVARIANCE_MODELS["heston"], TimeGrid(1.0, 137)
+        run = functools.partial(
+            simulate, model, small_time_ldp(0.3), grid, 2100, seed=21, components=[1],
+            _reduce=sve_sim.PRICE_MOMENTS,
+        )
+        ref = run(threads=1).paths
+        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
+        assert np.array_equal(run(threads=1).paths, ref)
+        assert np.array_equal(run(threads=3).paths, ref)
 
 
 def _fresh_stream_normals(seed, pids, count):
@@ -865,9 +869,9 @@ class TestHestonHistory:
         seen = set()
         history = sve_sim._heston_volatility
 
-        def recording(model, regime, grid, dW, first, width):
+        def recording(model, regime, grid, dW, first, width, sums=False):
             seen.add(width)
-            return history(model, regime, grid, dW, first, width)
+            return history(model, regime, grid, dW, first, width, sums)
 
         monkeypatch.setattr(sve_sim, "_heston_volatility", recording)
         monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
