@@ -66,9 +66,14 @@ def _check_maturity_strikes(t, strikes):
 
 
 def bs_call(t: float, k: float, sigma: float) -> float:
-    """European call value under Black-Scholes (spot 1, strike e^k)."""
-    if sigma < 0.0 or t <= 0.0:
-        raise PriceOutOfBounds("need sigma >= 0 and t > 0")
+    """European call value under Black-Scholes (spot 1, strike e^k).
+
+    Raises PriceOutOfBounds unless t > 0, sigma >= 0 and k are all finite.
+    """
+    if not (0.0 < t < math.inf and 0.0 <= sigma < math.inf and math.isfinite(k)):
+        raise PriceOutOfBounds(
+            f"need finite t > 0, sigma >= 0 and k, got t={t!r}, k={k!r}, sigma={sigma!r}"
+        )
     if sigma == 0.0:
         return max(1.0 - math.exp(k), 0.0)
     st = sigma * math.sqrt(t)
@@ -169,9 +174,12 @@ def smile_tail(model: Model, t: float, k: float, n_steps: int = 192) -> SmilePoi
     """Large-strike implied volatility: sigma_hat^2 ~ k / (2 t inf_(y>=1) I^X_t(y)).
 
     The infimum over the whole ray y >= 1 is one tail solve (``ray=True``);
-    ``attained`` is the y* where it sits.
+    ``attained`` is the y* where it sits.  The formula needs a large strike:
+    k <= 0 raises InvalidModel before the solve.
     """
     _check_maturity_strikes(t, k)
+    if not k > 0.0:
+        raise InvalidModel(f"the large-strike smile needs k > 0, got k={k!r}")
     try:
         res = tail_rate_terminal(model, 1.0, t_end=t, n_steps=n_steps, ray=True)
     except SolverFailure as exc:

@@ -53,12 +53,17 @@ the path's sup norm, except on a path whose variance touches zero, where the
 square root amplifies last-bit rounding (1.2e-11 on one of 20k paths at
 n = 128).
 
-Paths run in chunks of as many rows as keep a chunk's normals block (rows x
-normals per path x 8 B) within the byte budget _CHUNK_BYTES; the block is
-freed once the channels are sampled, the other chunk temporaries scale with
-it, so the working set is about threads x a few budgets.  The row count is
-rounded down to a multiple of the 1024-path history width (one width at
-least), so a rough Heston chunk never computes a partly empty history block.
+Paths run in chunks of one history width, 1024 paths aligned to the path
+index (_CHUNK_PATHS; the whole run when it is smaller), so a rough Heston
+chunk is exactly one history block.  Per-run set-up (the channels and their
+widths, the tilts, rough Heston's weights) is done once, not per chunk.  Each
+worker thread allocates its scratch (``_Scratch``) once per run and reuses it
+for every chunk it takes: the normals block, in which each channel's dW is
+its normals scaled in place, the Gaussian factors' Z, the volatility Y and
+rough Heston's history block.  A chunk's columns are copied into the run's
+arrays before its worker takes the next chunk, and the scratch is freed when
+the run returns, so the working set is the output plus threads x one chunk's
+scratch (about 4 MiB for rough Heston at n = 128).
 ``nodes=`` keeps only the listed grid columns and ``components=`` only the
 listed components (sorted, unique indices; all by default): each chunk
 builds its whole paths and selects before the MDP rescaling, so a kept value
@@ -89,6 +94,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -119,10 +125,10 @@ __all__ = [
     "default_threads",
 ]
 
-_CHUNK_BYTES = 16 << 20
 _BLAS_ROWS = 64
 _HISTORY_PATHS = 1024
 _HISTORY_STEPS = 32
+_CHUNK_PATHS = _HISTORY_PATHS  # paths per chunk: one history width
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +462,13 @@ def _held(held: np.ndarray, index, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _normal_block(seed: int, path_indices, count: int) -> np.ndarray:
+def _normal_block(
+    seed: int, path_indices, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Inverse-CDF normals, one independent Philox stream per path.
 
-    Row r is ndtri(Generator(Philox(key=[seed, path_indices[r]])).random(count)).
+    Row r is ndtri(Generator(Philox(key=[seed, path_indices[r]])).random(count)),
+    written into ``out`` (C-contiguous, (len(path_indices), count)) when given.
     One generator serves every row: before each draw its state is set to
     counter 0, the row's key and an empty buffer, which skips the entropy
     seeding a fresh Philox pays only to have its key overwritten.  The state
@@ -467,7 +476,8 @@ def _normal_block(seed: int, path_indices, count: int) -> np.ndarray:
     setter reads lists faster than arrays), so a row costs the Philox fill
     and ``ndtri`` and little else.
     """
-    out = np.empty((len(path_indices), count))
+    if out is None:
+        out = np.empty((len(path_indices), count))
     key = [int(seed), 0]
     state = {
         "bit_generator": "Philox",
@@ -586,17 +596,22 @@ class GaussianFactor:
         eta[: self.grid.n_steps] += self._dw_scale * l_dw
         return eta
 
-    def sample(self, normals: np.ndarray, first: int):
+    def sample(self, normals: np.ndarray, first: int, Z: np.ndarray | None = None):
         """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1)).
 
-        The draw is normals @ chol.T.  Since the dW rows of ``chol`` are a
+        The draw is normals @ chol.T: Z is one half-width product of all 2n
+        normals with the factor's Z rows, written to ``Z`` when given (its
+        first column must be zero).  Since the dW rows of ``chol`` are a
         diagonal, dW is the first n normals times it, bit for bit the full
-        product's dW; Z is one half-width product with the last n columns.
+        product's dW, scaled in place once Z is taken: ``normals`` ends up
+        holding dW in its first n columns.
         """
         n = self.grid.n_steps
-        dW = normals[:, :n] * self._dw_scale
-        Z = np.zeros((len(normals), n + 1))
+        if Z is None:
+            Z = np.zeros((len(normals), n + 1))
         _aligned_matmul(normals, self._z_rows, first, out=Z[:, 1:])
+        dW = normals[:, :n]
+        dW *= self._dw_scale
         return dW, Z
 
 
@@ -762,16 +777,6 @@ def _channel_widths(channels: list, n: int) -> list:
     return [n if f is None else 2 * n for f in channels]
 
 
-def _chunk_rows(normals_per_path: int) -> int:
-    """Paths per chunk: as many as keep the chunk's normals within _CHUNK_BYTES.
-
-    Rounded down to a multiple of _HISTORY_PATHS, and never below one, so a
-    rough Heston chunk never computes a partly empty history block.
-    """
-    rows = _CHUNK_BYTES // (8 * normals_per_path)
-    return max(_HISTORY_PATHS, rows - rows % _HISTORY_PATHS)
-
-
 class _Reducer(NamedTuple):
     """A per-chunk reducer: fn(model, regime, grid, vol, dWs) -> (rows, *shape) per-path columns.
 
@@ -779,6 +784,7 @@ class _Reducer(NamedTuple):
     components (rows, n+1, m), or with ``sums`` each path's left-node sums
     (sum Sigma_i, sum sqrt(Sigma_i) dW_i per volatility channel).  ``dWs`` are
     the channels' shifted increments, the orthogonal noise last when it is drawn.
+    Both may be views of the worker's scratch, and so may the columns fn returns.
     """
 
     fn: Callable
@@ -809,9 +815,59 @@ def _keep(nodes, comps, n_grid: int) -> _Reducer:
     return _Reducer(reduce, (len(nodes), len(comps)))
 
 
+class _Run(NamedTuple):
+    """What every chunk of one run shares, set up once per run.
+
+    ``channels`` are the drawn channels (``_channels``, the orthogonal noise
+    dropped when the run does not read it), ``widths`` their normals per path,
+    ``etas`` their tilts (None when uncontrolled) and ``heston`` rough Heston's
+    history weights (None for the Gaussian models).
+    """
+
+    model: Model
+    regime: ScalingRegime
+    grid: TimeGrid
+    seed: int
+    channels: list
+    widths: list
+    etas: list | None
+    reduce: _Reducer
+    heston: _HestonHistory | None
+
+
+class _Scratch:
+    """One worker's chunk arrays, allocated once per run and reused by every chunk it takes.
+
+    ``normals`` holds a chunk's draws, and each channel's dW is its own
+    normals scaled in place; ``Z`` has one (rows, n+1) array per Gaussian
+    factor (None on Euler channels), its first column zero; ``Y`` is the
+    Gaussian models' volatility (rows, n+1, m) and ``history`` rough
+    Heston's history block (``_HestonHistory.scratch``).  A chunk of r paths
+    uses the first r rows.  The reducer's columns may be views of them, so a
+    chunk's output is copied out before the worker's next chunk.
+    """
+
+    def __init__(self, run: _Run, rows: int):
+        n = run.grid.n_steps
+        self.normals = np.empty((rows, sum(run.widths)))
+        self.Z = [None if f is None else np.zeros((rows, n + 1)) for f in run.channels]
+        if run.heston is None:
+            self.Y, self.history = np.empty((rows, n + 1, len(_hursts(run.model)))), None
+        else:
+            self.Y, self.history = None, run.heston.scratch()
+
+
 def _simulate_impl(
     model, regime, grid, n_paths, seed, control, threads, nodes, components, reduce=None
 ):
+    """Validate, set the run up once, then run its chunks on the worker threads.
+
+    Chunks are _CHUNK_PATHS paths aligned to the path index (one history
+    width; the whole run when it is smaller).  Each worker allocates one
+    ``_Scratch``, takes chunks in turn until none is left and copies each
+    chunk's columns and log weights into the run's arrays before taking the
+    next; its scratch is freed when the run returns.
+    """
     model.validate_regime(regime)
     if regime.is_tail and model.tail_degree is None:
         raise InvalidModel(f"tail rescaling is not defined for {type(model).__name__}")
@@ -835,76 +891,98 @@ def _simulate_impl(
         if etas is not None:
             etas = etas[:-1]
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
-    rows = _chunk_rows(sum(_channel_widths(channels, grid.n_steps)))
-    chunks = [range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
-    # the run's size, never the chunk's, sets the history width
-    history = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
+    heston = None
+    if isinstance(model, RoughHeston):
+        # the run's size, never the chunk's, sets the history width
+        width = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
+        heston = _HestonHistory(model, regime, grid, width)
+    run = _Run(
+        model, regime, grid, seed, channels, _channel_widths(channels, grid.n_steps), etas,
+        reduce, heston,
+    )
+    rows = min(_CHUNK_PATHS, n_paths)
+    chunks = (range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows))
+    taking = threading.Lock()
     paths = np.empty((n_paths, *reduce.shape))
     logw = np.zeros(n_paths) if control is not None else None
 
-    def run_chunk(chunk: range):
-        idx = np.arange(chunk.start, chunk.stop)
-        p, lw = _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, reduce)
-        paths[chunk.start : chunk.stop] = p
-        if logw is not None:
-            logw[chunk.start : chunk.stop] = lw
+    def worker():
+        scratch = _Scratch(run, rows)
+        while True:
+            with taking:
+                chunk = next(chunks, None)
+            if chunk is None:
+                return
+            p, lw = _simulate_chunk(run, chunk, scratch)
+            paths[chunk.start : chunk.stop] = p
+            if logw is not None:
+                logw[chunk.start : chunk.stop] = lw
 
-    if n_threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(run_chunk, chunks))
+    n_workers = min(n_threads, -(-n_paths // rows))
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            for done in [pool.submit(worker) for _ in range(n_workers)]:
+                done.result()
     else:
-        for c in chunks:
-            run_chunk(c)
+        worker()
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
         nodes=nodes, bump=cholesky_bump(model, grid), components=comps,
     )
 
 
-def _simulate_chunk(model, regime, grid, idx, seed, channels, etas, history, reduce):
+def _simulate_chunk(run: _Run, chunk: range, scratch: _Scratch):
     """The reducer's per-path columns and the log weights (None when uncontrolled).
 
-    ``etas`` are the channels' tilts (``_plan_control``), ``history`` the rough
-    Heston history block width (``_heston_volatility``).
+    Every array of the chunk is rows of the worker's ``scratch``: a channel's
+    dW is its normals scaled in place, a Gaussian factor's Z and the
+    volatility are written into it.
     """
-    sqrt_h = math.sqrt(grid.dt)
-    widths = _channel_widths(channels, grid.n_steps)
-    draws = _normal_block(seed, idx, sum(widths))
-    lw = None if etas is None else np.zeros(len(idx))
+    rows, first = len(chunk), chunk.start
+    draws = _normal_block(
+        run.seed, np.arange(first, chunk.stop), sum(run.widths), out=scratch.normals[:rows]
+    )
+    lw = None if run.etas is None else np.zeros(rows)
+    sqrt_h = math.sqrt(run.grid.dt)
     dWs, Zs = [], []
     col = 0
-    for j, (f, width) in enumerate(zip(channels, widths)):
+    for j, (f, width) in enumerate(zip(run.channels, run.widths)):
         block = draws[:, col : col + width]
         col += width
-        if etas is not None:
-            eta = etas[j]
-            lw -= _aligned_matmul(block, eta, idx[0])
+        if run.etas is not None:
+            eta = run.etas[j]
+            lw -= _aligned_matmul(block, eta, first)
             lw -= 0.5 * float(eta @ eta)
             block += eta  # the chunk's own draws
-        dW, Z = (block * sqrt_h, None) if f is None else f.sample(block, idx[0])
+        if f is None:
+            block *= sqrt_h
+            dW, Z = block, None
+        else:
+            dW, Z = f.sample(block, first, scratch.Z[j][:rows])
         dWs.append(dW)
         Zs.append(Z)
-    del draws, block  # the draws live on only in dWs and Zs
-    vol = _volatility(model, regime, grid, dWs, Zs, idx[0], history, reduce.sums)
-    return reduce.fn(model, regime, grid, vol, dWs), lw
+    vol = _volatility(run, dWs, Zs, first, scratch)
+    return run.reduce.fn(run.model, run.regime, run.grid, vol, dWs), lw
 
 
-def _volatility(model, regime, grid, dWs, Zs, first, history, sums=False):
+def _volatility(run: _Run, dWs, Zs, first: int, scratch: _Scratch):
     """Volatility components (paths, n+1, m) from the shifted draws, or with
-    ``sums`` each path's left-node sums (paths, 1 + m): sum Sigma_i, then sum
-    sqrt(Sigma_i) dW_i per volatility channel (``_left_vol``).
+    the reducer's ``sums`` each path's left-node sums (paths, 1 + m): sum
+    Sigma_i, then sum sqrt(Sigma_i) dW_i per volatility channel (``_left_vol``).
 
     Rough Heston takes the sums from its history loop and builds no Y
-    (``_heston_volatility``).  Rough Bergomi is the one-factor case of the
-    multifactor log volatility
+    (``_HestonHistory``).  The Gaussian models write Y into the scratch.
+    Rough Bergomi is the one-factor case of the multifactor log volatility
     Y_i = y0_i - a_i (eps t)^(2 H_1) + eps^H_1 sum_j eps^(H_j - H_1) L_ij Z_j,
     with eps^H_1 and eps the theta and clock of ``_scales``.
     """
-    if isinstance(model, RoughHeston):
-        vol = _heston_volatility(model, regime, grid, dWs[0], first, history, sums)
+    model, regime, grid, sums = run.model, run.regime, run.grid, run.reduce.sums
+    if run.heston is not None:
+        vol = run.heston.volatility(dWs[0], first, sums, scratch.history)
         return vol if sums else vol[:, :, None]
+    Y = scratch.Y[: len(Zs[0])]
     if isinstance(model, RoughSteinStein):
-        Y = _stein_stein_volatility(model, regime, grid, Zs[0])[:, :, None]
+        _stein_stein_volatility(model, regime, grid, Zs[0], Y[:, :, 0])
     else:
         if isinstance(model, MultiRoughBergomi):
             L, y0, a = np.asarray(model.loadings, dtype=float), model.y0, model.a
@@ -912,7 +990,6 @@ def _volatility(model, regime, grid, dWs, Zs, first, history, sums=False):
             L, y0, a = np.ones((1, 1)), (model.y0,), (model.a,)
         hursts, eps, H1 = _hursts(model), regime.eps, model.min_hurst
         theta, clock = _scales(model, regime)[:2]
-        Y = np.empty(Zs[0].shape + (len(hursts),))
         for i in range(len(hursts)):
             Yi = np.multiply(Zs[0], L[i, 0], out=Y[:, :, i])  # H_1 is the first Hurst index
             for j in range(1, len(hursts)):
@@ -927,12 +1004,11 @@ def _volatility(model, regime, grid, dWs, Zs, first, history, sums=False):
     return np.stack(cols + [np.sum(sig * dW, axis=1) for dW in dWs[: Y.shape[2]]], axis=1)
 
 
-def _stein_stein_volatility(model, regime, grid, Z):
-    """Left-point Euler for the flat-kernel mean reversion plus exact noise."""
+def _stein_stein_volatility(model, regime, grid, Z, Y):
+    """Left-point Euler for the flat-kernel mean reversion plus exact noise, into Y (paths, n+1)."""
     n = grid.n_steps
     h = grid.dt
     npaths = Z.shape[0]
-    Y = np.empty((npaths, n + 1))
     theta, clock, _, level = _scales(model, regime)
     y_start, drift_target = level * model.y0, level * model.theta
     drift_rate, noise = clock * model.kappa, theta * model.xi
@@ -941,10 +1017,9 @@ def _stein_stein_volatility(model, regime, grid, Z):
     for i in range(1, n + 1):
         acc = acc + drift_rate * (drift_target - Y[:, i - 1]) * h
         Y[:, i] = y_start + acc + noise * Z[:, i]
-    return Y
 
 
-def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sums=False):
+class _HestonHistory:
     """Volterra-Euler with exact kernel moments and full truncation.
 
     Y_i = y_start + sum_(j<i) mom_(i-j) [drift_amp (theta_lvl - Y_j^+)
@@ -963,7 +1038,8 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sum
     every row before the block, enters the whole block in one GEMM, and the
     near history, the block's own rows, in one short product per step.  The
     Toeplitz matrix's block rows are slices of one (_HISTORY_STEPS, ~2n)
-    block row, built once per call, so the weights take O(n) memory.
+    block row G, so the weights take O(n) memory; G and the base are built
+    once per run, when the object is.
 
     The history runs time-major, (steps, paths), in zero-padded blocks of
     ``width`` paths aligned to the path index.  The width is fixed for a run
@@ -973,44 +1049,60 @@ def _heston_volatility(model, regime, grid, dW, first, width=_HISTORY_PATHS, sum
     result is each path's history-row sums, (paths, 2), added step by step
     (numpy's axis-0 order): the path-major sums to rounding, not bit for bit.
     """
-    n = grid.n_steps
-    mom = conv_weights(power_law(model.hurst), grid).cells[:n]
-    theta, _, drift, level = _scales(model, regime)
-    y_start, theta_lvl = level * model.y0, level * model.theta
-    drift_amp, noise_amp = drift * model.kappa, theta * model.xi
-    base = y_start + drift_amp * theta_lvl * np.cumsum(mom)
-    # T[i, 2j + c], the weight of history row (j, c) (c = 0: Y_j^+, 1: the
-    # noise) in Y_(i+1), depends on i - j alone, so every block row of T is a
-    # slice of one: G[r, 2p + c] = T[s + r, 2(p - V + s) + c] for the block
-    # starting at step s, V the last block's start
-    S = _HISTORY_STEPS
-    V = S * ((n - 1) // S)
-    lag = np.arange(S)[:, None] + V - np.arange(V + S)
-    pair = np.stack([-drift_amp * mom, noise_amp / grid.dt * mom], axis=1)
-    G = np.where(((lag >= 0) & (lag < n))[:, :, None], pair[np.clip(lag, 0, n - 1)], 0.0)
-    G = G.reshape(S, 2 * (V + S))
-    B = width
-    out = np.empty((dW.shape[0], 2 if sums else n + 1))
-    for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
-        hist = np.zeros((n, 2, B))
-        hist[:, 1, p0 - lo : p1 - lo] = dW[p0:p1].T
+
+    def __init__(self, model, regime, grid, width=_HISTORY_PATHS):
+        n = grid.n_steps
+        mom = conv_weights(power_law(model.hurst), grid).cells[:n]
+        theta, _, drift, level = _scales(model, regime)
+        y_start, theta_lvl = level * model.y0, level * model.theta
+        drift_amp, noise_amp = drift * model.kappa, theta * model.xi
+        self.width, self.y_start = width, y_start
+        self.base = y_start + drift_amp * theta_lvl * np.cumsum(mom)
+        # T[i, 2j + c], the weight of history row (j, c) (c = 0: Y_j^+, 1: the
+        # noise) in Y_(i+1), depends on i - j alone, so every block row of T is a
+        # slice of one: G[r, 2p + c] = T[s + r, 2(p - V + s) + c] for the block
+        # starting at step s, V the last block's start
+        S = _HISTORY_STEPS
+        self.V = V = S * ((n - 1) // S)
+        lag = np.arange(S)[:, None] + V - np.arange(V + S)
+        pair = np.stack([-drift_amp * mom, noise_amp / grid.dt * mom], axis=1)
+        G = np.where(((lag >= 0) & (lag < n))[:, :, None], pair[np.clip(lag, 0, n - 1)], 0.0)
+        self.G = G.reshape(S, 2 * (V + S))
+
+    def scratch(self) -> tuple:
+        """One history block's arrays: its rows (n, 2, width) and volatility (n+1, width)."""
+        n = len(self.base)
+        return np.empty((n, 2, self.width)), np.empty((n + 1, self.width))
+
+    def volatility(self, dW, first: int, sums: bool = False, scratch: tuple | None = None):
+        """Y (paths, n+1), or with ``sums`` the history-row sums (paths, 2), of paths first..
+
+        ``scratch`` (from ``scratch()``) is reused block to block; a partly
+        filled block zeroes its noise rows before taking the paths' dW.
+        """
+        hist, y = self.scratch() if scratch is None else scratch
+        n, B, S, V, G = len(self.base), self.width, _HISTORY_STEPS, self.V, self.G
         rows = hist.reshape(2 * n, B)
-        y = np.empty((n + 1, B))
-        y[0] = y_start
         root = np.empty(B)
-        for s in range(0, n, S):
-            e = min(s + S, n)
-            far = y[s + 1 : e + 1]
-            np.matmul(G[: e - s, 2 * (V - s) : 2 * V], rows[: 2 * s], out=far)
-            far += base[s:e, None]
-            for j in range(s, e):
-                np.maximum(y[j], 0.0, out=hist[j, 0])
-                np.sqrt(hist[j, 0], out=root)
-                hist[j, 1] *= root
-                y[j + 1] += G[j - s, 2 * V : 2 * (V + j - s + 1)] @ rows[2 * s : 2 * (j + 1)]
-        kept = hist.sum(axis=0) if sums else y
-        out[p0:p1] = kept[:, p0 - lo : p1 - lo].T
-    return out
+        out = np.empty((dW.shape[0], 2 if sums else n + 1))
+        for lo, p0, p1 in _aligned_blocks(first, dW.shape[0], B):
+            if p1 - p0 < B:
+                hist[:, 1] = 0.0
+            hist[:, 1, p0 - lo : p1 - lo] = dW[p0:p1].T
+            y[0] = self.y_start
+            for s in range(0, n, S):
+                e = min(s + S, n)
+                far = y[s + 1 : e + 1]
+                np.matmul(G[: e - s, 2 * (V - s) : 2 * V], rows[: 2 * s], out=far)
+                far += self.base[s:e, None]
+                for j in range(s, e):
+                    np.maximum(y[j], 0.0, out=hist[j, 0])
+                    np.sqrt(hist[j, 0], out=root)
+                    hist[j, 1] *= root
+                    y[j + 1] += G[j - s, 2 * V : 2 * (V + j - s + 1)] @ rows[2 * s : 2 * (j + 1)]
+            kept = hist.sum(axis=0) if sums else y
+            out[p0:p1] = kept[:, p0 - lo : p1 - lo].T
+        return out
 
 
 def _left_vol(model, Y):

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 
@@ -59,6 +60,15 @@ class TestBsCall:
                     call = float(norm.cdf(d1) - math.exp(k) * norm.cdf(d1 - st))
                     assert bs_call(t, k, sigma) == call
                     assert _vega(t, k, sigma) == float(norm.pdf(d1) * math.sqrt(t))
+
+    @pytest.mark.parametrize(
+        "t, k, sigma",
+        [(math.nan, 0.0, 0.2), (0.04, math.nan, 0.2), (0.04, 0.0, math.nan), (0.04, 0.0, math.inf),
+         (math.inf, 0.0, 0.2), (0.04, -math.inf, 0.2), (0.0, 0.0, 0.2), (0.04, 0.0, -0.1)],
+    )
+    def test_non_finite_or_out_of_domain_inputs_raise(self, t, k, sigma):
+        with pytest.raises(PriceOutOfBounds, match="finite t > 0, sigma >= 0 and k"):
+            bs_call(t, k, sigma)
 
     def test_vega_is_the_sigma_derivative(self):
         h = 1e-5
@@ -212,6 +222,15 @@ class TestSmileTail:
         assert calls == [((1.0,), {"t_end": 0.5, "n_steps": 32, "ray": True})]
         assert pt.attained >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("k", [-0.1, 0.0, -math.ulp(0.0)])
+    def test_a_strike_that_is_not_large_raises_before_the_solve(self, monkeypatch, k):
+        def refuse(*args, **kw):
+            raise AssertionError("tail solve on k <= 0")
+
+        monkeypatch.setattr(implied_vol_module, "tail_rate_terminal", refuse)
+        with pytest.raises(InvalidModel, match="k > 0"):
+            smile_tail(MC_MODELS["heston"], 0.1, k, n_steps=32)
+
     def test_stein_stein_regression_pin(self):
         # value pinned by the variational solver before the main build
         ss = RoughSteinStein(kappa=0.5, theta=0.1, xi=0.4, rho=-0.3, y0=0.3, hurst=H)
@@ -310,9 +329,9 @@ class TestMcSmile:
             runs.append(ens)
             return ens
 
-        def counting(seed, path_indices, count):
+        def counting(seed, path_indices, count, out=None):
             draws.append(count)
-            return normal_block(seed, path_indices, count)
+            return normal_block(seed, path_indices, count, out)
 
         monkeypatch.setattr(implied_vol_module, "simulate", recording)
         monkeypatch.setattr(sve_sim, "_normal_block", counting)
@@ -321,7 +340,7 @@ class TestMcSmile:
         (ens,) = runs
         assert ens.components.tolist() == [1]
         assert ens.paths.shape == (2000, 2)  # (m, v) per path, no log price
-        assert draws == [16]  # the volatility normals only, no price noise
+        assert draws == [16, 16]  # two chunks, the volatility normals only, no price noise
         assert math.isfinite(pts[0].sigma_hat)
 
     @pytest.mark.parametrize(
@@ -342,11 +361,15 @@ class TestMcSmile:
         from volterra_deviations import sve_sim
 
         mod, strikes = MC_MODELS["heston"], [-0.03, 0.0, 0.03]
-        ref = mc_smile(mod, 0.04, strikes, 5000, seed=4, n_steps=16, threads=1)
-        monkeypatch.setattr(sve_sim, "_CHUNK_BYTES", 1 << 17)  # 1024-path chunks
-        assert sve_sim._chunk_rows(16) == 1024
-        for threads in (1, 3):
-            assert mc_smile(mod, 0.04, strikes, 5000, seed=4, n_steps=16, threads=threads) == ref
+        run = functools.partial(mc_smile, mod, 0.04, strikes, 5000, seed=4, n_steps=16)
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 5000)  # one chunk
+        ref = run(threads=1)
+        # the default 1024-path chunks and 300-path ones, each run ending in
+        # a shorter chunk that reuses a worker's scratch
+        for chunk in (sve_sim._HISTORY_PATHS, 300):
+            monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", chunk)
+            for threads in (1, 3):
+                assert run(threads=threads) == ref
 
     def test_positive_rho_bergomi_rejected(self):
         mod = RoughBergomi(a=0.5, rho=0.5, y0=math.log(0.04), hurst=H)

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -363,9 +364,9 @@ class TestSections:
         draws = []
         normal_block = sve_sim._normal_block
 
-        def counting(seed, path_indices, count):
+        def counting(seed, path_indices, count, out=None):
             draws.append(count)
-            return normal_block(seed, path_indices, count)
+            return normal_block(seed, path_indices, count, out)
 
         monkeypatch.setattr(sve_sim, "_normal_block", counting)
         ctrl = self._ctrl(KernelSection(power_law(H), 0.503, 0.5, 0))
@@ -450,11 +451,6 @@ def _one_chunk(name, control):
     return _run(name, control, threads=1)
 
 
-def _fixed_rows(chunk):
-    """A stand-in for sve_sim._chunk_rows that ignores the byte budget."""
-    return lambda normals_per_path: chunk
-
-
 class TestChunkInvariance:
     @pytest.mark.parametrize("control", ["plain", "nodal", "section"])
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
@@ -475,7 +471,7 @@ class TestChunkInvariance:
         )
         ref = _one_chunk(name, control)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sve_sim, "_chunk_rows", _fixed_rows(chunk))
+            mp.setattr(sve_sim, "_CHUNK_PATHS", chunk)
             ens = _run(name, control, threads, nodes, components)
         kept = slice(None) if nodes is None else nodes
         comps = slice(None) if components is None else components
@@ -512,21 +508,53 @@ class TestChunkInvariance:
         counts = []
         normal_block = sve_sim._normal_block
 
-        def counting(seed, path_indices, count):
+        def counting(seed, path_indices, count, out=None):
             counts.append(count)
-            return normal_block(seed, path_indices, count)
+            return normal_block(seed, path_indices, count, out)
 
         monkeypatch.setattr(sve_sim, "_normal_block", counting)
         _run(name, control, threads=1, components=components)
         assert counts == [per_step * SMALL_GRID.n_steps]
 
-    # Heston at n=128 (2n normals), Bergomi at n=64 (3n), and two runs whose
-    # budget fits less than one history width
-    @pytest.mark.parametrize(
-        "normals, rows", [(256, 8192), (192, 10240), (3072, 1024), (1 << 20, 1024)]
-    )
-    def test_chunk_rows_fill_the_budget_in_history_widths(self, normals, rows):
-        assert sve_sim._chunk_rows(normals) == rows
+    # one worker takes a full 32-path chunk and then the 18-path rest into
+    # the same scratch, whose never-written arrays start as NaN here: a read
+    # of a row or a padding column the chunk did not write would show
+    @pytest.mark.parametrize("control", ["plain", "nodal"])
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+    def test_a_shorter_last_chunk_in_reused_scratch_matches_one_chunk(
+        self, monkeypatch, name, control
+    ):
+        class Poisoned(sve_sim._Scratch):
+            def __init__(self, run, rows):
+                super().__init__(run, rows)
+                for a in (self.normals, self.Y, *(self.history or ())):
+                    if a is not None:
+                        a.fill(np.nan)
+
+        ref = _one_chunk(name, control)
+        monkeypatch.setattr(sve_sim, "_Scratch", Poisoned)
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 32)
+        ens = _run(name, control, threads=1)
+        assert np.array_equal(ens.paths, ref.paths)
+        if control != "plain":
+            assert np.array_equal(ens.log_weights, ref.log_weights)
+
+
+    # more workers than cores take 3-path chunks under a very short switch
+    # interval: a chunk that no worker took would leave its rows as the
+    # uninitialised output, and a scratch shared by two workers would mix
+    # their chunks
+    def test_many_workers_take_every_chunk_once(self, monkeypatch):
+        ref = _one_chunk("heston", "nodal")
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ens = _run("heston", "nodal", threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(ens.paths, ref.paths)
+        assert np.array_equal(ens.log_weights, ref.log_weights)
 
 
 def _tail_rejected(call, error) -> bool:
@@ -648,9 +676,8 @@ class TestNodes:
             full.component_at(-1, 3)
 
     @pytest.mark.parametrize("name", ["bergomi", "heston"])
-    def test_terminal_only_peak_memory_is_flat_in_paths(self, monkeypatch, name):
-        # a small budget makes every run span several 1024-path chunks
-        monkeypatch.setattr(sve_sim, "_CHUNK_BYTES", 1 << 16)
+    def test_terminal_only_peak_memory_is_flat_in_paths(self, name):
+        # 1024-path chunks: every run spans several
         model, grid = INVARIANCE_MODELS[name], TimeGrid(1.0, 16)
         peaks = []
         for n_paths in (4096, 16384):
@@ -662,26 +689,44 @@ class TestNodes:
         kept_growth = (16384 - 4096) * 16
         assert peaks[1] - peaks[0] <= kept_growth + (64 << 10)
 
-    def test_heston_price_moments_hold_no_volatility_path(self):
-        # one chunk needs its draws, dW, one history block and its (rows, 2)
-        # output; the (rows, n+1) volatility and (rows, n) sigma arrays of a
-        # reduction after the history loop would add about 4 MiB
-        model, grid, rows, n, width = INVARIANCE_MODELS["heston"], TimeGrid(1.0, 64), 4096, 64, 1024
-        assert sve_sim._chunk_rows(n) >= rows and sve_sim._HISTORY_PATHS == width
+    def test_heston_price_moments_peak_at_one_chunk_of_scratch(self):
+        # 16384 paths at n=128 hold one 1024-path chunk's normals (which
+        # become dW in place) and history block, plus the (m, v) columns;
+        # no (rows, n+1) volatility or sigma array.  Chunks of 16384 paths
+        # held 16 MiB of normals and 16 MiB of dW
+        model, grid, n_paths, n = INVARIANCE_MODELS["heston"], TimeGrid(1.0, 128), 16384, 128
+        rows = sve_sim._CHUNK_PATHS
+        assert rows == sve_sim._HISTORY_PATHS == 1024
 
         def run():
-            simulate(model, small_time_ldp(0.3), grid, rows, seed=3, threads=1, components=[1],
-                     _reduce=sve_sim.PRICE_MOMENTS)
+            simulate(model, small_time_ldp(0.3), grid, n_paths, seed=3, threads=1,
+                     components=[1], _reduce=sve_sim.PRICE_MOMENTS)
 
         run()  # the kernel weights and Philox set-up are cached by now
         tracemalloc.start()
         run()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        draws = dW = rows * n * 8
-        block = (2 * n + n + 1) * width * 8  # history rows and the block's volatility
-        outputs = 2 * rows * 2 * 8  # the chunk's (m, v) and the run's
-        assert peak <= draws + dW + block + outputs
+        normals = rows * n * 8
+        block = (2 * n + n + 1) * rows * 8  # history rows and the block's volatility
+        outputs = (n_paths + rows) * 2 * 8  # the run's (m, v) and one chunk's
+        assert peak <= normals + block + outputs + (512 << 10)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", ["bergomi", "heston"])
+    def test_no_scratch_outlives_the_run(self, name, threads):
+        model, grid = INVARIANCE_MODELS[name], TimeGrid(1.0, 64)
+        run = functools.partial(
+            simulate, model, small_time_ldp(0.3), grid, 5000, seed=3, threads=threads, nodes=[64]
+        )
+        run()  # the factor and kernel weights are cached by now
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        ens = run()
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        # a worker's scratch is over 1 MiB (1024 paths of 2n or 3n normals)
+        assert held <= ens.paths.nbytes + (64 << 10)
 
 
 def _moments_loop(model, regime, grid, Y, dWs, dw_perp):
@@ -744,7 +789,7 @@ class TestPriceMoments:
     @pytest.mark.parametrize("n_paths", [10, 130, 2100])
     def test_heston_history_sums_match_the_loop(self, monkeypatch, n_paths):
         model, regime, grid = INVARIANCE_MODELS["heston"], small_time_ldp(0.3), TimeGrid(1.0, 137)
-        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 100)
         run = functools.partial(simulate, model, regime, grid, n_paths, seed=21, components=[1])
         got = run(_reduce=sve_sim.PRICE_MOMENTS).paths
         Y = simulate(model, regime, grid, n_paths, seed=21).paths[:, :, 1:]
@@ -764,7 +809,7 @@ class TestPriceMoments:
             _reduce=sve_sim.PRICE_MOMENTS,
         )
         ref = run(threads=1).paths
-        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 100)
         assert np.array_equal(run(threads=1).paths, ref)
         assert np.array_equal(run(threads=3).paths, ref)
 
@@ -808,7 +853,7 @@ class TestNormalStreams:
 
 
 def _heston_oracle(model, regime, grid, dW):
-    """Path-major double sum of the _heston_volatility docstring formula."""
+    """Path-major double sum of the _HestonHistory docstring formula."""
     n, h, H = grid.n_steps, grid.dt, model.hurst
     c0 = power_law(H).moment0(np.arange(n + 1) * h)
     mom = np.diff(c0)
@@ -851,7 +896,7 @@ class TestHestonHistory:
         model = RoughHeston(kappa=1.0, theta=0.04, xi=xi, rho=-0.7, y0=0.04, hurst=H)
         grid = TimeGrid(1.0, n)
         dW = np.random.default_rng(4).normal(size=(12, n)) * math.sqrt(grid.dt)
-        got = sve_sim._heston_volatility(model, regime, grid, dW, 1019)
+        got = sve_sim._HestonHistory(model, regime, grid).volatility(dW, 1019)
         ref = _heston_oracle(model, regime, grid, dW)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -867,14 +912,14 @@ class TestHestonHistory:
     @pytest.mark.parametrize("n_paths, width", [(10, 64), (130, 192), (961, 1024), (2100, 1024)])
     def test_history_width_follows_the_run_not_the_chunk(self, monkeypatch, n_paths, width):
         seen = set()
-        history = sve_sim._heston_volatility
+        history = sve_sim._HestonHistory
 
-        def recording(model, regime, grid, dW, first, width, sums=False):
+        def recording(model, regime, grid, width):
             seen.add(width)
-            return history(model, regime, grid, dW, first, width, sums)
+            return history(model, regime, grid, width)
 
-        monkeypatch.setattr(sve_sim, "_heston_volatility", recording)
-        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(100))
+        monkeypatch.setattr(sve_sim, "_HestonHistory", recording)
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 100)
         simulate(INVARIANCE_MODELS["heston"], small_time_ldp(0.3), SMALL_GRID, n_paths, seed=1)
         assert seen == {width}
 
@@ -887,7 +932,7 @@ class TestHestonHistory:
     ):
         model = INVARIANCE_MODELS["heston"]
         ref = _heston_block_reference()
-        monkeypatch.setattr(sve_sim, "_chunk_rows", _fixed_rows(chunk))
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", chunk)
         ens = simulate(model, small_time_ldp(0.3), SMALL_GRID, 2100, seed=21, threads=threads)
         assert np.array_equal(ens.paths, ref.paths)
 
