@@ -539,7 +539,6 @@ class TestChunkInvariance:
         if control != "plain":
             assert np.array_equal(ens.log_weights, ref.log_weights)
 
-
     # more workers than cores take 3-path chunks under a very short switch
     # interval: a chunk that no worker took would leave its rows as the
     # uninitialised output, and a scratch shared by two workers would mix
