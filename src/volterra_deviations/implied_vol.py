@@ -228,31 +228,46 @@ def mc_smile(
         model, small_time_ldp(t), TimeGrid(1.0, n_steps), n_paths, seed, threads=threads,
         components=[1], _reduce=PRICE_MOMENTS,
     )
-    c = t ** (0.5 - model.min_hurst)
-    mean, var = c * ens.paths[:, 0], c * c * ens.paths[:, 1]
-    fwd = np.exp(mean + 0.5 * var)
-    dev = fwd - 1.0
-    dev_c = dev - dev.mean()
+    bump, c = ens.bump, t ** (0.5 - model.min_hurst)
+    # priced in place: mean, sd, fwd, dev_c and two strike buffers are the
+    # (n_paths,) arrays alive at once, plus one inside each var()
+    mean, sd = c * ens.paths[:, 0], c * c * ens.paths[:, 1]
+    del ens
+    fwd = 0.5 * sd
+    fwd += mean
+    np.exp(fwd, out=fwd)
+    dev_c = fwd - 1.0
+    dev_c -= dev_c.mean()
     var_f = float(np.mean(dev_c * dev_c))
-    sd = np.sqrt(var)
-    vol = sd > 0.0
-    sd_safe = np.where(vol, sd, 1.0)
+    np.sqrt(sd, out=sd)
+    dead = np.flatnonzero(~(sd > 0.0))  # no volatility: the intrinsic value
+    sd[dead] = 1.0
+    buf, calls = np.empty_like(sd), np.empty_like(sd)
     out = []
     for k in strikes:
         strike = math.exp(k)
-        d2 = (mean - k) / sd_safe
-        calls = np.where(
-            vol, fwd * ndtr(d2 + sd) - strike * ndtr(d2), np.maximum(fwd - strike, 0.0)
-        )
-        beta = float(np.mean((calls - calls.mean()) * dev_c)) / var_f if var_f > 0.0 else 0.0
-        resid = calls - beta * dev
+        d2 = np.subtract(mean, k, out=buf)
+        d2 /= sd
+        np.add(d2, sd, out=calls)
+        ndtr(calls, out=calls)
+        calls *= fwd
+        ndtr(d2, out=d2)
+        d2 *= strike
+        calls -= d2
+        calls[dead] = np.maximum(fwd[dead] - strike, 0.0)
+        centred = np.subtract(calls, calls.mean(), out=buf)
+        centred *= dev_c
+        beta = float(centred.mean()) / var_f if var_f > 0.0 else 0.0
+        resid = np.subtract(fwd, 1.0, out=buf)
+        resid *= beta
+        np.subtract(calls, resid, out=resid)
         price = float(resid.mean())
         var_r = float(resid.var(ddof=1))
         se_price = math.sqrt(var_r / n_paths)
         diag = dict(
             control_coef=beta,
             variance_ratio=float(calls.var(ddof=1)) / var_r if var_r > 0.0 else math.nan,
-            bump=ens.bump,
+            bump=bump,
         )
         intrinsic = max(1.0 - strike, 0.0)
         flag = None

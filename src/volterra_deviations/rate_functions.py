@@ -36,7 +36,9 @@ exactly and runs the deterministic multi-starts: a price target's rate is
 the unconstrained minimum of E + (x - g)^2 / (2 D) (the Forde-Zhang form),
 the infimum over the ray x' >= x > 0 that of E + max(x - g, 0)^2 / (2 D),
 and a volatility target is affine in the volatility block with a constant
-gradient and is met by projecting onto that hyperplane.  L-BFGS runs in the
+gradient and is met by projecting onto that hyperplane.  The module's own
+L-BFGS (``_lbfgs``, with the Moré-Thuente line search of MINPACK-2 and the
+constants of L-BFGS-B, without importing scipy.optimize) runs in the
 scaled variables q = p sqrt(curvature), in which every coordinate of the
 energy has unit curvature at the start: the raw curvatures differ by orders
 of magnitude (w ~ h for a v node, w / (xi^2 y0) for a rough Heston z node,
@@ -61,7 +63,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 from .errors import (
     DegenerateCoefficients,
@@ -807,12 +808,14 @@ def ldp_rate_terminal(
     inf_(x' on the ray) I(x') from one solve (the hinge of ``_reduced``);
     the attained x' is the terminal price value of ``optimal_path``.
 
-    The target is met exactly (``_reduced``); L-BFGS (ftol 1e-13, gtol 1e-8)
-    runs on the scaled volatility block from deterministic multi-starts at
-    constant controls scaled by the target offset, each recorded in
-    ``diagnostics["starts"]`` (level, energy, attained terminal value,
-    violation, iterations, evaluations, D, lam = dI/dx, converged, grad_norm,
-    skipped); a ray solve's violation is the one-sided distance to the ray.
+    The target is met exactly (``_reduced``); L-BFGS (``_lbfgs``: ftol
+    1e-13, gtol 1e-8) runs on the scaled volatility block from deterministic
+    multi-starts at constant controls scaled by the target offset, each
+    recorded in ``diagnostics["starts"]`` (level, energy, attained terminal
+    value, violation, iterations, evaluations, D, lam = dI/dx, converged,
+    stop -- why the run ended: 'gtol', 'ftol', 'maxiter', 'maxfun' or
+    'line_search' -- grad_norm, skipped); a ray solve's violation is the
+    one-sided distance to the ray.
     DomainError for a non-finite ``x`` (or x = 0 with ``ray``); SolverFailure
     when every start is degenerate or non-finite, or none converged.
     """
@@ -885,6 +888,224 @@ def _reduced(q, obj: _Objective, root: np.ndarray, plane):
     return en, g_q - lam * beta, p, lam, D
 
 
+# L-BFGS with the constants L-BFGS-B applies to an unbounded problem
+_MEMORY = 10
+_GTOL, _FTOL = 1e-8, 1e-13
+_MAX_ITER, _MAX_FUN = 3000, 15000
+# Moré-Thuente line search: sufficient decrease, curvature, interval width
+_LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+_STPMAX, _LS_MAX_FUN = 1e10, 20
+_CONVERGED = ("gtol", "ftol")
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """MINPACK-2's dcstep: a safeguarded step and the updated interval.
+
+    (stx, fx, dx) is the best step so far, (sty, fy, dy) the interval's
+    other end and (stp, fp, dp) the trial, each with the value and the
+    directional derivative there.  Returns (stx, fx, dx, sty, fy, dy, stp,
+    brackt).  IEEE arithmetic as in the Fortran: a degenerate cubic gives
+    inf or NaN, never an exception.
+    """
+    stx, fx, dx, sty, fy, dy, stp, fp, dp = np.float64(
+        [stx, fx, dx, sty, fy, dy, stp, fp, dp]
+    )
+    opposite = (dp < 0.0 < dx) or (dx < 0.0 < dp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if fp > fx:  # higher value: the minimum is bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp < stx:
+                gamma = -gamma
+            r = ((gamma - dx) + theta) / (((gamma - dx) + gamma) + dp)
+            stpc = stx + r * (stp - stx)
+            stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+            stpf = stpc if abs(stpc - stx) < abs(stpq - stx) else stpc + (stpq - stpc) / 2.0
+            brackt = True
+        elif opposite:  # the derivative changes sign: bracketed
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+            if stp > stx:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dx)
+            stpc = stp + r * (stx - stp)
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            brackt = True
+        elif abs(dp) < abs(dx):  # lower value, same sign, smaller slope
+            theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+            s = max(abs(theta), abs(dx), abs(dp))
+            gamma = s * np.sqrt(max(0.0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+            if stp > stx:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / ((gamma + (dx - dp)) + gamma)
+            if r < 0.0 and gamma != 0.0:
+                stpc = stp + r * (stx - stp)
+            else:
+                stpc = stpmax if stp > stx else stpmin
+            stpq = stp + (dp / (dp - dx)) * (stx - stp)
+            if brackt:
+                stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+                edge = stp + 0.66 * (sty - stp)
+                stpf = min(edge, stpf) if stp > stx else max(edge, stpf)
+            else:
+                stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+                stpf = max(stpmin, min(stpmax, stpf))
+        elif brackt:  # lower value, same sign, no smaller slope
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            r = ((gamma - dp) + theta) / (((gamma - dp) + gamma) + dy)
+            stpf = stp + r * (sty - stp)
+        else:
+            stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _search(phi, f0, g0, stp):
+    """Moré-Thuente line search (MINPACK-2's dcsrch) from step ``stp``.
+
+    phi(a) returns the value and the directional derivative at step a; f0
+    and g0 < 0 are those at 0.  A step is accepted on convergence (the
+    strong Wolfe conditions with ftol 1e-3 and gtol 0.9) or on one of
+    dcsrch's warnings (rounding errors, interval below xtol, a bound
+    reached), as L-BFGS-B accepts it; the accepted step is always the last
+    one evaluated.  A trial with a non-finite value or derivative is never
+    accepted: the step is bisected back toward the best step so far.
+    Returns (step, evaluations), step None when 20 evaluations do not
+    settle it.
+    """
+    stpmin, stpmax = 0.0, _STPMAX
+    brackt, stage = False, 1
+    gtest = _LS_FTOL * g0
+    width = stpmax - stpmin
+    width1 = width / 0.5
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for nfev in range(1, _LS_MAX_FUN + 1):
+        f, g = phi(stp)
+        if not (math.isfinite(f) and math.isfinite(g)):
+            back = stx + 0.5 * (stp - stx)
+            if not math.isfinite(back) or back in (stx, stp):
+                return None, nfev
+            stp = back
+            continue
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0.0:
+            stage = 2
+        if (
+            (f <= ftest and abs(g) <= _LS_GTOL * -g0)
+            or (brackt and (stp <= stmin or stp >= stmax))
+            or (brackt and stmax - stmin <= _LS_XTOL * stmax)
+            or (stp == stpmax and f <= ftest and g <= gtest)
+            or (stp == stpmin and (f > ftest or g >= gtest))
+        ):
+            return stp, nfev
+        if stage == 1 and fx >= f > ftest:
+            # dcstep on the modified function f - f0 - stp gtest
+            stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest, gy - gtest,
+                stp, f - stp * gtest, g - gtest, brackt, stmin, stmax,
+            )
+            fx, fy = fxm + stx * gtest, fym + sty * gtest
+            gx, gy = gxm + gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, brackt, stmin, stmax
+            )
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:  # too slow a shrink: bisect
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, stpmin), stpmax)
+        if brackt and (stp <= stmin or stp >= stmax or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx  # no progress is possible: end on the best step
+    return None, _LS_MAX_FUN
+
+
+def _lbfgs(fun, x):
+    """Minimize fun, x -> (value, gradient), from x by L-BFGS.
+
+    The constants are those L-BFGS-B uses on an unbounded problem: the last
+    10 curvature pairs with H0 = (s.y / y.y) I in the two-loop recursion
+    (Liu and Nocedal, 1989), a first step min(1/||g||, 1e10) and unit steps
+    after it, and the Moré-Thuente line search (``_search``).  A pair with
+    s.y <= eps (-g.d stp) is skipped.  A failed line search drops the memory
+    and retries once from steepest descent; with the memory already empty
+    the run ends.  Returns (x, iterations, evaluations, stop), stop the
+    reason the run ended: 'gtol' (max |g| <= 1e-8), 'ftol' (the value fell
+    by at most 1e-13 max(|f_old|, |f|, 1) in a step), 'maxiter' (3000
+    iterations), 'maxfun' (15000 evaluations) or 'line_search'; the first
+    two count as converged.  x is always a point where fun was finite,
+    unless it was not finite at the start.
+    """
+    f, g = fun(x)
+    nit, nfev = 0, 1
+    mem = []  # (s, y, s.y), oldest first
+    if not (math.isfinite(f) and np.all(np.isfinite(g))):
+        return x, nit, nfev, "line_search"
+    stop = "gtol" if np.max(np.abs(g)) <= _GTOL else None
+    while stop is None:
+        d = -g  # d = -H g by the two-loop recursion
+        alphas = []
+        for s, y, sy in reversed(mem):
+            alphas.append(float(s @ d) / sy)
+            d -= alphas[-1] * y
+        if mem:
+            s, y, sy = mem[-1]
+            d *= sy / float(y @ y)
+        for (s, y, sy), a in zip(mem, reversed(alphas)):
+            d += (a - float(y @ d) / sy) * s
+        gd = float(g @ d)
+        trial = {}
+
+        def phi(a):
+            xa = x + a * d
+            fa, ga = fun(xa)
+            trial.update(x=xa, f=fa, g=ga)
+            return fa, float(ga @ d)
+
+        first = min(1.0 / np.linalg.norm(d), _STPMAX) if nit == 0 else 1.0
+        stp, used = _search(phi, f, gd, first) if gd < 0.0 else (None, 0)
+        nfev += used
+        if stp is None:
+            if not mem:
+                stop = "line_search"
+                break
+            mem.clear()
+            continue
+        nit += 1
+        f_old, g_old = f, g
+        x, f, g = trial["x"], trial["f"], trial["g"]
+        if np.max(np.abs(g)) <= _GTOL:
+            stop = "gtol"
+        elif f_old - f <= _FTOL * max(abs(f_old), abs(f), 1.0):
+            stop = "ftol"
+        elif nit >= _MAX_ITER:
+            stop = "maxiter"
+        elif nfev >= _MAX_FUN:
+            stop = "maxfun"
+        sy = (float(g @ d) - gd) * stp
+        if sy > np.finfo(float).eps * (-gd * stp):
+            mem = mem[1 - _MEMORY:] + [(stp * d, g - g_old, sy)]
+    return x, nit, nfev, stop
+
+
 def _run_reduced(obj: _Objective, offset: float) -> RateResult:
     root = np.sqrt(obj.curvature)
     plane = _target_plane(obj, root)
@@ -895,20 +1116,14 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
             q[-1] = 0.0
         entry = {"level": level, "energy": None, "attained": None, "violation": None,
                  "iterations": 0, "evaluations": 0, "D": None, "lam": None,
-                 "converged": False, "grad_norm": None, "skipped": None}
+                 "converged": False, "stop": None, "grad_norm": None, "skipped": None}
         starts.append(entry)
         D = _reduced(q, obj, root, plane)[4]
         if not D >= _MIN_D:
             entry.update(D=float(D), skipped=f"D = {D:.3e} below {_MIN_D:.0e}")
             continue
-        res = _minimize(
-            lambda s: _reduced(s, obj, root, plane)[:2],
-            q,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 3000, "ftol": 1e-13, "gtol": 1e-8},
-        )
-        _, grad, p, lam, D = _reduced(res.x, obj, root, plane)
+        q, nit, nfev, stop = _lbfgs(lambda s: _reduced(s, obj, root, plane)[:2], q)
+        _, grad, p, lam, D = _reduced(q, obj, root, plane)
         en, tgt, ctrl, path = obj.result(p, lam)
         miss = tgt - obj.target
         if obj.ray:  # only falling short of the ray counts
@@ -917,11 +1132,12 @@ def _run_reduced(obj: _Objective, offset: float) -> RateResult:
             energy=float(en),
             attained=float(tgt),
             violation=float(abs(miss)),
-            iterations=int(res.nit),
-            evaluations=int(res.nfev),
+            iterations=nit,
+            evaluations=nfev,
             D=float(D),
             lam=float(lam),
-            converged=bool(res.success),
+            converged=stop in _CONVERGED,
+            stop=stop,
             grad_norm=float(np.max(np.abs(grad))),
         )
         if math.isfinite(en) and (best is None or en < best[0]["energy"]):

@@ -314,7 +314,8 @@ class TestRateCommand:
         assert all(s["violation"] <= 1e-4 for s in rep["starts"])
         assert all(s["evaluations"] >= s["iterations"] for s in rep["starts"])
         assert all(s["D"] > 0.0 for s in rep["starts"])
-
+        # each start says why its L-BFGS run ended
+        assert all(s["stop"] in ("gtol", "ftol") for s in rep["starts"])
 
     @pytest.mark.parametrize("terminal", ["x=nan", "x=inf", "y=-inf", "x=abc"])
     def test_minimize_rejects_non_finite_terminal(self, tmp_path, terminal):

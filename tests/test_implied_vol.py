@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from volterra_deviations.errors import DegenerateCoefficients, InvalidModel, PriceOutOfBounds
@@ -381,6 +382,70 @@ class TestMcSmile:
         pts = mc_smile(mod, 0.01, [3.0], 2000, seed=7, n_steps=32)
         assert len(pts) == 1
         assert pts[0].flag in ("clipped_to_intrinsic", "price_out_of_bounds")
+
+    def test_pricing_equals_the_mixing_formula_bit_for_bit(self, monkeypatch):
+        # (m, v) moments with some zero-variance paths, priced by the plain
+        # array formulas: every estimate must agree to the last bit
+        from types import SimpleNamespace
+
+        rng = np.random.default_rng(12)
+        n, t, strikes = 4000, 0.04, [-0.05, 0.0, 0.02, 0.08]
+        paths = np.column_stack([rng.normal(-0.01, 0.05, n), rng.uniform(0.0, 0.02, n)])
+        paths[rng.choice(n, 40, replace=False), 1] = 0.0
+        monkeypatch.setattr(
+            implied_vol_module, "simulate",
+            lambda *args, **kwargs: SimpleNamespace(paths=paths.copy(), bump=0.5),
+        )
+        model = MC_MODELS["heston"]
+        pts = mc_smile(model, t, strikes, n, seed=1)
+        c = t ** (0.5 - model.min_hurst)
+        mean, var = c * paths[:, 0], c * c * paths[:, 1]
+        fwd = np.exp(mean + 0.5 * var)
+        dev = fwd - 1.0
+        dev_c = dev - dev.mean()
+        var_f = float(np.mean(dev_c * dev_c))
+        sd = np.sqrt(var)
+        vol = sd > 0.0
+        sd_safe = np.where(vol, sd, 1.0)
+        for k, pt in zip(strikes, pts):
+            d2 = (mean - k) / sd_safe
+            calls = np.where(
+                vol, fwd * ndtr(d2 + sd) - math.exp(k) * ndtr(d2), np.maximum(fwd - math.exp(k), 0.0)
+            )
+            beta = float(np.mean((calls - calls.mean()) * dev_c)) / var_f
+            resid = calls - beta * dev
+            var_r = float(resid.var(ddof=1))
+            sig = implied_vol(float(resid.mean()), t, k)
+            assert pt.flag is None and pt.bump == 0.5
+            assert pt.control_coef == beta
+            assert pt.variance_ratio == float(calls.var(ddof=1)) / var_r
+            assert pt.sigma_hat == sig
+            assert pt.stderr == math.sqrt(var_r / n) / _vega(t, k, sig)
+
+    def test_pricing_peak_memory_per_path(self, monkeypatch):
+        # from the ensemble's return to the smile points the pricing holds
+        # (m, v), mean, sd, fwd, dev_c and two strike buffers, 56 B a path
+        # (the array-per-expression form held about 121 B a path)
+        import tracemalloc
+
+        simulate, base = implied_vol_module.simulate, []
+
+        def measured(*args, **kwargs):
+            ens = simulate(*args, **kwargs)
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0] - ens.paths.nbytes)
+            return ens
+
+        monkeypatch.setattr(implied_vol_module, "simulate", measured)
+        n = 50_000
+        tracemalloc.start()
+        try:
+            pts = mc_smile(MC_MODELS["heston"], 0.04, [-0.1, 0.0, 0.1], n, seed=3, n_steps=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(math.isfinite(p.sigma_hat) for p in pts)
+        assert peak - base[0] <= 64 * n + 65536
 
 
 # (function, positional arguments): each with a NaN or infinite maturity or strike

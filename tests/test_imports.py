@@ -7,8 +7,20 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # together these added about half a second to every cold start while the
 # package called one function from them (fftconvolve, norm.cdf/pdf);
-# scipy.fft and scipy.special give the same values
-HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.integrate")
+# scipy.fft and scipy.special give the same values.  scipy.optimize (with
+# the scipy.linalg, scipy.sparse and scipy.spatial it loads) cost about
+# 0.14 s and 23 MB of every start for one L-BFGS driver, now in
+# rate_functions
+HEAVY = (
+    "scipy.signal",
+    "scipy.stats",
+    "scipy.interpolate",
+    "scipy.integrate",
+    "scipy.optimize",
+    "scipy.linalg",
+    "scipy.sparse",
+    "scipy.spatial",
+)
 
 
 def test_package_import_loads_no_heavy_scipy_subpackage():

@@ -719,6 +719,21 @@ class TestExactConstraint:
         assert zero["skipped"] and zero["energy"] is None and zero["iterations"] == 0
         assert sum(s["skipped"] is None for s in starts) >= 2
 
+    def test_every_start_names_why_it_stopped(self):
+        # tail rough Heston at rho = 0.3: levels -2 to 0 are degenerate, level 1
+        # fails and level 2 alone converges; each run start says why it ended
+        hes = RoughHeston(kappa=1.0, theta=0.04, xi=0.3, rho=0.3, y0=0.04, hurst=H)
+        starts = tail_rate_terminal(hes, 1.0, 1.0, n_steps=64).diagnostics["starts"]
+        by_level = {s["level"]: s for s in starts}
+        assert all(by_level[lv]["stop"] is None for lv in (-2.0, -1.0, 0.0))
+        reasons = ("gtol", "ftol", "maxiter", "maxfun", "line_search")
+        for s in starts:
+            if s["skipped"] is None:
+                assert s["stop"] in reasons
+                assert s["converged"] == (s["stop"] in ("gtol", "ftol"))
+        assert not by_level[1.0]["converged"]
+        assert by_level[2.0]["stop"] in ("gtol", "ftol")
+
     def test_y_psi_needs_a_constant_zeta(self):
         # sum w v is not affine in rough Heston's forcing z = zeta(vphi) v
         with pytest.raises(NotApplicable, match="y_psi"):
