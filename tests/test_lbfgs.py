@@ -3,8 +3,8 @@
 The oracles are independent of the rate problems: minimisers known in closed
 form, the strong Wolfe conditions on Moré and Thuente's line-search test
 functions ("Line search algorithms with guaranteed sufficient decrease",
-ACM TOMS 1994, Table 1 onwards), and an objective that is finite only
-inside a ball.
+ACM TOMS 1994, the functions of their numerical results), and an objective
+that is finite only inside a ball.
 """
 
 import math
@@ -76,7 +76,7 @@ class TestLineSearch:
         assert step is not None and 1 <= evaluations == len(seen) <= 20
         f, g = phi(step)
         assert f <= f0 + C1 * step * g0
-        if name[0] in "2 3":
+        if name[0] in "23":
             assert f == min(fs for fs, _ in seen)
         else:
             assert abs(g) <= C2 * abs(g0)
@@ -90,11 +90,18 @@ class TestLineSearch:
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_a_non_finite_trial_is_bisected_back(self, bad):
         # finite only for a < 1; the minimum of (a - 3)^2 / 2 is beyond it
+        seen = []
+
         def phi(a):
+            seen.append(a)
             return (bad, bad) if a >= 1.0 else (0.5 * (a - 3.0) ** 2, a - 3.0)
 
-        step, _ = _search(phi, *phi(0.0), 8.0)
-        assert step is None or (step < 1.0 and math.isfinite(phi(step)[0]))
+        f0, g0 = phi(0.0)
+        seen.clear()
+        step, evaluations = _search(phi, f0, g0, 8.0)
+        # halved toward the best step (0) until finite; 0.5 is strong Wolfe
+        assert seen == [8.0, 4.0, 2.0, 1.0, 0.5]
+        assert (step, evaluations) == (0.5, 5)
 
 
 def _quadratic(dim=20, low=1.0, cond=1e4, seed=7):
@@ -147,7 +154,7 @@ class TestDriver:
         # Hessian eigenvalues 1e-7 ... 1e-3: near max |g| = 1e-8 the value
         # still falls by more than 1e-13 a step, so the gradient test, not
         # the relative-decrease one, ends the run (with eigenvalues 1 ... 1e4
-        # the decrease test ends it near max |g| = 1e-6, as in L-BFGS-B)
+        # the decrease test ends it near max |g| = 1e-5, as in L-BFGS-B)
         fun, x_star, hess = _quadratic(low=1e-7)
         lam = np.linalg.eigvalsh(hess)
         assert lam[-1] / lam[0] == pytest.approx(1e4, rel=1e-6)
@@ -171,7 +178,7 @@ class TestDriver:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_no_non_finite_point_is_accepted(self, searches, bad):
-        # finite inside the unit ball only, minimum (3, 1) outside it
+        # finite only inside the ball of radius 0.7; the minimum (3, 1) is outside
         centre, radius = np.array([3.0, 1.0]), 0.7
 
         def fun(x):
