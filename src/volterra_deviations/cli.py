@@ -591,6 +591,8 @@ def _cmd_verify(args) -> int:
         "reference_rate": rep.reference_rate,
         "relative_gap": rep.relative_gap,
         "used_importance_sampling": rep.used_importance_sampling,
+        "ess": rep.ess,  # tuples serialise as arrays; None without importance sampling
+        "max_weight_shares": rep.max_weight_shares,
     }
     _write_json(args.out, payload)
     return 0

@@ -39,6 +39,7 @@ __all__ = [
     "EventSpec",
     "DeviationExperiment",
     "SlopeReport",
+    "LevelEstimate",
     "estimate_event_prob",
     "ldp_slope",
     "build_is_control",
@@ -114,7 +115,9 @@ class SlopeReport:
     """The sweep's levels, their fit and how each level was simulated.
 
     ``bumps`` holds each level's Cholesky bump (``PathEnsemble.bump``); every
-    level runs on the experiment's grid, so they are equal.
+    level runs on the experiment's grid, so they are equal.  Under importance
+    sampling ``ess`` and ``max_weight_shares`` hold each level's weight
+    diagnostics (``LevelEstimate``); both are None without it.
     """
 
     epsilons: tuple
@@ -129,10 +132,35 @@ class SlopeReport:
     relative_gap: float | None
     used_importance_sampling: bool
     bumps: tuple
+    ess: tuple | None = None
+    max_weight_shares: tuple | None = None
 
 
-def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None = None):
-    """(p_hat, stderr, hits) at one level; importance-sampled when a control is set."""
+@dataclass(frozen=True)
+class LevelEstimate:
+    """One level's estimate; it unpacks as (p_hat, stderr, hits).
+
+    Under importance sampling ``ess`` is the Kong effective sample size
+    (sum w)^2 / sum w^2 of the level's weights and ``max_weight_share`` its
+    largest weight over their sum (n_paths and 1 / n_paths for equal weights);
+    both are None without importance sampling.
+    """
+
+    p_hat: float
+    stderr: float
+    hits: int
+    ess: float | None = None
+    max_weight_share: float | None = None
+
+    def __iter__(self):
+        return iter((self.p_hat, self.stderr, self.hits))
+
+
+def estimate_event_prob(
+    exp: DeviationExperiment, eps: float, seed: int | None = None
+) -> LevelEstimate:
+    """The level's ``LevelEstimate`` (p_hat, stderr, hits and, under importance
+    sampling, the weight diagnostics); importance-sampled when a control is set."""
     seed = exp.seed if seed is None else seed
     regime = exp.regime(eps)
     # keep only what the indicator reads: its component at its node
@@ -144,10 +172,15 @@ def estimate_event_prob(exp: DeviationExperiment, eps: float, seed: int | None =
             exp.model, regime, exp.is_control, exp.grid, exp.n_paths, seed, **kept
         )
     hit = exp.event.indicator(ens)
-    est = hit.astype(float) if exp.is_control is None else hit * ens.weights()
+    w = None if exp.is_control is None else ens.weights()
+    est = hit.astype(float) if w is None else hit * w
     p = float(est.mean())
     se = float(est.std(ddof=1) / math.sqrt(exp.n_paths))
-    return p, se, int(np.count_nonzero(hit))
+    hits = int(np.count_nonzero(hit))
+    if w is None:
+        return LevelEstimate(p, se, hits)
+    total = float(w.sum())
+    return LevelEstimate(p, se, hits, total**2 / float(w @ w), float(w.max()) / total)
 
 
 def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
@@ -159,9 +192,10 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
     """
     if len(exp.epsilons) < 2:
         raise ValueError(f"the slope fit needs >= 2 epsilons, got {len(exp.epsilons)}")
-    ps, ses, hits, ss, fs, bumps = [], [], [], [], [], []
+    ps, ses, hits, ss, fs, bumps, levels = [], [], [], [], [], [], []
     for i, eps in enumerate(exp.epsilons):
-        p, se, h = estimate_event_prob(exp, eps, seed=exp.seed + i)
+        level = estimate_event_prob(exp, eps, seed=exp.seed + i)
+        p, se, h = level
         if h < _MIN_HITS:
             raise InsufficientHits(
                 f"only {h} hits at eps={eps}; use importance sampling"
@@ -175,11 +209,13 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         ss.append(s)
         fs.append(s * math.log(p))
         bumps.append(cholesky_bump(exp.model, exp.grid))
+        levels.append(level)
     A = np.vstack([np.ones(len(ss)), np.asarray(ss)]).T
     wgt = 1.0 / np.asarray(ss) ** 2
     W = A.T * wgt
     coef = np.linalg.solve(W @ A, W @ np.asarray(fs))
     intercept, slope = float(coef[0]), float(coef[1])
+    weighted = exp.is_control is not None
     gap = None
     if exp.reference_rate is not None and exp.reference_rate != 0.0:
         gap = abs(intercept - (-exp.reference_rate)) / abs(exp.reference_rate)
@@ -194,8 +230,10 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         slope=slope,
         reference_rate=exp.reference_rate,
         relative_gap=gap,
-        used_importance_sampling=exp.is_control is not None,
+        used_importance_sampling=weighted,
         bumps=tuple(bumps),
+        ess=tuple(lv.ess for lv in levels) if weighted else None,
+        max_weight_shares=tuple(lv.max_weight_share for lv in levels) if weighted else None,
     )
 
 

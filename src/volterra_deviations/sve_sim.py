@@ -2,12 +2,12 @@
 
 Gaussian Volterra components (Stein-Stein and Bergomi volatility drivers,
 multifactor Z factors) are sampled exactly: per driving factor the joint
-Gaussian vector (dW_1..dW_n, Z_(t_1)..Z_(t_n)) is drawn through a Cholesky
-factor of its exact covariance, whose blocks come from the kernel's cell
-integrals and autocovariance.  The dW block is dt times the identity (plus
-the Cholesky bump), so the factor's dW rows are a diagonal: dW is the diagonal
-scale of the first n normals, and Z one half-width product of all 2n normals
-with the factor's Z rows.  Non-Gaussian components (Heston volatility,
+Gaussian vector (Z_(t_1)..Z_(t_n), dW_1..dW_n) is drawn through the Cholesky
+factor of its exact covariance, Z first, whose blocks come from the kernel's
+cell integrals and autocovariance.  With Z first the factor is
+[[L_R, 0], [M, L_S]], so Z is one n x n product of the factor's n Z normals
+alone and dW one product of all 2n normals with the factor's dW rows
+(``GaussianFactor``).  Non-Gaussian components (Heston volatility,
 every log-price component) use left-point Euler with exact cell-integral
 weights, so the singular kernel is never sampled at lag zero.  Every cell
 integral is read from ``kernels.conv_weights(...).cells``, the one source of
@@ -17,9 +17,10 @@ one product with a lower-triangular Toeplitz matrix of interleaved drift and
 noise weights, taken in blocks of _HISTORY_STEPS steps: one GEMM adds the far
 history (every step before the block) to the whole block, and one short
 product per step the near history (the block's own steps).  Every model runs
-through one chunk loop over its channels: 2n normals per Gaussian factor, n
-per Euler factor (rough Heston), and n for the orthogonal price noise, the
-last channel.  ``_scales`` gives every power of eps the two rescalings apply,
+through one chunk loop over its channels, and each path's stream holds their
+normals in three sections (``_stream_ends``): n Z normals per Gaussian
+factor, then n dW normals per volatility channel (a factor's second n, rough
+Heston's Euler increments), then n for the orthogonal price noise.  ``_scales`` gives every power of eps the two rescalings apply,
 and a model's ``tail_degree`` (None: no tail rescaling) is the one tail
 catalogue.
 
@@ -55,12 +56,13 @@ n = 128).
 
 Paths run in chunks of one history width, 1024 paths aligned to the path
 index (_CHUNK_PATHS; the whole run when it is smaller), so a rough Heston
-chunk is exactly one history block.  Per-run set-up (the channels and their
-widths, the tilts, rough Heston's weights) is done once, not per chunk.  Each
+chunk is exactly one history block.  Per-run set-up (the channels, the
+stream sections drawn, the tilt, rough Heston's weights) is done once, not
+per chunk.  Each
 worker thread allocates its scratch (``_Scratch``) once per run and reuses it
-for every chunk it takes: the normals block, in which each channel's dW is
-its normals scaled in place, the Gaussian factors' Z, the volatility Y and
-rough Heston's history block.  A chunk's columns are copied into the run's
+for every chunk it takes: the normals block, in which an Euler channel's dW
+is its normals scaled in place, the Gaussian factors' Z and dW, the
+volatility Y and rough Heston's history block.  A chunk's columns are copied into the run's
 arrays before its worker takes the next chunk, and the scratch is freed when
 the run returns, so the working set is the output plus threads x one chunk's
 scratch (about 4 MiB for rough Heston at n = 128).
@@ -69,12 +71,14 @@ listed components (sorted, unique indices; all by default): each chunk
 builds its whole paths and selects before the MDP rescaling, so a kept value
 is bit for bit the one a full run returns, and a terminal-only run holds
 O(paths) memory instead of the (paths, n+1, d) tensor.  A run that does not
-keep the log price (component 0) skips it; if its orthogonal control is zero
-as well (an uncontrolled run, a kernel-section tilt), it drops the last
-channel, so each path draws only the volatility prefix of its stream (2n
-normals per Gaussian factor, n for rough Heston).  That is exact: the prefix
-of a stream does not depend on its length, and a zero orthogonal control adds
-exactly 0 to the log weight.
+keep the log price (component 0) skips it and draws each path's stream only
+up to the last section it reads or tilts: without the orthogonal noise when
+its orthogonal control is zero, and, for a Gaussian model that reads no dW
+(no ``PRICE_MOMENTS`` sums) under a tilt without a dW part (an uncontrolled
+run, a kernel-section tilt), the Z normals alone, n per factor.  Rough
+Heston always draws its n Euler increments.  That is exact: the prefix of a
+stream does not depend on its length, the log weight adds up section by
+section, and a section the tilt leaves at zero adds exactly 0 to it.
 
 Each chunk makes one ``_volatility`` call and one reducer (``_Reducer``)
 call; the per-path columns are written in path order, so a reduction over
@@ -553,13 +557,17 @@ def _check_threads(n, source: str) -> int:
 # ---------------------------------------------------------------------------
 
 class GaussianFactor:
-    """Joint law of (dW cells, Z nodes) for one Volterra factor.
+    """Joint law of (Z nodes, dW cells) for one Volterra factor.
 
-    ``chol`` is the lower Cholesky factor of the joint (2n, 2n) covariance.
-    Its dW block is (dt + bump) I, so its first n rows are sqrt(dt + bump) on
-    the diagonal and exact zeros elsewhere.  ``bump`` is the diagonal shift
-    the Cholesky factorisation needed, a 1e-12 share of the mean variance;
-    0.0 when the covariance factorised as is.
+    The joint (2n, 2n) covariance, Z first, has the lower Cholesky factor
+    [[L_R, 0], [M, L_S]]: L_R factors the nodes' autocovariance R,
+    M = cross^T L_R^-T (cross the Cov(Z, dW) block of cell integrals) and L_S
+    the Schur complement dt I - M M^T.  So Z = L_R xi_z reads a factor's first
+    n normals alone, and dW = M xi_z + L_S xi_w all 2n.  The factor keeps only
+    the rows ``sample`` and ``tilt`` read: ``z_rows`` = L_R^T (n, n) and
+    ``dw_rows`` = [M L_S]^T (2n, n).  ``bump`` is the diagonal shift the
+    Cholesky factorisation needed, a 1e-12 share of the mean variance; 0.0
+    when the covariance factorised as is.
     """
 
     def __init__(self, kernel: KernelSpec, grid: TimeGrid):
@@ -569,56 +577,64 @@ class GaussianFactor:
         t = grid.nodes[1:]
         cells = conv_weights(kernel, grid).cells
         C = np.zeros((2 * n, 2 * n))
-        C[:n, :n] = grid.dt * np.eye(n)
+        C[:n, :n] = kernel.autocovariance(t[:, None], t[None, :])
         # cross block Cov(Z_i, dW_j): the integral of K over lag cell i - j
         lag = np.arange(n)
         cross = np.tril(cells[lag[:, None] - lag[None, :]])
-        C[n:, :n] = cross
-        C[:n, n:] = cross.T
-        C[n:, n:] = kernel.autocovariance(t[:, None], t[None, :])
+        C[:n, n:] = cross
+        C[n:, :n] = cross.T
+        C[n:, n:] = grid.dt * np.eye(n)
         self.bump = 0.0
         try:
-            self.chol = np.linalg.cholesky(C)
+            chol = np.linalg.cholesky(C)
         except np.linalg.LinAlgError:
             self.bump = float(1e-12 * np.trace(C) / (2 * n))
+            C[np.diag_indices(2 * n)] += self.bump
             try:
-                self.chol = np.linalg.cholesky(C + self.bump * np.eye(2 * n))
+                chol = np.linalg.cholesky(C)
             except np.linalg.LinAlgError as exc:
                 raise FactorizationFailure(
                     "joint kernel covariance is not numerically PSD"
                 ) from exc
-        self._dw_scale = self.chol.diagonal()[:n].copy()
-        self._z_rows = np.ascontiguousarray(self.chol.T[:, n:])
+        del C  # before the row copies: the construction peaks 16 MiB lower at n = 1024
+        self.z_rows = np.ascontiguousarray(chol[:n, :n].T)
+        self.dw_rows = np.ascontiguousarray(chol[n:].T)
 
     def tilt(self, l_dw: np.ndarray, l_z: np.ndarray) -> np.ndarray:
-        """eta = chol.T @ (l_dw, l_z): l_dw . dW + l_z . Z_(t_1..t_n) as eta . normals."""
-        eta = self._z_rows @ l_z
-        eta[: self.grid.n_steps] += self._dw_scale * l_dw
+        """eta = chol.T @ (l_z, l_dw): l_z . Z_(t_1..t_n) + l_dw . dW as eta . (xi_z, xi_w)."""
+        eta = self.dw_rows @ l_dw
+        eta[: self.grid.n_steps] += self.z_rows @ l_z
         return eta
 
-    def sample(self, normals: np.ndarray, first: int, Z: np.ndarray | None = None):
-        """normals (paths, 2n) of paths first.. -> (dW (paths, n), Z (paths, n+1)).
+    def sample(
+        self,
+        normals: np.ndarray,
+        first: int,
+        Z: np.ndarray | None = None,
+        dW: np.ndarray | None = None,
+    ):
+        """normals of paths first.. -> (dW (paths, n) or None, Z (paths, n+1)).
 
-        The draw is normals @ chol.T: Z is one half-width product of all 2n
-        normals with the factor's Z rows, written to ``Z`` when given (its
-        first column must be zero).  Since the dW rows of ``chol`` are a
-        diagonal, dW is the first n normals times it, bit for bit the full
-        product's dW, scaled in place once Z is taken: ``normals`` ends up
-        holding dW in its first n columns.
+        ``normals`` are (xi_z, xi_w), (paths, 2n), or xi_z alone, (paths, n),
+        and the draw is the matching columns of (xi_z, xi_w) @ chol.T: Z is
+        xi_z times the Z rows, dW (only with xi_w) all 2n normals times the dW
+        rows.  Z is written to ``Z`` when given (its first column must be
+        zero) and dW to ``dW``.
         """
         n = self.grid.n_steps
         if Z is None:
             Z = np.zeros((len(normals), n + 1))
-        _aligned_matmul(normals, self._z_rows, first, out=Z[:, 1:])
-        dW = normals[:, :n]
-        dW *= self._dw_scale
-        return dW, Z
+        _aligned_matmul(normals[:, :n], self.z_rows, first, out=Z[:, 1:])
+        if normals.shape[1] == n:
+            return None, Z
+        return _aligned_matmul(normals, self.dw_rows, first, out=dW), Z
 
 
 @functools.lru_cache(maxsize=8)
 def _factor(kernel: KernelSpec, grid: TimeGrid) -> GaussianFactor:
-    """Cached factor; at n=1024 each one holds a 2048^2 Cholesky factor (32 MiB)
-    and the contiguous 2048 x 1024 copy of its Z rows that ``sample`` uses (16 MiB).
+    """Cached factor; at n=1024 each one holds its 1024^2 Z rows (8 MiB) and
+    its 2048 x 1024 dW rows (16 MiB), 24 MiB in all (its construction peaks
+    at 80 MiB, the joint covariance and Cholesky factor included).
     """
     return GaussianFactor(kernel, grid)
 
@@ -648,11 +664,12 @@ def cholesky_bump(model: Model, grid: TimeGrid) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: float) -> list:
-    """One tilt eta per channel, the volatility factors' then the orthogonal noise's.
+def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: float) -> np.ndarray:
+    """The tilt eta of a path's whole stream, in its layout (``_stream_ends``).
 
-    eta pairs with the channel's normals as s (sum v_(t_i) dW_i + sum c Z_(t_end))
-    pairs with its draws: chol.T l on a Gaussian factor, sqrt(dt) s v on Euler.
+    eta pairs with the normals as s (sum v_(t_i) dW_i + sum c Z_(t_end))
+    pairs with the draws: chol.T l on a Gaussian factor's (xi_z, xi_w),
+    sqrt(dt) s v on Euler increments.
     """
     vals = control.values.values
     if vals.ndim == 1:
@@ -662,7 +679,8 @@ def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: floa
         raise InvalidModel(
             f"control carries {n_ch} channels, model drives {n_vol} (+1 orthogonal)"
         )
-    l_z = np.zeros((len(channels), grid.n_steps))
+    n = grid.n_steps
+    l_z = np.zeros((len(channels), n))
     for sec in control.sections:
         j = sec.channel
         f = channels[j] if 0 <= j < len(channels) else None
@@ -671,11 +689,16 @@ def _plan_control(control: Control, channels: list, grid: TimeGrid, s_mult: floa
         i_end = grid.node_index(sec.t_end)
         if i_end > 0:  # Z_0 = 0: a section ending at t = 0 tilts nothing
             l_z[j, i_end - 1] += sec.coeff
-    etas = []
+    z_parts, dw_parts = [], []
     for j, f in enumerate(channels):
-        l_dw = s_mult * (vals[:-1, j] if j < n_ch else np.zeros(grid.n_steps))
-        etas.append(math.sqrt(grid.dt) * l_dw if f is None else f.tilt(l_dw, s_mult * l_z[j]))
-    return etas
+        l_dw = s_mult * (vals[:-1, j] if j < n_ch else np.zeros(n))
+        if f is None:
+            dw_parts.append(math.sqrt(grid.dt) * l_dw)
+        else:
+            eta = f.tilt(l_dw, s_mult * l_z[j])
+            z_parts.append(eta[:n])
+            dw_parts.append(eta[n:])
+    return np.concatenate(z_parts + dw_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +795,17 @@ def _check_kept(name: str, kept, size: int) -> np.ndarray:
     return arr
 
 
-def _channel_widths(channels: list, n: int) -> list:
-    """Normals per path of each channel: 2n per Gaussian factor, n per Euler one."""
-    return [n if f is None else 2 * n for f in channels]
+def _stream_ends(channels: list, n: int) -> tuple:
+    """Ends of a path's three stream sections, in normals: every Gaussian
+    factor's n Z normals (xi_z), then every volatility channel's n dW normals
+    (a factor's xi_w, an Euler channel's increments), then the orthogonal
+    noise's n.  The models' volatility channels are all Gaussian factors or
+    all Euler, so factor j's xi_z and xi_w start at j n and at the first end
+    plus j n.
+    """
+    z_end = n * sum(f is not None for f in channels)
+    dw_end = z_end + n * (len(channels) - 1)
+    return z_end, dw_end, dw_end + n
 
 
 class _Reducer(NamedTuple):
@@ -783,8 +814,10 @@ class _Reducer(NamedTuple):
     ``vol`` is what ``_volatility`` returns for the chunk: its volatility
     components (rows, n+1, m), or with ``sums`` each path's left-node sums
     (sum Sigma_i, sum sqrt(Sigma_i) dW_i per volatility channel).  ``dWs`` are
-    the channels' shifted increments, the orthogonal noise last when it is drawn.
-    Both may be views of the worker's scratch, and so may the columns fn returns.
+    the volatility channels' shifted increments when the run draws them (not
+    in a volatility-only Gaussian run), then the orthogonal noise when it is
+    drawn.  Both may be views of the worker's scratch, and so may the columns
+    fn returns.
     """
 
     fn: Callable
@@ -818,10 +851,11 @@ def _keep(nodes, comps, n_grid: int) -> _Reducer:
 class _Run(NamedTuple):
     """What every chunk of one run shares, set up once per run.
 
-    ``channels`` are the drawn channels (``_channels``, the orthogonal noise
-    dropped when the run does not read it), ``widths`` their normals per path,
-    ``etas`` their tilts (None when uncontrolled) and ``heston`` rough Heston's
-    history weights (None for the Gaussian models).
+    ``channels`` are the model's channels (``_channels``), ``ends`` the ends
+    of the stream sections the run draws (``_stream_ends``, a prefix of them;
+    Heston's empty Z section left out), ``eta`` the tilt of the drawn normals
+    (None when uncontrolled) and ``heston`` rough Heston's history weights
+    (None for the Gaussian models).
     """
 
     model: Model
@@ -829,8 +863,8 @@ class _Run(NamedTuple):
     grid: TimeGrid
     seed: int
     channels: list
-    widths: list
-    etas: list | None
+    ends: list
+    eta: np.ndarray | None
     reduce: _Reducer
     heston: _HestonHistory | None
 
@@ -838,10 +872,11 @@ class _Run(NamedTuple):
 class _Scratch:
     """One worker's chunk arrays, allocated once per run and reused by every chunk it takes.
 
-    ``normals`` holds a chunk's draws, and each channel's dW is its own
+    ``normals`` holds a chunk's draws, and an Euler channel's dW is its own
     normals scaled in place; ``Z`` has one (rows, n+1) array per Gaussian
-    factor (None on Euler channels), its first column zero; ``Y`` is the
-    Gaussian models' volatility (rows, n+1, m) and ``history`` rough
+    factor (None on Euler channels), its first column zero, and ``dW`` one
+    (rows, n) array per Gaussian factor when the run draws its xi_w; ``Y`` is
+    the Gaussian models' volatility (rows, n+1, m) and ``history`` rough
     Heston's history block (``_HestonHistory.scratch``).  A chunk of r paths
     uses the first r rows.  The reducer's columns may be views of them, so a
     chunk's output is copied out before the worker's next chunk.
@@ -849,8 +884,11 @@ class _Scratch:
 
     def __init__(self, run: _Run, rows: int):
         n = run.grid.n_steps
-        self.normals = np.empty((rows, sum(run.widths)))
-        self.Z = [None if f is None else np.zeros((rows, n + 1)) for f in run.channels]
+        vol = run.channels[:-1]
+        self.normals = np.empty((rows, run.ends[-1]))
+        self.Z = [None if f is None else np.zeros((rows, n + 1)) for f in vol]
+        draws_dw = run.ends[-1] > _stream_ends(run.channels, n)[0]
+        self.dW = [np.empty((rows, n)) if f is not None and draws_dw else None for f in vol]
         if run.heston is None:
             self.Y, self.history = np.empty((rows, n + 1, len(_hursts(run.model)))), None
         else:
@@ -880,26 +918,31 @@ def _simulate_impl(
     if reduce is None:
         reduce = _keep(nodes, comps, len(grid))
     channels = _channels(model, grid)
-    etas = None
+    eta = None
     if control is not None:
         s_mult = regime.h_eps() if regime.is_mdp else 1.0 / _scales(model, regime)[0]
-        etas = _plan_control(control, channels, grid, s_mult)
-    if comps[0] != 0 and (etas is None or not np.any(etas[-1])):
-        # the orthogonal noise ends every path's stream and, with u = 0, adds
-        # exactly 0 to the log weight: a run without the log price skips it
-        channels = channels[:-1]
-        if etas is not None:
-            etas = etas[:-1]
+        eta = _plan_control(control, channels, grid, s_mult)
+    # a run draws the stream up to the last section it reads or that its tilt
+    # touches: the Z normals always, the dW normals for the log price, the
+    # left-node sums or an Euler volatility, the orthogonal noise for the log
+    # price.  A section it skips has a zero tilt and would add exactly 0 to
+    # the log weight, and a stream's prefix does not depend on its length
+    ends = _stream_ends(channels, grid.n_steps)
+    reads = (True, comps[0] == 0 or reduce.sums or channels[0] is None, comps[0] == 0)
+    drawn = max(
+        k for k, lo in enumerate((0, *ends[:2]))
+        if reads[k] or (eta is not None and np.any(eta[lo : ends[k]]))
+    )
+    ends = [e for e in ends[: drawn + 1] if e > 0]  # Heston has no Z normals
+    if eta is not None:
+        eta = eta[: ends[-1]]
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
     heston = None
     if isinstance(model, RoughHeston):
         # the run's size, never the chunk's, sets the history width
         width = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
         heston = _HestonHistory(model, regime, grid, width)
-    run = _Run(
-        model, regime, grid, seed, channels, _channel_widths(channels, grid.n_steps), etas,
-        reduce, heston,
-    )
+    run = _Run(model, regime, grid, seed, channels, ends, eta, reduce, heston)
     rows = min(_CHUNK_PATHS, n_paths)
     chunks = (range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows))
     taking = threading.Lock()
@@ -934,33 +977,48 @@ def _simulate_impl(
 def _simulate_chunk(run: _Run, chunk: range, scratch: _Scratch):
     """The reducer's per-path columns and the log weights (None when uncontrolled).
 
-    Every array of the chunk is rows of the worker's ``scratch``: a channel's
-    dW is its normals scaled in place, a Gaussian factor's Z and the
-    volatility are written into it.
+    Every array of the chunk is rows of the worker's ``scratch``: an Euler
+    channel's dW is its normals scaled in place, a Gaussian factor's Z and dW
+    and the volatility are written into it.  The log weight adds up section by
+    section of the stream, so a run that draws a shorter prefix has the same
+    log weights as the full run, bit for bit.
     """
-    rows, first = len(chunk), chunk.start
+    rows, first, n = len(chunk), chunk.start, run.grid.n_steps
     draws = _normal_block(
-        run.seed, np.arange(first, chunk.stop), sum(run.widths), out=scratch.normals[:rows]
+        run.seed, np.arange(first, chunk.stop), run.ends[-1], out=scratch.normals[:rows]
     )
-    lw = None if run.etas is None else np.zeros(rows)
-    sqrt_h = math.sqrt(run.grid.dt)
-    dWs, Zs = [], []
-    col = 0
-    for j, (f, width) in enumerate(zip(run.channels, run.widths)):
-        block = draws[:, col : col + width]
-        col += width
-        if run.etas is not None:
-            eta = run.etas[j]
-            lw -= _aligned_matmul(block, eta, first)
+    lw = None
+    if run.eta is not None:
+        lw = np.zeros(rows)
+        lo = 0
+        for hi in run.ends:
+            eta = run.eta[lo:hi]
+            lw -= _aligned_matmul(draws[:, lo:hi], eta, first)
             lw -= 0.5 * float(eta @ eta)
-            block += eta  # the chunk's own draws
+            lo = hi
+        draws += run.eta  # the chunk's own draws
+    sqrt_h = math.sqrt(run.grid.dt)
+    z_end, dw_end, _ = _stream_ends(run.channels, n)
+    dWs, Zs = [], []
+    for j, f in enumerate(run.channels[:-1]):
+        xi_z = draws[:, j * n : (j + 1) * n]
+        xi_w = draws[:, z_end + j * n : z_end + (j + 1) * n]
         if f is None:
-            block *= sqrt_h
-            dW, Z = block, None
+            xi_w *= sqrt_h
+            dW, Z = xi_w, None
+        elif draws.shape[1] == z_end:  # a volatility-only run draws no xi_w
+            dW, Z = f.sample(xi_z, first, scratch.Z[j][:rows])
         else:
-            dW, Z = f.sample(block, first, scratch.Z[j][:rows])
-        dWs.append(dW)
+            # (xi_z, xi_w) side by side, a view of the stream for one factor
+            xi = draws[:, : 2 * n] if z_end == n else np.concatenate((xi_z, xi_w), axis=1)
+            dW, Z = f.sample(xi, first, scratch.Z[j][:rows], scratch.dW[j][:rows])
+        if dW is not None:
+            dWs.append(dW)
         Zs.append(Z)
+    if draws.shape[1] > dw_end:
+        dW = draws[:, dw_end:]
+        dW *= sqrt_h
+        dWs.append(dW)
     vol = _volatility(run, dWs, Zs, first, scratch)
     return run.reduce.fn(run.model, run.regime, run.grid, vol, dWs), lw
 

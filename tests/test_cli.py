@@ -518,6 +518,10 @@ class TestVerifyCommand:
         assert rep["relative_gap"] < 0.25
         assert len(rep["p_hats"]) == 3
         assert rep["used_importance_sampling"] is True
+        # per-level importance-weight diagnostics
+        assert len(rep["ess"]) == len(rep["max_weight_shares"]) == 3
+        assert all(1.0 < e < 20000 for e in rep["ess"])
+        assert all(1.0 / 20000 < s < 1.0 for s in rep["max_weight_shares"])
 
     def test_reports_each_level_cholesky_bump(self, tmp_path, capsys):
         bumps = {}
@@ -533,7 +537,9 @@ class TestVerifyCommand:
             }
             cfg = write(tmp_path, f"exp{hurst}.json", rec)
             assert run(["verify", "--experiment", cfg, "--deterministic"]) == 0
-            bumps[hurst] = json.loads(capsys.readouterr().out)["regularized"]
+            out = json.loads(capsys.readouterr().out)
+            bumps[hurst] = out["regularized"]
+            assert out["ess"] is None and out["max_weight_shares"] is None  # no weights
         assert bumps[0.1] == [0.0, 0.0]
         # H = 1/2 makes the joint covariance singular (Z = W), so it is bumped
         assert len(bumps[0.5]) == 2 and bumps[0.5][0] == bumps[0.5][1] > 0.0

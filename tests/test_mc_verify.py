@@ -70,6 +70,30 @@ class TestEstimateEventProb:
         assert abs(p1 - p2) <= 4.0 * math.hypot(se1, se2)
         assert (se1 / se2) ** 2 >= 10.0
 
+    def test_weight_diagnostics_are_those_of_the_level_weights(self):
+        ev = EventSpec(component=1, level=Y0 + 1.0)
+        ctrl = build_is_control(GAUSSIAN, ev, GRID, "small_time_ldp")
+        exp = experiment(event=ev, n_paths=5000, seed=7, is_control=ctrl)
+        level = estimate_event_prob(exp, 0.5)
+        ens = simulate_controlled(
+            GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 5000, 7, nodes=[64], components=[1]
+        )
+        w = np.exp(ens.log_weights)
+        assert level.ess == pytest.approx(w.sum() ** 2 / np.sum(w**2), rel=1e-12)
+        assert level.max_weight_share == pytest.approx(w.max() / w.sum(), rel=1e-12)
+        # a real tilt spreads the weights: fewer effective paths than drawn
+        assert 1.0 < level.ess < 5000
+        assert 1.0 / 5000 < level.max_weight_share < 1.0
+
+    def test_equal_weights_give_every_path_and_plain_runs_none(self):
+        zero = Control(GridFunction(GRID, np.zeros((len(GRID), 2))))
+        level = estimate_event_prob(experiment(n_paths=1000, is_control=zero), 0.5)
+        assert level.ess == 1000.0
+        assert level.max_weight_share == 1.0 / 1000
+        plain = estimate_event_prob(experiment(n_paths=1000), 0.5)
+        assert plain.ess is None and plain.max_weight_share is None
+        assert tuple(plain) == (plain.p_hat, plain.stderr, plain.hits)
+
     def test_off_grid_times_raise(self):
         ev = EventSpec(component=1, level=Y0 + 1.0, t_eval=0.503)
         with pytest.raises(KernelDomainError):
@@ -176,6 +200,14 @@ class TestLdpSlope:
         # full-strength 10% check runs in the acceptance suite
         assert rep.relative_gap <= 0.12
         assert rep.used_importance_sampling
+        # each level's weight diagnostics are its own estimate's
+        for i, e in enumerate(eps):
+            level = estimate_event_prob(exp, e, seed=exp.seed + i)
+            assert (rep.ess[i], rep.max_weight_shares[i]) == (
+                level.ess,
+                level.max_weight_share,
+            )
+            assert 1.0 < rep.ess[i] < exp.n_paths
 
     def test_slope_values_decrease_toward_intercept(self):
         ev = EventSpec(component=1, level=Y0 + 1.0)
@@ -195,6 +227,7 @@ class TestLdpSlope:
         exp = experiment(event=ev, epsilons=eps, n_paths=20_000, seed=10)
         rep = ldp_slope(exp)
         assert abs(rep.intercept) <= 0.05
+        assert rep.ess is None and rep.max_weight_shares is None  # no weights
 
     def test_insufficient_hits(self):
         ev = EventSpec(component=1, level=Y0 + 5.0)

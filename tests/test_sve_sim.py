@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 from volterra_deviations.errors import ConfigError, InvalidModel, KernelDomainError, NotApplicable
 from volterra_deviations.frac_calculus import Control, KernelSection
-from volterra_deviations.kernels import GridFunction, TimeGrid, l2_norm_sq, power_law
+from volterra_deviations.kernels import GridFunction, TimeGrid, conv_weights, l2_norm_sq, power_law
 from volterra_deviations.rate_functions import _family
 from volterra_deviations.sve_sim import (
     MultiRoughBergomi,
@@ -33,6 +33,19 @@ H = 0.1
 Y0 = math.log(0.04)
 BERGOMI = RoughBergomi(a=0.5, rho=-0.5, y0=Y0, hurst=H)
 GRID = TimeGrid(1.0, 64)
+
+
+def _count_draws(mp) -> list:
+    """Patch ``_normal_block`` through ``mp`` to record each call's normals per path."""
+    counts = []
+    normal_block = sve_sim._normal_block
+
+    def counting(seed, path_indices, count, out=None):
+        counts.append(count)
+        return normal_block(seed, path_indices, count, out)
+
+    mp.setattr(sve_sim, "_normal_block", counting)
+    return counts
 
 
 class TestModelValidation:
@@ -361,14 +374,7 @@ class TestSections:
             simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
 
     def test_off_grid_section_raises_before_drawing(self, monkeypatch):
-        draws = []
-        normal_block = sve_sim._normal_block
-
-        def counting(seed, path_indices, count, out=None):
-            draws.append(count)
-            return normal_block(seed, path_indices, count, out)
-
-        monkeypatch.setattr(sve_sim, "_normal_block", counting)
+        draws = _count_draws(monkeypatch)
         ctrl = self._ctrl(KernelSection(power_law(H), 0.503, 0.5, 0))
         with pytest.raises(KernelDomainError):
             simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
@@ -484,17 +490,20 @@ class TestChunkInvariance:
             assert ens.log_weights is None
 
     # (model, control, components) -> normals drawn per path, in units of n:
-    # the orthogonal noise is skipped only when neither the log price nor a
-    # nonzero u needs it
+    # a Gaussian factor's xi_w is skipped when neither the log price nor a
+    # nonzero v needs it, the orthogonal noise when neither the log price nor
+    # a nonzero u needs it
     @pytest.mark.parametrize(
         "name, control, components, per_step",
         [
-            ("bergomi", "plain", [1], 2),
-            ("bergomi", "section", [1], 2),
+            ("bergomi", "plain", [1], 1),
+            ("bergomi", "section", [1], 1),
             ("bergomi", "plain", None, 3),
             ("bergomi", "section", [0], 3),
             ("bergomi", "nodal", [1], 3),
-            ("multifactor", "section", [1, 2], 4),
+            ("steinstein", "section", [1], 1),
+            ("multifactor", "section", [1, 2], 2),
+            ("multifactor", "plain", [2], 2),
             ("multifactor", "plain", [0, 2], 5),
             ("heston", "plain", [1], 1),
             ("heston", "section", [1], 1),
@@ -505,16 +514,29 @@ class TestChunkInvariance:
     def test_draws_only_the_normals_the_run_reads(
         self, monkeypatch, name, control, components, per_step
     ):
-        counts = []
-        normal_block = sve_sim._normal_block
-
-        def counting(seed, path_indices, count, out=None):
-            counts.append(count)
-            return normal_block(seed, path_indices, count, out)
-
-        monkeypatch.setattr(sve_sim, "_normal_block", counting)
+        counts = _count_draws(monkeypatch)
         _run(name, control, threads=1, components=components)
         assert counts == [per_step * SMALL_GRID.n_steps]
+
+    # a volatility-only Gaussian run draws only the Z normals at the head of
+    # each path's stream, yet its Y and log weights are the full run's
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("control", ["plain", "section"])
+    @pytest.mark.parametrize("name", ["bergomi", "multifactor", "steinstein"])
+    def test_a_volatility_only_run_is_the_full_runs_volatility(
+        self, monkeypatch, name, control, threads, chunk
+    ):
+        n_vol = len(sve_sim._hursts(INVARIANCE_MODELS[name]))
+        ref = _one_chunk(name, control)
+        counts = _count_draws(monkeypatch)
+        if chunk is not None:
+            monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", chunk)
+        ens = _run(name, control, threads, components=list(range(1, n_vol + 1)))
+        assert set(counts) == {n_vol * SMALL_GRID.n_steps}
+        assert np.array_equal(ens.paths, ref.paths[:, :, 1:])
+        if control != "plain":
+            assert np.array_equal(ens.log_weights, ref.log_weights)
 
     # one worker takes a full 32-path chunk and then the 18-path rest into
     # the same scratch, whose never-written arrays start as NaN here: a read
@@ -527,7 +549,7 @@ class TestChunkInvariance:
         class Poisoned(sve_sim._Scratch):
             def __init__(self, run, rows):
                 super().__init__(run, rows)
-                for a in (self.normals, self.Y, *(self.history or ())):
+                for a in (self.normals, self.Y, *self.dW, *(self.history or ())):
                     if a is not None:
                         a.fill(np.nan)
 
@@ -762,20 +784,18 @@ class TestPriceMoments:
             seen.append(args[3:])
             return np.zeros((len(args[3]), 2))
 
-        run = functools.partial(
-            simulate, model, regime, SMALL_GRID, 50, seed=21, components=list(range(1, n_vol + 1))
-        )
-        run(_reduce=sve_sim._Reducer(capture, (2,)))  # the volatility path and increments
-        ens = run(_reduce=sve_sim.PRICE_MOMENTS)
+        run = functools.partial(simulate, model, regime, SMALL_GRID, 50, seed=21)
+        run(_reduce=sve_sim._Reducer(capture, (2,)))  # the full run's path and increments
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_draws(mp)
+            ens = run(components=list(range(1, n_vol + 1)), _reduce=sve_sim.PRICE_MOMENTS)
+        # the volatility's Z and dW normals, no price noise
+        assert counts == [sve_sim._stream_ends(sve_sim._channels(model, SMALL_GRID), n)[1]]
         ((Y, dWs),) = seen
         full = simulate(model, regime, SMALL_GRID, 50, seed=21)
         assert np.array_equal(Y, full.paths[:, :, 1:])
-        assert len(dWs) == n_vol  # no price noise drawn
-        h = SMALL_GRID.dt
-        # the full run's orthogonal noise: the last n normals of each path's stream
-        total = sum(sve_sim._channel_widths(sve_sim._channels(model, SMALL_GRID), n))
-        dw_perp = sve_sim._normal_block(21, np.arange(50), total)[:, -n:] * math.sqrt(h)
-        m, v, perp, scale = _moments_loop(model, regime, SMALL_GRID, Y, dWs, dw_perp)
+        assert len(dWs) == n_vol + 1  # the volatility increments, then the price noise
+        m, v, perp, scale = _moments_loop(model, regime, SMALL_GRID, Y, dWs[:-1], dWs[-1])
         assert np.all(np.abs(ens.paths[:, 0] - m) <= 1e-12 * scale)
         np.testing.assert_allclose(ens.paths[:, 1], v, rtol=1e-12)
         # given its volatility, the simulated log price is m plus the orthogonal part
@@ -967,6 +987,15 @@ class TestFactorCache:
         assert sve_sim._factor(power_law(H), grids[-1]) is last
 
 
+def _joint_factor(f) -> np.ndarray:
+    """The factor's (2n, 2n) lower Cholesky factor, Z first, rebuilt from its rows."""
+    n = f.grid.n_steps
+    chol = np.zeros((2 * n, 2 * n))
+    chol[:n, :n] = f.z_rows.T
+    chol[n:] = f.dw_rows.T
+    return chol
+
+
 class TestFactorBlocks:
     """Cell integrals of the factor against quad of K over each cell."""
 
@@ -986,7 +1015,8 @@ class TestFactorBlocks:
         want = [[self._cell(kernel, ti, t[j], t[j + 1]) for j in range(12)] for ti in t[1:]]
         # the Cholesky product restores the cross block to rounding; the
         # cells beyond each row's node are zero only to that rounding
-        cross = (f.chol @ f.chol.T)[12:, :12]
+        chol = _joint_factor(f)
+        cross = (chol @ chol.T)[:12, 12:]
         np.testing.assert_allclose(cross, want, rtol=1e-10, atol=1e-15)
 
     @pytest.mark.parametrize("t_end", [0.5, 1.0])
@@ -1011,33 +1041,56 @@ class TestFactorBlocks:
 
 
 class TestFactorSplit:
-    """``GaussianFactor.sample`` against the full product normals @ chol.T."""
+    """``GaussianFactor.sample`` against the full product (xi_z, xi_w) @ chol.T."""
 
     # 8, 16, 64, 128 and 256 steps are bit-identical to the full product in
-    # every BLAS thread count tried; other sizes block the half-width
-    # product's sums differently and move Z by a few ulps of max|Z|
-    EXACT_Z = (8, 16, 64, 128, 256)
+    # every BLAS thread count tried; other sizes block the narrower products'
+    # sums differently and move Z and dW by a few ulps of their max
+    EXACT = (8, 16, 64, 128, 256)
+    SIZES = [1, 8, 16, 33, 50, 64, 65, 100, 127, 128, 129, 256]
 
-    @pytest.mark.parametrize("n", [1, 8, 16, 33, 50, 64, 65, 100, 127, 128, 129, 256])
+    @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("hurst", [H, 0.5])  # 0.5: the bumped Brownian factor
     @pytest.mark.parametrize("first", [0, 37])
     def test_matches_the_full_product(self, n, hurst, first):
         f = sve_sim.GaussianFactor(power_law(hurst), TimeGrid(1.0, n))
         assert (f.bump > 0.0) == (hurst == 0.5)
-        # the split rests on this: the dW rows of chol are a diagonal and zeros
-        dw_rows = f.chol[:n, :n]
-        assert np.array_equal(dw_rows, np.diag(np.diag(dw_rows)))
-        assert not f.chol[:n, n:].any()
+        # the split rests on this: the joint factor is lower triangular, so
+        # Z reads the first n normals alone
+        chol = _joint_factor(f)
+        assert np.array_equal(chol, np.tril(chol))
         # 150 paths from 37 cover partial blocks at both edges and full ones
         normals = np.random.default_rng(n).normal(size=(150, 2 * n))
-        full = sve_sim._aligned_matmul(normals, f.chol.T, first)
+        full = sve_sim._aligned_matmul(normals, chol.T, first)
         dW, Z = f.sample(normals, first)
-        assert np.array_equal(dW, full[:, :n])
+        none, z_only = f.sample(normals[:, :n], first)
+        assert none is None
+        assert np.array_equal(z_only, Z)
         assert not Z[:, 0].any()
-        if n in self.EXACT_Z:
-            assert np.array_equal(Z[:, 1:], full[:, n:])
-        else:
-            assert np.abs(Z[:, 1:] - full[:, n:]).max() <= 1e-14 * np.abs(full[:, n:]).max()
+        for got, want in ((Z[:, 1:], full[:, :n]), (dW, full[:, n:])):
+            if n in self.EXACT:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 8, 33, 64, 128])
+    @pytest.mark.parametrize("hurst", [H, 0.3, 0.5])
+    def test_reproduces_the_joint_covariance(self, n, hurst):
+        # Z first: the nodes' autocovariance, the cell integrals Cov(Z_i, dW_j)
+        # and dt I, plus the bump on the diagonal
+        kernel, grid = power_law(hurst), TimeGrid(1.0, n)
+        f = sve_sim.GaussianFactor(kernel, grid)
+        t, cells, lag = grid.nodes[1:], conv_weights(kernel, grid).cells, np.arange(n)
+        cross = np.tril(cells[lag[:, None] - lag])
+        autocov = kernel.autocovariance(t[:, None], t[None, :])
+        cov = np.block([[autocov, cross], [cross.T, grid.dt * np.eye(n)]])
+        chol = _joint_factor(f)
+        assert np.abs(chol @ chol.T - cov - f.bump * np.eye(2 * n)).max() <= 1e-12
+        # the tilt is chol.T applied to (l_z, l_dw)
+        l_z, l_dw = np.random.default_rng(n).normal(size=(2, n))
+        np.testing.assert_allclose(
+            f.tilt(l_dw, l_z), chol.T @ np.concatenate([l_z, l_dw]), rtol=0, atol=1e-13
+        )
 
     def test_aligned_product_is_bit_identical_for_column_slices(self):
         # the price-noise channel is a column slice of the chunk's draws
