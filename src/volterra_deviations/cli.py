@@ -586,6 +586,7 @@ def _cmd_verify(args) -> int:
         "s_values": list(rep.s_values),
         "f_values": list(rep.f_values),
         "regularized": list(rep.bumps),
+        "normals_per_path": list(rep.normals_per_path),
         "intercept": rep.intercept,
         "slope": rep.slope,
         "reference_rate": rep.reference_rate,
@@ -593,6 +594,7 @@ def _cmd_verify(args) -> int:
         "used_importance_sampling": rep.used_importance_sampling,
         "ess": rep.ess,  # tuples serialise as arrays; None without importance sampling
         "max_weight_shares": rep.max_weight_shares,
+        "second_moment_decays": rep.second_moment_decays,
     }
     _write_json(args.out, payload)
     return 0

@@ -115,9 +115,11 @@ class SlopeReport:
     """The sweep's levels, their fit and how each level was simulated.
 
     ``bumps`` holds each level's Cholesky bump (``PathEnsemble.bump``); every
-    level runs on the experiment's grid, so they are equal.  Under importance
-    sampling ``ess`` and ``max_weight_shares`` hold each level's weight
-    diagnostics (``LevelEstimate``); both are None without it.
+    level runs on the experiment's grid, so they are equal.
+    ``normals_per_path`` holds the normals each level drew per path
+    (``PathEnsemble.normals_per_path``).  Under importance sampling ``ess``,
+    ``max_weight_shares`` and ``second_moment_decays`` hold each level's
+    weight diagnostics (``LevelEstimate``); all three are None without it.
     """
 
     epsilons: tuple
@@ -132,8 +134,10 @@ class SlopeReport:
     relative_gap: float | None
     used_importance_sampling: bool
     bumps: tuple
+    normals_per_path: tuple
     ess: tuple | None = None
     max_weight_shares: tuple | None = None
+    second_moment_decays: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,13 @@ class LevelEstimate:
     """One level's estimate; it unpacks as (p_hat, stderr, hits).
 
     Under importance sampling ``ess`` is the Kong effective sample size
-    (sum w)^2 / sum w^2 of the level's weights and ``max_weight_share`` its
-    largest weight over their sum (n_paths and 1 / n_paths for equal weights);
-    both are None without importance sampling.
+    (sum w)^2 / sum w^2 of the level's weights, ``max_weight_share`` its
+    largest weight over their sum (n_paths and 1 / n_paths for equal weights)
+    and ``second_moment_decay`` s log E[w^2 1_A], s the level's reciprocal
+    speed and the mean over its paths (-inf without a hit); a log-efficient
+    tilt has it near -2 I, twice s log p.  All three are None without
+    importance sampling.  ``normals_per_path`` is the normals the level's run
+    drew per path (``PathEnsemble.normals_per_path``).
     """
 
     p_hat: float
@@ -151,6 +159,8 @@ class LevelEstimate:
     hits: int
     ess: float | None = None
     max_weight_share: float | None = None
+    second_moment_decay: float | None = None
+    normals_per_path: int | None = None
 
     def __iter__(self):
         return iter((self.p_hat, self.stderr, self.hits))
@@ -178,9 +188,14 @@ def estimate_event_prob(
     se = float(est.std(ddof=1) / math.sqrt(exp.n_paths))
     hits = int(np.count_nonzero(hit))
     if w is None:
-        return LevelEstimate(p, se, hits)
+        return LevelEstimate(p, se, hits, normals_per_path=ens.normals_per_path)
     total = float(w.sum())
-    return LevelEstimate(p, se, hits, total**2 / float(w @ w), float(w.max()) / total)
+    second = float(est @ est) / exp.n_paths
+    decay = exp.speed_value(eps) * math.log(second) if second > 0.0 else -math.inf
+    return LevelEstimate(
+        p, se, hits, total**2 / float(w @ w), float(w.max()) / total, decay,
+        ens.normals_per_path,
+    )
 
 
 def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
@@ -232,8 +247,12 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         relative_gap=gap,
         used_importance_sampling=weighted,
         bumps=tuple(bumps),
+        normals_per_path=tuple(lv.normals_per_path for lv in levels),
         ess=tuple(lv.ess for lv in levels) if weighted else None,
         max_weight_shares=tuple(lv.max_weight_share for lv in levels) if weighted else None,
+        second_moment_decays=(
+            tuple(lv.second_moment_decay for lv in levels) if weighted else None
+        ),
     )
 
 

@@ -3,10 +3,12 @@
 Gaussian Volterra components (Stein-Stein and Bergomi volatility drivers,
 multifactor Z factors) are sampled exactly: per driving factor the joint
 Gaussian vector (Z_(t_1)..Z_(t_n), dW_1..dW_n) is drawn through the Cholesky
-factor of its exact covariance, Z first, whose blocks come from the kernel's
-cell integrals and autocovariance.  With Z first the factor is
-[[L_R, 0], [M, L_S]], so Z is one n x n product of the factor's n Z normals
-alone and dW one product of all 2n normals with the factor's dW rows
+factor of its exact covariance, Z first and its nodes in reverse time order,
+whose blocks come from the kernel's cell integrals and autocovariance.  With
+Z first the factor is [[L_R, 0], [M, L_S]], so Z is one n x n product of the
+factor's n Z normals alone and dW one product of all 2n normals with the
+factor's dW rows; with the nodes reversed, node t_i reads only the first
+n - i + 1 of the Z normals, the terminal node the first one
 (``GaussianFactor``).  Non-Gaussian components (Heston volatility,
 every log-price component) use left-point Euler with exact cell-integral
 weights, so the singular kernel is never sampled at lag zero.  Every cell
@@ -20,9 +22,9 @@ product per step the near history (the block's own steps).  Every model runs
 through one chunk loop over its channels, and each path's stream holds their
 normals in three sections (``_stream_ends``): n Z normals per Gaussian
 factor, then n dW normals per volatility channel (a factor's second n, rough
-Heston's Euler increments), then n for the orthogonal price noise.  ``_scales`` gives every power of eps the two rescalings apply,
-and a model's ``tail_degree`` (None: no tail rescaling) is the one tail
-catalogue.
+Heston's Euler increments), then n for the orthogonal price noise.
+``_scales`` gives every power of eps the two rescalings apply, and a model's
+``tail_degree`` (None: no tail rescaling) is the one tail catalogue.
 
 Controlled simulation tilts every channel by one formula.  On a channel the
 control's tilt s (int v dW + sum c Z_(t_end)) is eta . xi on its standard
@@ -75,10 +77,19 @@ keep the log price (component 0) skips it and draws each path's stream only
 up to the last section it reads or tilts: without the orthogonal noise when
 its orthogonal control is zero, and, for a Gaussian model that reads no dW
 (no ``PRICE_MOMENTS`` sums) under a tilt without a dW part (an uncontrolled
-run, a kernel-section tilt), the Z normals alone, n per factor.  Rough
-Heston always draws its n Euler increments.  That is exact: the prefix of a
-stream does not depend on its length, the log weight adds up section by
-section, and a section the tilt leaves at zero adds exactly 0 to it.
+run, a kernel-section tilt), the Z normals alone.  Such a run draws them
+only up to the last normal it reads (``_z_drawn``): its earliest kept node
+t_i reads n - i + 1 of the last factor's normals, a section ending at t_i
+tilts no later one, and every factor but the last is drawn whole, so an
+m-factor run keeping nodes from t_i on draws (m - 1) n + n - i + 1 normals
+per path and a one-factor terminal-event run one (Stein-Stein's Euler drift
+reads every node, so it draws all n).  The rest of the Z section is
+zero-filled and goes through the same products as a full run's draws.
+Rough Heston always draws its n Euler increments.  That is exact: the
+prefix of a stream does not depend on its length, the log weight adds up
+section by section, and a normal the tilt and the kept values leave at zero
+weight adds exactly 0 to them.  ``PathEnsemble.normals_per_path`` records
+the normals a run drew.
 
 Each chunk makes one ``_volatility`` call and one reducer (``_Reducer``)
 call; the per-path columns are written in path order, so a reduction over
@@ -411,7 +422,9 @@ class PathEnsemble:
     the same entry of the full run.  ``component_at`` reads one held node;
     ``component`` needs every node.  Both raise KernelDomainError rather than
     return a column the ensemble does not hold.  ``bump`` is the largest
-    Cholesky bump (``GaussianFactor.bump``) of the run's factors.
+    Cholesky bump (``GaussianFactor.bump``) of the run's factors, and
+    ``normals_per_path`` the normals the run drew per path, the prefix of
+    each path's stream that it read.
     """
 
     grid: TimeGrid
@@ -423,6 +436,7 @@ class PathEnsemble:
     nodes: np.ndarray | None = None
     bump: float = 0.0
     components: np.ndarray | None = None
+    normals_per_path: int | None = None
 
     def __post_init__(self):
         if self.nodes is None:
@@ -472,7 +486,8 @@ def _normal_block(
     """Inverse-CDF normals, one independent Philox stream per path.
 
     Row r is ndtri(Generator(Philox(key=[seed, path_indices[r]])).random(count)),
-    written into ``out`` (C-contiguous, (len(path_indices), count)) when given.
+    written into ``out`` ((len(path_indices), count), each row contiguous: a
+    column slice of a C-contiguous block will do) when given.
     One generator serves every row: before each draw its state is set to
     counter 0, the row's key and an empty buffer, which skips the entropy
     seeding a fresh Philox pays only to have its key overwritten.  The state
@@ -559,12 +574,17 @@ def _check_threads(n, source: str) -> int:
 class GaussianFactor:
     """Joint law of (Z nodes, dW cells) for one Volterra factor.
 
-    The joint (2n, 2n) covariance, Z first, has the lower Cholesky factor
-    [[L_R, 0], [M, L_S]]: L_R factors the nodes' autocovariance R,
-    M = cross^T L_R^-T (cross the Cov(Z, dW) block of cell integrals) and L_S
-    the Schur complement dt I - M M^T.  So Z = L_R xi_z reads a factor's first
-    n normals alone, and dW = M xi_z + L_S xi_w all 2n.  The factor keeps only
-    the rows ``sample`` and ``tilt`` read: ``z_rows`` = L_R^T (n, n) and
+    The joint (2n, 2n) covariance is taken Z first, with the nodes in reverse
+    time order (t_n first, t_1 last), as a Brownian bridge builds a path from
+    its end.  Its lower Cholesky factor is [[L_R, 0], [M, L_S]]: L_R factors
+    the reversed nodes' autocovariance R, M = cross^T L_R^-T (cross the
+    Cov(Z, dW) block of cell integrals, rows reversed) and L_S the Schur
+    complement dt I - M M^T.  So Z = L_R xi_z reads a factor's first n
+    normals alone, and node t_i its first n - i + 1 of them (the terminal
+    node the first one only); dW = M xi_z + L_S xi_w reads all 2n.  The
+    factor keeps only the rows ``sample`` and ``tilt`` read: ``z_rows``
+    (n, n), L_R^T with its columns put back in node order, so Z comes out as
+    Z_(t_1)..Z_(t_n) and column i - 1 is zero below row n - i, and
     ``dw_rows`` = [M L_S]^T (2n, n).  ``bump`` is the diagonal shift the
     Cholesky factorisation needed, a 1e-12 share of the mean variance; 0.0
     when the covariance factorised as is.
@@ -574,13 +594,14 @@ class GaussianFactor:
         self.kernel = kernel
         self.grid = grid
         n = grid.n_steps
-        t = grid.nodes[1:]
+        t = grid.nodes[:0:-1]  # t_n .. t_1
         cells = conv_weights(kernel, grid).cells
         C = np.zeros((2 * n, 2 * n))
         C[:n, :n] = kernel.autocovariance(t[:, None], t[None, :])
-        # cross block Cov(Z_i, dW_j): the integral of K over lag cell i - j
+        # cross block Cov(Z_i, dW_j): the integral of K over lag cell i - j,
+        # its rows in the Z block's reverse order
         lag = np.arange(n)
-        cross = np.tril(cells[lag[:, None] - lag[None, :]])
+        cross = np.tril(cells[lag[:, None] - lag[None, :]])[::-1]
         C[:n, n:] = cross
         C[n:, :n] = cross.T
         C[n:, n:] = grid.dt * np.eye(n)
@@ -597,7 +618,7 @@ class GaussianFactor:
                     "joint kernel covariance is not numerically PSD"
                 ) from exc
         del C  # before the row copies: the construction peaks 16 MiB lower at n = 1024
-        self.z_rows = np.ascontiguousarray(chol[:n, :n].T)
+        self.z_rows = np.ascontiguousarray(chol[:n, :n].T[:, ::-1])
         self.dw_rows = np.ascontiguousarray(chol[n:].T)
 
     def tilt(self, l_dw: np.ndarray, l_z: np.ndarray) -> np.ndarray:
@@ -632,9 +653,11 @@ class GaussianFactor:
 
 @functools.lru_cache(maxsize=8)
 def _factor(kernel: KernelSpec, grid: TimeGrid) -> GaussianFactor:
-    """Cached factor; at n=1024 each one holds its 1024^2 Z rows (8 MiB) and
-    its 2048 x 1024 dW rows (16 MiB), 24 MiB in all (its construction peaks
-    at 80 MiB, the joint covariance and Cholesky factor included).
+    """Cached factor; at n=1024 each one holds its 1024^2 Z rows (8 MiB, the
+    upper triangle of the reversed-order factor with its columns put back in
+    node order, so about half of them are zeros) and its 2048 x 1024 dW rows
+    (16 MiB), 24 MiB in all (its construction peaks at 80 MiB, the joint
+    covariance and Cholesky factor included).
     """
     return GaussianFactor(kernel, grid)
 
@@ -801,7 +824,9 @@ def _stream_ends(channels: list, n: int) -> tuple:
     (a factor's xi_w, an Euler channel's increments), then the orthogonal
     noise's n.  The models' volatility channels are all Gaussian factors or
     all Euler, so factor j's xi_z and xi_w start at j n and at the first end
-    plus j n.
+    plus j n.  Within a factor's xi_z the terminal node reads the first
+    normal and node t_i the first n - i + 1 (``GaussianFactor``), so a run
+    that reads only Z may stop inside the last factor's xi_z (``_z_drawn``).
     """
     z_end = n * sum(f is not None for f in channels)
     dw_end = z_end + n * (len(channels) - 1)
@@ -852,10 +877,12 @@ class _Run(NamedTuple):
     """What every chunk of one run shares, set up once per run.
 
     ``channels`` are the model's channels (``_channels``), ``ends`` the ends
-    of the stream sections the run draws (``_stream_ends``, a prefix of them;
-    Heston's empty Z section left out), ``eta`` the tilt of the drawn normals
-    (None when uncontrolled) and ``heston`` rough Heston's history weights
-    (None for the Gaussian models).
+    of the stream sections the run reads (``_stream_ends``, a prefix of them;
+    Heston's empty Z section left out), ``drawn`` the normals drawn per path,
+    ends[-1] or, in a run that reads only Z, fewer (``_z_drawn``; the rest of
+    the section is zero-filled), ``eta`` the tilt of the read normals (None
+    when uncontrolled) and ``heston`` rough Heston's history weights (None for
+    the Gaussian models).
     """
 
     model: Model
@@ -864,6 +891,7 @@ class _Run(NamedTuple):
     seed: int
     channels: list
     ends: list
+    drawn: int
     eta: np.ndarray | None
     reduce: _Reducer
     heston: _HestonHistory | None
@@ -915,6 +943,7 @@ def _simulate_impl(
         raise InvalidModel(f"n_paths must be a positive integer, got {n_paths!r}")
     nodes = _check_kept("nodes", nodes, len(grid))
     comps = check_components(model, components)
+    read = nodes if reduce is None else None  # the nodes the reducer reads; None: all
     if reduce is None:
         reduce = _keep(nodes, comps, len(grid))
     channels = _channels(model, grid)
@@ -929,20 +958,22 @@ def _simulate_impl(
     # the log weight, and a stream's prefix does not depend on its length
     ends = _stream_ends(channels, grid.n_steps)
     reads = (True, comps[0] == 0 or reduce.sums or channels[0] is None, comps[0] == 0)
-    drawn = max(
+    last = max(
         k for k, lo in enumerate((0, *ends[:2]))
         if reads[k] or (eta is not None and np.any(eta[lo : ends[k]]))
     )
-    ends = [e for e in ends[: drawn + 1] if e > 0]  # Heston has no Z normals
+    ends = [e for e in ends[: last + 1] if e > 0]  # Heston has no Z normals
     if eta is not None:
         eta = eta[: ends[-1]]
+    # a run that reads only Z reads a prefix of it
+    drawn = _z_drawn(model, read, eta, ends[0]) if last == 0 else ends[-1]
     n_threads = default_threads() if threads is None else _check_threads(threads, "threads")
     heston = None
     if isinstance(model, RoughHeston):
         # the run's size, never the chunk's, sets the history width
         width = min(_HISTORY_PATHS, _BLAS_ROWS * -(-n_paths // _BLAS_ROWS))
         heston = _HestonHistory(model, regime, grid, width)
-    run = _Run(model, regime, grid, seed, channels, ends, eta, reduce, heston)
+    run = _Run(model, regime, grid, seed, channels, ends, drawn, eta, reduce, heston)
     rows = min(_CHUNK_PATHS, n_paths)
     chunks = (range(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows))
     taking = threading.Lock()
@@ -970,8 +1001,24 @@ def _simulate_impl(
         worker()
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
-        nodes=nodes, bump=cholesky_bump(model, grid), components=comps,
+        nodes=nodes, bump=cholesky_bump(model, grid), components=comps, normals_per_path=drawn,
     )
+
+
+def _z_drawn(model: Model, nodes: np.ndarray | None, eta: np.ndarray | None, z_end: int) -> int:
+    """Normals per path of a run that reads only Z: up to the last one a read
+    node or the tilt ``eta`` needs.
+
+    A factor's node t_i reads the factor's first n - i + 1 normals
+    (``GaussianFactor``), and every factor but the last comes whole before it
+    in the stream, so the earliest read node i >= 1 sets z_end - i + 1.
+    Stein-Stein's Euler drift carries every node into the next, so its
+    volatility reads from t_1; node 0 reads no normal.
+    """
+    read = [1] if nodes is None or isinstance(model, RoughSteinStein) else nodes[nodes > 0]
+    count = z_end - int(read[0]) + 1 if len(read) else 0
+    tilted = np.flatnonzero(eta) if eta is not None else ()
+    return max(count, int(tilted[-1]) + 1) if len(tilted) else count
 
 
 def _simulate_chunk(run: _Run, chunk: range, scratch: _Scratch):
@@ -984,9 +1031,11 @@ def _simulate_chunk(run: _Run, chunk: range, scratch: _Scratch):
     log weights as the full run, bit for bit.
     """
     rows, first, n = len(chunk), chunk.start, run.grid.n_steps
-    draws = _normal_block(
-        run.seed, np.arange(first, chunk.stop), run.ends[-1], out=scratch.normals[:rows]
-    )
+    draws = scratch.normals[:rows]
+    _normal_block(run.seed, np.arange(first, chunk.stop), run.drawn, out=draws[:, : run.drawn])
+    # normals no read value needs: zeros take the same products as the full
+    # run's draws, and a product that was zero stays exactly zero
+    draws[:, run.drawn :] = 0.0
     lw = None
     if run.eta is not None:
         lw = np.zeros(rows)

@@ -522,6 +522,9 @@ class TestVerifyCommand:
         assert len(rep["ess"]) == len(rep["max_weight_shares"]) == 3
         assert all(1.0 < e < 20000 for e in rep["ess"])
         assert all(1.0 / 20000 < s < 1.0 for s in rep["max_weight_shares"])
+        decays, fs = rep["second_moment_decays"], rep["f_values"]
+        assert len(decays) == 3 and all(2.0 * f <= d < f for d, f in zip(decays, fs))
+        assert rep["normals_per_path"] == [1, 1, 1]  # the terminal node's normal alone
 
     def test_reports_each_level_cholesky_bump(self, tmp_path, capsys):
         bumps = {}
@@ -540,6 +543,8 @@ class TestVerifyCommand:
             out = json.loads(capsys.readouterr().out)
             bumps[hurst] = out["regularized"]
             assert out["ess"] is None and out["max_weight_shares"] is None  # no weights
+            assert out["second_moment_decays"] is None
+            assert out["normals_per_path"] == [1, 1]
         assert bumps[0.1] == [0.0, 0.0]
         # H = 1/2 makes the joint covariance singular (Z = W), so it is bumped
         assert len(bumps[0.5]) == 2 and bumps[0.5][0] == bumps[0.5][1] > 0.0

@@ -81,6 +81,15 @@ class TestEstimateEventProb:
         w = np.exp(ens.log_weights)
         assert level.ess == pytest.approx(w.sum() ** 2 / np.sum(w**2), rel=1e-12)
         assert level.max_weight_share == pytest.approx(w.max() / w.sum(), rel=1e-12)
+        second = np.mean(np.where(ev.indicator(ens), w, 0.0) ** 2)
+        s = exp.speed_value(0.5)
+        assert level.second_moment_decay == pytest.approx(s * math.log(second), rel=1e-12)
+        # E[w^2 1_A] >= p^2 on any sample, and below p for a tilt that beats
+        # plain sampling
+        assert 2.0 * s * math.log(level.p_hat) <= level.second_moment_decay
+        assert level.second_moment_decay < s * math.log(level.p_hat)
+        # the terminal event reads one node: one normal per path
+        assert level.normals_per_path == ens.normals_per_path == 1
         # a real tilt spreads the weights: fewer effective paths than drawn
         assert 1.0 < level.ess < 5000
         assert 1.0 / 5000 < level.max_weight_share < 1.0
@@ -90,8 +99,17 @@ class TestEstimateEventProb:
         level = estimate_event_prob(experiment(n_paths=1000, is_control=zero), 0.5)
         assert level.ess == 1000.0
         assert level.max_weight_share == 1.0 / 1000
+        # unit weights: E[w^2 1_A] is the hit fraction p
+        s = experiment().speed_value(0.5)
+        assert level.second_moment_decay == pytest.approx(s * math.log(level.p_hat), rel=1e-12)
+        far = estimate_event_prob(
+            experiment(event=EventSpec(1, Y0 + 50.0), n_paths=1000, is_control=zero), 0.5
+        )
+        assert far.hits == 0 and far.second_moment_decay == -math.inf
         plain = estimate_event_prob(experiment(n_paths=1000), 0.5)
         assert plain.ess is None and plain.max_weight_share is None
+        assert plain.second_moment_decay is None
+        assert plain.normals_per_path == 1
         assert tuple(plain) == (plain.p_hat, plain.stderr, plain.hits)
 
     def test_off_grid_times_raise(self):
@@ -203,11 +221,16 @@ class TestLdpSlope:
         # each level's weight diagnostics are its own estimate's
         for i, e in enumerate(eps):
             level = estimate_event_prob(exp, e, seed=exp.seed + i)
-            assert (rep.ess[i], rep.max_weight_shares[i]) == (
-                level.ess,
-                level.max_weight_share,
+            assert (
+                rep.ess[i], rep.max_weight_shares[i], rep.second_moment_decays[i],
+                rep.normals_per_path[i],
+            ) == (
+                level.ess, level.max_weight_share, level.second_moment_decay,
+                level.normals_per_path,
             )
             assert 1.0 < rep.ess[i] < exp.n_paths
+            assert 2.0 * rep.f_values[i] <= rep.second_moment_decays[i] < rep.f_values[i]
+        assert rep.normals_per_path == (1,) * len(eps)
 
     def test_slope_values_decrease_toward_intercept(self):
         ev = EventSpec(component=1, level=Y0 + 1.0)
@@ -228,6 +251,7 @@ class TestLdpSlope:
         rep = ldp_slope(exp)
         assert abs(rep.intercept) <= 0.05
         assert rep.ess is None and rep.max_weight_shares is None  # no weights
+        assert rep.second_moment_decays is None
 
     def test_insufficient_hits(self):
         ev = EventSpec(component=1, level=Y0 + 5.0)

@@ -442,6 +442,15 @@ def _invariance_control(name, control):
     return Control(GridFunction(SMALL_GRID, vals), sections=secs)
 
 
+def _terminal_section(model, grid) -> Control:
+    """A section-only control: one kernel section per factor, ending at the horizon."""
+    secs = tuple(
+        KernelSection(power_law(float(h)), grid.horizon, 0.4, j)
+        for j, h in enumerate(sve_sim._hursts(model))
+    )
+    return Control(GridFunction(grid, np.zeros((len(grid), len(secs) + 1))), sections=secs)
+
+
 def _run(name, control, threads, nodes=None, components=None):
     model = INVARIANCE_MODELS[name]
     regime = small_time_ldp(0.3)
@@ -515,8 +524,8 @@ class TestChunkInvariance:
         self, monkeypatch, name, control, components, per_step
     ):
         counts = _count_draws(monkeypatch)
-        _run(name, control, threads=1, components=components)
-        assert counts == [per_step * SMALL_GRID.n_steps]
+        ens = _run(name, control, threads=1, components=components)
+        assert counts == [per_step * SMALL_GRID.n_steps] == [ens.normals_per_path]
 
     # a volatility-only Gaussian run draws only the Z normals at the head of
     # each path's stream, yet its Y and log weights are the full run's
@@ -538,13 +547,82 @@ class TestChunkInvariance:
         if control != "plain":
             assert np.array_equal(ens.log_weights, ref.log_weights)
 
+    # (model, control, nodes, components) -> normals drawn per path, n = 8: a
+    # run that reads only Z draws up to the last normal a kept node or the
+    # tilt reads.  Node t_i reads its factor's first n - i + 1 normals (node 0
+    # none), a section ending at t_i tilts only those, every factor but the
+    # last comes whole, and Stein-Stein's drift carries every node to the
+    # next; the log price and the left-node sums read every section
+    @pytest.mark.parametrize(
+        "name, control, nodes, components, drawn",
+        [
+            ("bergomi", "plain", [8], [1], 1),
+            ("bergomi", "terminal", [8], [1], 1),
+            ("bergomi", "section", [8], [1], 5),  # the section ends at t_4
+            ("bergomi", "plain", [3, 8], [1], 6),
+            ("bergomi", "plain", [0, 5], [1], 4),
+            ("bergomi", "plain", [0], [1], 0),
+            ("bergomi", "nodal", [8], [1], 24),  # v and u on every channel
+            ("bergomi", "plain", [8], [0, 1], 24),
+            ("bergomi", "moments", [8], [1], 16),
+            ("multifactor", "plain", [8], [1, 2], 9),
+            ("multifactor", "terminal", [6], [1], 11),
+            ("steinstein", "plain", [8], [1], 8),
+            ("heston", "plain", [8], [1], 8),
+        ],
+    )
+    def test_a_z_only_run_draws_the_prefix_its_nodes_and_tilt_read(
+        self, monkeypatch, name, control, nodes, components, drawn
+    ):
+        model, regime = INVARIANCE_MODELS[name], small_time_ldp(0.3)
+        counts = _count_draws(monkeypatch)
+        if control == "terminal":
+            ctrl = _terminal_section(model, SMALL_GRID)
+            ens = simulate_controlled(
+                model, regime, ctrl, SMALL_GRID, 50, 21, nodes=nodes, components=components
+            )
+        elif control == "moments":
+            ens = simulate(
+                model, regime, SMALL_GRID, 50, 21, components=components,
+                _reduce=sve_sim.PRICE_MOMENTS,
+            )
+        else:
+            ens = _run(name, control, threads=1, nodes=nodes, components=components)
+        assert counts == [drawn] == [ens.normals_per_path]
+
+    # a terminal-event run draws one normal per path, and a run from node
+    # n - 2 three, yet its kept values and log weights are the full run's in
+    # 7-path chunks on 1 or 3 threads; n = 300 blocks the products' sums
+    # (OpenBLAS K-blocking) in more than one panel
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("n", [16, 64, 300])
+    def test_a_terminal_run_is_the_full_runs_terminal_value(self, monkeypatch, n, threads):
+        grid, regime = TimeGrid(1.0, n), small_time_ldp(0.3)
+        ctrl = _terminal_section(BERGOMI, grid)
+        full = simulate_controlled(BERGOMI, regime, ctrl, grid, 150, seed=5, threads=1)
+        plain = simulate(BERGOMI, regime, grid, 150, seed=5, threads=1)
+        assert full.normals_per_path == plain.normals_per_path == 3 * n
+        monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 7)
+        for nodes, drawn in (([n], 1), ([n - 2, n], 3)):
+            kept = dict(threads=threads, nodes=nodes, components=[1])
+            ens = simulate_controlled(BERGOMI, regime, ctrl, grid, 150, seed=5, **kept)
+            assert ens.normals_per_path == drawn
+            assert np.array_equal(ens.paths[:, :, 0], full.paths[:, nodes, 1])
+            assert np.array_equal(ens.log_weights, full.log_weights)
+            ens = simulate(BERGOMI, regime, grid, 150, seed=5, **kept)
+            assert ens.normals_per_path == drawn
+            assert np.array_equal(ens.paths[:, :, 0], plain.paths[:, nodes, 1])
+
     # one worker takes a full 32-path chunk and then the 18-path rest into
     # the same scratch, whose never-written arrays start as NaN here: a read
-    # of a row or a padding column the chunk did not write would show
-    @pytest.mark.parametrize("control", ["plain", "nodal"])
+    # of a row or a padding column the chunk did not write would show, and so
+    # would an undrawn normal of a terminal-only run left unfilled
+    @pytest.mark.parametrize(
+        "control, nodes", [("plain", None), ("nodal", None), ("section", [8])]
+    )
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
     def test_a_shorter_last_chunk_in_reused_scratch_matches_one_chunk(
-        self, monkeypatch, name, control
+        self, monkeypatch, name, control, nodes
     ):
         class Poisoned(sve_sim._Scratch):
             def __init__(self, run, rows):
@@ -556,8 +634,11 @@ class TestChunkInvariance:
         ref = _one_chunk(name, control)
         monkeypatch.setattr(sve_sim, "_Scratch", Poisoned)
         monkeypatch.setattr(sve_sim, "_CHUNK_PATHS", 32)
-        ens = _run(name, control, threads=1)
-        assert np.array_equal(ens.paths, ref.paths)
+        vol = list(range(1, 1 + len(sve_sim._hursts(INVARIANCE_MODELS[name]))))
+        comps = None if nodes is None else vol
+        ens = _run(name, control, threads=1, nodes=nodes, components=comps)
+        want = ref.paths if nodes is None else ref.paths[:, nodes][:, :, vol]
+        assert np.array_equal(ens.paths, want)
         if control != "plain":
             assert np.array_equal(ens.log_weights, ref.log_weights)
 
@@ -988,7 +1069,9 @@ class TestFactorCache:
 
 
 def _joint_factor(f) -> np.ndarray:
-    """The factor's (2n, 2n) lower Cholesky factor, Z first, rebuilt from its rows."""
+    """The factor's (2n, 2n) Cholesky factor rebuilt from its rows, its rows
+    in node order: Z_(t_1)..Z_(t_n), then dW.  J J^T is the joint covariance
+    in that order, and J with its Z rows reversed is lower triangular."""
     n = f.grid.n_steps
     chol = np.zeros((2 * n, 2 * n))
     chol[:n, :n] = f.z_rows.T
@@ -1041,7 +1124,9 @@ class TestFactorBlocks:
 
 
 class TestFactorSplit:
-    """``GaussianFactor.sample`` against the full product (xi_z, xi_w) @ chol.T."""
+    """``GaussianFactor.sample`` against the full product (xi_z, xi_w) @ chol.T,
+    chol the lower Cholesky factor in the factor's order: Z nodes last to
+    first, then dW."""
 
     # 8, 16, 64, 128 and 256 steps are bit-identical to the full product in
     # every BLAS thread count tried; other sizes block the narrower products'
@@ -1055,9 +1140,10 @@ class TestFactorSplit:
     def test_matches_the_full_product(self, n, hurst, first):
         f = sve_sim.GaussianFactor(power_law(hurst), TimeGrid(1.0, n))
         assert (f.bump > 0.0) == (hurst == 0.5)
-        # the split rests on this: the joint factor is lower triangular, so
-        # Z reads the first n normals alone
-        chol = _joint_factor(f)
+        # the split rests on this: the joint factor, Z nodes reversed, is
+        # lower triangular, so Z reads the first n normals alone and node t_i
+        # its first n - i + 1
+        chol = _joint_factor(f)[np.r_[n - 1 : -1 : -1, n : 2 * n]]
         assert np.array_equal(chol, np.tril(chol))
         # 150 paths from 37 cover partial blocks at both edges and full ones
         normals = np.random.default_rng(n).normal(size=(150, 2 * n))
@@ -1067,7 +1153,7 @@ class TestFactorSplit:
         assert none is None
         assert np.array_equal(z_only, Z)
         assert not Z[:, 0].any()
-        for got, want in ((Z[:, 1:], full[:, :n]), (dW, full[:, n:])):
+        for got, want in ((Z[:, 1:], full[:, n - 1 :: -1]), (dW, full[:, n:])):
             if n in self.EXACT:
                 assert np.array_equal(got, want)
             else:
