@@ -6,6 +6,8 @@ from :class:`DomainError`; configuration/schema problems derive from
 to exit code 2.
 """
 
+__all__ = ["DomainError", "ConfigError"]
+
 
 class DomainError(Exception):
     """Base class for run-time domain violations."""

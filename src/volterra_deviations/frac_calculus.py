@@ -33,29 +33,19 @@ from .kernels import (
     terminal_weights,
 )
 
-__all__ = ["FracOrder", "rl_integral", "rl_derivative", "energy", "Control", "control_energy"]
+__all__ = [
+    "rl_integral", "rl_derivative", "energy", "Control", "KernelSection", "control_energy"
+]
 
 _HEAD_NODES = 4
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order alpha in (0, 1]."""
+def rl_integral(f: GridFunction, alpha: float) -> GridFunction:
+    """(I^alpha f)(t_i) = 1/Gamma(alpha) int_0^(t_i) (t_i - s)^(alpha-1) f(s) ds.
 
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError("fractional order must lie in (0, 1]")
-
-
-def _as_alpha(alpha) -> float:
-    return alpha.alpha if isinstance(alpha, FracOrder) else float(alpha)
-
-
-def rl_integral(f: GridFunction, alpha) -> GridFunction:
-    """(I^alpha f)(t_i) = 1/Gamma(alpha) int_0^(t_i) (t_i - s)^(alpha-1) f(s) ds."""
-    a = _as_alpha(alpha)
+    ``alpha`` lies in (0, 1] (ValueError otherwise).
+    """
+    a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     if a == 1.0:
@@ -77,26 +67,22 @@ def _head_coefficient(g: np.ndarray, t: np.ndarray, alpha: float) -> float:
     return float(np.sum(g[1 : k + 1] * tk**alpha) / denom)
 
 
-def rl_derivative(f: GridFunction, alpha, f0: float) -> GridFunction:
-    """(D^alpha f)(t) = d/dt (I^(1-alpha) f)(t) on the grid.
+def rl_derivative(f: GridFunction, alpha: float, f0: float) -> GridFunction:
+    """(D^alpha f)(t) = d/dt (I^(1-alpha) f)(t) on the grid, alpha in (0, 1].
 
-    ``f0`` is the value f(0) split off for stability; when f0 != 0 the first
-    node carries an infinite sentinel, which downstream quadratures skip by
-    giving it zero weight.
+    ``f`` is a scalar grid function (ValueError otherwise).  ``f0`` is the
+    value f(0) split off for stability; when f0 != 0 the first node carries an
+    infinite sentinel, which downstream quadratures skip by giving it zero
+    weight.
     """
-    a = _as_alpha(alpha)
+    a = float(alpha)
     if not 0.0 < a <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
-    v = f.values
-    if v.ndim != 1:
-        out = np.stack(
-            [rl_derivative(f.component(j), a, f0).values for j in range(v.shape[1])],
-            axis=1,
-        )
-        return GridFunction(f.grid, out)
+    if f.values.ndim != 1:
+        raise ValueError("rl_derivative takes a scalar grid function")
     grid = f.grid
     t = grid.nodes
-    g = v - f0
+    g = f.values - f0
     if a == 1.0:
         out = grid.forward_difference(g)
     else:

@@ -140,13 +140,6 @@ class GridFunction:
     def dim(self) -> int:
         return 1 if self.values.ndim == 1 else self.values.shape[1]
 
-    def component(self, j: int) -> "GridFunction":
-        if self.values.ndim == 1:
-            if j != 0:
-                raise IndexError("scalar grid function has a single component")
-            return self
-        return GridFunction(self.grid, self.values[:, j])
-
 
 # ---------------------------------------------------------------------------
 # kernel variants
@@ -291,7 +284,7 @@ def _moment(p: float, lam: float, norm: float, t):
     return gammainc(p, lam * t) * gamma_fn(p) / (lam**p * norm)
 
 
-def _autocov_quadrature(k: KernelSpec, lo, hi, n_sub: int = 4000):
+def _autocov_quadrature(k: KernelSpec, lo, hi):
     """R(lo, hi) = int_0^lo K(r) K(hi - lo + r) dr for a kernel with decay."""
     out = np.zeros(np.broadcast(lo, hi).shape)
     lo, hi = np.broadcast_to(lo, out.shape), np.broadcast_to(hi, out.shape)
@@ -299,7 +292,7 @@ def _autocov_quadrature(k: KernelSpec, lo, hi, n_sub: int = 4000):
         s, gap = lo[idx], hi[idx] - lo[idx]
         if s > 0:
             out[idx] = _graded_integral(
-                k, lambda r: eval_conv(k, r) * eval_conv(k, gap + r), s, n_sub
+                k, lambda r: eval_conv(k, r) * eval_conv(k, gap + r), s, 4000
             )
     return out if out.shape else float(out)
 
@@ -483,6 +476,9 @@ def terminal_weights(k: KernelSpec, grid: TimeGrid, t_end: float | None = None) 
 # ---------------------------------------------------------------------------
 
 
+_SLOPE_TOLERANCE = 0.05
+
+
 @dataclass
 class RegularityReport:
     kernel: KernelSpec
@@ -494,22 +490,19 @@ class RegularityReport:
     passed: bool
 
 
-def _shift_term(k: KernelSpec, h: float, T: float, n_sub: int = 6000) -> float:
+def _shift_term(k: KernelSpec, h: float, T: float) -> float:
     """int_0^T (K(t+h) - K(t))^2 dt on a singularity-graded grid."""
-    return _graded_integral(k, lambda t: (eval_conv(k, t + h) - eval_conv(k, t)) ** 2, T, n_sub)
+    return _graded_integral(k, lambda t: (eval_conv(k, t + h) - eval_conv(k, t)) ** 2, T, 6000)
 
 
 def check_regularity(
-    k: KernelSpec,
-    gamma_claim: float,
-    h_grid,
-    horizon: float = 1.0,
-    tolerance: float = 0.05,
+    k: KernelSpec, gamma_claim: float, h_grid, horizon: float = 1.0
 ) -> RegularityReport:
     """Fit the log-log slope of int_0^h K^2 + int_0^T (K(.+h) - K)^2.
 
-    Passes when the fitted slope is >= gamma_claim - tolerance (0.05 absolute
-    by default, the discretization noise of a dyadic fit).
+    Passes when the fitted slope is >= gamma_claim - _SLOPE_TOLERANCE (0.05
+    absolute, the discretization noise of a dyadic fit), which the report
+    records as ``tolerance``.
     """
     h_vals = np.asarray(sorted(h_grid, reverse=True), dtype=float)
     if np.any(h_vals <= 0.0):
@@ -524,8 +517,8 @@ def check_regularity(
         h_values=h_vals,
         functional=vals,
         fitted_slope=float(slope),
-        tolerance=tolerance,
-        passed=bool(slope >= gamma_claim - tolerance),
+        tolerance=_SLOPE_TOLERANCE,
+        passed=bool(slope >= gamma_claim - _SLOPE_TOLERANCE),
     )
 
 

@@ -306,8 +306,7 @@ def build_is_control(
     # fallback: constant control hitting the boundary in mean
     vals = zeros.copy()
     if event.component == 0:
-        rho_bar = math.sqrt(1.0 - model.rho**2)
-        amp = rho_bar * math.sqrt(max(float(model.sigma_sq(np.asarray(model.y0))), 1e-12))
+        amp = model.rho_bar * math.sqrt(max(float(model.sigma_sq(np.asarray(model.y0))), 1e-12))
         vals[: i_end + 1, 1] = event.level / (amp * t_end)
     else:
         m0 = float(power_law(model.hurst).moment0(t_end))

@@ -114,6 +114,7 @@ _ZERO_THR = 1e-12
 _AC_BLOWUP = 1e6
 _DEFAULT_DELTA = 1e-4
 _VOL_FLOOR = 1e-12  # floor on the Heston variance path inside the z-energy
+_ATTAIN_TOL = 5e-3  # multifactor MDP: attainability of the determined components
 
 
 @dataclass
@@ -249,7 +250,7 @@ def _pair_rate(model, phi, vphi, frozen=False, tail=False, delta=None):
     start = abs(phi.values[0]) <= 1e-9 and abs(vphi.values[0] - y0) <= 1e-9 * max(1.0, abs(y0))
     if not start or not _is_grid_ac(phi):
         return RateResult(value=np.inf, regularization_delta=delta), None
-    H, rho, rho_bar = model.hurst, model.rho, math.sqrt(1.0 - model.rho**2)
+    H, rho, rho_bar = model.hurst, model.rho, model.rho_bar
     order = _reversion(model, None)[1] if tail else None
     dphi = grid.forward_difference(phi.values)
 
@@ -390,15 +391,15 @@ def multifactor_mdp_rate(
     model: MultiRoughBergomi,
     phi: GridFunction,
     vphi: GridFunction,
-    attain_tol: float = 5e-3,
 ) -> RateResult:
     """Recursive control recovery for the multifactor rough Bergomi MDP.
 
     Controls exist only on the kernels sharing the smallest Hurst index; the
     remaining volatility components are determined, and a mismatch beyond
-    ``attain_tol`` (sup norm, operator round-trip accuracy) makes the rate
-    +infinity.  DomainError on a non-finite path.  The control's columns are
-    the simulator's channels, [v_1, ..., v_m, u], zero on determined factors.
+    _ATTAIN_TOL (5e-3 of max(1, sup |vphi|) in the sup norm, the operator
+    round trip's accuracy) makes the rate +infinity.  DomainError on a
+    non-finite path.  The control's columns are the simulator's channels,
+    [v_1, ..., v_m, u], zero on determined factors.
     """
     grid = phi.grid
     m = model.n_factors
@@ -430,7 +431,7 @@ def multifactor_mdp_rate(
         induced = np.full(len(grid), y0[i])
         for j in range(min(i, mstar)):
             induced = induced + L[i, j] * integrals[j]
-        if float(np.max(np.abs(vv[:, i] - induced))) > attain_tol * scale:
+        if float(np.max(np.abs(vv[:, i] - induced))) > _ATTAIN_TOL * scale:
             return RateResult(
                 value=np.inf, diagnostics={"unattainable_component": i}
             )
@@ -521,7 +522,7 @@ def regenerate_pair(
     )
     report = solve_ldp_limit(p)
     s = S(report.path.values)
-    rho, rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
+    rho, rho_bar = model.rho, model.rho_bar
     phi = grid.cumulative_trapezoid(-drift * s**2 + s * (rho_bar * u + rho * v))
     for sec in p.control.sections:
         phi = phi + rho * sec.coeff * _section_integral(sec.kernel, grid, sec.t_end, s)
@@ -651,7 +652,7 @@ class _Objective:
         self.frozen, self.ray, self.tail = frozen, ray, tail
         self.n = n = len(grid)
         self.w = grid.trapezoid_weights()
-        self.rho, self.rho_bar = model.rho, math.sqrt(1.0 - model.rho**2)
+        self.rho, self.rho_bar = model.rho, model.rho_bar
         self.kernel = power_law(model.hurst)
         self.A = conv_weights(self.kernel, grid).dense_matrix()
         self.zeta0 = 1.0 if self.z_form else float(model.zeta(np.asarray(model.y0)))

@@ -134,6 +134,10 @@ __all__ = [
     "RoughHeston",
     "MultiRoughBergomi",
     "ScalingRegime",
+    "small_time_ldp",
+    "small_time_mdp",
+    "tail_ldp",
+    "tail_mdp",
     "PathEnsemble",
     "simulate",
     "simulate_controlled",
@@ -221,7 +225,8 @@ class _ModelBase:
     (Sigma, the price variance of the volatility state), ``zeta``,
     ``sigma_sq_prime`` (Sigma', for the terminal solver's gradients) and the
     class flag ``zeta_constant``.  Here each raises NotApplicable, as it stays
-    for the multifactor model.
+    for the multifactor model.  ``rho_bar`` = sqrt(1 - sum rho_j^2) is the
+    loading of the orthogonal price noise, for one rho or one per factor.
     """
 
     def _no_catalogue(self, y=None):
@@ -240,6 +245,10 @@ class _ModelBase:
     @property
     def min_hurst(self) -> float:
         return self.hurst
+
+    @property
+    def rho_bar(self) -> float:
+        return math.sqrt(1.0 - float(np.sum(np.asarray(self.rho, dtype=float) ** 2)))
 
 
 def _check_common(hurst: float, rho: float, *params: float):
@@ -398,10 +407,6 @@ class MultiRoughBergomi(_ModelBase):
         H = np.asarray(self.hurst, dtype=float)
         return int(np.sum(np.isclose(H, H[0])))
 
-    @property
-    def rho_bar(self) -> float:
-        return math.sqrt(1.0 - float(np.sum(np.asarray(self.rho) ** 2)))
-
 
 Model = RoughSteinStein | RoughBergomi | RoughHeston | MultiRoughBergomi
 
@@ -417,11 +422,11 @@ class PathEnsemble:
 
     ``nodes`` are the grid indices and ``components`` the component indices
     (0 the log price, 1.. the volatilities) the ensemble holds, sorted and
-    unique; all of them by default.  A run asked for fewer keeps its full
-    grid, path count and weights, and each value it holds equals bit for bit
-    the same entry of the full run.  ``component_at`` reads one held node;
-    ``component`` needs every node.  Both raise KernelDomainError rather than
-    return a column the ensemble does not hold.  ``bump`` is the largest
+    unique.  A run asked for fewer keeps its full grid, path count and
+    weights, and each value it holds equals bit for bit the same entry of the
+    full run.  ``component_at`` reads one held node; ``component`` needs
+    every node.  Both raise KernelDomainError rather than return a column the
+    ensemble does not hold.  ``bump`` is the largest
     Cholesky bump (``GaussianFactor.bump``) of the run's factors, and
     ``normals_per_path`` the normals the run drew per path, the prefix of
     each path's stream that it read.
@@ -430,19 +435,13 @@ class PathEnsemble:
     grid: TimeGrid
     paths: np.ndarray
     seed: int
-    log_weights: np.ndarray | None = None
-    model: Model | None = None
-    regime: ScalingRegime | None = None
-    nodes: np.ndarray | None = None
-    bump: float = 0.0
-    components: np.ndarray | None = None
-    normals_per_path: int | None = None
-
-    def __post_init__(self):
-        if self.nodes is None:
-            self.nodes = np.arange(len(self.grid))
-        if self.components is None:
-            self.components = np.arange(self.paths.shape[2])
+    log_weights: np.ndarray | None
+    model: Model
+    regime: ScalingRegime
+    nodes: np.ndarray
+    bump: float
+    components: np.ndarray
+    normals_per_path: int
 
     def component(self, j: int) -> np.ndarray:
         """Component j at every grid node, (n_paths, n+1)."""
@@ -1032,7 +1031,8 @@ def _simulate_chunk(run: _Run, chunk: range, scratch: _Scratch):
     """
     rows, first, n = len(chunk), chunk.start, run.grid.n_steps
     draws = scratch.normals[:rows]
-    _normal_block(run.seed, np.arange(first, chunk.stop), run.drawn, out=draws[:, : run.drawn])
+    if run.drawn:  # a run that keeps only node 0 reads no normal
+        _normal_block(run.seed, np.arange(first, chunk.stop), run.drawn, out=draws[:, : run.drawn])
     # normals no read value needs: zeros take the same products as the full
     # run's draws, and a product that was zero stays exactly zero
     draws[:, run.drawn :] = 0.0
@@ -1228,8 +1228,7 @@ def _left_vol(model, Y):
 
 def _correlations(model) -> tuple:
     """(rho_j per volatility channel, rho_bar on the orthogonal noise)."""
-    rhos = np.atleast_1d(np.asarray(model.rho, dtype=float))
-    return rhos, math.sqrt(1.0 - float(np.sum(rhos**2)))
+    return np.atleast_1d(np.asarray(model.rho, dtype=float)), model.rho_bar
 
 
 def _log_price(model, regime, grid, Y, dWs):

@@ -158,12 +158,12 @@ class _Discretization:
         p = self.p
         out = np.tile(p.x0, (self.n + 1, 1))
         for term in p.drift_terms:
-            vals = self._eval_field(term.b, x, clip_sqrt)
+            vals = self._eval_field(term.b, x, clip_sqrt, sigma=False)
             out += self.weights[id(term.kernel)].apply(vals)
         if p.control is not None:
             v = self.control_values()
             for term in p.diffusion_terms:
-                sig = self._eval_sigma(term.sigma, x, clip_sqrt)
+                sig = self._eval_field(term.sigma, x, clip_sqrt, sigma=True)
                 drive = np.einsum("idm,im->id", sig, v)
                 out += self.weights[id(term.kernel)].apply(drive)
                 cols = self.section_cols[id(term)]
@@ -171,25 +171,25 @@ class _Discretization:
                     out += np.einsum("idm,im->id", sig, cols)
         return out
 
-    def _eval_field(self, f, x, clip_sqrt) -> np.ndarray:
-        xx = self._clipped_state(x, clip_sqrt)
-        try:  # vectorized fields get the whole grid at once
-            out = np.asarray(f(self.t, xx), dtype=float)
-            if out.shape == (self.n + 1, self.p.dim):
-                return out
-        except Exception:
-            pass
-        return np.stack([np.atleast_1d(f(self.t[i], xx[i])) for i in range(self.n + 1)])
+    def _eval_field(self, f, x, clip_sqrt, sigma: bool) -> np.ndarray:
+        """A drift b, (n+1, d), or with ``sigma`` a diffusion field, (n+1, d, m), at every node.
 
-    def _eval_sigma(self, f, x, clip_sqrt) -> np.ndarray:
+        A vectorized field gets the whole grid at once; one whose answer has
+        the wrong shape, or that raises, is evaluated node by node.
+        """
         xx = self._clipped_state(x, clip_sqrt)
         try:
             out = np.asarray(f(self.t, xx), dtype=float)
-            if out.ndim == 3 and out.shape[0] == self.n + 1:
+            if sigma:
+                whole = out.ndim == 3 and out.shape[0] == self.n + 1
+            else:
+                whole = out.shape == (self.n + 1, self.p.dim)
+            if whole:
                 return out
         except Exception:
             pass
-        return np.stack([np.atleast_2d(f(self.t[i], xx[i])) for i in range(self.n + 1)])
+        lift = np.atleast_2d if sigma else np.atleast_1d
+        return np.stack([lift(f(self.t[i], xx[i])) for i in range(self.n + 1)])
 
     def _clipped_state(self, x, clip_sqrt) -> np.ndarray:
         p = self.p
@@ -279,23 +279,18 @@ def _sequential_sqrt_seed(disc: _Discretization) -> np.ndarray | None:
 
 def _picard(disc: _Discretization, x_init: np.ndarray, clip_sqrt: bool, tol: float):
     x = x_init
-    best = (np.inf, x_init)
-    prev_res = np.inf
+    best_res = prev_res = np.inf
     history = []
     for it in range(1, MAX_ITERATIONS + 1):
         gx = disc.rhs(x, clip_sqrt)
         res = float(np.max(np.abs(gx - x)))
         history.append(res)
-        if res < best[0]:
-            best = (res, x)
+        best_res = min(best_res, res)
         if res <= tol:
             return x, res, it, history
         x = gx if res <= prev_res else x + DAMPING * (gx - x)
         prev_res = res
-    res, x = best
-    if res <= tol:
-        return x, res, MAX_ITERATIONS, history
-    raise NoConvergence(MAX_ITERATIONS, res)
+    raise NoConvergence(MAX_ITERATIONS, best_res)
 
 
 def solve_ldp_limit(p: LimitProblem) -> SolveReport:

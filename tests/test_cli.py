@@ -496,6 +496,41 @@ class TestLimitCommand:
         assert 0.0 <= float(fields["residual"]) <= TOL_SINGULAR
 
 
+    def test_missing_config_file_exit_2(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert run(["limit", "solve", "--config", missing, "--deterministic"]) == 2
+        assert "not found" in capsys.readouterr().err
+
+    def test_malformed_json_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "lim.json"
+        cfg.write_text('{"model": {"variant": "rough_bergomi",')
+        assert run(["limit", "solve", "--config", str(cfg), "--deterministic"]) == 2
+        assert "malformed JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_values", [65, 64, 66, 1])
+    def test_control_values_must_match_the_grid(self, tmp_path, capsys, n_values):
+        # "values" gives the control at every node of the 64-step grid
+        values = list(np.linspace(0.0, 0.5, n_values))
+        cfg = write(
+            tmp_path,
+            "lim.json",
+            {
+                "model": dict(BERGOMI_REC, rho=0.0),
+                "grid": {"horizon": 1.0, "n_steps": 64},
+                "family": "small_time",
+                "control": {"v": {"values": values}},
+            },
+        )
+        code = run(["limit", "solve", "--config", cfg, "--deterministic"])
+        if n_values == 65:
+            assert code == 0
+            rows = capsys.readouterr().out.splitlines()[2:]
+            assert len(rows) == 65
+        else:
+            assert code == 2
+            assert f"control/v/values has {n_values} samples" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_end_to_end_gaussian(self, tmp_path, capsys):
         cfg = write(

@@ -6,7 +6,6 @@ from scipy.special import gamma as gamma_fn
 
 from volterra_deviations.frac_calculus import (
     Control,
-    FracOrder,
     KernelSection,
     control_energy,
     energy,
@@ -23,16 +22,12 @@ def gf(vals, grid=GRID):
     return GridFunction(grid, vals)
 
 
-class TestFracOrder:
-    def test_bounds(self):
-        FracOrder(1.0)
-        with pytest.raises(ValueError):
-            FracOrder(0.0)
-        with pytest.raises(ValueError):
-            FracOrder(1.2)
-
-
 class TestRlIntegral:
+    @pytest.mark.parametrize("alpha", [0.0, -0.3, 1.2])
+    def test_order_outside_the_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            rl_integral(gf(np.ones_like(T_NODES)), alpha)
+
     def test_constant_input(self):
         g = rl_integral(gf(np.ones_like(T_NODES)), 0.6)
         want = T_NODES**0.6 / gamma_fn(1.6)
@@ -93,6 +88,17 @@ class TestRlIntegral:
 
 
 class TestRlDerivative:
+    @pytest.mark.parametrize("alpha", [0.0, -0.3, 1.2])
+    def test_order_outside_the_unit_interval_is_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            rl_derivative(gf(np.ones_like(T_NODES)), alpha, 0.0)
+
+    def test_vector_valued_input_is_rejected(self):
+        grid = TimeGrid(1.0, 64)
+        vals = np.stack([grid.nodes, np.ones_like(grid.nodes)], axis=1)
+        with pytest.raises(ValueError, match="scalar"):
+            rl_derivative(GridFunction(grid, vals), 0.5, 0.0)
+
     def test_power_mode_is_exact(self):
         # D^(H+1/2) t^(H+1/2) = Gamma(H+3/2), the explicit-rate constant
         H = 0.1
@@ -210,3 +216,26 @@ class TestControlEnergy:
 
         want, _ = quad(integrand, 0.0, 1.0, points=[1.0], limit=400)
         assert control_energy(c) == pytest.approx(0.5 * want, rel=1e-4)
+
+    def test_same_channel_section_cross_term_against_quadrature(self):
+        # two sections on one channel: the cross term 2 c1 c2 R(t1, t2) is
+        # the kernel autocovariance, checked here against quadrature of
+        # (1/2) int (c1 K(t1 - s) 1{s < t1} + c2 K(t2 - s))^2 ds
+        from scipy.integrate import quad
+
+        from volterra_deviations.kernels import eval_conv
+
+        grid = TimeGrid(1.0, 64)
+        k = power_law(0.1)
+        (t1, c1), (t2, c2) = (0.5, 0.7), (1.0, -0.4)
+        sections = (KernelSection(k, t1, c1, 0), KernelSection(k, t2, c2, 0))
+        c = Control(GridFunction(grid, np.zeros(len(grid))), sections=sections)
+
+        def head(s):
+            return (c1 * eval_conv(k, t1 - s) + c2 * eval_conv(k, t2 - s)) ** 2
+
+        def tail(s):
+            return (c2 * eval_conv(k, t2 - s)) ** 2
+
+        want = quad(head, 0.0, t1, limit=400)[0] + quad(tail, t1, t2, limit=400)[0]
+        assert control_energy(c) == pytest.approx(0.5 * want, rel=1e-9)

@@ -130,3 +130,31 @@ def test_every_cli_option_is_read_by_its_handler():
         }
         unread += [f"{parser.prog} {a.option_strings[0]}" for a in options(parser) if a.dest not in read]
     assert unread == []
+
+
+def test_the_package_exports_exactly_its_modules_all():
+    # the public names are stated once, in each module's __all__; the
+    # package re-exports them and nothing else, so a name added to a module's
+    # __all__ is public and one left out of it is not; ``cli`` is the
+    # command line, not part of the library
+    import importlib
+    import types
+
+    import volterra_deviations as pkg
+
+    declared = set()
+    for path in sorted((SRC / "volterra_deviations").glob("*.py")):
+        if path.stem in ("__init__", "cli"):
+            continue
+        module = importlib.import_module(f"volterra_deviations.{path.stem}")
+        assert hasattr(module, "__all__"), path.name
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], path.name
+        declared |= set(module.__all__)
+    public = {
+        name
+        for name, obj in vars(pkg).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert public == declared
+    # the function, not its module, as the name says
+    assert callable(pkg.implied_vol)

@@ -380,6 +380,23 @@ class TestSections:
             simulate_controlled(BERGOMI, small_time_ldp(0.3), ctrl, GRID, 10, seed=1)
         assert draws == []
 
+    # a control carries one channel per volatility channel, plus optionally
+    # the orthogonal one: any other count fails before a normal is drawn
+    @pytest.mark.parametrize(
+        "name, n_channels",
+        [("bergomi", 3), ("heston", 3), ("multifactor", 1), ("multifactor", 4)],
+    )
+    def test_a_control_with_the_wrong_channel_count_raises_before_drawing(
+        self, monkeypatch, name, n_channels
+    ):
+        draws = _count_draws(monkeypatch)
+        ctrl = Control(GridFunction(SMALL_GRID, np.full((len(SMALL_GRID), n_channels), 0.1)))
+        with pytest.raises(InvalidModel, match="channels"):
+            simulate_controlled(
+                INVARIANCE_MODELS[name], small_time_ldp(0.3), ctrl, SMALL_GRID, 10, seed=1
+            )
+        assert draws == []
+
     def test_section_at_time_zero_tilts_nothing(self):
         # Z_0 = 0, so a section ending at t = 0 pairs with nothing
         ctrl = self._ctrl(KernelSection(power_law(H), 0.0, 0.7, 0))
@@ -588,7 +605,9 @@ class TestChunkInvariance:
             )
         else:
             ens = _run(name, control, threads=1, nodes=nodes, components=components)
-        assert counts == [drawn] == [ens.normals_per_path]
+        # a run that draws nothing makes no draw call at all
+        assert counts == ([drawn] if drawn else [])
+        assert ens.normals_per_path == drawn
 
     # a terminal-event run draws one normal per path, and a run from node
     # n - 2 three, yet its kept values and log weights are the full run's in
