@@ -1,9 +1,11 @@
 """Configuration-driven command line: kernels, limit, simulate, rate, smile, verify.
 
-One JSON config describes one run; every output file starts with a comment
-header (or ``_meta`` object) carrying the config hash and seed, plus a
-timestamp unless ``--deterministic`` is passed.  Exit codes: 0 success,
-1 domain error, 2 config error.
+One JSON config describes one run; a config key left out keeps the library's
+default.  Every output starts with one provenance record (``_meta`` in JSON,
+the ``# k=v`` header line of a CSV) carrying the config hash, seed and
+version, plus a timestamp unless ``--deterministic`` is passed.  Exit codes:
+0 success, 1 domain error, 2 config error (a bad config, or a file other than
+the config that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from datetime import datetime, timezone
 
 import jsonschema
@@ -48,17 +51,19 @@ _GRID_SCHEMA = {
     "additionalProperties": False,
 }
 
+_VARIANTS = {
+    "rough_stein_stein": RoughSteinStein,
+    "rough_bergomi": RoughBergomi,
+    "rough_heston": RoughHeston,
+    "multi_rough_bergomi": MultiRoughBergomi,
+}
+
+_REGIME_KINDS = ["small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"]
+
 _MODEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "variant": {
-            "enum": [
-                "rough_stein_stein",
-                "rough_bergomi",
-                "rough_heston",
-                "multi_rough_bergomi",
-            ]
-        },
+        "variant": {"enum": list(_VARIANTS)},
         "kappa": {"type": "number"},
         "theta": {"type": "number"},
         "xi": {"type": "number"},
@@ -75,9 +80,7 @@ _MODEL_SCHEMA = {
 _REGIME_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {
-            "enum": ["small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"]
-        },
+        "kind": {"enum": _REGIME_KINDS},
         "eps": {"type": "number", "exclusiveMinimum": 0},
         "beta": {"type": "number"},
     },
@@ -85,12 +88,21 @@ _REGIME_SCHEMA = {
     "additionalProperties": False,
 }
 
-_CONTROL_SCHEMA = {
+# each channel is a constant or one value per grid node, never both
+_CHANNEL_SCHEMA = {
     "type": "object",
     "properties": {
-        "v": {"type": "object"},
-        "u": {"type": "object"},
+        "constant": {"type": "number"},
+        "values": {"type": "array", "items": {"type": "number"}},
     },
+    "minProperties": 1,
+    "maxProperties": 1,
+    "additionalProperties": False,
+}
+
+_CONTROL_SCHEMA = {
+    "type": "object",
+    "properties": {"v": _CHANNEL_SCHEMA, "u": _CHANNEL_SCHEMA},
     "additionalProperties": False,
 }
 
@@ -176,9 +188,7 @@ _SCHEMAS = {
                 "additionalProperties": False,
             },
             "epsilons": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-            "regime": {
-                "enum": ["small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"]
-            },
+            "regime": {"enum": _REGIME_KINDS},
             "beta": {"type": "number"},
             "paths": {"type": "integer", "minimum": 1000},
             "seed": {"type": "integer"},
@@ -212,62 +222,61 @@ def _load_config(path: str, schema_key: str) -> dict:
     return cfg
 
 
-def model_from_config(rec: dict):
-    variant = rec.get("variant")
-    params = {k: v for k, v in rec.items() if k != "variant"}
+def _checked(at: str, build, /, *args, **kwargs):
+    """``build(*args, **kwargs)``; what the library rejects is a ConfigError naming ``at``."""
     try:
-        if variant == "rough_stein_stein":
-            return RoughSteinStein(**params)
-        if variant == "rough_bergomi":
-            return RoughBergomi(**params)
-        if variant == "rough_heston":
-            return RoughHeston(**params)
-        if variant == "multi_rough_bergomi":
-            params = {
-                k: tuple(tuple(r) for r in v) if k == "loadings" else tuple(v)
-                for k, v in params.items()
-            }
-            return MultiRoughBergomi(**params)
-    except (TypeError, DomainError) as exc:
-        raise ConfigError(f"bad model record at model: {exc}") from exc
-    raise ConfigError(f"unknown model variant {variant!r} at model/variant")
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, DomainError) as exc:
+        raise ConfigError(f"bad record at {at}: {exc}") from exc
 
 
-def regime_from_config(rec: dict) -> ScalingRegime:
-    try:
-        return ScalingRegime(rec["kind"], rec["eps"], rec.get("beta"))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad regime record at regime: {exc}") from exc
+def _model(variant: str, **params):
+    cls = _VARIANTS[variant]
+    if cls is MultiRoughBergomi:  # one entry per factor, the loadings row by row
+        params = {
+            k: tuple(map(tuple, v)) if k == "loadings" else tuple(v) for k, v in params.items()
+        }
+    return cls(**params)
 
 
-def grid_from_config(rec: dict) -> TimeGrid:
-    try:
-        return TimeGrid(rec["horizon"], rec["n_steps"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad grid record at grid: {exc}") from exc
+def _control(grid: TimeGrid, **channels) -> Control:
+    """Channels v and u, each a constant or one value per grid node; a missing one is 0."""
+    cols = []
+    for name in ("v", "u"):
+        rec = channels.get(name, {"constant": 0.0})
+        if "constant" in rec:
+            cols.append(np.full(len(grid), float(rec["constant"])))
+        elif len(rec["values"]) == len(grid):
+            cols.append(np.asarray(rec["values"], dtype=float))
+        else:
+            n = len(rec["values"])
+            raise ConfigError(f"control/{name}/values has {n} samples, grid has {len(grid)} nodes")
+    return Control(GridFunction(grid, np.stack(cols, axis=1)))
 
 
-def _channel_values(rec: dict, grid: TimeGrid, name: str) -> np.ndarray:
-    if "constant" in rec:
-        return np.full(len(grid), float(rec["constant"]))
-    if "values" in rec:
-        vals = np.asarray(rec["values"], dtype=float)
-        if len(vals) != len(grid):
-            raise ConfigError(
-                f"control/{name}/values has {len(vals)} samples, grid has {len(grid)} nodes"
-            )
-        return vals
-    raise ConfigError(f"control/{name} needs 'constant' or 'values'")
+# each record's keys are its constructor's arguments
+_BUILDERS = {"model": _model, "regime": ScalingRegime, "grid": TimeGrid, "control": _control}
 
 
-def control_from_config(rec: dict, grid: TimeGrid) -> Control:
-    v = _channel_values(rec.get("v", {"constant": 0.0}), grid, "v")
-    u = _channel_values(rec.get("u", {"constant": 0.0}), grid, "u")
-    return Control(GridFunction(grid, np.stack([v, u], axis=1)))
+def _records(cfg: dict, *keys: str) -> list:
+    """The model, regime, grid and control records of ``cfg`` named by ``keys``, in order.
+
+    A control is sampled on the grid, so the grid comes before it.
+    """
+    built = {}
+    for key in keys:
+        grid = (built["grid"],) if key == "control" else ()
+        built[key] = _checked(key, _BUILDERS[key], *grid, **cfg[key])
+    return [built[k] for k in keys]
+
+
+def _given(rec: dict, *keys: str) -> dict:
+    """The ``keys`` the config gives; one left out keeps the library's default."""
+    return {k: rec[k] for k in keys if k in rec}
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# output
 # ---------------------------------------------------------------------------
 
 
@@ -276,39 +285,44 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _header_comment(cfg: dict, seed, deterministic: bool) -> str:
-    parts = [f"config_hash={config_hash(cfg)}", f"seed={seed}"]
-    if not deterministic:
-        parts.append(f"timestamp={datetime.now(timezone.utc).isoformat()}")
-    parts.append(f"volterra_deviations={__version__}")
-    return "# " + " ".join(parts)
-
-
 def _meta(cfg: dict, seed, deterministic: bool) -> dict:
-    meta = {"config_hash": config_hash(cfg), "seed": seed, "version": __version__}
+    """The provenance record of an output: config hash, seed, [timestamp,] version."""
+    meta = {"config_hash": config_hash(cfg), "seed": seed}
     if not deterministic:
         meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+    meta["version"] = __version__
     return meta
 
 
-def _write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
-    if path is None:
-        print(text)
+@contextmanager
+def _open(path: str, mode: str = "r"):
+    """Open a file other than the config; an OS error on it is a ConfigError naming it."""
+    try:
+        with open(path, mode) as fh:
+            yield fh
+    except OSError as exc:
+        verb = "read" if "r" in mode else "write"
+        raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from exc
+
+
+def _emit(out, meta: dict, payload: dict | None = None, *, columns=(), table=(), **fields):
+    """Write ``payload`` as JSON under ``_meta``, or else a CSV of ``table`` (one row per line).
+
+    A CSV starts with ``meta`` and then ``fields`` as one ``# k=v ...`` line,
+    then its ``columns``; every value is written as ``repr(float(x))``.
+    Without ``out`` it goes to stdout.
+    """
+    if payload is not None:
+        lines = [json.dumps({"_meta": meta, **payload}, indent=2, sort_keys=True, default=float)]
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-
-
-def _write_csv(path, header_comment: str, columns: list[str], rows):
-    lines = [header_comment, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(float(x)) for x in row))
+        header = " ".join(f"{k}={v}" for k, v in {**meta, **fields}.items())
+        lines = [f"# {header}", ",".join(columns)]
+        lines += [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
     text = "\n".join(lines) + "\n"
-    if path is None:
-        print(text, end="")
+    if out is None:
+        sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with _open(out, "w") as fh:
             fh.write(text)
 
 
@@ -316,19 +330,25 @@ def _write_paths_binary(path: str, paths: np.ndarray):
     n_paths, n_nodes, d = paths.shape
     header = _BIN_MAGIC + np.asarray([n_paths, n_nodes, d], dtype="<u8").tobytes()
     assert len(header) == 32
-    with open(path, "wb") as fh:
+    with _open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(paths, dtype="<f8").tobytes())
 
 
 def read_paths_binary(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if header[:8] != _BIN_MAGIC:
-            raise ConfigError(f"{path} is not a paths binary (bad magic)")
-        dims = np.frombuffer(header[8:], dtype="<u8")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    return data.reshape(tuple(int(x) for x in dims))
+    """The (paths, nodes, components) array of a ``vd simulate`` ``.bin``.
+
+    ConfigError naming the file if it cannot be read or is not a whole paths binary.
+    """
+    with _open(path, "rb") as fh:
+        header, data = fh.read(32), fh.read()
+    if len(header) < 32 or header[:8] != _BIN_MAGIC:
+        raise ConfigError(f"{path} is not a paths binary (bad magic or short header)")
+    dims = tuple(int(x) for x in np.frombuffer(header[8:], dtype="<u8"))
+    if len(data) != 8 * math.prod(dims):
+        raise ConfigError(f"{path} is truncated: shape {dims} needs {8 * math.prod(dims)} "
+                          f"data bytes, it holds {len(data)}")
+    return np.frombuffer(data, dtype="<f8").reshape(dims)
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +361,8 @@ def _cmd_kernels(args) -> int:
 
     cfg = _load_config(args.config, "kernels")
     kernel = kernel_from_config(cfg["kernel"])
-    rep = check_regularity(
-        kernel, cfg["gamma_claim"], cfg["h_grid"], horizon=cfg.get("horizon", 1.0)
-    )
+    rep = check_regularity(kernel, cfg["gamma_claim"], cfg["h_grid"], **_given(cfg, "horizon"))
     payload = {
-        "_meta": _meta(cfg, None, args.deterministic),
         "gamma_claim": rep.gamma_claim,
         "fitted_slope": rep.fitted_slope,
         "tolerance": rep.tolerance,
@@ -353,7 +370,7 @@ def _cmd_kernels(args) -> int:
         "h_values": list(rep.h_values),
         "functional": list(rep.functional),
     }
-    _write_json(args.out, payload)
+    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
     return 0
 
 
@@ -361,46 +378,53 @@ def _cmd_limit(args) -> int:
     from .rate_functions import regenerate_pair
 
     cfg = _load_config(args.config, "limit")
-    model = model_from_config(cfg["model"])
-    grid = grid_from_config(cfg["grid"])
-    ctrl = control_from_config(cfg["control"], grid)
-    policy = cfg.get("branch_policy", "continue_positive")
+    model, grid, ctrl = _records(cfg, "model", "grid", "control")
     family = cfg["family"]
     phi, vphi, rep = regenerate_pair(
-        model, ctrl, frozen=family == "mdp", tail=family == "tail", branch_policy=policy
+        model, ctrl, frozen=family == "mdp", tail=family == "tail", **_given(cfg, "branch_policy")
     )
-    rows = zip(grid.nodes, phi.values, vphi.values)
-    header = _header_comment(cfg, None, args.deterministic) + f" family={family} branch={policy}"
-    header += f" picard_iterations={rep.picard_iterations} residual={rep.residual!r}"
-    _write_csv(args.out, header, ["t", "phi", "vphi"], rows)
+    _emit(
+        args.out,
+        _meta(cfg, None, args.deterministic),
+        columns=["t", "phi", "vphi"],
+        table=np.column_stack([grid.nodes, phi.values, vphi.values]),
+        family=family,
+        branch=rep.branch_taken,
+        picard_iterations=rep.picard_iterations,
+        residual=rep.residual,
+    )
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, "simulate")
-    model = model_from_config(cfg["model"])
-    regime = regime_from_config(cfg["regime"])
-    grid = grid_from_config(cfg["grid"])
+    model, regime, grid = _records(cfg, "model", "regime", "grid")
     ens = simulate(model, regime, grid, args.paths, args.seed, threads=args.threads)
     if args.out and args.out.endswith(".bin"):
         _write_paths_binary(args.out, ens.paths)
         return 0
-    d = ens.paths.shape[2]
-    columns = ["path", "t"] + [f"c{j}" for j in range(d)]
-    rows = []
-    for p in range(ens.paths.shape[0]):
-        for i, t in enumerate(grid.nodes):
-            rows.append([p, t, *ens.paths[p, i, :]])
-    header = _header_comment(cfg, args.seed, args.deterministic)
-    header += f" regularized={ens.bump!r} paths=0..{ens.n_paths - 1}"
-    _write_csv(args.out, header, columns, rows)
+    n_paths, n_nodes, d = ens.paths.shape
+    _emit(
+        args.out,
+        _meta(cfg, args.seed, args.deterministic),
+        columns=["path", "t"] + [f"c{j}" for j in range(d)],
+        table=np.column_stack(
+            [
+                np.repeat(np.arange(n_paths), n_nodes),
+                np.tile(grid.nodes, n_paths),
+                ens.paths.reshape(-1, d),
+            ]
+        ),
+        regularized=ens.bump,
+        paths=f"0..{n_paths - 1}",
+    )
     return 0
 
 
 def _read_path_csv(path: str):
     """Grid and (phi, vphi) columns; only lines before the first numeric row may be headers."""
     rows = []
-    with open(path) as fh:
+    with _open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -427,82 +451,77 @@ def _read_path_csv(path: str):
     return grid, arr[:, 1], arr[:, 2]
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate_eval(args) -> int:
     from .rate_functions import (
         heston_rate,
         ldp_rate_pair,
-        ldp_rate_terminal,
         mdp_rate_pair,
         tail_rate_heston,
         tail_rate_steinstein,
     )
 
     cfg = _load_config(args.model, "rate")
-    model = model_from_config(cfg["model"])
+    (model,) = _records(cfg, "model")
+    grid, phi_vals, vphi_vals = _read_path_csv(args.path)
+    pair = (model, GridFunction(grid, phi_vals), GridFunction(grid, vphi_vals))
     family = cfg.get("family", "small_time")
-    if args.mode == "eval":
-        grid, phi_vals, vphi_vals = _read_path_csv(args.path)
-        phi = GridFunction(grid, phi_vals)
-        vphi = GridFunction(grid, vphi_vals)
-        if family == "small_time":
-            if isinstance(model, RoughHeston):
-                res = heston_rate(model, phi, vphi, delta=cfg.get("delta", 1e-4))
-            else:
-                res = ldp_rate_pair(model, phi, vphi)
-        elif family == "small_time_mdp":
-            res = mdp_rate_pair(model, phi, vphi)
-        else:
-            if isinstance(model, RoughHeston):
-                res = tail_rate_heston(model, phi, vphi, delta=cfg.get("delta", 1e-4))
-            else:
-                res = tail_rate_steinstein(model, phi, vphi)
-        payload = {
-            "_meta": _meta(cfg, None, args.deterministic),
-            "value": res.value,
-            "regularization_delta": res.regularization_delta,
-            "richardson_value": res.richardson_value,
-        }
-    else:  # minimize
-        key, _, val = args.terminal.partition("=")
-        if key not in ("x", "y") or not val:
-            raise ConfigError("--terminal must look like x=<value> or y=<value>")
-        try:
-            target = float(val)
-        except ValueError:
-            target = math.nan
-        if not math.isfinite(target):
-            raise ConfigError(f"--terminal value must be a finite number, got {val!r}")
-        grid_rec = cfg.get("grid", {"horizon": 1.0, "n_steps": 512})
-        res = ldp_rate_terminal(
-            model,
-            target,
-            component=key,
-            n_steps=grid_rec["n_steps"],
-            horizon=grid_rec["horizon"],
-        )
-        payload = {
-            "_meta": _meta(cfg, None, args.deterministic),
-            "value": res.value,
-            "converged": res.diagnostics["converged"],
-            "constraint_violation": res.constraint_violation,
-            "iterations": res.iterations,
-            "starts": res.diagnostics["starts"],
-        }
-    _write_json(args.out, payload)
+    if family == "small_time_mdp":
+        res = mdp_rate_pair(*pair)
+    elif isinstance(model, RoughHeston):  # the delta-regularized rates
+        rate = heston_rate if family == "small_time" else tail_rate_heston
+        res = rate(*pair, **_given(cfg, "delta"))
+    else:
+        res = (ldp_rate_pair if family == "small_time" else tail_rate_steinstein)(*pair)
+    payload = {
+        "value": res.value,
+        "regularization_delta": res.regularization_delta,
+        "richardson_value": res.richardson_value,
+    }
+    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
     return 0
+
+
+def _cmd_rate_minimize(args) -> int:
+    from .rate_functions import ldp_rate_terminal
+
+    cfg = _load_config(args.model, "rate")
+    (model,) = _records(cfg, "model")
+    key, _, val = args.terminal.partition("=")
+    if key not in ("x", "y") or not val:
+        raise ConfigError("--terminal must look like x=<value> or y=<value>")
+    try:
+        target = float(val)
+    except ValueError:
+        target = math.nan
+    if not math.isfinite(target):
+        raise ConfigError(f"--terminal value must be a finite number, got {val!r}")
+    # the grid record's keys, horizon and n_steps, are the solver's own
+    res = ldp_rate_terminal(model, target, component=key, **cfg.get("grid", {}))
+    payload = {
+        "value": res.value,
+        "converged": res.diagnostics["converged"],
+        "constraint_violation": res.constraint_violation,
+        "iterations": res.iterations,
+        "starts": res.diagnostics["starts"],
+    }
+    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
+    return 0
+
+
+# the SmilePoint field of each CSV column named otherwise; a None is written as nan
+_SMILE_FIELDS = {"t": "maturity", "k": "log_moneyness", "k_attained": "attained"}
 
 
 def _cmd_smile(args) -> int:
     from .implied_vol import mc_smile, smile_ldp, smile_mdp, smile_tail
 
+    if args.threads is not None and args.regime != "mc":
+        raise ConfigError(f"--threads applies to --regime mc only, not {args.regime}")
     cfg = _load_config(args.model, "smile")
-    model = model_from_config(cfg["model"])
+    (model,) = _records(cfg, "model")
     blk = cfg["smile"]
-    t = blk["maturity"]
-    strikes = blk["strikes"]
-    # the solver regimes keep their own grid defaults unless n_steps is given
-    steps = {"n_steps": blk["n_steps"]} if "n_steps" in blk else {}
-    points = []
+    t, strikes, seed = blk["maturity"], blk["strikes"], blk.get("seed", 0)
+    steps = _given(blk, "n_steps")
     if args.regime == "ldp":
         points = [smile_ldp(model, k, t, **steps) for k in strikes]
     elif args.regime == "mdp":
@@ -511,39 +530,17 @@ def _cmd_smile(args) -> int:
     elif args.regime == "tail":
         points = [smile_tail(model, t, k, **steps) for k in strikes]
     else:
-        points = mc_smile(
-            model,
-            t,
-            strikes,
-            blk.get("paths", 100_000),
-            blk.get("seed", 0),
-            n_steps=blk.get("n_steps", 192),
-            threads=args.threads,
-        )
+        paths = blk.get("paths", 100_000)
+        points = mc_smile(model, t, strikes, paths, seed, threads=args.threads, **steps)
     columns = ["t", "k", "sigma_hat", "stderr"]
-    rows = [
-        [
-            p.maturity,
-            p.log_moneyness,
-            p.sigma_hat,
-            p.stderr if p.stderr is not None else float("nan"),
-        ]
-        for p in points
-    ]
+    fields = {"regime": args.regime, "source": points[0].source if points else "n/a"}
     if args.regime in ("ldp", "tail"):  # where the rate infimum sits on the ray
         columns.append("k_attained")
-        for row, p in zip(rows, points):
-            row.append(p.attained)
-    header = (
-        _header_comment(cfg, blk.get("seed", 0), args.deterministic)
-        + f" regime={args.regime} source={points[0].source if points else 'n/a'}"
-    )
     if args.regime == "mc":  # the F - 1 control of each point, the run's Cholesky bump
         columns += ["control_coef", "variance_ratio"]
-        for row, p in zip(rows, points):
-            row += [p.control_coef, p.variance_ratio]
-        header += f" regularized={points[0].bump if points else 0.0!r}"
-    _write_csv(args.out, header, columns, rows)
+        fields["regularized"] = points[0].bump if points else 0.0
+    table = [[getattr(p, _SMILE_FIELDS.get(c, c)) for c in columns] for p in points]
+    _emit(args.out, _meta(cfg, seed, args.deterministic), columns=columns, table=table, **fields)
     return 0
 
 
@@ -551,34 +548,24 @@ def _cmd_verify(args) -> int:
     from .mc_verify import DeviationExperiment, EventSpec, build_is_control, ldp_slope
 
     cfg = _load_config(args.experiment, "verify")
-    model = model_from_config(cfg["model"])
-    grid = grid_from_config(cfg["grid"])
-    ev = cfg["event"]
-    event = EventSpec(
-        component=ev["component"],
-        level=ev["level"],
-        direction=ev.get("direction", "ge"),
-        t_eval=ev.get("t_eval"),
+    model, grid = _records(cfg, "model", "grid")
+    event = EventSpec(**cfg["event"])
+    exp = _checked(
+        "epsilons/regime/beta",
+        DeviationExperiment,
+        model=model,
+        event=event,
+        epsilons=tuple(cfg["epsilons"]),
+        regime_kind=cfg["regime"],
+        n_paths=cfg["paths"],
+        seed=cfg["seed"],
+        grid=grid,
+        **_given(cfg, "beta", "reference_rate"),
     )
-    try:
-        exp = DeviationExperiment(
-            model=model,
-            event=event,
-            epsilons=tuple(cfg["epsilons"]),
-            regime_kind=cfg["regime"],
-            beta=cfg.get("beta"),
-            n_paths=cfg["paths"],
-            seed=cfg["seed"],
-            grid=grid,
-            reference_rate=cfg.get("reference_rate"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad experiment at epsilons/regime/beta: {exc}") from exc
-    if cfg.get("importance_sampling", False):
+    if cfg.get("importance_sampling"):
         exp.is_control = build_is_control(model, event, grid, cfg["regime"])
     rep = ldp_slope(exp)
     payload = {
-        "_meta": _meta(cfg, cfg["seed"], args.deterministic),
         "epsilons": list(rep.epsilons),
         "p_hats": list(rep.p_hats),
         "stderrs": list(rep.stderrs),
@@ -596,7 +583,7 @@ def _cmd_verify(args) -> int:
         "max_weight_shares": rep.max_weight_shares,
         "second_moment_decays": rep.second_moment_decays,
     }
-    _write_json(args.out, payload)
+    _emit(args.out, _meta(cfg, cfg["seed"], args.deterministic), payload)
     return 0
 
 
@@ -644,12 +631,12 @@ def _build_parser() -> argparse.ArgumentParser:
     re_.add_argument("--model", required=True)
     re_.add_argument("--path", required=True)
     re_.add_argument("--out")
-    re_.set_defaults(fn=_cmd_rate)
+    re_.set_defaults(fn=_cmd_rate_eval)
     rm = rsub.add_parser("minimize", parents=[common])
     rm.add_argument("--model", required=True)
     rm.add_argument("--terminal", required=True, help="x=<value> or y=<value>")
     rm.add_argument("--out")
-    rm.set_defaults(fn=_cmd_rate)
+    rm.set_defaults(fn=_cmd_rate_minimize)
 
     smile = sub.add_parser("smile", help="implied-volatility points", parents=[threaded])
     smile.add_argument("--model", required=True)

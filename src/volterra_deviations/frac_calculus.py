@@ -153,11 +153,6 @@ class Control:
     def channel_values(self, j: int) -> np.ndarray:
         return self.values.values if self.values.values.ndim == 1 else self.values.values[:, j]
 
-    @staticmethod
-    def zero(grid: TimeGrid, n_channels: int = 1) -> "Control":
-        shape = len(grid) if n_channels == 1 else (len(grid), n_channels)
-        return Control(GridFunction(grid, np.zeros(shape)))
-
 
 def control_energy(c: Control) -> float:
     """(1/2) ||v||^2 including kernel-section atoms, via exact moments."""

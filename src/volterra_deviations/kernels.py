@@ -502,11 +502,17 @@ def check_regularity(
 
     Passes when the fitted slope is >= gamma_claim - _SLOPE_TOLERANCE (0.05
     absolute, the discretization noise of a dyadic fit), which the report
-    records as ``tolerance``.
+    records as ``tolerance``.  KernelDomainError unless the h grid is
+    positive with at least two distinct values and the horizon is finite and
+    positive.
     """
     h_vals = np.asarray(sorted(h_grid, reverse=True), dtype=float)
     if np.any(h_vals <= 0.0):
         raise KernelDomainError("h grid must be positive")
+    if np.unique(h_vals).size < 2:
+        raise KernelDomainError(f"a slope fit needs two distinct h values, got {h_vals.tolist()}")
+    if not 0.0 < horizon < math.inf:
+        raise KernelDomainError(f"horizon must be finite and positive, got {horizon!r}")
     vals = np.array(
         [l2_norm_sq(k, h) + _shift_term(k, h, horizon) for h in h_vals]
     )

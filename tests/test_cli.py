@@ -638,3 +638,207 @@ class TestConfigHash:
     def test_stable_under_key_order(self):
         assert config_hash({"a": 1, "b": 2}) == config_hash({"b": 2, "a": 1})
         assert config_hash({"a": 1}) != config_hash({"a": 2})
+
+
+SS_REC = {"variant": "rough_stein_stein", "kappa": 0.5, "theta": 0.1, "xi": 0.4,
+          "rho": -0.3, "y0": 0.3, "hurst": 0.1}
+
+
+def _path_csv(tmp_path, n=16):
+    t = np.linspace(0.0, 1.0, n + 1)
+    rows = [f"{x!r},0.0,{-3.2 + 0.5 * x**0.6!r}" for x in map(float, t)]
+    path = tmp_path / "p.csv"
+    path.write_text("t,phi,vphi\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+# every leaf subcommand: its config, its arguments after the config, its seed
+LEAVES = {
+    "kernels": (
+        {"kernel": {"kind": "power_law", "hurst": 0.1}, "gamma_claim": 0.2,
+         "h_grid": [2.0**-j for j in range(4, 8)]},
+        lambda cfg, tmp: ["kernels", "--config", cfg],
+        None,
+    ),
+    "limit solve": (
+        {"model": SS_REC, "grid": {"horizon": 1.0, "n_steps": 16}, "family": "small_time",
+         "control": {"v": {"constant": 0.5}}},
+        lambda cfg, tmp: ["limit", "solve", "--config", cfg],
+        None,
+    ),
+    "simulate": (
+        {"model": BERGOMI_REC, "regime": {"kind": "small_time_ldp", "eps": 0.25},
+         "grid": {"horizon": 1.0, "n_steps": 8}},
+        lambda cfg, tmp: ["simulate", "--config", cfg, "--paths", "20", "--seed", "9"],
+        9,
+    ),
+    "rate eval": (
+        {"model": dict(BERGOMI_REC, rho=0.0)},
+        lambda cfg, tmp: ["rate", "eval", "--model", cfg, "--path", _path_csv(tmp)],
+        None,
+    ),
+    "rate minimize": (
+        {"model": BERGOMI_REC, "grid": {"horizon": 1.0, "n_steps": 16}},
+        lambda cfg, tmp: ["rate", "minimize", "--model", cfg, "--terminal", "x=0.1"],
+        None,
+    ),
+    "smile": (
+        {"model": BERGOMI_REC,
+         "smile": {"maturity": 0.1, "strikes": [0.0], "paths": 1000, "n_steps": 8, "seed": 5}},
+        lambda cfg, tmp: ["smile", "--model", cfg, "--regime", "mc"],
+        5,
+    ),
+    "verify": (
+        {"model": dict(BERGOMI_REC, a=0.0), "event": {"component": 1, "level": -3.2},
+         "epsilons": [0.5, 0.25], "regime": "small_time_ldp", "paths": 1000, "seed": 3,
+         "grid": {"horizon": 1.0, "n_steps": 8}},
+        lambda cfg, tmp: ["verify", "--experiment", cfg],
+        3,
+    ),
+}
+
+
+def provenance(text: str) -> dict:
+    """A JSON output's ``_meta``, or a CSV's ``# k=v`` header line as a dict."""
+    if text.startswith("{"):
+        return json.loads(text)["_meta"]
+    head = text.splitlines()[0]
+    assert head.startswith("# ")
+    return dict(f.split("=", 1) for f in head[2:].split())
+
+
+class TestProvenance:
+    @pytest.mark.parametrize("leaf", sorted(LEAVES))
+    def test_every_output_says_how_it_was_made(self, tmp_path, leaf):
+        from volterra_deviations import __version__
+
+        rec, argv, seed = LEAVES[leaf]
+        cfg = write(tmp_path, "cfg.json", rec)
+        outs = {}
+        for name, flags in [("a", ["--deterministic"]), ("b", ["--deterministic"]), ("c", [])]:
+            out = tmp_path / f"{name}.out"
+            assert run(argv(cfg, tmp_path) + ["--out", str(out)] + flags) == 0
+            outs[name] = out.read_bytes()
+        assert outs["a"] == outs["b"]
+        for name, timed in [("a", False), ("c", True)]:
+            meta = provenance(outs[name].decode())
+            assert meta["config_hash"] == config_hash(rec)
+            assert str(meta["seed"]) == str(seed)
+            assert meta["version"] == __version__
+            assert ("timestamp" in meta) is timed
+            assert set(meta) - {"config_hash", "seed", "version", "timestamp"} <= {
+                "family", "branch", "picard_iterations", "residual",  # limit solve
+                "regularized", "paths", "regime", "source",  # simulate, smile
+            }
+
+
+class TestFilesOtherThanTheConfig:
+    def test_a_missing_path_csv_is_a_config_error_naming_it(self, tmp_path, capsys):
+        cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC})
+        missing = str(tmp_path / "absent.csv")
+        assert run(["rate", "eval", "--model", cfg, "--path", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and missing in err
+
+    def test_an_out_in_a_missing_directory_is_a_config_error_naming_it(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            "sim.json",
+            {"model": BERGOMI_REC, "regime": {"kind": "small_time_ldp", "eps": 0.25},
+             "grid": {"horizon": 1.0, "n_steps": 8}},
+        )
+        for name in ("paths.csv", "paths.bin"):
+            out = str(tmp_path / "absent" / name)
+            assert run(["simulate", "--config", cfg, "--paths", "5", "--seed", "1", "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and out in err
+
+    @pytest.mark.parametrize("keep", [0, 7, 31, 32 + 8 * 3, -1])
+    def test_a_truncated_paths_binary_is_a_config_error_naming_it(self, tmp_path, keep):
+        from volterra_deviations.errors import ConfigError
+
+        cfg = write(
+            tmp_path,
+            "sim.json",
+            {"model": BERGOMI_REC, "regime": {"kind": "small_time_ldp", "eps": 0.25},
+             "grid": {"horizon": 1.0, "n_steps": 4}},
+        )
+        out = tmp_path / "paths.bin"
+        assert run(["simulate", "--config", cfg, "--paths", "3", "--seed", "1", "--out", str(out)]) == 0
+        out.write_bytes(out.read_bytes()[:keep])
+        with pytest.raises(ConfigError, match=str(out)):
+            read_paths_binary(str(out))
+
+    def test_a_missing_paths_binary_is_a_config_error_naming_it(self, tmp_path):
+        from volterra_deviations.errors import ConfigError
+
+        missing = str(tmp_path / "absent.bin")
+        with pytest.raises(ConfigError, match=missing):
+            read_paths_binary(missing)
+
+
+class TestControlSchema:
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"constant": "abc"},
+            {"constant": 1.0, "valuez": [1]},
+            {"constant": 1.0, "values": [1.0] * 17},
+            {"values": ["a"] * 17},
+            {"values": 1.0},
+            {},
+        ],
+    )
+    def test_a_channel_is_one_constant_or_one_values_array(self, tmp_path, capsys, channel):
+        cfg = write(
+            tmp_path,
+            "lim.json",
+            {"model": SS_REC, "grid": {"horizon": 1.0, "n_steps": 16}, "family": "small_time",
+             "control": {"v": {"constant": 0.5}, "u": channel}},
+        )
+        assert run(["limit", "solve", "--config", cfg, "--deterministic"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "control/u" in err
+
+
+class TestKernelsDomain:
+    @pytest.mark.parametrize(
+        "change", [{"h_grid": []}, {"h_grid": [0.01]}, {"horizon": -1}, {"horizon": 0}]
+    )
+    def test_a_grid_without_a_slope_or_a_bad_horizon_exits_1(self, tmp_path, capsys, change):
+        rec = {"kernel": {"kind": "power_law", "hurst": 0.1}, "gamma_claim": 0.2,
+               "h_grid": [2.0**-j for j in range(4, 8)]}
+        cfg = write(tmp_path, "k.json", dict(rec, **change))
+        out = tmp_path / "k.out"
+        assert run(["kernels", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("regime", ["ldp", "mdp", "tail"])
+def test_smile_threads_outside_monte_carlo_exits_2(tmp_path, capsys, regime):
+    cfg = write(tmp_path, "m.json", {"model": BERGOMI_REC, "smile": {"maturity": 0.1, "strikes": [0.2]}})
+    assert run(["smile", "--model", cfg, "--regime", regime, "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--threads" in err
+
+
+def test_simulate_csv_rows_are_the_binary_paths_path_by_path(tmp_path):
+    # the reference: one row per (path, node), every value as repr(float(x))
+    cfg = write(
+        tmp_path,
+        "sim.json",
+        {"model": BERGOMI_REC, "regime": {"kind": "small_time_ldp", "eps": 0.25},
+         "grid": {"horizon": 1.0, "n_steps": 8}},
+    )
+    argv = ["simulate", "--config", cfg, "--paths", "6", "--seed", "4", "--deterministic"]
+    assert run(argv + ["--out", str(tmp_path / "p.bin")]) == 0
+    assert run(argv + ["--out", str(tmp_path / "p.csv")]) == 0
+    paths = read_paths_binary(str(tmp_path / "p.bin"))
+    nodes = np.linspace(0.0, 1.0, 9)
+    want = [
+        ",".join(repr(float(x)) for x in [p, t, *paths[p, i, :]])
+        for p in range(paths.shape[0])
+        for i, t in enumerate(nodes)
+    ]
+    assert (tmp_path / "p.csv").read_text().splitlines()[2:] == want

@@ -312,6 +312,20 @@ class TestRegularity:
         assert not rep.passed
         assert rep.fitted_slope == pytest.approx(0.6, abs=0.05)
 
+    @pytest.mark.parametrize("h_grid", [[], [0.01], [0.01, 0.01]])
+    def test_fewer_than_two_distinct_h_values_is_a_domain_error(self, h_grid):
+        # no slope to fit: an empty grid used to end in numpy's TypeError,
+        # one h in a one-point "fit"
+        with pytest.raises(KernelDomainError, match="two distinct h values"):
+            check_regularity(power_law(0.1), 0.2, h_grid)
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, np.inf, np.nan])
+    def test_a_horizon_that_is_not_finite_and_positive_is_a_domain_error(self, horizon):
+        # a negative horizon used to drop every node of the shift term, so the
+        # report passed on the l2 norm alone
+        with pytest.raises(KernelDomainError, match="horizon"):
+            check_regularity(power_law(0.1), 0.2, self.H_GRID, horizon=horizon)
+
 
 class TestConvWeights:
     def test_constant_kernel_is_trapezoid(self):

@@ -117,7 +117,7 @@ class TestEstimateEventProb:
         with pytest.raises(KernelDomainError):
             ev.indicator(simulate(GAUSSIAN, small_time_ldp(0.5), GRID, 10, 0))
         off = KernelSection(power_law(H), 0.503, 1.0, 0)
-        ctrl = Control(Control.zero(GRID, 2).values, sections=(off,))
+        ctrl = Control(GridFunction(GRID, np.zeros((len(GRID), 2))), sections=(off,))
         with pytest.raises(KernelDomainError):
             simulate_controlled(GAUSSIAN, small_time_ldp(0.5), ctrl, GRID, 10, 0)
 

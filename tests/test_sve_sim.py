@@ -182,7 +182,8 @@ class TestGaussianExactness:
 
 class TestControlled:
     def test_control_must_live_on_the_simulation_grid(self):
-        ctrl = Control.zero(TimeGrid(2.0, 64), 2)
+        other = TimeGrid(2.0, 64)
+        ctrl = Control(GridFunction(other, np.zeros((len(other), 2))))
         with pytest.raises(InvalidModel):
             simulate_controlled(BERGOMI, small_time_ldp(0.5), ctrl, GRID, 10, seed=3)
 
