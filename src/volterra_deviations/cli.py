@@ -1,9 +1,12 @@
 """Configuration-driven command line: kernels, limit, simulate, rate, smile, verify.
 
 One JSON config describes one run; a config key left out keeps the library's
-default.  Every output starts with one provenance record (``_meta`` in JSON,
-the ``# k=v`` header line of a CSV) carrying the config hash, seed and
-version, plus a timestamp unless ``--deterministic`` is passed.  Exit codes:
+default.  A model, regime, grid or kernel record is built by the library
+constructor it names, whose parameters are its keys and whose checks are its
+checks; its values are numbers or arrays of numbers.  Every output starts
+with one provenance record (``_meta`` in JSON, the ``# k=v`` header line of a
+CSV) carrying the config hash, seed and version, plus a timestamp unless
+``--deterministic`` is passed.  Exit codes:
 0 success, 1 domain error, 2 config error (a bad config, or a file other than
 the config that cannot be read or written).
 """
@@ -14,17 +17,19 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import jsonschema
 import numpy as np
 
-from . import __version__
+from . import __version__, kernels
 from .errors import ConfigError, DomainError
 from .frac_calculus import Control
-from .kernels import GridFunction, TimeGrid, kernel_from_config
+from .kernels import GridFunction, TimeGrid
 from .sve_sim import (
     MultiRoughBergomi,
     RoughBergomi,
@@ -40,53 +45,6 @@ _BIN_MAGIC = b"VDPATHS1"
 # ---------------------------------------------------------------------------
 # config records
 # ---------------------------------------------------------------------------
-
-_GRID_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "horizon": {"type": "number", "exclusiveMinimum": 0},
-        "n_steps": {"type": "integer", "minimum": 1},
-    },
-    "required": ["horizon", "n_steps"],
-    "additionalProperties": False,
-}
-
-_VARIANTS = {
-    "rough_stein_stein": RoughSteinStein,
-    "rough_bergomi": RoughBergomi,
-    "rough_heston": RoughHeston,
-    "multi_rough_bergomi": MultiRoughBergomi,
-}
-
-_REGIME_KINDS = ["small_time_ldp", "small_time_mdp", "tail_ldp", "tail_mdp"]
-
-_MODEL_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "variant": {"enum": list(_VARIANTS)},
-        "kappa": {"type": "number"},
-        "theta": {"type": "number"},
-        "xi": {"type": "number"},
-        "rho": {},
-        "y0": {},
-        "hurst": {},
-        "a": {},
-        "loadings": {"type": "array"},
-    },
-    "required": ["variant"],
-    "additionalProperties": False,
-}
-
-_REGIME_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": _REGIME_KINDS},
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "beta": {"type": "number"},
-    },
-    "required": ["kind", "eps"],
-    "additionalProperties": False,
-}
 
 # each channel is a constant or one value per grid node, never both
 _CHANNEL_SCHEMA = {
@@ -106,11 +64,14 @@ _CONTROL_SCHEMA = {
     "additionalProperties": False,
 }
 
+# a model, regime, grid or kernel record is checked by the constructor it builds (_record)
+_RECORD = {"type": "object"}
+
 _SCHEMAS = {
     "kernels": {
         "type": "object",
         "properties": {
-            "kernel": {"type": "object"},
+            "kernel": _RECORD,
             "gamma_claim": {"type": "number"},
             "h_grid": {"type": "array", "items": {"type": "number"}},
             "horizon": {"type": "number"},
@@ -121,8 +82,8 @@ _SCHEMAS = {
     "limit": {
         "type": "object",
         "properties": {
-            "model": _MODEL_SCHEMA,
-            "grid": _GRID_SCHEMA,
+            "model": _RECORD,
+            "grid": _RECORD,
             "family": {"enum": ["small_time", "tail", "mdp"]},
             "control": _CONTROL_SCHEMA,
             "branch_policy": {"enum": ["continue_positive", "absorb_at_zero"]},
@@ -133,28 +94,33 @@ _SCHEMAS = {
     "simulate": {
         "type": "object",
         "properties": {
-            "model": _MODEL_SCHEMA,
-            "regime": _REGIME_SCHEMA,
-            "grid": _GRID_SCHEMA,
+            "model": _RECORD,
+            "regime": _RECORD,
+            "grid": _RECORD,
         },
         "required": ["model", "regime", "grid"],
         "additionalProperties": False,
     },
-    "rate": {
+    "rate eval": {
         "type": "object",
         "properties": {
-            "model": _MODEL_SCHEMA,
+            "model": _RECORD,
             "family": {"enum": ["small_time", "small_time_mdp", "tail"]},
             "delta": {"type": "number", "minimum": 0},
-            "grid": _GRID_SCHEMA,
         },
+        "required": ["model"],
+        "additionalProperties": False,
+    },
+    "rate minimize": {
+        "type": "object",
+        "properties": {"model": _RECORD, "grid": _RECORD},
         "required": ["model"],
         "additionalProperties": False,
     },
     "smile": {
         "type": "object",
         "properties": {
-            "model": _MODEL_SCHEMA,
+            "model": _RECORD,
             "smile": {
                 "type": "object",
                 "properties": {
@@ -175,7 +141,7 @@ _SCHEMAS = {
     "verify": {
         "type": "object",
         "properties": {
-            "model": _MODEL_SCHEMA,
+            "model": _RECORD,
             "event": {
                 "type": "object",
                 "properties": {
@@ -188,11 +154,11 @@ _SCHEMAS = {
                 "additionalProperties": False,
             },
             "epsilons": {"type": "array", "items": {"type": "number"}, "minItems": 2},
-            "regime": {"enum": _REGIME_KINDS},
+            "regime": {"type": "string"},
             "beta": {"type": "number"},
             "paths": {"type": "integer", "minimum": 1000},
             "seed": {"type": "integer"},
-            "grid": _GRID_SCHEMA,
+            "grid": _RECORD,
             "importance_sampling": {"type": "boolean"},
             "reference_rate": {"type": "number"},
         },
@@ -222,21 +188,12 @@ def _load_config(path: str, schema_key: str) -> dict:
     return cfg
 
 
-def _checked(at: str, build, /, *args, **kwargs):
-    """``build(*args, **kwargs)``; what the library rejects is a ConfigError naming ``at``."""
+def _checked(at: str, build, /, **kwargs):
+    """``build(**kwargs)``; what the library rejects is a ConfigError naming ``at``."""
     try:
-        return build(*args, **kwargs)
+        return build(**kwargs)
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"bad record at {at}: {exc}") from exc
-
-
-def _model(variant: str, **params):
-    cls = _VARIANTS[variant]
-    if cls is MultiRoughBergomi:  # one entry per factor, the loadings row by row
-        params = {
-            k: tuple(map(tuple, v)) if k == "loadings" else tuple(v) for k, v in params.items()
-        }
-    return cls(**params)
 
 
 def _control(grid: TimeGrid, **channels) -> Control:
@@ -254,20 +211,71 @@ def _control(grid: TimeGrid, **channels) -> Control:
     return Control(GridFunction(grid, np.stack(cols, axis=1)))
 
 
-# each record's keys are its constructor's arguments
-_BUILDERS = {"model": _model, "regime": ScalingRegime, "grid": TimeGrid, "control": _control}
+def _matrix_kernel(entries) -> kernels.KernelSpec:
+    """A matrix kernel; each entry is a kernel record or null."""
+    return kernels.matrix_kernel(
+        [
+            [None if e is None else _record("kernel", e, f"kernel/entries/{i}/{j}")
+             for j, e in enumerate(row)]
+            for i, row in enumerate(entries)
+        ]
+    )
+
+
+# each record's keys are its constructor's parameters
+_BUILDERS = {
+    "model": {
+        "rough_stein_stein": RoughSteinStein,
+        "rough_bergomi": RoughBergomi,
+        "rough_heston": RoughHeston,
+        "multi_rough_bergomi": MultiRoughBergomi,
+    },
+    "kernel": {
+        "constant": kernels.constant,
+        "power_law": kernels.power_law,
+        "raw_power": kernels.raw_power,
+        "gamma": kernels.gamma_kernel,
+        "fbm": kernels.fbm_nonconv,
+        "matrix": _matrix_kernel,
+    },
+    "regime": ScalingRegime,
+    "grid": TimeGrid,
+}
+
+# the record values that are not numbers: a name and the matrix kernel's entries
+_NOT_NUMBERS = ("variant", "kind", "entries")
+
+
+def _numbers(at: str, value):
+    """A record value as its constructor takes it: a number or a (nested) tuple of
+    numbers.  Anything else, a bool or a string say, is a ConfigError naming ``at``."""
+    if isinstance(value, list):
+        return tuple(_numbers(f"{at}/{i}", v) for i, v in enumerate(value))
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"bad record at {at}: {value!r} is not a number")
+    return value
+
+
+def _record(key: str, rec, at: str):
+    """The library object a ``key`` record builds; ``at`` is where the config holds it."""
+    if not isinstance(rec, dict):
+        raise ConfigError(f"bad record at {at}: {rec!r} is not an object")
+    params = {k: v if k in _NOT_NUMBERS else _numbers(f"{at}/{k}", v) for k, v in rec.items()}
+    build = _BUILDERS[key]
+    if isinstance(build, dict):  # a table: the record's variant or kind names the constructor
+        name = "variant" if key == "model" else "kind"
+        choice = params.pop(name, None)
+        if choice not in list(build):
+            raise ConfigError(
+                f"bad record at {at}/{name}: must be one of {', '.join(build)}, got {choice!r}"
+            )
+        build = build[choice]
+    return _checked(at, build, **params)
 
 
 def _records(cfg: dict, *keys: str) -> list:
-    """The model, regime, grid and control records of ``cfg`` named by ``keys``, in order.
-
-    A control is sampled on the grid, so the grid comes before it.
-    """
-    built = {}
-    for key in keys:
-        grid = (built["grid"],) if key == "control" else ()
-        built[key] = _checked(key, _BUILDERS[key], *grid, **cfg[key])
-    return [built[k] for k in keys]
+    """The model, regime, grid and kernel records of ``cfg`` named by ``keys``, built in order."""
+    return [_record(key, cfg[key], key) for key in keys]
 
 
 def _given(rec: dict, *keys: str) -> dict:
@@ -295,44 +303,56 @@ def _meta(cfg: dict, seed, deterministic: bool) -> dict:
 
 
 @contextmanager
-def _open(path: str, mode: str = "r"):
-    """Open a file other than the config; an OS error on it is a ConfigError naming it."""
+def _open(path: str | None, mode: str = "r"):
+    """Open a file other than the config, or stdout for no ``path``.
+
+    An OS error on the file is a ConfigError naming it.  A file opened for
+    writing is removed when the block raises, so a failed run leaves none.
+    """
+    if path is None:
+        yield sys.stdout
+        return
     try:
         with open(path, mode) as fh:
-            yield fh
+            try:
+                yield fh
+            except BaseException:
+                if "r" not in mode:
+                    os.remove(path)
+                raise
     except OSError as exc:
         verb = "read" if "r" in mode else "write"
         raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from exc
 
 
+_CSV_ROWS = 4096  # rows formatted per write: one block's text is alive at a time
+
+
 def _emit(out, meta: dict, payload: dict | None = None, *, columns=(), table=(), **fields):
-    """Write ``payload`` as JSON under ``_meta``, or else a CSV of ``table`` (one row per line).
+    """Write ``payload`` to ``out`` as JSON under ``_meta``, or else a CSV of ``table``.
 
     A CSV starts with ``meta`` and then ``fields`` as one ``# k=v ...`` line,
-    then its ``columns``; every value is written as ``repr(float(x))``.
-    Without ``out`` it goes to stdout.
+    then its ``columns`` and one line per row, written ``_CSV_ROWS`` rows at
+    a time; every value is written as ``repr(float(x))``.
     """
     if payload is not None:
-        lines = [json.dumps({"_meta": meta, **payload}, indent=2, sort_keys=True, default=float)]
-    else:
-        header = " ".join(f"{k}={v}" for k, v in {**meta, **fields}.items())
-        lines = [f"# {header}", ",".join(columns)]
-        lines += [",".join(map(repr, row)) for row in np.asarray(table, dtype=float).tolist()]
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with _open(out, "w") as fh:
-            fh.write(text)
+        out.write(json.dumps({"_meta": meta, **payload}, indent=2, sort_keys=True, default=float))
+        out.write("\n")
+        return
+    header = " ".join(f"{k}={v}" for k, v in {**meta, **fields}.items())
+    out.write(f"# {header}\n{','.join(columns)}\n")
+    table = np.asarray(table, dtype=float)
+    for lo in range(0, len(table), _CSV_ROWS):
+        rows = table[lo : lo + _CSV_ROWS].tolist()
+        out.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
-def _write_paths_binary(path: str, paths: np.ndarray):
+def _write_paths_binary(out, paths: np.ndarray):
     n_paths, n_nodes, d = paths.shape
     header = _BIN_MAGIC + np.asarray([n_paths, n_nodes, d], dtype="<u8").tobytes()
     assert len(header) == 32
-    with _open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(paths, dtype="<f8").tobytes())
+    out.write(header)
+    out.write(np.ascontiguousarray(paths, dtype="<f8").tobytes())
 
 
 def read_paths_binary(path: str) -> np.ndarray:
@@ -357,11 +377,11 @@ def read_paths_binary(path: str) -> np.ndarray:
 
 
 def _cmd_kernels(args) -> int:
-    from .kernels import check_regularity
-
     cfg = _load_config(args.config, "kernels")
-    kernel = kernel_from_config(cfg["kernel"])
-    rep = check_regularity(kernel, cfg["gamma_claim"], cfg["h_grid"], **_given(cfg, "horizon"))
+    (kernel,) = _records(cfg, "kernel")
+    rep = kernels.check_regularity(
+        kernel, cfg["gamma_claim"], cfg["h_grid"], **_given(cfg, "horizon")
+    )
     payload = {
         "gamma_claim": rep.gamma_claim,
         "fitted_slope": rep.fitted_slope,
@@ -370,7 +390,8 @@ def _cmd_kernels(args) -> int:
         "h_values": list(rep.h_values),
         "functional": list(rep.functional),
     }
-    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
+    with _open(args.out, "w") as out:
+        _emit(out, _meta(cfg, None, args.deterministic), payload)
     return 0
 
 
@@ -378,46 +399,51 @@ def _cmd_limit(args) -> int:
     from .rate_functions import regenerate_pair
 
     cfg = _load_config(args.config, "limit")
-    model, grid, ctrl = _records(cfg, "model", "grid", "control")
+    model, grid = _records(cfg, "model", "grid")
+    ctrl = _control(grid, **cfg["control"])
     family = cfg["family"]
     phi, vphi, rep = regenerate_pair(
         model, ctrl, frozen=family == "mdp", tail=family == "tail", **_given(cfg, "branch_policy")
     )
-    _emit(
-        args.out,
-        _meta(cfg, None, args.deterministic),
-        columns=["t", "phi", "vphi"],
-        table=np.column_stack([grid.nodes, phi.values, vphi.values]),
-        family=family,
-        branch=rep.branch_taken,
-        picard_iterations=rep.picard_iterations,
-        residual=rep.residual,
-    )
+    with _open(args.out, "w") as out:
+        _emit(
+            out,
+            _meta(cfg, None, args.deterministic),
+            columns=["t", "phi", "vphi"],
+            table=np.column_stack([grid.nodes, phi.values, vphi.values]),
+            family=family,
+            branch=rep.branch_taken,
+            picard_iterations=rep.picard_iterations,
+            residual=rep.residual,
+        )
     return 0
 
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, "simulate")
     model, regime, grid = _records(cfg, "model", "regime", "grid")
-    ens = simulate(model, regime, grid, args.paths, args.seed, threads=args.threads)
-    if args.out and args.out.endswith(".bin"):
-        _write_paths_binary(args.out, ens.paths)
-        return 0
-    n_paths, n_nodes, d = ens.paths.shape
-    _emit(
-        args.out,
-        _meta(cfg, args.seed, args.deterministic),
-        columns=["path", "t"] + [f"c{j}" for j in range(d)],
-        table=np.column_stack(
-            [
-                np.repeat(np.arange(n_paths), n_nodes),
-                np.tile(grid.nodes, n_paths),
-                ens.paths.reshape(-1, d),
-            ]
-        ),
-        regularized=ens.bump,
-        paths=f"0..{n_paths - 1}",
-    )
+    binary = args.out is not None and args.out.endswith(".bin")
+    # opened before the run: an output that cannot be written fails before any draw
+    with _open(args.out, "wb" if binary else "w") as out:
+        ens = simulate(model, regime, grid, args.paths, args.seed, threads=args.threads)
+        if binary:
+            _write_paths_binary(out, ens.paths)
+            return 0
+        n_paths, n_nodes, d = ens.paths.shape
+        _emit(
+            out,
+            _meta(cfg, args.seed, args.deterministic),
+            columns=["path", "t"] + [f"c{j}" for j in range(d)],
+            table=np.column_stack(
+                [
+                    np.repeat(np.arange(n_paths), n_nodes),
+                    np.tile(grid.nodes, n_paths),
+                    ens.paths.reshape(-1, d),
+                ]
+            ),
+            regularized=ens.bump,
+            paths=f"0..{n_paths - 1}",
+        )
     return 0
 
 
@@ -460,7 +486,7 @@ def _cmd_rate_eval(args) -> int:
         tail_rate_steinstein,
     )
 
-    cfg = _load_config(args.model, "rate")
+    cfg = _load_config(args.model, "rate eval")
     (model,) = _records(cfg, "model")
     grid, phi_vals, vphi_vals = _read_path_csv(args.path)
     pair = (model, GridFunction(grid, phi_vals), GridFunction(grid, vphi_vals))
@@ -477,14 +503,15 @@ def _cmd_rate_eval(args) -> int:
         "regularization_delta": res.regularization_delta,
         "richardson_value": res.richardson_value,
     }
-    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
+    with _open(args.out, "w") as out:
+        _emit(out, _meta(cfg, None, args.deterministic), payload)
     return 0
 
 
 def _cmd_rate_minimize(args) -> int:
     from .rate_functions import ldp_rate_terminal
 
-    cfg = _load_config(args.model, "rate")
+    cfg = _load_config(args.model, "rate minimize")
     (model,) = _records(cfg, "model")
     key, _, val = args.terminal.partition("=")
     if key not in ("x", "y") or not val:
@@ -495,8 +522,9 @@ def _cmd_rate_minimize(args) -> int:
         target = math.nan
     if not math.isfinite(target):
         raise ConfigError(f"--terminal value must be a finite number, got {val!r}")
-    # the grid record's keys, horizon and n_steps, are the solver's own
-    res = ldp_rate_terminal(model, target, component=key, **cfg.get("grid", {}))
+    # a grid's fields, horizon and n_steps, are the solver's own; without one it keeps its default
+    grid = asdict(_records(cfg, "grid")[0]) if "grid" in cfg else {}
+    res = ldp_rate_terminal(model, target, component=key, **grid)
     payload = {
         "value": res.value,
         "converged": res.diagnostics["converged"],
@@ -504,7 +532,8 @@ def _cmd_rate_minimize(args) -> int:
         "iterations": res.iterations,
         "starts": res.diagnostics["starts"],
     }
-    _emit(args.out, _meta(cfg, None, args.deterministic), payload)
+    with _open(args.out, "w") as out:
+        _emit(out, _meta(cfg, None, args.deterministic), payload)
     return 0
 
 
@@ -540,7 +569,8 @@ def _cmd_smile(args) -> int:
         columns += ["control_coef", "variance_ratio"]
         fields["regularized"] = points[0].bump if points else 0.0
     table = [[getattr(p, _SMILE_FIELDS.get(c, c)) for c in columns] for p in points]
-    _emit(args.out, _meta(cfg, seed, args.deterministic), columns=columns, table=table, **fields)
+    with _open(args.out, "w") as out:
+        _emit(out, _meta(cfg, seed, args.deterministic), columns=columns, table=table, **fields)
     return 0
 
 
@@ -583,7 +613,8 @@ def _cmd_verify(args) -> int:
         "max_weight_shares": rep.max_weight_shares,
         "second_moment_decays": rep.second_moment_decays,
     }
-    _emit(args.out, _meta(cfg, cfg["seed"], args.deterministic), payload)
+    with _open(args.out, "w") as out:
+        _emit(out, _meta(cfg, cfg["seed"], args.deterministic), payload)
     return 0
 
 

@@ -36,7 +36,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc, hyp2f1
 
-from .errors import ConfigError, KernelDomainError, SingularAtZero, WrongVariant
+from .errors import KernelDomainError, SingularAtZero, WrongVariant
 
 __all__ = [
     "TimeGrid",
@@ -54,7 +54,6 @@ __all__ = [
     "eval_nonconv",
     "l2_norm_sq",
     "check_regularity",
-    "kernel_from_config",
 ]
 
 
@@ -73,6 +72,8 @@ class TimeGrid:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
 
@@ -526,35 +527,3 @@ def check_regularity(
         tolerance=_SLOPE_TOLERANCE,
         passed=bool(slope >= gamma_claim - _SLOPE_TOLERANCE),
     )
-
-
-# ---------------------------------------------------------------------------
-# config records
-# ---------------------------------------------------------------------------
-
-
-def kernel_from_config(record: dict) -> KernelSpec:
-    """Build a kernel from a ``{"kind": ..., ...}`` config record."""
-    if not isinstance(record, dict) or "kind" not in record:
-        raise ConfigError("kernel record needs a 'kind' field")
-    kind = record["kind"]
-    try:
-        if kind == "constant":
-            return constant(record.get("c", 1.0))
-        if kind == "power_law":
-            return power_law(record["hurst"])
-        if kind == "raw_power":
-            return raw_power(record["exponent"])
-        if kind == "gamma":
-            return gamma_kernel(record["hurst"], record["decay"])
-        if kind == "fbm":
-            return fbm_nonconv(record["hurst"])
-        if kind == "matrix":
-            entries = [
-                [None if e is None else kernel_from_config(e) for e in row]
-                for row in record["entries"]
-            ]
-            return matrix_kernel(entries)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad kernel record: {exc}") from exc
-    raise ConfigError(f"unknown kernel kind {kind!r}")

@@ -30,7 +30,6 @@ from .sve_sim import (
     Model,
     ScalingRegime,
     check_components,
-    cholesky_bump,
     simulate,
     simulate_controlled,
 )
@@ -75,9 +74,10 @@ class DeviationExperiment:
     """One epsilon-sweep rare-event experiment.
 
     ``regime_kind`` is one of the ScalingRegime kinds; ``beta`` feeds the MDP
-    regimes.  ``reference_rate`` is the rate-function value the extrapolated
-    slope is compared against.  Construction builds the regime of every
-    epsilon, so a bad kind or beta raises ValueError before any simulation.
+    regimes, and an LDP kind takes none.  ``reference_rate`` is the
+    rate-function value the extrapolated slope is compared against.
+    Construction builds the regime of every epsilon, so a bad kind or beta
+    raises ValueError before any simulation.
     """
 
     model: Model
@@ -151,7 +151,8 @@ class LevelEstimate:
     speed and the mean over its paths (-inf without a hit); a log-efficient
     tilt has it near -2 I, twice s log p.  All three are None without
     importance sampling.  ``normals_per_path`` is the normals the level's run
-    drew per path (``PathEnsemble.normals_per_path``).
+    drew per path (``PathEnsemble.normals_per_path``) and ``bump`` its
+    Cholesky bump (``PathEnsemble.bump``).
     """
 
     p_hat: float
@@ -161,6 +162,7 @@ class LevelEstimate:
     max_weight_share: float | None = None
     second_moment_decay: float | None = None
     normals_per_path: int | None = None
+    bump: float | None = None
 
     def __iter__(self):
         return iter((self.p_hat, self.stderr, self.hits))
@@ -188,13 +190,13 @@ def estimate_event_prob(
     se = float(est.std(ddof=1) / math.sqrt(exp.n_paths))
     hits = int(np.count_nonzero(hit))
     if w is None:
-        return LevelEstimate(p, se, hits, normals_per_path=ens.normals_per_path)
+        return LevelEstimate(p, se, hits, normals_per_path=ens.normals_per_path, bump=ens.bump)
     total = float(w.sum())
     second = float(est @ est) / exp.n_paths
     decay = exp.speed_value(eps) * math.log(second) if second > 0.0 else -math.inf
     return LevelEstimate(
         p, se, hits, total**2 / float(w @ w), float(w.max()) / total, decay,
-        ens.normals_per_path,
+        ens.normals_per_path, ens.bump,
     )
 
 
@@ -207,7 +209,7 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
     """
     if len(exp.epsilons) < 2:
         raise ValueError(f"the slope fit needs >= 2 epsilons, got {len(exp.epsilons)}")
-    ps, ses, hits, ss, fs, bumps, levels = [], [], [], [], [], [], []
+    ps, ses, hits, ss, fs, levels = [], [], [], [], [], []
     for i, eps in enumerate(exp.epsilons):
         level = estimate_event_prob(exp, eps, seed=exp.seed + i)
         p, se, h = level
@@ -223,7 +225,6 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         hits.append(h)
         ss.append(s)
         fs.append(s * math.log(p))
-        bumps.append(cholesky_bump(exp.model, exp.grid))
         levels.append(level)
     A = np.vstack([np.ones(len(ss)), np.asarray(ss)]).T
     wgt = 1.0 / np.asarray(ss) ** 2
@@ -246,7 +247,7 @@ def ldp_slope(exp: DeviationExperiment) -> SlopeReport:
         reference_rate=exp.reference_rate,
         relative_gap=gap,
         used_importance_sampling=weighted,
-        bumps=tuple(bumps),
+        bumps=tuple(lv.bump for lv in levels),
         normals_per_path=tuple(lv.normals_per_path for lv in levels),
         ess=tuple(lv.ess for lv in levels) if weighted else None,
         max_weight_shares=tuple(lv.max_weight_share for lv in levels) if weighted else None,

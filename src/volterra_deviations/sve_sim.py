@@ -160,7 +160,8 @@ class ScalingRegime:
     """One of small_time_ldp / small_time_mdp / tail_ldp / tail_mdp.
 
     ``eps`` is the small parameter of the rescaled system; ``beta`` the MDP
-    interpolation exponent (in (0, H) for small time, (0, 1) for tails).
+    interpolation exponent (in (0, H) for small time, (0, 1) for tails),
+    which an LDP regime does not take.
     """
 
     kind: str
@@ -175,6 +176,8 @@ class ScalingRegime:
         if self.kind.endswith("mdp"):
             if self.beta is None or not self.beta > 0.0:
                 raise ValueError("MDP regimes need beta > 0")
+        elif self.beta is not None:
+            raise ValueError(f"beta is an MDP exponent; {self.kind} takes none")
 
     @property
     def is_mdp(self) -> bool:
@@ -427,7 +430,8 @@ class PathEnsemble:
     full run.  ``component_at`` reads one held node; ``component`` needs
     every node.  Both raise KernelDomainError rather than return a column the
     ensemble does not hold.  ``bump`` is the largest
-    Cholesky bump (``GaussianFactor.bump``) of the run's factors, and
+    Cholesky bump (``GaussianFactor.bump``) of the run's factors (0.0 for
+    rough Heston, whose factors are Euler increments), and
     ``normals_per_path`` the normals the run drew per path, the prefix of
     each path's stream that it read.
     """
@@ -670,15 +674,6 @@ def _channels(model: Model, grid: TimeGrid) -> list:
     if isinstance(model, RoughHeston):
         return [None, None]
     return [*(_factor(power_law(float(H)), grid) for H in _hursts(model)), None]
-
-
-def cholesky_bump(model: Model, grid: TimeGrid) -> float:
-    """The largest Cholesky bump (``GaussianFactor.bump``) of the model's factors.
-
-    It is the ``bump`` of every ensemble a run of ``model`` on ``grid``
-    returns, whatever the regime, control or path count; 0.0 for rough Heston.
-    """
-    return max((f.bump for f in _channels(model, grid) if f is not None), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +995,8 @@ def _simulate_impl(
         worker()
     return PathEnsemble(
         grid=grid, paths=paths, seed=seed, log_weights=logw, model=model, regime=regime,
-        nodes=nodes, bump=cholesky_bump(model, grid), components=comps, normals_per_path=drawn,
+        nodes=nodes, bump=max((f.bump for f in channels if f is not None), default=0.0),
+        components=comps, normals_per_path=drawn,
     )
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from volterra_deviations.cli import config_hash, read_paths_binary, run
+from volterra_deviations.cli import _records, config_hash, read_paths_binary, run
 
 
 def write(tmp_path, name, payload):
@@ -698,6 +698,115 @@ LEAVES = {
 }
 
 
+_DROP = object()  # a BAD_RECORDS value that removes the key
+
+
+def edited(rec: dict, where: str, value) -> dict:
+    """A copy of ``rec`` with the value at the key path ``where`` ("model/a") set."""
+    rec = json.loads(json.dumps(rec))
+    *path, key = where.split("/")
+    node = rec
+    for k in path:
+        node = node[k]
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return rec
+
+
+# (leaf, key path, value) edits of a LEAVES config, each a config error; in
+# the first eight a handler or a constructor would drop or coerce the key
+BAD_RECORDS = [
+    ("rate minimize", "family", "tail"),
+    ("rate minimize", "delta", 1e-3),
+    ("rate eval", "grid", {"horizon": 1.0, "n_steps": 16}),
+    ("simulate", "regime/beta", 0.05),
+    ("verify", "beta", 0.05),
+    ("simulate", "model/a", True),
+    ("kernels", "kernel/hurst", "0.1"),
+    ("kernels", "kernel/decay", 1.0),
+    # missing, extra and string-typed keys
+    ("simulate", "model/hurst", _DROP),
+    ("simulate", "grid/n_steps", _DROP),
+    ("simulate", "model/bogus", 1.0),
+    ("simulate", "regime/bogus", 1.0),
+    ("simulate", "grid/bogus", 1.0),
+    ("rate minimize", "grid/bogus", 1.0),
+    ("simulate", "model/rho", "-0.5"),
+    ("simulate", "regime/eps", "0.25"),
+    ("simulate", "grid/horizon", "1.0"),
+    ("limit solve", "model/kappa", "0.5"),
+    # bools and out-of-range numbers
+    ("simulate", "grid/horizon", True),
+    ("simulate", "grid/n_steps", True),
+    ("simulate", "regime/eps", True),
+    ("limit solve", "model/kappa", True),
+    ("verify", "grid/n_steps", True),
+    ("simulate", "grid/n_steps", 2.5),
+    ("rate minimize", "grid/n_steps", 2.5),
+    ("simulate", "grid/n_steps", 0),
+    ("simulate", "regime/eps", 0),
+    # unknown or missing names
+    ("simulate", "regime/kind", "small_time"),
+    ("simulate", "model/variant", "rough_bergomy"),
+    ("simulate", "model/variant", ["rough_bergomi"]),
+    ("kernels", "kernel/kind", "nope"),
+    ("simulate", "regime/eps", _DROP),
+    ("simulate", "model/variant", _DROP),
+    ("kernels", "kernel/kind", _DROP),
+    ("kernels", "kernel", {"kind": "matrix", "entries": [[{"kind": "constant", "c": "1"}]]}),
+    ("kernels", "kernel", {"kind": "matrix", "entries": [[0.5]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "leaf, where, value",
+    BAD_RECORDS,
+    ids=[f"{leaf}:{where}={'<missing>' if v is _DROP else json.dumps(v)}"
+         for leaf, where, v in BAD_RECORDS],
+)
+def test_a_bad_record_is_a_config_error(tmp_path, capsys, leaf, where, value):
+    rec, argv, _ = LEAVES[leaf]
+    cfg = write(tmp_path, "cfg.json", edited(rec, where, value))
+    assert run(argv(cfg, tmp_path) + ["--deterministic"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+class TestKernelRecord:
+    def test_round_trip_kinds(self):
+        for rec, variant in [
+            ({"kind": "power_law", "hurst": 0.1}, "power_law"),
+            ({"kind": "constant", "c": 2.0}, "constant"),
+            ({"kind": "raw_power", "exponent": -0.3}, "raw_power"),
+            ({"kind": "gamma", "hurst": 0.2, "decay": 1.0}, "gamma"),
+            ({"kind": "fbm", "hurst": 0.3}, "fbm"),
+        ]:
+            assert _records({"kernel": rec}, "kernel")[0].variant == variant
+
+    def test_matrix_config(self):
+        rec = {
+            "kind": "matrix",
+            "entries": [
+                [{"kind": "constant", "c": 1.0}, {"kind": "power_law", "hurst": 0.2}],
+                [None, None],
+            ],
+        }
+        assert _records({"kernel": rec}, "kernel")[0].variant == "matrix"
+
+    def test_bad_configs(self):
+        from volterra_deviations.errors import ConfigError
+
+        for rec in [
+            {"hurst": 0.1},
+            {"kind": "power_law"},
+            {"kind": "nope"},
+            {"kind": "gamma", "hurst": 0.2, "decay": -1.0},
+        ]:
+            with pytest.raises(ConfigError):
+                _records({"kernel": rec}, "kernel")
+
+
 def provenance(text: str) -> dict:
     """A JSON output's ``_meta``, or a CSV's ``# k=v`` header line as a dict."""
     if text.startswith("{"):
@@ -752,6 +861,27 @@ class TestFilesOtherThanTheConfig:
             assert run(["simulate", "--config", cfg, "--paths", "5", "--seed", "1", "--out", out]) == 2
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and out in err
+
+    def test_an_out_that_cannot_be_written_fails_before_any_draw(self, tmp_path, monkeypatch):
+        from volterra_deviations import cli
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the output was opened")
+
+        monkeypatch.setattr(cli, "simulate", forbidden)
+        cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+        for name in ("paths.csv", "paths.bin"):
+            out = str(tmp_path / "absent" / name)
+            assert run(["simulate", "--config", cfg, "--paths", "5", "--seed", "1", "--out", out]) == 2
+
+    @pytest.mark.parametrize("name", ["paths.csv", "paths.bin"])
+    def test_a_failed_run_leaves_no_output_file(self, tmp_path, capsys, name):
+        cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+        out = tmp_path / name
+        argv = ["simulate", "--config", cfg, "--paths", "5", "--seed", "-1", "--out", str(out)]
+        assert run(argv) == 1  # the seed is checked after the output is opened
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep", [0, 7, 31, 32 + 8 * 3, -1])
     def test_a_truncated_paths_binary_is_a_config_error_naming_it(self, tmp_path, keep):
@@ -842,3 +972,15 @@ def test_simulate_csv_rows_are_the_binary_paths_path_by_path(tmp_path):
         for i, t in enumerate(nodes)
     ]
     assert (tmp_path / "p.csv").read_text().splitlines()[2:] == want
+
+
+@pytest.mark.parametrize("rows", [1, 5, 54, 55])
+def test_simulate_csv_is_the_same_in_any_block_size(tmp_path, monkeypatch, rows):
+    from volterra_deviations import cli
+
+    cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+    argv = ["simulate", "--config", cfg, "--paths", "6", "--seed", "4", "--deterministic"]
+    assert run(argv + ["--out", str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(cli, "_CSV_ROWS", rows)  # 6 paths x 9 nodes = 54 rows
+    assert run(argv + ["--out", str(tmp_path / "blocks.csv")]) == 0
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

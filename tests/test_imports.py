@@ -132,6 +132,44 @@ def test_every_cli_option_is_read_by_its_handler():
     assert unread == []
 
 
+def test_every_config_key_is_read_by_its_handler():
+    # a key the schema accepts but no handler reads is parsed and dropped
+    # without a word: every top-level property of the schema a leaf handler
+    # loads (its _load_config(..., "<name>") call) must appear in the
+    # handler as a string constant
+    import argparse
+    import ast
+    import inspect
+    import textwrap
+
+    from volterra_deviations.cli import _SCHEMAS, _build_parser
+
+    unread, parsers = [], [_build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            parsers += [p for action in subs for p in action.choices.values()]
+            continue
+        tree = ast.parse(textwrap.dedent(inspect.getsource(parser.get_default("fn"))))
+        (schema,) = [
+            node.args[1].value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_load_config"
+        ]
+        strings = {
+            node.value
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        unread += [
+            f"{parser.prog}: {k}" for k in _SCHEMAS[schema]["properties"] if k not in strings
+        ]
+    assert unread == []
+
+
 def test_the_package_exports_exactly_its_modules_all():
     # the public names are stated once, in each module's __all__; the
     # package re-exports them and nothing else, so a name added to a module's

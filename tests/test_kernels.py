@@ -7,7 +7,6 @@ from scipy.signal import fftconvolve
 from scipy.special import gamma as gamma_fn
 
 from volterra_deviations.errors import (
-    ConfigError,
     KernelDomainError,
     SingularAtZero,
     WrongVariant,
@@ -22,7 +21,6 @@ from volterra_deviations.kernels import (
     eval_nonconv,
     fbm_nonconv,
     gamma_kernel,
-    kernel_from_config,
     l2_norm_sq,
     matrix_kernel,
     power_law,
@@ -53,6 +51,14 @@ class TestTimeGrid:
             TimeGrid(-1.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("n_steps", [2.5, 8.0, True, "8"])
+    def test_n_steps_is_an_integer(self, n_steps):
+        with pytest.raises(ValueError, match="n_steps"):
+            TimeGrid(1.0, n_steps)
+
+    def test_numpy_integer_steps_pass(self):
+        assert TimeGrid(1.0, np.int64(8)) == TimeGrid(1.0, 8)
 
     def test_node_index_rejects_off_grid_times(self):
         g = TimeGrid(1.0, 64)
@@ -416,35 +422,3 @@ class TestConvWeights:
         g = terminal_weights(k, grid)
         A = conv_weights(k, grid).dense_matrix()
         assert np.allclose(g, A[-1, :], atol=1e-15)
-
-
-class TestConfig:
-    def test_round_trip_kinds(self):
-        for rec, variant in [
-            ({"kind": "power_law", "hurst": 0.1}, "power_law"),
-            ({"kind": "constant", "c": 2.0}, "constant"),
-            ({"kind": "raw_power", "exponent": -0.3}, "raw_power"),
-            ({"kind": "gamma", "hurst": 0.2, "decay": 1.0}, "gamma"),
-            ({"kind": "fbm", "hurst": 0.3}, "fbm"),
-        ]:
-            assert kernel_from_config(rec).variant == variant
-
-    def test_matrix_config(self):
-        rec = {
-            "kind": "matrix",
-            "entries": [
-                [{"kind": "constant", "c": 1.0}, {"kind": "power_law", "hurst": 0.2}],
-                [None, None],
-            ],
-        }
-        assert kernel_from_config(rec).variant == "matrix"
-
-    def test_bad_configs(self):
-        with pytest.raises(ConfigError):
-            kernel_from_config({"hurst": 0.1})
-        with pytest.raises(ConfigError):
-            kernel_from_config({"kind": "power_law"})
-        with pytest.raises(ConfigError):
-            kernel_from_config({"kind": "nope"})
-        with pytest.raises(ConfigError):
-            kernel_from_config({"kind": "gamma", "hurst": 0.2, "decay": -1.0})

@@ -290,6 +290,24 @@ class TestLdpSlope:
         rep = ldp_slope(exp)
         assert rep.relative_gap <= 0.15
 
+    @pytest.mark.parametrize("kind", ["small_time_ldp", "tail_ldp"])
+    def test_a_beta_on_an_ldp_kind_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="beta"):
+            experiment(epsilons=(0.5, 0.25), regime_kind=kind, beta=0.05)
+
+    @pytest.mark.parametrize("hurst", [H, 0.5])
+    def test_each_level_reports_its_ensembles_bump(self, hurst):
+        # H = 1/2 makes the joint covariance singular (Z = W), so it is bumped
+        model = RoughBergomi(a=0.0, rho=0.0, y0=Y0, hurst=hurst)
+        exp = experiment(
+            model=model, event=EventSpec(component=1, level=Y0), epsilons=(0.5, 0.25),
+            n_paths=1000, grid=TimeGrid(1.0, 8),
+        )
+        want = simulate(model, small_time_ldp(0.5), exp.grid, 10, 0).bump
+        assert estimate_event_prob(exp, 0.5).bump == want
+        assert ldp_slope(exp).bumps == (want, want)
+        assert (want > 0.0) is (hurst == 0.5)
+
     def test_deterministic_given_seed(self):
         ev = EventSpec(component=1, level=Y0 + 1.0)
         eps = (0.4 ** (1.0 / H), 0.3 ** (1.0 / H))

@@ -99,6 +99,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ScalingRegime("small_time_mdp", 0.1, None)
 
+    @pytest.mark.parametrize("kind", ["small_time_ldp", "tail_ldp"])
+    def test_an_ldp_regime_takes_no_beta(self, kind):
+        # beta is the MDP exponent; an LDP regime given one would drop it
+        with pytest.raises(ValueError, match="beta"):
+            ScalingRegime(kind, 0.1, 0.05)
+        assert ScalingRegime(kind, 0.1).beta is None
+
     @pytest.mark.parametrize(
         "make",
         [
