@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -213,12 +213,10 @@ def _control(grid: TimeGrid, **channels) -> Control:
 
 def _matrix_kernel(entries) -> kernels.KernelSpec:
     """A matrix kernel; each entry is a kernel record or null."""
+    at = "kernel/entries"
     return kernels.matrix_kernel(
-        [
-            [None if e is None else _record("kernel", e, f"kernel/entries/{i}/{j}")
-             for j, e in enumerate(row)]
-            for i, row in enumerate(entries)
-        ]
+        [[None if e is None else _record("kernel", e, f"{at}/{i}/{j}") for j, e in enumerate(row)]
+         for i, row in enumerate(entries)]
     )
 
 
@@ -266,9 +264,7 @@ def _record(key: str, rec, at: str):
         name = "variant" if key == "model" else "kind"
         choice = params.pop(name, None)
         if choice not in list(build):
-            raise ConfigError(
-                f"bad record at {at}/{name}: must be one of {', '.join(build)}, got {choice!r}"
-            )
+            raise ConfigError(f"bad record at {at}/{name}: {choice!r} not in {', '.join(build)}")
         build = build[choice]
     return _checked(at, build, **params)
 
@@ -304,25 +300,32 @@ def _meta(cfg: dict, seed, deterministic: bool) -> dict:
 
 @contextmanager
 def _open(path: str | None, mode: str = "r"):
-    """Open a file other than the config, or stdout for no ``path``.
-
-    An OS error on the file is a ConfigError naming it.  A file opened for
-    writing is removed when the block raises, so a failed run leaves none.
+    """Open a file other than the config, or stdout for no ``path``; an OS error on it
+    is a ConfigError naming it.  A regular or new file (a symlink's target) is written
+    as ``<file>.<pid>.part``, which replaces it only when the block succeeds, so a
+    failed run leaves an earlier output as it was; a device or pipe is written in place.
     """
     if path is None:
         yield sys.stdout
         return
+    verb = "read" if "r" in mode else "write"
+    real = os.path.realpath(path)
+    staged = verb == "write" and (os.path.isfile(real) or not os.path.exists(real))
+    part = f"{real}.{os.getpid()}.part" if staged else path
     try:
-        with open(path, mode) as fh:
-            try:
-                yield fh
-            except BaseException:
-                if "r" not in mode:
-                    os.remove(path)
-                raise
+        with open(part, mode) as fh:
+            if staged and os.path.exists(real):  # an earlier output: writable, and its mode kept
+                open(real, "ab").close()
+                os.chmod(part, os.stat(real).st_mode & 0o7777)
+            yield fh
+        if staged:
+            os.replace(part, real)
     except OSError as exc:
-        verb = "read" if "r" in mode else "write"
         raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from exc
+    finally:
+        if staged:  # still there only if the block failed
+            with suppress(OSError):
+                os.remove(part)
 
 
 _CSV_ROWS = 4096  # rows formatted per write: one block's text is alive at a time

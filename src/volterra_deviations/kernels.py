@@ -72,10 +72,9 @@ class TimeGrid:
     def __post_init__(self):
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, (int, np.integer)):
-            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+        n = self.n_steps
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
 
     @property
     def dt(self) -> float:

@@ -379,9 +379,9 @@ class MultiRoughBergomi(_ModelBase):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise InvalidModel(f"{name} must be finite")
         L = np.asarray(self.loadings, dtype=float)
-        m = L.shape[0]
-        if L.shape != (m, m):
+        if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise InvalidModel("loadings must be square")
+        m = L.shape[0]
         if np.any(np.triu(L, 1) != 0.0):
             raise InvalidModel("loadings must be lower triangular")
         H = np.asarray(self.hurst, dtype=float)

@@ -757,6 +757,8 @@ BAD_RECORDS = [
     ("kernels", "kernel/kind", _DROP),
     ("kernels", "kernel", {"kind": "matrix", "entries": [[{"kind": "constant", "c": "1"}]]}),
     ("kernels", "kernel", {"kind": "matrix", "entries": [[0.5]]}),
+    ("simulate", "model", {"variant": "multi_rough_bergomi", "loadings": 0.5, "a": [0.1],
+                           "y0": [-3.0], "rho": [-0.3], "hurst": [0.1]}),
 ]
 
 
@@ -882,6 +884,49 @@ class TestFilesOtherThanTheConfig:
         assert run(argv) == 1  # the seed is checked after the output is opened
         assert "seed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["paths.csv", "paths.bin"])
+    def test_a_failed_run_leaves_an_earlier_output_as_it_was(self, tmp_path, capsys, name):
+        cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+        out = tmp_path / name
+        out.write_bytes(b"earlier output")
+        link = tmp_path / f"link-{name}"
+        link.symlink_to(out)
+        for target in (out, link):
+            argv = ["simulate", "--config", cfg, "--paths", "5", "--seed", "-1", "--out", str(target)]
+            assert run(argv) == 1
+            assert "seed" in capsys.readouterr().err
+            assert out.read_bytes() == b"earlier output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim.json", name, link.name])
+
+    @pytest.mark.parametrize("name", ["paths.csv", "paths.bin"])
+    def test_a_run_replaces_an_earlier_output_and_keeps_its_mode(self, tmp_path, name):
+        cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+        fresh, out = tmp_path / f"fresh-{name}", tmp_path / name
+        out.write_bytes(b"earlier output")
+        out.chmod(0o640)
+        for target in (fresh, out):
+            argv = ["simulate", "--config", cfg, "--paths", "5", "--seed", "1", "--out", str(target)]
+            assert run(argv + ["--deterministic"]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sim.json", fresh.name, name])
+
+    def test_a_failing_cleanup_leaves_the_run_error_and_its_exit_code(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import errno
+        import os
+
+        def refuse(path):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+
+        monkeypatch.setattr(os, "remove", refuse)
+        cfg = write(tmp_path, "sim.json", LEAVES["simulate"][0])
+        out = str(tmp_path / "paths.csv")
+        assert run(["simulate", "--config", cfg, "--paths", "5", "--seed", "-1", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed" in err
 
     @pytest.mark.parametrize("keep", [0, 7, 31, 32 + 8 * 3, -1])
     def test_a_truncated_paths_binary_is_a_config_error_naming_it(self, tmp_path, keep):
