@@ -169,11 +169,14 @@ _SCHEMAS = {
 
 
 def _load_config(path: str, schema_key: str) -> dict:
-    def non_finite(name):  # json reads NaN and +-Infinity, which no schema bound rejects
-        raise ConfigError(f"config {path} holds {name}; numbers must be finite")
+    def finite(text):  # json reads NaN, +-Infinity and an overflowing 1e400 as non-finite floats
+        x = float(text)
+        if not math.isfinite(x):
+            raise ConfigError(f"config {path} holds {text}; numbers must be finite")
+        return x
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_constant=non_finite)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -211,15 +214,6 @@ def _control(grid: TimeGrid, **channels) -> Control:
     return Control(GridFunction(grid, np.stack(cols, axis=1)))
 
 
-def _matrix_kernel(entries) -> kernels.KernelSpec:
-    """A matrix kernel; each entry is a kernel record or null."""
-    at = "kernel/entries"
-    return kernels.matrix_kernel(
-        [[None if e is None else _record("kernel", e, f"{at}/{i}/{j}") for j, e in enumerate(row)]
-         for i, row in enumerate(entries)]
-    )
-
-
 # each record's keys are its constructor's parameters
 _BUILDERS = {
     "model": {
@@ -233,15 +227,13 @@ _BUILDERS = {
         "power_law": kernels.power_law,
         "raw_power": kernels.raw_power,
         "gamma": kernels.gamma_kernel,
-        "fbm": kernels.fbm_nonconv,
-        "matrix": _matrix_kernel,
     },
     "regime": ScalingRegime,
     "grid": TimeGrid,
 }
 
-# the record values that are not numbers: a name and the matrix kernel's entries
-_NOT_NUMBERS = ("variant", "kind", "entries")
+# the one record value that is not a number: the name of its constructor
+_NOT_NUMBERS = ("variant", "kind")
 
 
 def _numbers(at: str, value):
@@ -254,24 +246,24 @@ def _numbers(at: str, value):
     return value
 
 
-def _record(key: str, rec, at: str):
-    """The library object a ``key`` record builds; ``at`` is where the config holds it."""
+def _record(key: str, rec):
+    """The library object the config's ``key`` record builds."""
     if not isinstance(rec, dict):
-        raise ConfigError(f"bad record at {at}: {rec!r} is not an object")
-    params = {k: v if k in _NOT_NUMBERS else _numbers(f"{at}/{k}", v) for k, v in rec.items()}
+        raise ConfigError(f"bad record at {key}: {rec!r} is not an object")
+    params = {k: v if k in _NOT_NUMBERS else _numbers(f"{key}/{k}", v) for k, v in rec.items()}
     build = _BUILDERS[key]
     if isinstance(build, dict):  # a table: the record's variant or kind names the constructor
         name = "variant" if key == "model" else "kind"
         choice = params.pop(name, None)
         if choice not in list(build):
-            raise ConfigError(f"bad record at {at}/{name}: {choice!r} not in {', '.join(build)}")
+            raise ConfigError(f"bad record at {key}/{name}: {choice!r} not in {', '.join(build)}")
         build = build[choice]
-    return _checked(at, build, **params)
+    return _checked(key, build, **params)
 
 
 def _records(cfg: dict, *keys: str) -> list:
     """The model, regime, grid and kernel records of ``cfg`` named by ``keys``, built in order."""
-    return [_record(key, cfg[key], key) for key in keys]
+    return [_record(key, cfg[key]) for key in keys]
 
 
 def _given(rec: dict, *keys: str) -> dict:
@@ -355,7 +347,7 @@ def _write_paths_binary(out, paths: np.ndarray):
     header = _BIN_MAGIC + np.asarray([n_paths, n_nodes, d], dtype="<u8").tobytes()
     assert len(header) == 32
     out.write(header)
-    out.write(np.ascontiguousarray(paths, dtype="<f8").tobytes())
+    out.write(np.ascontiguousarray(paths, dtype="<f8").data)
 
 
 def read_paths_binary(path: str) -> np.ndarray:

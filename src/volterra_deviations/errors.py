@@ -22,14 +22,14 @@ class SingularAtZero(DomainError):
 
 
 class WrongVariant(DomainError):
-    """Operation not defined for this kernel variant."""
+    """Kernel not integrable enough for the operation (K or K^2 not integrable at 0)."""
 
 
 class KernelDomainError(DomainError):
     """Kernel or grid argument outside its domain.
 
-    Raised for a non-convolution kernel evaluated outside 0 < s < t and for a
-    time that should be a grid node but is not.
+    Raised for a negative kernel argument, an h grid or horizon a regularity
+    check cannot use, and a time that should be a grid node but is not.
     """
 
 

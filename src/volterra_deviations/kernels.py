@@ -1,11 +1,11 @@
-"""Convolution and non-convolution kernels with their quadrature machinery.
+"""Convolution kernels with their quadrature machinery.
 
 The central objects are :class:`TimeGrid` / :class:`GridFunction` (the
 discrete carriers used everywhere else) and :class:`KernelSpec`.  The grid
 owns the trapezoid weights, cumulative trapezoid and forward differences the
 other modules share, and the node lookup that rejects off-grid times.  Every
-scalar convolution kernel (constant, power law, raw power, gamma) has the one
-shape K(t) = t^a e^(-lambda t) / norm, so one moment formula
+kernel (constant, power law, raw power, gamma) has the one shape
+K(t) = t^a e^(-lambda t) / norm, so one moment formula
 int_0^t u^(p-1) e^(-lambda u) du / norm serves them all.  They expose, besides
 pointwise evaluation:
 
@@ -48,10 +48,7 @@ __all__ = [
     "power_law",
     "raw_power",
     "gamma_kernel",
-    "fbm_nonconv",
-    "matrix_kernel",
     "eval_conv",
-    "eval_nonconv",
     "l2_norm_sq",
     "check_regularity",
 ]
@@ -70,8 +67,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and positive, got {self.horizon!r}")
         n = self.n_steps
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"n_steps must be an integer >= 1, got {n!r}")
@@ -145,26 +142,23 @@ class GridFunction:
 # kernel variants
 # ---------------------------------------------------------------------------
 
-_VARIANTS = ("constant", "power_law", "raw_power", "gamma", "fbm", "matrix")
+_VARIANTS = ("constant", "power_law", "raw_power", "gamma")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel of the catalogued family.
 
-    variant      one of 'constant', 'power_law', 'raw_power', 'gamma',
-                 'fbm', 'matrix'
+    variant      one of 'constant', 'power_law', 'raw_power', 'gamma'
     c            level of the constant kernel
-    hurst        H for power_law / gamma / fbm
+    hurst        H for power_law / gamma
     exponent     a for raw_power, K(t) = t^a
     decay        lambda >= 0 for the gamma kernel
-    entries      (d, d) nested tuple of KernelSpec or None, upper triangular
 
-    Every scalar convolution kernel is K(t) = t^a e^(-decay t) / norm, and
-    ``form`` holds that triple (a, norm, decay), worked out from the variant
-    at construction (None for fbm and matrix kernels).  The moments, norm,
-    pointwise values, autocovariance, singularity and regularity exponent
-    read only the triple.
+    Every kernel is K(t) = t^a e^(-decay t) / norm, and ``form`` holds that
+    triple (a, norm, decay), worked out from the variant at construction.  The
+    moments, norm, pointwise values, autocovariance, singularity and
+    regularity exponent read only the triple.
     """
 
     variant: str
@@ -172,72 +166,48 @@ class KernelSpec:
     hurst: float | None = None
     exponent: float | None = None
     decay: float | None = None
-    entries: tuple | None = None
-    form: tuple | None = field(init=False, repr=False, compare=False)
+    form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:
             raise ValueError(f"unknown kernel variant {self.variant!r}")
-        if self.variant in ("power_law", "gamma", "fbm"):
+        if self.variant in ("power_law", "gamma"):
             if self.hurst is None or not 0.0 < self.hurst <= 0.5:
                 raise ValueError("hurst must lie in (0, 1/2]")
         if self.variant == "gamma" and (self.decay is None or not 0.0 <= self.decay < math.inf):
             raise ValueError("gamma kernel needs a finite decay >= 0")
         if self.variant == "raw_power" and self.exponent is None:
             raise ValueError("raw_power needs an exponent")
-        if self.variant == "matrix":
-            if self.entries is None:
-                raise ValueError("matrix kernel needs entries")
-            d = len(self.entries)
-            for i, row in enumerate(self.entries):
-                if len(row) != d:
-                    raise ValueError("matrix kernel entries must be square")
-                for j, e in enumerate(row):
-                    if i > j and e is not None:
-                        raise ValueError(
-                            "matrix kernel must be upper triangular: "
-                            f"entry ({i}, {j}) is nonzero"
-                        )
-        form = None
         if self.variant == "constant":
             form = (0.0, 1.0 / self.c if self.c else math.inf, 0.0)
         elif self.variant == "raw_power":
             form = (self.exponent, 1.0, 0.0)
-        elif self.variant in ("power_law", "gamma"):
+        else:
             lam = self.decay if self.variant == "gamma" else 0.0
             form = (self.hurst - 0.5, float(gamma_fn(self.hurst + 0.5)), lam)
         object.__setattr__(self, "form", form)
-
-    def _form(self, what: str) -> tuple:
-        if self.form is None:
-            raise WrongVariant(f"{what} applies to scalar convolution kernels, not {self.variant}")
-        return self.form
 
     # -- basic properties ----------------------------------------------------
 
     @property
     def is_singular(self) -> bool:
-        return self.form is not None and self.form[0] < 0.0
+        return self.form[0] < 0.0
 
     @property
     def gamma_reg(self) -> float:
-        """Regularity exponent in (0, 2]: 2a + 1 for K ~ t^a at lag 0 (2H for
-        fbm), clipped; the least over its entries for a matrix kernel."""
-        if self.variant == "matrix":
-            return min((e.gamma_reg for r in self.entries for e in r if e is not None), default=1.0)
-        a = self.hurst - 0.5 if self.form is None else self.form[0]
-        return min(max(2.0 * a + 1.0, 1e-12), 2.0)
+        """Regularity exponent in (0, 2]: 2a + 1 for K ~ t^a at lag 0, clipped."""
+        return min(max(2.0 * self.form[0] + 1.0, 1e-12), 2.0)
 
     # -- cumulative moments ---------------------------------------------------
 
     def moment0(self, t):
         """Integral of K over [0, t] (vectorized in t)."""
-        a, norm, lam = self._form("moment0")
+        a, norm, lam = self.form
         return _moment(a + 1.0, lam, norm, t)
 
     def moment1(self, t):
         """Integral of u * K(u) over [0, t]."""
-        a, norm, lam = self._form("moment1")
+        a, norm, lam = self.form
         return _moment(a + 2.0, lam, norm, t)
 
     # -- Gaussian autocovariance ----------------------------------------------
@@ -249,7 +219,7 @@ class KernelSpec:
         without decay; composite quadrature on a singularity-graded grid for
         the gamma kernel.
         """
-        a, norm, lam = self._form("autocovariance")
+        a, norm, lam = self.form
         if 2.0 * a + 1.0 <= 0.0:
             raise WrongVariant("K is not square integrable: no Gaussian Volterra integral")
         s_arr = np.asarray(s, dtype=float)
@@ -342,27 +312,14 @@ def gamma_kernel(hurst: float, decay: float) -> KernelSpec:
     return KernelSpec("gamma", hurst=float(hurst), decay=float(decay))
 
 
-def fbm_nonconv(hurst: float) -> KernelSpec:
-    """Fractional Brownian motion kernel (non-convolution, hypergeometric)."""
-    return KernelSpec("fbm", hurst=float(hurst))
-
-
-def matrix_kernel(entries) -> KernelSpec:
-    return KernelSpec("matrix", entries=tuple(tuple(e for e in row) for row in entries))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 
 def eval_conv(k: KernelSpec, t):
-    """Pointwise value K(t) of a scalar convolution kernel.
-
-    Raises SingularAtZero when a singular variant is evaluated at t = 0 and
-    WrongVariant for matrix / fbm kernels.
-    """
-    a, norm, lam = k._form("eval_conv")
+    """Pointwise value K(t); SingularAtZero when a singular variant is evaluated at t = 0."""
+    a, norm, lam = k.form
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0):
         raise KernelDomainError("kernel argument must be nonnegative")
@@ -372,31 +329,9 @@ def eval_conv(k: KernelSpec, t):
     return out if out.shape else float(out)
 
 
-def eval_nonconv(k: KernelSpec, t, s):
-    """fBm kernel K(t, s) for 0 < s < t.
-
-    K(t,s) = (t-s)^(H-1/2) / Gamma(H+1/2) * F(H-1/2, 1/2-H; H+1/2; 1 - t/s)
-    with the hypergeometric argument <= 0.
-    """
-    if k.variant != "fbm":
-        raise WrongVariant("eval_nonconv applies to the fbm kernel only")
-    t_arr = np.asarray(t, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr <= 0.0) or np.any(s_arr >= t_arr):
-        raise KernelDomainError("fbm kernel requires 0 < s < t")
-    H = k.hurst
-    z = 1.0 - t_arr / s_arr
-    out = (
-        (t_arr - s_arr) ** (H - 0.5)
-        / gamma_fn(H + 0.5)
-        * hyp2f1(H - 0.5, 0.5 - H, H + 0.5, z)
-    )
-    return out if np.asarray(out).shape else float(out)
-
-
 def l2_norm_sq(k: KernelSpec, t: float) -> float:
     """Integral of K^2 over [0, t]."""
-    a, norm, lam = k._form("l2_norm_sq")
+    a, norm, lam = k.form
     if t <= 0.0:
         raise KernelDomainError("t must be positive")
     # K^2 = t^(2a) e^(-2 lam t) / norm^2: the moment of order 2a + 1
@@ -444,7 +379,7 @@ class ConvWeights:
 
 
 def conv_weights(k: KernelSpec, grid: TimeGrid) -> ConvWeights:
-    """Exact product-integration weights of a scalar convolution kernel."""
+    """Exact product-integration weights of a convolution kernel."""
     n = grid.n_steps
     h = grid.dt
     edges = np.arange(n + 2, dtype=float) * h

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from volterra_deviations import cli
 from volterra_deviations.cli import _records, config_hash, read_paths_binary, run
 
 
@@ -757,6 +758,7 @@ BAD_RECORDS = [
     ("kernels", "kernel/kind", _DROP),
     ("kernels", "kernel", {"kind": "matrix", "entries": [[{"kind": "constant", "c": "1"}]]}),
     ("kernels", "kernel", {"kind": "matrix", "entries": [[0.5]]}),
+    ("kernels", "kernel", {"kind": "fbm", "hurst": 0.3}),
     ("simulate", "model", {"variant": "multi_rough_bergomi", "loadings": 0.5, "a": [0.1],
                            "y0": [-3.0], "rho": [-0.3], "hurst": [0.1]}),
 ]
@@ -775,6 +777,40 @@ def test_a_bad_record_is_a_config_error(tmp_path, capsys, leaf, where, value):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+def test_an_overflowing_number_is_a_config_error(tmp_path, capsys):
+    # json reads 1e400 as inf; json.dumps cannot write it, so the text is edited
+    rec, argv, _ = LEAVES["simulate"]
+    text = json.dumps(rec).replace('"horizon": 1.0', '"horizon": 1e400')
+    assert "1e400" in text
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(argv(str(cfg), tmp_path) + ["--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "1e400" in err
+
+
+# one record per kernel kind the CLI builds, each with its regularity exponent
+KERNEL_SAMPLES = {
+    "constant": ({"kind": "constant", "c": 2.0}, 1.0),
+    "power_law": ({"kind": "power_law", "hurst": 0.1}, 0.2),
+    "raw_power": ({"kind": "raw_power", "exponent": -0.3}, 0.4),
+    "gamma": ({"kind": "gamma", "hurst": 0.2, "decay": 1.0}, 0.4),
+}
+
+
+def test_every_kernel_kind_has_a_sample():
+    assert set(KERNEL_SAMPLES) == set(cli._BUILDERS["kernel"])
+
+
+@pytest.mark.parametrize("kind", KERNEL_SAMPLES)
+def test_every_kernel_kind_runs(tmp_path, capsys, kind):
+    rec, gamma = KERNEL_SAMPLES[kind]
+    cfg = write(tmp_path, "k.json", {"kernel": rec, "gamma_claim": gamma,
+                                     "h_grid": [2.0**-j for j in range(4, 8)]})
+    assert run(["kernels", "--config", cfg, "--deterministic"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
 class TestKernelRecord:
     def test_round_trip_kinds(self):
         for rec, variant in [
@@ -782,19 +818,8 @@ class TestKernelRecord:
             ({"kind": "constant", "c": 2.0}, "constant"),
             ({"kind": "raw_power", "exponent": -0.3}, "raw_power"),
             ({"kind": "gamma", "hurst": 0.2, "decay": 1.0}, "gamma"),
-            ({"kind": "fbm", "hurst": 0.3}, "fbm"),
         ]:
             assert _records({"kernel": rec}, "kernel")[0].variant == variant
-
-    def test_matrix_config(self):
-        rec = {
-            "kind": "matrix",
-            "entries": [
-                [{"kind": "constant", "c": 1.0}, {"kind": "power_law", "hurst": 0.2}],
-                [None, None],
-            ],
-        }
-        assert _records({"kernel": rec}, "kernel")[0].variant == "matrix"
 
     def test_bad_configs(self):
         from volterra_deviations.errors import ConfigError

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +20,8 @@ from volterra_deviations.kernels import (
     constant,
     conv_weights,
     eval_conv,
-    eval_nonconv,
-    fbm_nonconv,
     gamma_kernel,
     l2_norm_sq,
-    matrix_kernel,
     power_law,
     raw_power,
     terminal_weights,
@@ -51,6 +50,11 @@ class TestTimeGrid:
             TimeGrid(-1.0, 4)
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_horizon_is_finite(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            TimeGrid(horizon, 8)
 
     @pytest.mark.parametrize("n_steps", [2.5, 8.0, True, "8"])
     def test_n_steps_is_an_integer(self, n_steps):
@@ -94,70 +98,12 @@ class TestEvalConv:
             eval_conv(power_law(0.1), 0.0)
         assert eval_conv(constant(2.0), 0.0) == 2.0
 
-    def test_wrong_variant(self):
-        with pytest.raises(WrongVariant):
-            eval_conv(fbm_nonconv(0.3), 0.5)
-        with pytest.raises(WrongVariant):
-            eval_conv(matrix_kernel([[constant(1.0)]]), 0.5)
-
     def test_homogeneity(self):
         k = power_law(0.17)
         for lam in (0.5, 2.0, 10.0):
             got = eval_conv(k, lam * 0.3)
             want = lam ** (0.17 - 0.5) * eval_conv(k, 0.3)
             assert got == pytest.approx(want, rel=1e-12)
-
-
-class TestEvalNonConv:
-    def test_half_is_one(self):
-        k = fbm_nonconv(0.5)
-        for t, s in [(1.0, 0.2), (2.0, 1.5), (0.7, 0.69)]:
-            assert eval_nonconv(k, t, s) == pytest.approx(1.0, abs=1e-10)
-
-    def test_short_lag_asymptotics(self):
-        # K(t, s) ~ (t-s)^(H-1/2)/Gamma(H+1/2) as s -> t
-        k = fbm_nonconv(0.3)
-        t = 1.0
-        for lag in (1e-4, 1e-6):
-            got = eval_nonconv(k, t, t - lag)
-            lead = lag ** (-0.2) / gamma_fn(0.8)
-            assert got == pytest.approx(lead, rel=1e-3)
-
-    @staticmethod
-    def _mpmath_kernel(H, t, s):
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            H, t, s = mp.mpf(H), mp.mpf(t), mp.mpf(s)
-            val = (t - s) ** (H - 0.5) / mp.gamma(H + 0.5) * mp.hyp2f1(
-                H - 0.5, 0.5 - H, H + 0.5, 1 - t / s
-            )
-            return float(val)
-
-    @pytest.mark.parametrize("s", [0.5, 1e-4, 1e-6, 1e-8])
-    def test_against_mpmath_hypergeometric(self, s):
-        # small s/t drives the hypergeometric argument 1 - t/s toward -infinity
-        want = self._mpmath_kernel(0.3, 1.0, s)
-        assert eval_nonconv(fbm_nonconv(0.3), 1.0, s) == pytest.approx(want, rel=1e-12)
-
-    @given(
-        st.floats(min_value=0.02, max_value=0.5),
-        st.floats(min_value=-8.0, max_value=float(np.log10(0.99))),
-        st.floats(min_value=0.1, max_value=10.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_mpmath_for_ratios_down_to_1e_8(self, H, log_ratio, t):
-        s = 10.0**log_ratio * t
-        want = self._mpmath_kernel(H, t, s)
-        assert eval_nonconv(fbm_nonconv(H), t, s) == pytest.approx(want, rel=1e-12)
-
-    def test_domain_errors(self):
-        k = fbm_nonconv(0.3)
-        with pytest.raises(KernelDomainError):
-            eval_nonconv(k, 1.0, 1.0)
-        with pytest.raises(KernelDomainError):
-            eval_nonconv(k, 1.0, -0.1)
-        with pytest.raises(WrongVariant):
-            eval_nonconv(power_law(0.3), 1.0, 0.5)
 
 
 class TestL2Norm:
@@ -285,14 +231,6 @@ class TestAutocovariance:
         assert np.shape(k.autocovariance(0.5, 0.7)) == ()
         assert np.shape(k.autocovariance(np.array([0.2, 0.5, 0.0]), 0.7)) == (3,)
         assert k.autocovariance(0.0, 0.7) == 0.0
-
-
-class TestMatrixKernel:
-    def test_upper_triangular_enforced(self):
-        with pytest.raises(ValueError):
-            matrix_kernel([[constant(1.0), None], [constant(1.0), None]])
-        k = matrix_kernel([[constant(1.0), power_law(0.2)], [None, None]])
-        assert k.gamma_reg == pytest.approx(0.4)
 
 
 class TestRegularity:
