@@ -759,6 +759,7 @@ BAD_RECORDS = [
     ("kernels", "kernel", {"kind": "matrix", "entries": [[{"kind": "constant", "c": "1"}]]}),
     ("kernels", "kernel", {"kind": "matrix", "entries": [[0.5]]}),
     ("kernels", "kernel", {"kind": "fbm", "hurst": 0.3}),
+    ("kernels", "kernel", {"kind": "matrix", "entries": [[{"kind": "constant", "c": 1.0}]]}),
     ("simulate", "model", {"variant": "multi_rough_bergomi", "loadings": 0.5, "a": [0.1],
                            "y0": [-3.0], "rho": [-0.3], "hurst": [0.1]}),
 ]
@@ -785,6 +786,18 @@ def test_an_overflowing_number_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     assert run(argv(str(cfg), tmp_path) + ["--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "1e400" in err
+
+
+def test_an_overflowing_kernel_parameter_is_a_config_error(tmp_path, capsys):
+    rec = {"kernel": {"kind": "gamma", "hurst": 0.2, "decay": 1.0}, "gamma_claim": 0.4,
+           "h_grid": [2.0**-j for j in range(4, 8)]}
+    text = json.dumps(rec).replace('"decay": 1.0', '"decay": 1e400')
+    assert "1e400" in text
+    cfg = tmp_path / "k.json"
+    cfg.write_text(text)
+    assert run(["kernels", "--config", str(cfg), "--deterministic"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "1e400" in err
 
